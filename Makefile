@@ -2,7 +2,7 @@
 # GitHub Actions tier-1 gate; `make bench` produces a BENCH_*.json
 # perf artifact.
 
-.PHONY: ci test bench bench-sched bench-interp bench-parse benchcmp soak replay bundle-replay fleet-soak kill-soak fmt build
+.PHONY: ci test bench bench-sched bench-interp bench-parse benchcmp soak replay bundle-replay fleet-soak kill-soak crawlbench-smoke fmt build
 
 ci:
 	./scripts/ci.sh
@@ -32,6 +32,11 @@ kill-soak:
 
 test:
 	go test ./...
+
+# Crawl-benchmark smoke: the crawlbench module's own tests plus a 5 s
+# offline run that must report "correct":true (no timing gate).
+crawlbench-smoke:
+	./scripts/crawlbench_smoke.sh
 
 bench:
 	./scripts/bench.sh

@@ -63,9 +63,10 @@ type MeasurementOptions struct {
 	// LRU. 0 = unbounded.
 	CacheEntries int
 	// CacheBytes caps the fetch cache's total cached body bytes and,
-	// independently, the DOM cache's summed parsed-source bytes, each
-	// evicted LRU alongside the entry cap; a single body larger than the
-	// budget is served but never retained. 0 = unbounded.
+	// independently, the DOM cache's retained memory — each document's
+	// source plus the arena slabs its tree pins — each evicted LRU
+	// alongside the entry cap; a single body larger than the budget is
+	// served but never retained. 0 = unbounded.
 	CacheBytes int64
 	// Breaker enables the per-host circuit breaker between the fetch
 	// cache and the network when Threshold > 0: a host that fails

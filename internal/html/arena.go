@@ -1,6 +1,9 @@
 package html
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 // Slab sizes: nodes and attrs are carved in fixed chunks recycled
 // through sync.Pools; a typical landing page (a few hundred nodes)
@@ -16,6 +19,10 @@ const (
 	// oversizedAttrs falls back to a heap allocation rather than burning
 	// most of a chunk on one pathological tag.
 	oversizedAttrs = attrChunkSize / 4
+
+	nodeChunkBytes = nodeChunkSize * int(unsafe.Sizeof(Node{}))
+	attrChunkBytes = attrChunkSize * int(unsafe.Sizeof(Attr{}))
+	kidChunkBytes  = kidChunkSize * int(unsafe.Sizeof((*Node)(nil)))
 )
 
 // The chunk pools hold pointers to slice headers (the canonical
@@ -51,6 +58,11 @@ type arena struct {
 
 func newArena() *arena {
 	return arenaPool.Get().(*arena)
+}
+
+// slabBytes is the memory the arena's chunks pin, carved or not.
+func (a *arena) slabBytes() int {
+	return len(a.nodes)*nodeChunkBytes + len(a.attrs)*attrChunkBytes + len(a.kids)*kidChunkBytes
 }
 
 // release zeroes every chunk (dropping the string references that would

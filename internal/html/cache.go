@@ -25,9 +25,12 @@ type ParsedDoc struct {
 	Iframes []Iframe
 	Scripts []Script
 	Links   []string
-	// SrcLen is the byte length of the parsed source — the cache's byte
-	// charge for this document.
+	// SrcLen is the byte length of the parsed source, which the tree's
+	// strings keep alive.
 	SrcLen int
+	// SlabBytes is the arena memory the tree pins until its last
+	// release. SrcLen + SlabBytes is the cache's byte charge.
+	SlabBytes int
 
 	arena *arena
 	refs  atomic.Int32
@@ -41,6 +44,7 @@ func ParseDoc(src string) *ParsedDoc {
 	var ex docExtract
 	d := &ParsedDoc{SrcLen: len(src), arena: a}
 	d.Tree = parseInto(src, a, &ex)
+	d.SlabBytes = a.slabBytes()
 	if len(ex.iframes) > 0 {
 		d.Iframes = make([]Iframe, 0, len(ex.iframes))
 		for _, el := range ex.iframes {
@@ -84,7 +88,8 @@ type ParseStats struct {
 	// Evictions are entries dropped to keep the cache under its caps.
 	Evictions uint64
 	// Entries is the number of distinct documents currently cached;
-	// CachedBytes their summed source-byte charge.
+	// CachedBytes their summed charge: source plus arena slabs, or just
+	// the source while a parse is in flight.
 	Entries     uint64
 	CachedBytes uint64
 }
@@ -135,9 +140,12 @@ func (e *cacheEntry) dropHold() {
 // never see recycled nodes). Concurrent first sights of the same body
 // are singleflighted: one caller parses, the rest wait and share.
 //
-// The cache is bounded both by entry count and by summed source bytes
-// (either <= 0 = that bound off), evicted least-recently-used, reusing
-// the lru byte-accounting idiom of the fetch cache.
+// The cache is bounded both by entry count and by summed bytes (either
+// <= 0 = that bound off), evicted least-recently-used, reusing the lru
+// byte-accounting idiom of the fetch cache. An entry is charged its
+// source length when the parse starts and re-charged with the arena
+// slabs the finished document pins, so the byte bound covers the
+// retained memory rather than only the source text.
 type ParseCache struct {
 	mu      sync.Mutex
 	entries *lru.Cache[[sha256.Size]byte, *cacheEntry]
@@ -146,7 +154,7 @@ type ParseCache struct {
 }
 
 // NewParseCache creates an empty cache holding at most maxEntries
-// documents and maxBytes summed source bytes (each <= 0 = unbounded).
+// documents and maxBytes summed charge (each <= 0 = unbounded).
 func NewParseCache(maxEntries int, maxBytes int64) *ParseCache {
 	return &ParseCache{entries: lru.NewWithBytes[[sha256.Size]byte, *cacheEntry](maxEntries, maxBytes)}
 }
@@ -190,7 +198,25 @@ func (c *ParseCache) Parse(src string) *ParsedDoc {
 	e.doc = doc
 	e.mu.Unlock()
 	close(e.done)
+	c.recharge(sum, e, int64(doc.SrcLen+doc.SlabBytes))
 	return doc
+}
+
+// recharge replaces the provisional source-length charge of a freshly
+// parsed entry with its full size, evicting to restore the bounds. An
+// entry evicted mid-parse is left alone: its key may already name a
+// newer entry.
+func (c *ParseCache) recharge(sum [sha256.Size]byte, e *cacheEntry, size int64) {
+	c.mu.Lock()
+	var evicted []lru.Evicted[[sha256.Size]byte, *cacheEntry]
+	if cur, ok := c.entries.Peek(sum); ok && cur == e {
+		_, _, evicted = c.entries.AddWithSize(sum, e, size)
+	}
+	c.mu.Unlock()
+	for _, ev := range evicted {
+		c.evictions.Add(1)
+		ev.Value.dropHold()
+	}
 }
 
 // Stats snapshots the cache counters.

@@ -3,8 +3,10 @@ package html
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestParseCacheHitMiss(t *testing.T) {
@@ -22,7 +24,7 @@ func TestParseCacheHitMiss(t *testing.T) {
 	if s.Hits != 1 || s.Misses != 2 || s.Entries != 2 {
 		t.Errorf("stats: %+v", s)
 	}
-	if s.CachedBytes != uint64(len(`<iframe src="/a"></iframe>`)+len(`<iframe src="/b"></iframe>`)) {
+	if s.CachedBytes != uint64(a.SrcLen+a.SlabBytes+other.SrcLen+other.SlabBytes) {
 		t.Errorf("cached bytes: %d", s.CachedBytes)
 	}
 	a.Release()
@@ -89,6 +91,46 @@ func TestParseCacheEvictionWhileReading(t *testing.T) {
 	held.Release()
 	if held.Tree != nil {
 		t.Error("last release must poison the tree")
+	}
+}
+
+// TestParseCacheChargesSlabs pins the byte charge of a cached document
+// to its source plus every arena slab it holds: a cached document pins
+// at least one node, attr and kid slab (40 KB) however short its
+// source, so charging the source alone let the byte bound under-count
+// retained memory about a hundredfold.
+func TestParseCacheChargesSlabs(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 300; i++ { // past one node slab
+		fmt.Fprintf(&b, `<p class="c%d">x</p>`, i)
+	}
+	src := b.String()
+	c := NewParseCache(0, 0)
+	d := c.Parse(src)
+	defer d.Release()
+	a := d.arena
+	slabs := len(a.nodes)*nodeChunkSize*int(unsafe.Sizeof(Node{})) +
+		len(a.attrs)*attrChunkSize*int(unsafe.Sizeof(Attr{})) +
+		len(a.kids)*kidChunkSize*int(unsafe.Sizeof(&Node{}))
+	if len(a.nodes) < 2 || len(a.attrs) == 0 || len(a.kids) == 0 {
+		t.Fatalf("slabs held: %d node, %d attr, %d kid; want >= 2, 1, 1", len(a.nodes), len(a.attrs), len(a.kids))
+	}
+	if d.SlabBytes != slabs {
+		t.Errorf("SlabBytes = %d; want %d", d.SlabBytes, slabs)
+	}
+	if got, want := c.Stats().CachedBytes, uint64(len(src)+slabs); got != want {
+		t.Errorf("charge = %d; want SrcLen %d + slabs %d = %d", got, len(src), slabs, want)
+	}
+
+	// A budget that fits one small document's full charge keeps one.
+	one := ParseDoc(`<p>tiny1</p>`)
+	budget := int64(one.SrcLen + one.SlabBytes)
+	one.Release()
+	bounded := NewParseCache(0, budget)
+	bounded.Parse(`<p>tiny1</p>`).Release()
+	bounded.Parse(`<p>tiny2</p>`).Release()
+	if s := bounded.Stats(); s.Entries != 1 || s.CachedBytes > uint64(budget) {
+		t.Errorf("budget %d: %d entries, %d bytes cached", budget, s.Entries, s.CachedBytes)
 	}
 }
 

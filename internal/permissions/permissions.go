@@ -114,21 +114,22 @@ type Permission struct {
 // PolicyControlled reports whether the permission has an allowlist.
 func (p Permission) PolicyControlled() bool { return p.Default != DefaultNone }
 
-// registry holds every known permission, keyed by Name.
-var registry = map[string]Permission{}
-
-// ordered keeps registration order for deterministic iteration.
-var ordered []string
+// registry holds every known permission in registration order;
+// position maps each Name to its index there.
+var (
+	registry []Permission
+	position = map[string]int{}
+)
 
 func register(p Permission) {
 	if p.DisplayName == "" {
 		p.DisplayName = titleize(p.Name)
 	}
-	if _, dup := registry[p.Name]; dup {
+	if _, dup := position[p.Name]; dup {
 		panic(fmt.Sprintf("permissions: duplicate registration of %q", p.Name))
 	}
-	registry[p.Name] = p
-	ordered = append(ordered, p.Name)
+	position[p.Name] = len(registry)
+	registry = append(registry, p)
 }
 
 func titleize(name string) string {
@@ -142,10 +143,25 @@ func titleize(name string) string {
 	return strings.Join(parts, " ")
 }
 
-// Lookup returns the permission registered under name.
+// Lookup returns the permission registered under name, ignoring case
+// and surrounding space.
 func Lookup(name string) (Permission, bool) {
-	p, ok := registry[strings.ToLower(strings.TrimSpace(name))]
-	return p, ok
+	i, ok := position[name]
+	if !ok {
+		i, ok = position[strings.ToLower(strings.TrimSpace(name))]
+	}
+	if !ok {
+		return Permission{}, false
+	}
+	return registry[i], true
+}
+
+// Index returns the registry position of the permission named exactly
+// name — no case or space folding — so per-feature state can live in a
+// slice parallel to All().
+func Index(name string) (int, bool) {
+	i, ok := position[name]
+	return i, ok
 }
 
 // Known reports whether name is a registered permission token.
@@ -154,13 +170,11 @@ func Known(name string) bool {
 	return ok
 }
 
-// All returns every registered permission in registration order.
+// All returns every registered permission in registration order. The
+// slice is the registry itself, shared by every caller: read it, never
+// write through it (append copies, since it is returned at capacity).
 func All() []Permission {
-	out := make([]Permission, 0, len(ordered))
-	for _, name := range ordered {
-		out = append(out, registry[name])
-	}
-	return out
+	return registry[:len(registry):len(registry)]
 }
 
 // PolicyControlledNames returns the sorted names of all policy-controlled

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"sync/atomic"
+
 	"permodyssey/internal/origin"
 	"permodyssey/internal/permissions"
 )
@@ -36,6 +38,13 @@ func (m SpecMode) String() string {
 // declared policy (from its own headers — or, for local-scheme
 // documents under SpecExpected, inherited from the parent) and the
 // per-feature inherited policy computed from the embedding context.
+//
+// The inherited policy is computed on demand: a subframe keeps its
+// embedding context (parent, container policy, src origin) and runs
+// the inheritance algorithm for a feature on that feature's first
+// query, memoising the answer. A frame whose scripts ask about two
+// features pays for two, not for the whole registry. Queries are safe
+// from concurrent goroutines.
 type Document struct {
 	// Origin is the document's effective origin for policy evaluation.
 	// Local-scheme documents evaluate with their parent's origin (they
@@ -49,14 +58,24 @@ type Document struct {
 	LocalScheme bool
 
 	parent    *Document
-	inherited map[string]bool
+	container Policy
+	srcOrigin origin.Origin
+	// inherited memoises the inherited policy per registry position
+	// (permissions.Index): inheritUnknown until first queried. Nil for
+	// a top-level document, whose inherited policy is always Enabled.
+	inherited []atomic.Uint32
 }
+
+// Memo states of Document.inherited.
+const (
+	inheritUnknown uint32 = iota
+	inheritDisabled
+	inheritEnabled
+)
 
 // NewTopLevel creates the policy document for a top-level navigation.
 func NewTopLevel(o origin.Origin, declared Policy) *Document {
-	d := &Document{Origin: o, Declared: declared}
-	d.computeInherited(nil, Policy{}, origin.Origin{})
-	return d
+	return &Document{Origin: o, Declared: declared}
 }
 
 // FrameSpec describes an iframe being loaded, as the engine needs it.
@@ -79,7 +98,12 @@ type FrameSpec struct {
 // parent, per the specification's inherited-policy algorithm, under the
 // given SpecMode.
 func NewSubframe(parent *Document, spec FrameSpec, mode SpecMode) *Document {
-	d := &Document{LocalScheme: spec.LocalScheme, parent: parent}
+	d := &Document{
+		LocalScheme: spec.LocalScheme,
+		parent:      parent,
+		container:   spec.Allow,
+		inherited:   make([]atomic.Uint32, len(permissions.All())),
+	}
 	childOrigin := spec.DocumentOrigin
 	srcOrigin := spec.SrcOrigin
 	if spec.LocalScheme {
@@ -100,23 +124,33 @@ func NewSubframe(parent *Document, spec FrameSpec, mode SpecMode) *Document {
 		d.Declared = spec.Declared
 	}
 	d.Origin = childOrigin
-	d.computeInherited(parent, spec.Allow, srcOrigin)
+	d.srcOrigin = srcOrigin
 	return d
 }
 
-// computeInherited runs "Define an inherited policy for feature in
-// container at origin" for every policy-controlled feature.
-func (d *Document) computeInherited(parent *Document, containerPolicy Policy, srcOrigin origin.Origin) {
-	d.inherited = make(map[string]bool)
-	for _, p := range permissions.All() {
-		if !p.PolicyControlled() {
-			continue
-		}
-		d.inherited[p.Name] = inheritedPolicyFor(p, parent, containerPolicy, d.Origin, srcOrigin)
+// inheritedAt reports the inherited policy for the policy-controlled
+// feature p at registry position i, computing it on first use. Racing
+// first queries compute the same answer, so any store is as good as
+// another.
+func (d *Document) inheritedAt(i int, p permissions.Permission) bool {
+	if d.parent == nil {
+		return true
 	}
+	if state := d.inherited[i].Load(); state != inheritUnknown {
+		return state == inheritEnabled
+	}
+	enabled := d.inheritedPolicyFor(i, p)
+	state := inheritDisabled
+	if enabled {
+		state = inheritEnabled
+	}
+	d.inherited[i].Store(state)
+	return enabled
 }
 
-// inheritedPolicyFor implements the specification algorithm:
+// inheritedPolicyFor implements "Define an inherited policy for feature
+// in container at origin" for a subframe (step 1, the null container,
+// is the top-level case inheritedAt answers itself):
 //
 //  1. If container is null, return Enabled.
 //  2. If feature is Disabled in the container document for the container
@@ -129,19 +163,16 @@ func (d *Document) computeInherited(parent *Document, containerPolicy Policy, sr
 //  6. If the feature's default allowlist is 'self' and the new origin is
 //     same origin with the container document's origin, return Enabled.
 //  7. Return Disabled.
-func inheritedPolicyFor(p permissions.Permission, parent *Document, containerPolicy Policy,
-	childOrigin, srcOrigin origin.Origin) bool {
-	if parent == nil {
-		return true
-	}
-	if !parent.EnabledForOrigin(p.Name, parent.Origin) {
+func (d *Document) inheritedPolicyFor(i int, p permissions.Permission) bool {
+	parent, childOrigin := d.parent, d.Origin
+	if !parent.enabledAt(i, p, parent.Origin) {
 		return false
 	}
-	if !parent.EnabledForOrigin(p.Name, childOrigin) {
+	if !parent.enabledAt(i, p, childOrigin) {
 		return false
 	}
-	if al, ok := containerPolicy.Get(p.Name); ok {
-		return al.Matches(childOrigin, parent.Origin, srcOrigin)
+	if al, ok := d.container.Get(p.Name); ok {
+		return al.Matches(childOrigin, parent.Origin, d.srcOrigin)
 	}
 	switch p.Default {
 	case permissions.DefaultAll:
@@ -164,14 +195,26 @@ func inheritedPolicyFor(p permissions.Permission, parent *Document, containerPol
 // top-level documents (paper §4.1.1: notifications "cannot be
 // delegated", hence the low embedded counts).
 func (d *Document) EnabledForOrigin(feature string, o origin.Origin) bool {
-	p, known := permissions.Lookup(feature)
-	if known && !p.PolicyControlled() {
+	i, exact := permissions.Index(feature)
+	if !exact {
+		// A non-canonical spelling ("Camera") has no inherited policy of
+		// its own, so only the top-level rule for features that are not
+		// policy-controlled can enable it.
+		p, known := permissions.Lookup(feature)
+		return known && !p.PolicyControlled() && d.parent == nil
+	}
+	return d.enabledAt(i, permissions.All()[i], o)
+}
+
+// enabledAt is EnabledForOrigin for the registry entry p at position i.
+func (d *Document) enabledAt(i int, p permissions.Permission, o origin.Origin) bool {
+	if !p.PolicyControlled() {
 		return d.parent == nil
 	}
-	if !d.inherited[feature] {
+	if !d.inheritedAt(i, p) {
 		return false
 	}
-	if al, ok := d.Declared.Get(feature); ok {
+	if al, ok := d.Declared.Get(p.Name); ok {
 		return al.Matches(o, d.Origin, origin.Origin{})
 	}
 	return true
@@ -190,8 +233,8 @@ func (d *Document) Allowed(feature string) bool {
 // exposes to scripts (heavily called per Table 4/5).
 func (d *Document) AllowedFeatures() []string {
 	var out []string
-	for _, p := range permissions.All() {
-		if p.PolicyControlled() && d.Allowed(p.Name) {
+	for i, p := range permissions.All() {
+		if p.PolicyControlled() && d.enabledAt(i, p, d.Origin) {
 			out = append(out, p.Name)
 		}
 	}

@@ -391,15 +391,6 @@ func BenchmarkParseAllowAttr(b *testing.B) {
 	}
 }
 
-func BenchmarkInheritedPolicy(b *testing.B) {
-	top := NewTopLevel(exampleOrg, Policy{})
-	allow := mustAllow("camera; microphone; geolocation")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		NewSubframe(top, FrameSpec{SrcOrigin: iframeCom, DocumentOrigin: iframeCom, Allow: allow}, SpecActual)
-	}
-}
-
 func TestBreadthTextMarshalRoundTrip(t *testing.T) {
 	for b := BreadthDisable; b <= BreadthAll; b++ {
 		text, err := b.MarshalText()

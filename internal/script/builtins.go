@@ -243,9 +243,9 @@ func RejectedPromise(reason Value) Value {
 
 // Promise methods are shared this-based natives rather than per-promise
 // closures: they read __state/__value from the receiver, so a promise
-// object cloned into another realm by InstallSnapshot keeps working —
-// a captured-variable implementation would leak the template's state
-// and identity into every clone.
+// in a sealed template keeps working through each realm's stub — a
+// captured-variable implementation would leak the template's state and
+// identity into every realm.
 var promiseThenV, promiseCatchV, promiseFinallyV Value
 
 func init() {

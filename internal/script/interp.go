@@ -212,9 +212,9 @@ type Interp struct {
 }
 
 // NewInterp creates an interpreter with standard builtins installed.
-// The builtins are stamped from a shared snapshot rather than rebuilt:
-// constructing a realm costs a shallow clone of a few namespace
-// objects, not hundreds of fresh natives.
+// The builtins come from a shared sealed snapshot rather than being
+// rebuilt: constructing a realm costs a few copy-on-write stubs, not
+// hundreds of fresh natives.
 func NewInterp() *Interp {
 	in := NewBareInterp()
 	in.InstallSnapshot(builtinsSnapshot())

@@ -37,6 +37,16 @@ type Value struct {
 
 // Object is a property bag. Host objects (navigator, document, ...) are
 // Objects whose function-valued properties are Natives.
+//
+// An object is one of three shapes; only the accessors below and the
+// snapshot sealer touch props, so callers never see the difference:
+//
+//   - plain: props and order hold every property;
+//   - sealed template (id != 0): part of a GlobalSnapshot, shared by
+//     every realm and never written again;
+//   - realm-local stub (base != nil): a copy-on-write view of a sealed
+//     template object. Reads fall through to base; writes land in the
+//     stub's own props, and order lists only keys base lacks.
 type Object struct {
 	props map[string]Value
 	order []string
@@ -46,6 +56,13 @@ type Object struct {
 	// used for host constructors that also carry static properties
 	// (Notification.requestPermission alongside new Notification()).
 	Call *Native
+
+	base *Object
+	// loc localizes base's object-valued properties into the stub's
+	// realm, so every path to one template object yields one stub.
+	loc *localizer
+	// id numbers a sealed template object within its snapshot (1-based).
+	id int32
 }
 
 // Array is a JS array.
@@ -161,28 +178,60 @@ func (v Value) Truthy() bool {
 
 // Set assigns a property, preserving insertion order for new keys.
 func (o *Object) Set(key string, v Value) {
+	if o.id != 0 {
+		// Only a bug reaches here: a native that captured a template
+		// object, or a template interpreter used after its snapshot.
+		panic("script: write to sealed template object (property " + strconv.Quote(key) + ")")
+	}
+	if o.props == nil {
+		o.props = make(map[string]Value)
+	}
 	if _, exists := o.props[key]; !exists {
-		o.order = append(o.order, key)
+		if _, inherited := o.base.own(key); !inherited {
+			o.order = append(o.order, key)
+		}
 	}
 	o.props[key] = v
 }
 
 // Get reads a property.
 func (o *Object) Get(key string) (Value, bool) {
+	if v, ok := o.props[key]; ok {
+		return v, true
+	}
+	if v, ok := o.base.own(key); ok {
+		return o.loc.value(v), true
+	}
+	return Undefined(), false
+}
+
+// own reads a property of a plain or sealed object without localizing
+// it; a nil receiver (a stub's absent base) has no properties.
+func (o *Object) own(key string) (Value, bool) {
+	if o == nil {
+		return Undefined(), false
+	}
 	v, ok := o.props[key]
 	return v, ok
 }
 
 // GetOr reads a property with a default.
 func (o *Object) GetOr(key string, def Value) Value {
-	if v, ok := o.props[key]; ok {
+	if v, ok := o.Get(key); ok {
 		return v
 	}
 	return def
 }
 
-// Keys returns property names in insertion order.
-func (o *Object) Keys() []string { return append([]string{}, o.order...) }
+// Keys returns property names in insertion order: for a stub, its
+// template's keys first, then the keys the realm added.
+func (o *Object) Keys() []string {
+	if o.base == nil {
+		return append([]string{}, o.order...)
+	}
+	keys := make([]string, 0, len(o.base.order)+len(o.order))
+	return append(append(keys, o.base.order...), o.order...)
+}
 
 // ToString implements JS ToString for diagnostics and concatenation.
 func (v Value) ToString() string {
@@ -335,7 +384,7 @@ func JSONString(v Value) string {
 		sort.Strings(keys)
 		parts := make([]string, 0, len(keys))
 		for _, k := range keys {
-			pv := v.obj.props[k]
+			pv, _ := v.obj.Get(k)
 			if pv.IsCallable() {
 				continue
 			}

@@ -14,11 +14,11 @@ import (
 // Permissions Policy.
 //
 // The surface itself — hundreds of natives across navigator, document,
-// and a dozen constructors — is built ONCE on a package-level template
-// and stamped into each realm as a deep clone (script.GlobalSnapshot).
-// Natives are shared across realms and recover their realm through
-// script.Interp.Host at call time; only the mutable object graph is
-// cloned, so NewRealm costs a copy instead of a rebuild.
+// and a dozen constructors — is built ONCE on a package-level template,
+// sealed (script.GlobalSnapshot), and installed into each realm
+// copy-on-write. Natives are shared across realms and recover their
+// realm through script.Interp.Host at call time; a realm pays only for
+// the template objects its scripts reach and the properties they write.
 type Realm struct {
 	Doc *policy.Document
 	Rec *Recorder
@@ -150,7 +150,7 @@ func nat(name string, fn func(in *script.Interp, this script.Value, args []scrip
 }
 
 // hostRealm recovers the realm a native is executing in. Surface
-// natives are shared across realms (they live in the cloned snapshot),
+// natives are shared across realms (they live in the sealed snapshot),
 // so per-realm state — policy document, recorder, handlers — must come
 // from the interpreter, not from captured variables.
 func hostRealm(in *script.Interp) *Realm { return in.Host.(*Realm) }
@@ -184,7 +184,7 @@ var noopV = nat("noop", func(_ *script.Interp, _ script.Value, _ []script.Value)
 })
 
 // surfaceSnapshot lazily builds the Web-API surface on a template
-// interpreter and captures it for stamping into realms.
+// interpreter and seals it for installing into realms.
 var (
 	surfaceOnce sync.Once
 	surfaceSnap *script.GlobalSnapshot
@@ -222,7 +222,7 @@ func (r *Realm) patchRealmState() {
 // interpreter's global scope. Everything installed here must be
 // realm-independent: natives reach their realm via hostRealm, and
 // per-realm scalars (location fields, userAgent, isSecureContext) are
-// placeholders overwritten by patchRealmState after cloning.
+// placeholders overwritten by patchRealmState in each realm.
 func installSurface(in *script.Interp) {
 	g := in.Global
 
@@ -244,7 +244,7 @@ func installSurface(in *script.Interp) {
 	installConstructors(g)
 
 	// navigator identity (the crawler disabled navigator.webdriver, C8).
-	// userAgent is per-realm (Version-dependent); patched after cloning.
+	// userAgent is per-realm (Version-dependent); patched per realm.
 	nav.Set("userAgent", script.String(""))
 	nav.Set("webdriver", script.Bool(false))
 	nav.Set("language", script.String("en-US"))
@@ -673,13 +673,9 @@ func installPolicyAPIs(doc *script.Object) {
 // browser's supported surface — allowedFeatures() only reports features
 // the engine knows, which is what makes it a version fingerprint.
 func (r *Realm) supportedAllowed() []string {
-	supported := map[string]bool{}
-	for _, name := range permissions.SupportedPermissions(r.Browser, r.Version) {
-		supported[name] = true
-	}
 	var out []string
 	for _, f := range r.Doc.AllowedFeatures() {
-		if supported[f] {
+		if permissions.SupportedIn(f, r.Browser, r.Version) {
 			out = append(out, f)
 		}
 	}
@@ -699,8 +695,8 @@ var pushSubscribeV = rnat("pushManager.subscribe", func(r *Realm, _ *script.Inte
 })
 
 // newSWRegistration builds a fresh service-worker registration. Each
-// register() call gets its own — a template-captured singleton would be
-// shared (and mutable) across every realm cloned from the snapshot.
+// register() call gets its own — a native-captured singleton would be
+// one object shared, and written, by every realm.
 func newSWRegistration() script.Value {
 	swReg := script.NewObject()
 	pushMgr := script.NewObject()

@@ -1,6 +1,7 @@
 package webapi
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -406,4 +407,46 @@ func BenchmarkRealmProbeScript(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+var benchRealm *Realm
+
+func BenchmarkNewRealm(b *testing.B) {
+	doc := policy.NewTopLevel(origin.MustParse("https://example.org"), policy.Policy{})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchRealm = NewRealm(doc, "https://example.org/")
+	}
+}
+
+// TestNewRealmCost pins what a realm costs before any script runs. With
+// the surface installed copy-on-write it is the global bindings, a stub
+// per global object and the per-realm patches; the old per-realm deep
+// clone of the whole surface cost 44.6 KB and 172 allocations.
+func TestNewRealmCost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pins need a quiet heap")
+	}
+	doc := policy.NewTopLevel(origin.MustParse("https://example.org"), policy.Policy{})
+	newRealm := func() { benchRealm = NewRealm(doc, "https://example.org/") }
+	if got := testing.AllocsPerRun(200, newRealm); got > 50 {
+		t.Errorf("NewRealm: %.0f allocs/op, want <= 50", got)
+	}
+	if got := bytesPerRun(200, newRealm); got > 11<<10 {
+		t.Errorf("NewRealm: %.0f B/op, want <= %d", got, 11<<10)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap
+// bytes one call of f allocates.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm up lazily built state, as AllocsPerRun does
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

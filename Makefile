@@ -2,7 +2,7 @@
 # GitHub Actions tier-1 gate; `make bench` produces a BENCH_*.json
 # perf artifact.
 
-.PHONY: ci test bench bench-sched bench-interp bench-parse benchcmp soak replay bundle-replay fleet-soak kill-soak crawlbench-smoke fmt build
+.PHONY: ci test bench bench-sched bench-interp bench-parse benchcmp soak fuzz-smoke replay bundle-replay fleet-soak kill-soak crawlbench-smoke fmt build
 
 ci:
 	./scripts/ci.sh
@@ -41,14 +41,13 @@ crawlbench-smoke:
 bench:
 	./scripts/bench.sh
 
-# Scheduler throughput gate: chaos crawl, blocking baseline vs the
-# host-aware scheduler; fails below a 25% wall-clock win.
+# Scheduler benchmark: retry-heavy chaos crawl through the host-aware
+# scheduler, written as a BENCH_SCHED_*.json artifact for benchcmp.
 bench-sched:
 	./scripts/bench_sched.sh
 
-# Interpreter throughput gate: tree-walk vs compile-once script
-# execution; fails unless the compiled path is >= 2x on the loop
-# workload.
+# Interpreter benchmarks: compiled script execution on three workloads,
+# written as a BENCH_INTERP_*.json artifact for benchcmp.
 bench-interp:
 	./scripts/bench_interp.sh
 
@@ -64,6 +63,10 @@ benchcmp:
 
 soak:
 	go test -race -v -timeout 20m -run 'TestChaos' ./internal/core/
+
+# Fuzz smoke: every script and html fuzz target for 10 s each.
+fuzz-smoke:
+	./scripts/fuzz_smoke.sh
 
 fmt:
 	gofmt -w .

@@ -461,11 +461,11 @@ func (f *fetchCounter) Fetch(ctx context.Context, rawURL string) (*browser.Respo
 }
 
 // crawlBench crawls the default-scale population once per iteration,
-// with or without the shared fetch/parse caches, and reports how many
+// with or without the shared fetch/compile caches, and reports how many
 // HTTP fetches and script parses the crawl actually performed. Compare
 // BenchmarkCrawlCached against BenchmarkCrawlUncached: the cache
-// collapses the per-site re-fetching and re-parsing of the Zipf-popular
-// shared widget documents and CDN scripts.
+// collapses the per-site re-fetching and re-compiling of the
+// Zipf-popular shared widget documents and CDN scripts.
 func crawlBench(b *testing.B, cached bool) {
 	cfg := synthweb.DefaultConfig()
 	cfg.NumSites = envSites("PERMODYSSEY_BENCH_CRAWL_SITES", cfg.NumSites)
@@ -490,7 +490,7 @@ func crawlBench(b *testing.B, cached bool) {
 		opts := browser.DefaultOptions()
 		if cached {
 			fetcher = browser.NewCachingFetcher(counter)
-			opts.ScriptCache = script.NewParseCache()
+			opts.CompileCache = script.NewCompileCache()
 		}
 		c := crawler.New(browser.New(fetcher, opts),
 			crawler.Config{Workers: 24, PerSiteTimeout: 10 * time.Second})
@@ -500,9 +500,9 @@ func crawlBench(b *testing.B, cached bool) {
 		}
 		fetches = counter.n.Load()
 		if cached {
-			ps := opts.ScriptCache.Stats()
-			parses = int64(ps.Misses)
-			scripts = int64(ps.Hits + ps.Misses + ps.Coalesced)
+			cs := opts.CompileCache.Stats()
+			parses = int64(cs.Misses)
+			scripts = int64(cs.Hits + cs.Misses + cs.Coalesced)
 		}
 	}
 	b.StopTimer()
@@ -522,7 +522,7 @@ func crawlBench(b *testing.B, cached bool) {
 func BenchmarkCrawlUncached(b *testing.B) { crawlBench(b, false) }
 func BenchmarkCrawlCached(b *testing.B)   { crawlBench(b, true) }
 
-// ---- Interpreter: compile-once vs tree-walk ----
+// ---- Interpreter: compiled execution ----
 
 // interpSmall is a typical short probe: config objects, a recursive
 // helper, string assembly.
@@ -535,11 +535,9 @@ for (var i = 0; i < 8; i++) { parts.push(msg.length + i); }
 var out = JSON.stringify({msg: msg, sum: parts.length});
 `
 
-// interpLoop is the interpreter-bound workload the 2x gate measures: a
-// hot loop inside a function scope, where the compiled path's
-// slot-resolved locals and pooled frames replace per-iteration map
-// lookups. This is the shape of real widget code — analytics loops,
-// array scans — where tree-walking is slowest.
+// interpLoop is the interpreter-bound workload: a hot loop inside a
+// function scope, run on slot-resolved locals and pooled frames. This
+// is the shape of real widget code — analytics loops, array scans.
 const interpLoop = `
 var total = (function () {
 	var sum = 0;
@@ -579,11 +577,11 @@ for (var round = 0; round < 40; round++) {
 var summary = JSON.stringify({g: state.granted.length, d: state.denied.length, e: state.errors});
 `
 
-// interpBench executes one pre-parsed (and, for the compiled variant,
-// pre-lowered) script per iteration on a fresh interpreter — the
-// per-frame execution pattern of a crawl, where the program is shared
-// via the caches and only execution state is per-realm.
-func interpBench(b *testing.B, src string, compiled bool) {
+// interpBench executes one pre-compiled script per iteration on a fresh
+// interpreter — the per-frame execution pattern of a crawl, where the
+// program is shared via the compile cache and only execution state is
+// per-realm.
+func interpBench(b *testing.B, src string) {
 	prog, err := script.Parse(src)
 	if err != nil {
 		b.Fatal(err)
@@ -596,23 +594,15 @@ func interpBench(b *testing.B, src string, compiled bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in := script.NewInterp()
-		if compiled {
-			err = in.RunCompiled(cp, "https://cdn.example/w.js")
-		} else {
-			err = in.RunProgram(prog, "https://cdn.example/w.js")
-		}
-		if err != nil {
+		if err := in.RunCompiled(cp, "https://cdn.example/w.js"); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkInterpretSmallTree(b *testing.B)      { interpBench(b, interpSmall, false) }
-func BenchmarkInterpretSmallCompiled(b *testing.B)  { interpBench(b, interpSmall, true) }
-func BenchmarkInterpretLoopTree(b *testing.B)       { interpBench(b, interpLoop, false) }
-func BenchmarkInterpretLoopCompiled(b *testing.B)   { interpBench(b, interpLoop, true) }
-func BenchmarkInterpretWidgetTree(b *testing.B)     { interpBench(b, interpWidget, false) }
-func BenchmarkInterpretWidgetCompiled(b *testing.B) { interpBench(b, interpWidget, true) }
+func BenchmarkInterpretSmallCompiled(b *testing.B)  { interpBench(b, interpSmall) }
+func BenchmarkInterpretLoopCompiled(b *testing.B)   { interpBench(b, interpLoop) }
+func BenchmarkInterpretWidgetCompiled(b *testing.B) { interpBench(b, interpWidget) }
 
 // ---- DOM: parse throughput, cache warm-up, extraction walks ----
 
@@ -762,15 +752,14 @@ func BenchmarkExtractSingleWalk(b *testing.B) {
 
 // ---- Crawl-at-scale: host-aware scheduler under chaos ----
 
-// chaosSchedBench crawls a fault-heavy population with retries on, once
-// per iteration against a fresh server (flap counters restart), either
-// through the scheduler's non-blocking deferral heap or the legacy
-// blocking-backoff baseline. The fault mix is fail-fast and
-// deterministic — resets and flapping hosts, the kinds that trigger
-// retries — so the measured gap is scheduling, not fault timing: the
-// baseline burns each backoff inside a worker while the scheduler's
+// BenchmarkCrawlChaosScheduler crawls a fault-heavy population with
+// retries on, once per iteration against a fresh server (flap counters
+// restart), through the scheduler's non-blocking deferral heap. The
+// fault mix is fail-fast and deterministic — resets and flapping hosts,
+// the kinds that trigger retries — so the time measured is scheduling,
+// not fault timing: backoffs wait on the deferral heap while the
 // workers keep crawling.
-func chaosSchedBench(b *testing.B, blocking bool) {
+func BenchmarkCrawlChaosScheduler(b *testing.B) {
 	cfg := synthweb.DefaultConfig()
 	cfg.NumSites = envSites("PERMODYSSEY_BENCH_CHAOS_SITES", 300)
 	cfg.Seed = benchSeed + 6
@@ -797,7 +786,6 @@ func chaosSchedBench(b *testing.B, blocking bool) {
 		c := crawler.New(br, crawler.Config{
 			Workers: 12, PerSiteTimeout: 2 * time.Second,
 			MaxRetries: 2, RetryBackoff: 80 * time.Millisecond,
-			BlockingBackoff: blocking,
 		})
 		ds := c.Crawl(context.Background(), targets)
 		srv.Close()
@@ -810,16 +798,9 @@ func chaosSchedBench(b *testing.B, blocking bool) {
 	b.StopTimer()
 	b.ReportMetric(float64(retries), "retries/op")
 	b.ReportMetric(float64(requeued), "requeued/op")
-	mode := "scheduler (non-blocking deferral)"
-	if blocking {
-		mode = "blocking backoff baseline"
-	}
-	printOnce(b.Name(), fmt.Sprintf("%d sites under chaos, %s: %d retries, %d requeued\n",
-		cfg.NumSites, mode, retries, requeued))
+	printOnce(b.Name(), fmt.Sprintf("%d sites under chaos, scheduler (non-blocking deferral): %d retries, %d requeued\n",
+		cfg.NumSites, retries, requeued))
 }
-
-func BenchmarkCrawlChaosBlocking(b *testing.B)  { chaosSchedBench(b, true) }
-func BenchmarkCrawlChaosScheduler(b *testing.B) { chaosSchedBench(b, false) }
 
 // BenchmarkFullPipeline measures a complete small measurement
 // (generate → serve → crawl → analyze), the end-to-end cost unit.

@@ -32,16 +32,10 @@ type Options struct {
 	// Interact fires load/click handlers after the no-interaction pass
 	// (the Appendix A.3 manual-testing mode).
 	Interact bool
-	// ScriptCache, when non-nil, memoizes script parsing across every
-	// realm this browser creates, so a shared third-party script body is
-	// parsed once per crawl rather than once per including frame.
-	ScriptCache *script.ParseCache
-	// CompileCache, when non-nil, memoizes script compilation across
-	// every realm this browser creates; realms then execute scripts
-	// through the compiled fast path (pooled scope frames, slot-resolved
-	// variables) instead of the AST walk. Takes precedence over
-	// ScriptCache for execution; layer it over the ParseCache so parse
-	// stats stay live.
+	// CompileCache, when non-nil, memoizes script parsing and
+	// compilation across every realm this browser creates, so a shared
+	// third-party script body is compiled once per crawl rather than
+	// once per including frame.
 	CompileCache *script.CompileCache
 	// StaticCache, when non-nil, memoizes the static analyzer's pattern
 	// scan by script content, so identical widget scripts are scanned
@@ -271,9 +265,6 @@ func (b *Browser) processDocument(ctx context.Context, result *PageResult, slot 
 		}
 	}
 	realm := webapi.NewRealm(doc, fr.FinalURL)
-	if b.Opts.ScriptCache != nil {
-		realm.ParseScript = b.Opts.ScriptCache.Parse
-	}
 	if b.Opts.CompileCache != nil {
 		realm.CompileScript = b.Opts.CompileCache.Compile
 	}

@@ -36,9 +36,7 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	backoff := fs.Duration("retry-backoff", 100*time.Millisecond, "base delay before the first retry (doubles per attempt)")
 	hostConc := fs.Int("host-concurrency", crawler.DefaultHostConcurrency, "cap concurrently in-flight visits per host (negative = unlimited)")
 	deferBreaker := fs.Bool("defer-breaker-open", true, "defer visits to breaker-open hosts until the half-open probe time instead of recording breaker-open failures")
-	noCache := fs.Bool("no-cache", false, "disable the shared fetch, script-parse, and static-findings caches")
-	noCompile := fs.Bool("no-compile", false, "disable the compile-once script path; realms execute parsed ASTs directly")
-	noDOMCache := fs.Bool("no-dom-cache", false, "disable the shared parsed-document (DOM) cache; every frame re-parses its own document")
+	noCache := fs.Bool("no-cache", false, "disable every shared cache: fetch, compiled-script, parsed-document (DOM) and static-findings")
 	cacheEntries := fs.Int("cache-entries", 0, "cap each shared cache at N entries, evicted LRU (0 = unbounded)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "cap the fetch cache's total cached body bytes, evicted LRU (0 = unbounded)")
 	resume := fs.Bool("resume", false, "load an existing -out dataset, skip its completed ranks, and append the rest")
@@ -99,8 +97,6 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	opts.Crawl.HostConcurrency = *hostConc
 	opts.Crawl.DeferBreakerOpen = *deferBreaker
 	opts.DisableCache = *noCache
-	opts.DisableCompile = *noCompile
-	opts.DisableDOMCache = *noDOMCache
 	opts.CacheEntries = *cacheEntries
 	opts.CacheBytes = *cacheBytes
 	opts.StallTime = 2 * *timeout

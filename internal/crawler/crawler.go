@@ -83,8 +83,7 @@ type Config struct {
 	// RetryBackoff is the delay before the first retry, doubling per
 	// subsequent attempt (exponential backoff). The scheduler serves it
 	// by re-queueing the visit with a deadline — the worker moves on to
-	// other sites meanwhile — unless BlockingBackoff reverts to
-	// sleeping inside the worker.
+	// other sites meanwhile.
 	RetryBackoff time.Duration
 	// HostConcurrency caps concurrently in-flight visits per host so
 	// one slow host cannot monopolize the pool. 0 means
@@ -99,11 +98,6 @@ type Config struct {
 	// it into a guaranteed breaker-open short-circuit. Requires
 	// Breaker.
 	DeferBreakerOpen bool
-	// BlockingBackoff reverts to the legacy retry behaviour: the worker
-	// sleeps out each backoff instead of re-queueing the visit. Kept as
-	// the measurable baseline for the scheduler benchmarks; leave it
-	// off in production crawls.
-	BlockingBackoff bool
 	// Resume, when non-nil, is a partial dataset from an interrupted
 	// crawl: its records are carried over verbatim and their ranks are
 	// skipped, so interrupt-then-resume converges to the same dataset
@@ -164,8 +158,7 @@ type Stats struct {
 	Partial int
 	// Requeued is the number of transient-failure retries the scheduler
 	// re-queued with a backoff deadline instead of sleeping inside a
-	// worker. In scheduler mode (the default) it tracks Retries; under
-	// BlockingBackoff it stays zero.
+	// worker; it tracks Retries.
 	Requeued int
 	// Deferred is the total number of entries parked on the scheduler's
 	// time-deferral heap: backoff requeues plus breaker deferrals.
@@ -312,20 +305,13 @@ func (c *Crawler) Crawl(ctx context.Context, targets []Target) *store.Dataset {
 // drains. One pull is one visit attempt; a transient failure with
 // budget left re-queues the entry with its backoff deadline and the
 // worker immediately pulls other work — the backoff costs no
-// worker-seconds. Under Config.BlockingBackoff the worker instead runs
-// the legacy in-place retry loop, the measurable baseline.
+// worker-seconds.
 func (c *Crawler) worker(ctx context.Context, sched *scheduler, results chan<- store.SiteRecord) {
 	cfg := c.Config
 	for {
 		e, ok := sched.next(ctx)
 		if !ok {
 			return
-		}
-		if cfg.BlockingBackoff {
-			rec := c.visit(ctx, e.t)
-			sched.finish(e)
-			results <- rec
-			continue
 		}
 		rec := c.attempt(ctx, e.t)
 		if rec.Failure.Transient() && e.retries < cfg.MaxRetries && ctx.Err() == nil {
@@ -362,33 +348,6 @@ func (c *Crawler) harvestSchedStats(s *scheduler) {
 	if s.maxHostInflight > c.maxHostInflight.Load() {
 		c.maxHostInflight.Store(s.maxHostInflight)
 	}
-}
-
-// visit measures one site, retrying transient failures with exponential
-// backoff up to Config.MaxRetries extra attempts, sleeping each backoff
-// inside the calling worker — the legacy blocking path kept as the
-// scheduler's benchmark baseline (Config.BlockingBackoff). Each attempt
-// gets a fresh per-site deadline; Elapsed covers all attempts plus
-// backoff.
-func (c *Crawler) visit(ctx context.Context, t Target) store.SiteRecord {
-	start := time.Now()
-	rec := c.attempt(ctx, t)
-	firstFailure := rec.Failure
-	for try := 0; try < c.Config.MaxRetries && rec.Failure.Transient(); try++ {
-		backoff := c.Config.RetryBackoff << uint(try)
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			rec.Elapsed = time.Since(start)
-			return rec
-		}
-		c.retries.Add(1)
-		rec = c.attempt(ctx, t)
-		rec.Retries = try + 1
-		rec.FirstAttemptFailure = firstFailure
-	}
-	rec.Elapsed = time.Since(start)
-	return rec
 }
 
 // attempt performs one visit under one per-site deadline. A panic

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,8 +124,9 @@ func TestCrawlSyntheticWeb(t *testing.T) {
 }
 
 // TestCrawlDeterminism proves re-runs yield identical datasets — and
-// that the fetch/parse caches are observationally transparent: a cached
-// crawl produces record-for-record the same output as an uncached one.
+// that the fetch/compile caches are observationally transparent: a
+// cached crawl produces record-for-record the same output as an
+// uncached one.
 func TestCrawlDeterminism(t *testing.T) {
 	cfg := synthweb.DefaultConfig()
 	cfg.NumSites = 40
@@ -143,7 +146,7 @@ func TestCrawlDeterminism(t *testing.T) {
 		opts := browser.DefaultOptions()
 		if cached {
 			fetcher = browser.NewCachingFetcher(fetcher)
-			opts.ScriptCache = script.NewParseCache()
+			opts.CompileCache = script.NewCompileCache()
 		}
 		b := browser.New(fetcher, opts)
 		c := New(b, Config{Workers: 8, PerSiteTimeout: 5 * time.Second})
@@ -171,43 +174,46 @@ func TestCrawlDeterminism(t *testing.T) {
 }
 
 // TestCrawlCompileEquivalence proves the compiled script path is
-// observationally transparent at crawl scale: a crawl executing every
-// script through cached compiled programs produces record-for-record
-// the same dataset as the tree-walking interpreter.
+// observationally faithful at crawl scale: a crawl executing every
+// script through cached compiled programs produces, record for record,
+// the dataset frozen in testdata/crawl_compile_equivalence.golden.jsonl,
+// recorded from the AST interpreter the compiler replaced.
 func TestCrawlCompileEquivalence(t *testing.T) {
 	cfg := synthweb.DefaultConfig()
 	cfg.NumSites = 40
 	cfg.Seed = 23
 	cfg.UnreachableRate, cfg.TimeoutRate, cfg.EphemeralRate, cfg.MinorRate = 0, 0, 0, 0
 
-	run := func(compiled bool) []string {
-		srv := synthweb.NewServer(cfg)
-		if err := srv.Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		opts := browser.DefaultOptions()
-		opts.ScriptCache = script.NewParseCache()
-		if compiled {
-			opts.CompileCache = script.NewBoundedCompileCache(0, opts.ScriptCache.Parse)
-		}
-		b := browser.New(browser.NewHTTPFetcher(srv.Client(0)), opts)
-		c := New(b, Config{Workers: 8, PerSiteTimeout: 5 * time.Second})
-		var targets []Target
-		for _, s := range srv.Sites() {
-			targets = append(targets, Target{Rank: s.Rank, URL: s.URL()})
-		}
-		ds := c.Crawl(context.Background(), targets)
-		if len(ds.Records) != cfg.NumSites {
-			t.Fatalf("records: %d", len(ds.Records))
-		}
-		return normalizeRecords(t, ds)
+	srv := synthweb.NewServer(cfg)
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
 	}
-	tree, comp := run(false), run(true)
-	for i := range tree {
-		if tree[i] != comp[i] {
-			t.Errorf("record %d differs with compilation on:\ntree:     %s\ncompiled: %s",
-				i, tree[i], comp[i])
+	defer srv.Close()
+	opts := browser.DefaultOptions()
+	opts.CompileCache = script.NewCompileCache()
+	b := browser.New(browser.NewHTTPFetcher(srv.Client(0)), opts)
+	c := New(b, Config{Workers: 8, PerSiteTimeout: 5 * time.Second})
+	var targets []Target
+	for _, s := range srv.Sites() {
+		targets = append(targets, Target{Rank: s.Rank, URL: s.URL()})
+	}
+	ds := c.Crawl(context.Background(), targets)
+	got := normalizeRecords(t, ds)
+
+	raw, err := os.ReadFile("testdata/crawl_compile_equivalence.golden.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("records: %d, golden has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("record %d differs from the golden:\ngot:  %s\nwant: %s", i, got[i], want[i])
 		}
+	}
+	if st := opts.CompileCache.Stats(); st.Hits == 0 {
+		t.Errorf("no compiled program was shared across frames: %+v", st)
 	}
 }

@@ -188,29 +188,6 @@ func TestBreakerDeferral(t *testing.T) {
 	}
 }
 
-// TestBlockingBackoffBaseline pins the legacy in-worker retry loop the
-// benchmarks compare against: same record, same retry accounting, no
-// scheduler requeues.
-func TestBlockingBackoffBaseline(t *testing.T) {
-	f := &flakyFetcher{failures: map[string]int{"https://flaky.test/": 2}, fail: timeoutErr}
-	b := browser.New(f, browser.DefaultOptions())
-	c := New(b, Config{Workers: 2, PerSiteTimeout: time.Second,
-		MaxRetries: 3, RetryBackoff: time.Millisecond, BlockingBackoff: true})
-
-	ds := c.Crawl(context.Background(), []Target{{Rank: 1, URL: "https://flaky.test/"}})
-	rec := ds.Records[0]
-	if !rec.OK() || rec.Retries != 2 {
-		t.Fatalf("record: failure=%q retries=%d, want ok with 2 retries", rec.Failure, rec.Retries)
-	}
-	stats := c.Stats()
-	if stats.Retries != 2 {
-		t.Errorf("stats retries = %d, want 2", stats.Retries)
-	}
-	if stats.Requeued != 0 || stats.Deferred != 0 {
-		t.Errorf("blocking baseline used the deferral heap: %+v", stats)
-	}
-}
-
 // schedAddrPattern matches the ephemeral host:port pairs net errors
 // embed — connection noise, different on every run.
 var schedAddrPattern = regexp.MustCompile(`127\.0\.0\.1:\d+`)

@@ -135,6 +135,11 @@ func (z *Tokenizer) rawText() Token {
 		z.pos = len(z.src)
 		return Token{Type: TextToken, Text: text, Tag: tag}
 	}
+	if idx == 0 {
+		// Empty raw text yields no text token (as in the HTML spec),
+		// so every token consumes input: go straight to the end tag.
+		return z.tag()
+	}
 	text := z.src[z.pos : z.pos+idx]
 	z.pos += idx
 	return Token{Type: TextToken, Text: text, Tag: tag}

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"net/url"
 	"strings"
+	"sync/atomic"
 
 	"permodyssey/internal/psl"
 )
@@ -156,13 +157,13 @@ func validHost(host string) bool {
 	return true
 }
 
-var opaqueCounter uint64
+var opaqueCounter atomic.Uint64
 
 // NewOpaque returns a fresh opaque origin distinct from every other.
-// Not safe for concurrent use; the browser serializes frame creation.
+// Safe for concurrent use: crawl workers create sandboxed frames in
+// parallel.
 func NewOpaque(scheme string) Origin {
-	opaqueCounter++
-	return Origin{Opaque: opaqueCounter, Scheme: strings.ToLower(scheme)}
+	return Origin{Opaque: opaqueCounter.Add(1), Scheme: strings.ToLower(scheme)}
 }
 
 // IsOpaque reports whether o is an opaque origin.

@@ -1,6 +1,7 @@
 package origin
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -61,6 +62,34 @@ func TestSameOrigin(t *testing.T) {
 	e := MustParse("https://www.example.com")
 	if a.SameOrigin(e) {
 		t.Error("host differs: not same origin")
+	}
+}
+
+// TestNewOpaqueConcurrent mints opaque origins from concurrent
+// goroutines, as parallel crawl workers do for sandboxed frames: every
+// ID must be distinct, and under -race the counter must not race.
+func TestNewOpaqueConcurrent(t *testing.T) {
+	const goroutines, each = 8, 500
+	ids := make([][]uint64, goroutines)
+	var wg sync.WaitGroup
+	for g := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ids[g] = append(ids[g], NewOpaque("https").Opaque)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[uint64]bool, goroutines*each)
+	for _, batch := range ids {
+		for _, id := range batch {
+			if seen[id] {
+				t.Fatalf("opaque origin ID %d minted twice", id)
+			}
+			seen[id] = true
+		}
 	}
 }
 

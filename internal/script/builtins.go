@@ -70,11 +70,15 @@ func (in *Interp) installBuiltins() {
 	g.Define("Array", ObjectValue(arrayNS))
 
 	jsonNS := NewObject()
-	jsonNS.Set("stringify", NativeValue("JSON.stringify", func(_ *Interp, _ Value, args []Value) (Value, error) {
+	jsonNS.Set("stringify", NativeValue("JSON.stringify", func(in *Interp, _ Value, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return String("undefined"), nil
 		}
-		return String(JSONString(args[0])), nil
+		s, ok := jsonString(args[0], nil)
+		if !ok {
+			return Undefined(), in.rterr(0, "converting circular structure to JSON")
+		}
+		return String(s), nil
 	}))
 	g.Define("JSON", ObjectValue(jsonNS))
 

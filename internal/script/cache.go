@@ -8,87 +8,6 @@ import (
 	"permodyssey/internal/lru"
 )
 
-// ParseStats is a point-in-time snapshot of ParseCache counters.
-type ParseStats struct {
-	// Hits are sources answered from the cache; Misses are real parses.
-	Hits   uint64
-	Misses uint64
-	// Coalesced are lookups that joined an in-flight parse of the same
-	// source and shared its result.
-	Coalesced uint64
-	// Evictions are entries dropped to keep the cache under its cap.
-	Evictions uint64
-	// Entries is the number of distinct sources currently cached.
-	Entries uint64
-}
-
-type parseEntry struct {
-	done chan struct{}
-	prog *Program
-	err  error
-}
-
-// ParseCache memoizes Parse keyed by source content, so each distinct
-// script body — in a crawl, the handful of shared third-party widget
-// and CDN scripts included by thousands of sites — is parsed exactly
-// once per crawl. Programs are immutable after parsing (the interpreter
-// only reads the AST; per-realm state lives in environments and
-// closures), so a cached *Program is safe to execute concurrently from
-// many realms. Parse failures are cached too: the same source always
-// fails the same way.
-//
-// The cache is LRU-bounded (0 = unbounded): a chaos-heavy or
-// multi-million-site crawl full of one-off inline scripts cannot grow
-// it without limit. Evicting an in-flight entry is harmless — waiters
-// hold the entry pointer; at worst the same source parses twice.
-type ParseCache struct {
-	mu      sync.Mutex
-	entries *lru.Cache[[sha256.Size]byte, *parseEntry]
-
-	hits, misses, coalesced, evictions atomic.Uint64
-}
-
-// NewParseCache creates an empty, unbounded cache; use
-// NewBoundedParseCache to cap it.
-func NewParseCache() *ParseCache {
-	return NewBoundedParseCache(0)
-}
-
-// NewBoundedParseCache creates a cache holding at most maxEntries
-// distinct sources (<= 0 = unbounded), evicted least-recently-used.
-func NewBoundedParseCache(maxEntries int) *ParseCache {
-	return &ParseCache{entries: lru.New[[sha256.Size]byte, *parseEntry](maxEntries)}
-}
-
-// Parse returns the cached program for src, parsing it on first sight.
-// Concurrent first sights of the same source are de-duplicated: one
-// caller parses, the rest wait and share the result.
-func (c *ParseCache) Parse(src string) (*Program, error) {
-	sum := sha256.Sum256([]byte(src))
-	c.mu.Lock()
-	if e, ok := c.entries.Get(sum); ok {
-		c.mu.Unlock()
-		select {
-		case <-e.done:
-			c.hits.Add(1)
-		default:
-			<-e.done
-			c.coalesced.Add(1)
-		}
-		return e.prog, e.err
-	}
-	e := &parseEntry{done: make(chan struct{})}
-	if _, _, _, _, evicted := c.entries.Add(sum, e); evicted {
-		c.evictions.Add(1)
-	}
-	c.mu.Unlock()
-
-	c.misses.Add(1)
-	e.prog, e.err = Parse(src)
-	close(e.done)
-	return e.prog, e.err
-}
-
 // CompileStats is a point-in-time snapshot of CompileCache counters.
 type CompileStats struct {
 	// Hits are sources answered from the cache; Misses are real
@@ -110,39 +29,36 @@ type compileEntry struct {
 	err  error
 }
 
-// CompileCache memoizes Compile keyed by source content, layered over a
-// parse function (typically ParseCache.Parse, so parse dedup and its
-// stats stay live underneath). Compiled programs are immutable — every
-// per-run mutable structure (frames, closures, this bindings) is
-// allocated at execution time — so one cached *Compiled is safe to run
-// concurrently from many realms. Failures are cached too: the same
-// source always fails the same way.
+// CompileCache memoizes Parse plus Compile keyed by source content, so
+// each distinct script body — in a crawl, the handful of shared
+// third-party widget and CDN scripts included by thousands of sites —
+// is parsed and lowered exactly once per crawl. Compiled programs are
+// immutable — every per-run mutable structure (frames, closures, this
+// bindings) is allocated at execution time — so one cached *Compiled is
+// safe to run concurrently from many realms. Failures are cached too:
+// the same source always fails the same way.
+//
+// The cache is LRU-bounded (0 = unbounded): a chaos-heavy or
+// multi-million-site crawl full of one-off inline scripts cannot grow
+// it without limit. Evicting an in-flight entry is harmless — waiters
+// hold the entry pointer; at worst the same source compiles twice.
 type CompileCache struct {
 	mu      sync.Mutex
 	entries *lru.Cache[[sha256.Size]byte, *compileEntry]
-	parse   func(string) (*Program, error)
 
 	hits, misses, coalesced, evictions atomic.Uint64
 }
 
-// NewCompileCache creates an empty, unbounded cache parsing with the
-// package Parse; use NewBoundedCompileCache to cap it or layer it over
-// a ParseCache.
+// NewCompileCache creates an empty, unbounded cache; use
+// NewBoundedCompileCache to cap it.
 func NewCompileCache() *CompileCache {
-	return NewBoundedCompileCache(0, nil)
+	return NewBoundedCompileCache(0)
 }
 
 // NewBoundedCompileCache creates a cache holding at most maxEntries
 // distinct sources (<= 0 = unbounded), evicted least-recently-used.
-// parse supplies the program for a source; nil means the package Parse.
-func NewBoundedCompileCache(maxEntries int, parse func(string) (*Program, error)) *CompileCache {
-	if parse == nil {
-		parse = Parse
-	}
-	return &CompileCache{
-		entries: lru.New[[sha256.Size]byte, *compileEntry](maxEntries),
-		parse:   parse,
-	}
+func NewBoundedCompileCache(maxEntries int) *CompileCache {
+	return &CompileCache{entries: lru.New[[sha256.Size]byte, *compileEntry](maxEntries)}
 }
 
 // Compile returns the cached compiled program for src, parsing and
@@ -171,7 +87,7 @@ func (c *CompileCache) Compile(src string) (*Compiled, error) {
 
 	c.misses.Add(1)
 	var prog *Program
-	if prog, e.err = c.parse(src); e.err == nil {
+	if prog, e.err = Parse(src); e.err == nil {
 		e.prog, e.err = Compile(prog)
 	}
 	close(e.done)
@@ -184,20 +100,6 @@ func (c *CompileCache) Stats() CompileStats {
 	entries := uint64(c.entries.Len())
 	c.mu.Unlock()
 	return CompileStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Coalesced: c.coalesced.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   entries,
-	}
-}
-
-// Stats snapshots the cache counters.
-func (c *ParseCache) Stats() ParseStats {
-	c.mu.Lock()
-	entries := uint64(c.entries.Len())
-	c.mu.Unlock()
-	return ParseStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Coalesced: c.coalesced.Load(),

@@ -1,12 +1,10 @@
 package script
 
-import "errors"
-
-// This file lowers a parsed *Program into a compiled form that executes
-// without re-walking the AST: every statement and expression becomes a
-// Go closure, constant subexpressions fold at compile time, and locally
-// declared names resolve to (hops, slot) indexes into frame-mode Envs
-// instead of map lookups. Compiled programs are immutable and safe to
+// This file lowers a parsed *Program into the form the interpreter
+// executes: every statement and expression becomes a Go closure,
+// constant subexpressions fold at compile time, and locally declared
+// names resolve to (hops, slot) indexes into frame-mode Envs instead of
+// map lookups. Compiled programs are immutable and safe to
 // execute concurrently from many interpreters — per-run state lives in
 // the Interp and its environments, never in the compiled closures.
 //
@@ -14,8 +12,8 @@ import "errors"
 // is pushed if and only if the corresponding construct allocates a
 // frame at runtime. Blocks that declare nothing push neither, so hop
 // counts stay in sync. A frame slot left at the kindUnset sentinel does
-// not bind its name yet, which preserves the tree-walker's "no binding
-// until the declaration executes" semantics for hoisted slots.
+// not bind its name yet: a declaration binds its name only when it
+// executes, even though its slot exists from scope entry.
 
 type execFn func(in *Interp, env *Env) error
 type evalFn func(in *Interp, env *Env) (Value, error)
@@ -35,13 +33,12 @@ type hoistedDecl struct {
 	cf   *compiledFunc
 }
 
-// compiledFunc is the compiled form of a function body. The activation
-// record merges the tree-walker's call env and body-block env into one
-// frame: slot 0 is `this`, then parameters, an `arguments` slot only if
-// the body mentions that identifier, then body-level declarations.
+// compiledFunc is the compiled form of a function body. One activation
+// record holds the call's bindings and the body block's declarations:
+// slot 0 is `this`, then parameters, an `arguments` slot only if the
+// body mentions that identifier, then body-level declarations.
 type compiledFunc struct {
 	name       string
-	params     []string
 	paramSlots []int
 	layout     *frameLayout
 	argSlot    int // -1 when the body never mentions `arguments`
@@ -72,44 +69,21 @@ func litExpr(v Value) cexpr {
 // Compile lowers a parsed program. It never mutates prog, and the
 // result may be shared across goroutines and interpreters.
 func Compile(prog *Program) (*Compiled, error) {
-	c := &compiler{}
-	out := &Compiled{}
-	for _, stmt := range prog.Body {
-		fd, ok := stmt.(*FuncDecl)
-		if !ok {
-			continue
-		}
-		cf, err := c.compileFunc(fd.Name, fd.Params, fd.Body, nil, fd.Line)
-		if err != nil {
-			return nil, err
-		}
-		out.hoisted = append(out.hoisted, &hoistedDecl{name: fd.Name, slot: -1, cf: cf})
+	hoisted, top, err := (&compiler{}).compileScope(prog.Body, nil)
+	if err != nil {
+		return nil, err
 	}
-	for _, stmt := range prog.Body {
-		if _, ok := stmt.(*FuncDecl); ok {
-			continue
-		}
-		fn, err := c.compileStmt(stmt)
-		if err != nil {
-			return nil, err
-		}
-		out.top = append(out.top, fn)
-	}
-	return out, nil
+	return &Compiled{top: top, hoisted: hoisted}, nil
 }
 
-// RunCompiled executes a compiled program against the global scope,
-// exactly as RunProgram executes its AST.
+// RunCompiled executes a compiled program against the global scope:
+// top-level function declarations bind first, then the statements run
+// in order.
 func (in *Interp) RunCompiled(p *Compiled, scriptURL string) error {
 	in.steps = 0
 	in.stack = append(in.stack, frame{fnName: "<script>", scriptURL: scriptURL})
 	defer func() { in.stack = in.stack[:len(in.stack)-1] }()
-	for _, h := range p.hoisted {
-		in.Global.Define(h.name, FuncValue(&Closure{
-			Name: h.name, Params: h.cf.params, compiled: h.cf,
-			Env: in.Global, ScriptURL: scriptURL, Line: h.cf.line,
-		}))
-	}
+	defineHoisted(in, in.Global, p.hoisted)
 	for _, fn := range p.top {
 		if err := fn(in, in.Global); err != nil {
 			return err
@@ -167,7 +141,7 @@ func (in *Interp) callCompiled(c *Closure, this Value, args []Value) (Value, err
 func defineHoisted(in *Interp, env *Env, hoisted []*hoistedDecl) {
 	for _, h := range hoisted {
 		v := FuncValue(&Closure{
-			Name: h.name, Params: h.cf.params, compiled: h.cf,
+			Name: h.name, compiled: h.cf,
 			Env: env, ScriptURL: in.CurrentScriptURL(), Line: h.cf.line,
 		})
 		if h.slot >= 0 {
@@ -176,22 +150,6 @@ func defineHoisted(in *Interp, env *Env, hoisted []*hoistedDecl) {
 			env.Define(h.name, v)
 		}
 	}
-}
-
-func errAsThrown(err error) (*Thrown, bool) {
-	var t *Thrown
-	if errors.As(err, &t) {
-		return t, true
-	}
-	return nil, false
-}
-
-func errAsRuntime(err error) (*RuntimeError, bool) {
-	var rt *RuntimeError
-	if errors.As(err, &rt) {
-		return rt, true
-	}
-	return nil, false
 }
 
 // ---- compiler ----
@@ -222,12 +180,11 @@ func newLayout(names []string, poolable bool) *frameLayout {
 	return fl
 }
 
-// declNames collects the names tree-walk execution would Define into
-// the scope owning stmts: direct VarDecl/FuncDecl children, recursing
-// through constructs that execute sub-statements in the SAME env
-// (SeqStmt, if branches, while/do-while bodies) and stopping at
-// constructs that open their own scope (blocks, for, switch, try,
-// function bodies).
+// declNames collects the names execution binds in the scope owning
+// stmts: direct VarDecl/FuncDecl children, recursing through
+// constructs that execute sub-statements in the SAME env (SeqStmt, if
+// branches, while/do-while bodies) and stopping at constructs that
+// open their own scope (blocks, for, switch, try, function bodies).
 func declNames(stmts []Node) []string {
 	var out []string
 	seen := map[string]bool{}
@@ -428,7 +385,7 @@ func (c *compiler) compileFunc(name string, params []string, body *BlockStmt, ex
 	fl.poolable = poolableScope(scan)
 
 	cf := &compiledFunc{
-		name: name, params: params, paramSlots: paramSlots,
+		name: name, paramSlots: paramSlots,
 		layout: fl, argSlot: argSlot, line: line,
 	}
 	c.push(fl)
@@ -441,26 +398,38 @@ func (c *compiler) compileFunc(name string, params []string, body *BlockStmt, ex
 		cf.expr = x.fn
 		return cf, nil
 	}
-	for _, stmt := range scan {
-		fd, ok := stmt.(*FuncDecl)
-		if !ok {
-			continue
-		}
-		sub, err := c.compileFunc(fd.Name, fd.Params, fd.Body, nil, fd.Line)
-		if err != nil {
-			return nil, err
-		}
-		cf.hoisted = append(cf.hoisted, &hoistedDecl{name: fd.Name, slot: fl.slotOf[fd.Name], cf: sub})
+	var err error
+	if cf.hoisted, cf.body, err = c.compileScope(scan, fl.slotOf); err != nil {
+		return nil, err
 	}
-	for _, stmt := range scan {
-		if _, ok := stmt.(*FuncDecl); ok {
+	return cf, nil
+}
+
+// compileScope compiles the statements of a scope whose frame lays out
+// slotOf (nil for the global scope): function declarations hoist to
+// scope entry, defined in their slot or, without one, by dynamic
+// Define; every other statement compiles in order.
+func (c *compiler) compileScope(stmts []Node, slotOf map[string]int) ([]*hoistedDecl, []execFn, error) {
+	var hoisted []*hoistedDecl
+	var fns []execFn
+	for _, stmt := range stmts {
+		if fd, ok := stmt.(*FuncDecl); ok {
+			cf, err := c.compileFunc(fd.Name, fd.Params, fd.Body, nil, fd.Line)
+			if err != nil {
+				return nil, nil, err
+			}
+			slot, laidOut := slotOf[fd.Name]
+			if !laidOut {
+				slot = -1
+			}
+			hoisted = append(hoisted, &hoistedDecl{name: fd.Name, slot: slot, cf: cf})
 			continue
 		}
 		fn, err := c.compileStmt(stmt)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		cf.body = append(cf.body, fn)
+		fns = append(fns, fn)
 	}
-	return cf, nil
+	return hoisted, fns, nil
 }

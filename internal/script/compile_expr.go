@@ -7,7 +7,7 @@ import (
 
 // Expression lowering with constant folding: Binary/Logical/Cond (and
 // pure Unary) over literal operands collapse at compile time via the
-// same applyBinary/applyUnary the tree-walker uses, so folding can
+// same applyBinary/applyUnary the running code uses, so folding can
 // never change semantics. Object and array literals never fold — each
 // evaluation must produce a fresh mutable value.
 
@@ -224,18 +224,22 @@ func (c *compiler) compileExpr(n Node) (cexpr, error) {
 		if err != nil {
 			return cexpr{}, err
 		}
-		params, line := e.Params, e.Line
+		line := e.Line
 		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
 			return FuncValue(&Closure{
-				Params: params, compiled: cf, Env: env,
+				compiled: cf, Env: env,
 				ScriptURL: in.CurrentScriptURL(), Line: line,
 			}), nil
 		}}, nil
 	case *SpreadExpr:
 		return c.compileExpr(e.X)
 	}
-	return cexpr{}, errors.New("script: cannot compile node")
+	return cexpr{}, errUncompilable
 }
+
+// errUncompilable reports a node the parser never produces in that
+// position (it rejects non-reference assignment and update targets).
+var errUncompilable = errors.New("script: cannot compile node")
 
 func logicalShortCircuits(op string, x Value) bool {
 	switch op {
@@ -251,8 +255,8 @@ func logicalShortCircuits(op string, x Value) bool {
 
 // compileIdent resolves a variable read. A resolved slot still falls
 // back to the dynamic chain while unset: a hoisted declaration does not
-// bind its name until it executes, and the tree-walker would find an
-// outer binding (or nothing) in the meantime.
+// bind its name until it executes, so until then the read finds an
+// outer binding (or nothing).
 func (c *compiler) compileIdent(name string, line int) cexpr {
 	if hops, slot, ok := c.resolve(name); ok {
 		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
@@ -371,9 +375,7 @@ func (c *compiler) compileAssign(e *Assign) (cexpr, error) {
 			return val, nil
 		}}, nil
 	}
-	return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
-		return Undefined(), in.rterr(line, "invalid assignment target %T", e.Target)
-	}}, nil
+	return cexpr{}, errUncompilable
 }
 
 func (c *compiler) compileUpdate(e *Update) (cexpr, error) {
@@ -431,9 +433,7 @@ func (c *compiler) compileUpdate(e *Update) (cexpr, error) {
 			return nv, nil
 		}}, nil
 	}
-	return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
-		return Undefined(), in.rterr(0, "invalid update target %T", e.Target)
-	}}, nil
+	return cexpr{}, errUncompilable
 }
 
 func (c *compiler) compileCall(e *Call) (cexpr, error) {

@@ -1,5 +1,7 @@
 package script
 
+import "errors"
+
 // Statement lowering. Each compiled statement counts one interpreter
 // step at entry (loops additionally count one per iteration, calls one
 // per invocation), so runaway compiled scripts still hit ErrBudget.
@@ -45,9 +47,9 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 		name := s.Name
 		// The declaring scope is the innermost frame, when one exists and
 		// laid the name out (a var nested under if/while belongs to an
-		// enclosing block whose layout includes it; a var whose block
-		// pushed no frame spills through dynamic Define, matching the
-		// tree-walker's map scopes).
+		// enclosing block whose layout includes it). A var whose block
+		// pushed no frame binds through dynamic Define in the scope it
+		// runs in: the global map or an enclosing frame's spill.
 		if len(c.scopes) > 0 {
 			if slot, ok := c.scopes[len(c.scopes)-1].slotOf[name]; ok {
 				return func(in *Interp, env *Env) error {
@@ -258,7 +260,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 				return err
 			}
 			v := FuncValue(&Closure{
-				Name: name, Params: cf.params, compiled: cf,
+				Name: name, compiled: cf,
 				Env: env, ScriptURL: in.CurrentScriptURL(), Line: cf.line,
 			})
 			if slot >= 0 {
@@ -295,8 +297,7 @@ func runAll(in *Interp, env *Env, fns []execFn) error {
 	return nil
 }
 
-// runLoopBody translates continue into normal completion, like
-// execLoopBody does for the tree-walker.
+// runLoopBody translates continue into normal completion.
 func runLoopBody(in *Interp, env *Env, body execFn) error {
 	err := body(in, env)
 	if _, cont := err.(continueSignal); cont {
@@ -308,8 +309,8 @@ func runLoopBody(in *Interp, env *Env, body execFn) error {
 func (c *compiler) compileBlock(b *BlockStmt) (execFn, error) {
 	decls := declNames(b.Body)
 	if len(decls) == 0 {
-		// No bindings can land here: skip the frame entirely. The
-		// tree-walker's empty map env is observationally inert.
+		// No bindings can land here: skip the frame entirely. A scope
+		// that binds nothing cannot change what a lookup finds.
 		fns, err := c.compileStmts(b.Body)
 		if err != nil {
 			return nil, err
@@ -323,32 +324,11 @@ func (c *compiler) compileBlock(b *BlockStmt) (execFn, error) {
 	}
 	fl := newLayout(decls, poolableScope(b.Body))
 	c.push(fl)
-	var hoisted []*hoistedDecl
-	for _, stmt := range b.Body {
-		fd, ok := stmt.(*FuncDecl)
-		if !ok {
-			continue
-		}
-		cf, err := c.compileFunc(fd.Name, fd.Params, fd.Body, nil, fd.Line)
-		if err != nil {
-			c.pop()
-			return nil, err
-		}
-		hoisted = append(hoisted, &hoistedDecl{name: fd.Name, slot: fl.slotOf[fd.Name], cf: cf})
-	}
-	var fns []execFn
-	for _, stmt := range b.Body {
-		if _, ok := stmt.(*FuncDecl); ok {
-			continue
-		}
-		fn, err := c.compileStmt(stmt)
-		if err != nil {
-			c.pop()
-			return nil, err
-		}
-		fns = append(fns, fn)
-	}
+	hoisted, fns, err := c.compileScope(b.Body, fl.slotOf)
 	c.pop()
+	if err != nil {
+		return nil, err
+	}
 	return func(in *Interp, env *Env) error {
 		if err := in.step(0); err != nil {
 			return err
@@ -547,7 +527,8 @@ func (c *compiler) compileTry(s *TryStmt) (execFn, error) {
 	if s.Catch != nil {
 		if s.CatchVar != "" {
 			// The catch variable lives in its own one-slot scope wrapping
-			// the catch block, exactly like the tree-walker's extra env.
+			// the catch block; the block's declarations bind in the
+			// block's frame inside it.
 			catchFl = newLayout([]string{s.CatchVar}, poolableScope(s.Catch.Body))
 			c.push(catchFl)
 		}
@@ -583,9 +564,11 @@ func (c *compiler) compileTry(s *TryStmt) (execFn, error) {
 		}
 		err := bodyFn(in, env)
 		if err != nil && catchFn != nil {
-			if thrown, ok := errAsThrown(err); ok {
+			var thrown *Thrown
+			var rt *RuntimeError
+			if errors.As(err, &thrown) {
 				err = runCatch(in, env, thrown.V)
-			} else if rt, ok := errAsRuntime(err); ok {
+			} else if errors.As(err, &rt) {
 				// Host TypeErrors are catchable, like in a browser.
 				eo := NewObject()
 				eo.Class = "Error"

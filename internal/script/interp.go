@@ -11,14 +11,16 @@ import (
 // Env is a lexical scope. It has two storage modes:
 //
 //   - map mode (layout == nil): a name→value map, used by the global
-//     scope and every scope the tree-walking interpreter creates;
+//     scope, whose names are only known at run time;
 //   - frame mode (layout != nil): a compile-time slot layout plus a
-//     flat value slice, used by compiled activation records so a scope
-//     costs one slice instead of a map allocation per entry.
+//     flat value slice, used by activation records and block scopes so
+//     a scope costs one slice instead of a map allocation per entry.
+//     A name the layout lacks (a var whose block opened no frame, a
+//     host Define) spills into the same lazily allocated map.
 //
-// A frame slot whose value is the unset sentinel does not bind its name
-// yet — hoisted slots come into existence only when their declaration
-// executes, matching the map mode's "no key until Define" semantics.
+// A name is bound only once its declaration executes: a frame slot
+// holding the unset sentinel does not bind its name yet, just as a map
+// has no key until Define, so a lookup walks past it to outer scopes.
 type Env struct {
 	vars   map[string]Value
 	parent *Env
@@ -221,39 +223,18 @@ func NewInterp() *Interp {
 	return in
 }
 
-// Run parses and executes src. scriptURL labels stack frames for
-// 1P/3P attribution.
+// Run parses, compiles and executes src. scriptURL labels stack frames
+// for 1P/3P attribution.
 func (in *Interp) Run(src, scriptURL string) error {
 	prog, err := Parse(src)
 	if err != nil {
 		return err
 	}
-	return in.RunProgram(prog, scriptURL)
-}
-
-// RunProgram executes a parsed program.
-func (in *Interp) RunProgram(prog *Program, scriptURL string) error {
-	in.steps = 0
-	in.stack = append(in.stack, frame{fnName: "<script>", scriptURL: scriptURL})
-	defer func() { in.stack = in.stack[:len(in.stack)-1] }()
-	// Hoist function declarations.
-	for _, stmt := range prog.Body {
-		if fd, ok := stmt.(*FuncDecl); ok {
-			in.Global.Define(fd.Name, FuncValue(&Closure{
-				Name: fd.Name, Params: fd.Params, Body: fd.Body,
-				Env: in.Global, ScriptURL: scriptURL, Line: fd.Line,
-			}))
-		}
+	cp, err := Compile(prog)
+	if err != nil {
+		return err
 	}
-	for _, stmt := range prog.Body {
-		if _, ok := stmt.(*FuncDecl); ok {
-			continue
-		}
-		if err := in.exec(stmt, in.Global); err != nil {
-			return err
-		}
-	}
-	return nil
+	return in.RunCompiled(cp, scriptURL)
 }
 
 // CurrentScriptURL reports the script URL of the innermost frame — the
@@ -296,399 +277,9 @@ func (in *Interp) rterr(line int, format string, args ...any) error {
 	return &RuntimeError{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
-// ---- statement execution ----
-
-func (in *Interp) exec(n Node, env *Env) error {
-	if err := in.step(0); err != nil {
-		return err
-	}
-	switch s := n.(type) {
-	case *SeqStmt:
-		for _, stmt := range s.Body {
-			if err := in.exec(stmt, env); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *BlockStmt:
-		inner := NewEnv(env)
-		// Hoist nested function declarations.
-		for _, stmt := range s.Body {
-			if fd, ok := stmt.(*FuncDecl); ok {
-				inner.Define(fd.Name, FuncValue(&Closure{
-					Name: fd.Name, Params: fd.Params, Body: fd.Body,
-					Env: inner, ScriptURL: in.CurrentScriptURL(), Line: fd.Line,
-				}))
-			}
-		}
-		for _, stmt := range s.Body {
-			if _, ok := stmt.(*FuncDecl); ok {
-				continue
-			}
-			if err := in.exec(stmt, inner); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *VarDecl:
-		v := Undefined()
-		if s.Init != nil {
-			var err error
-			v, err = in.eval(s.Init, env)
-			if err != nil {
-				return err
-			}
-		}
-		env.Define(s.Name, v)
-		return nil
-	case *ExprStmt:
-		_, err := in.eval(s.X, env)
-		return err
-	case *IfStmt:
-		cond, err := in.eval(s.Cond, env)
-		if err != nil {
-			return err
-		}
-		if cond.Truthy() {
-			return in.exec(s.Then, env)
-		}
-		if s.Else != nil {
-			return in.exec(s.Else, env)
-		}
-		return nil
-	case *WhileStmt:
-		for {
-			cond, err := in.eval(s.Cond, env)
-			if err != nil {
-				return err
-			}
-			if !cond.Truthy() {
-				return nil
-			}
-			if err := in.execLoopBody(s.Body, env); err != nil {
-				if _, brk := err.(breakSignal); brk {
-					return nil
-				}
-				return err
-			}
-		}
-	case *ForStmt:
-		inner := NewEnv(env)
-		if s.Init != nil {
-			if err := in.exec(asStmt(s.Init), inner); err != nil {
-				return err
-			}
-		}
-		for {
-			if s.Cond != nil {
-				cond, err := in.eval(s.Cond, inner)
-				if err != nil {
-					return err
-				}
-				if !cond.Truthy() {
-					return nil
-				}
-			}
-			if err := in.execLoopBody(s.Body, inner); err != nil {
-				if _, brk := err.(breakSignal); brk {
-					return nil
-				}
-				return err
-			}
-			if s.Post != nil {
-				if _, err := in.eval(s.Post, inner); err != nil {
-					return err
-				}
-			}
-		}
-	case *SwitchStmt:
-		tag, err := in.eval(s.Tag, env)
-		if err != nil {
-			return err
-		}
-		matched := -1
-		defaultIdx := -1
-		for i, c := range s.Cases {
-			if c.Test == nil {
-				defaultIdx = i
-				continue
-			}
-			tv, err := in.eval(c.Test, env)
-			if err != nil {
-				return err
-			}
-			if StrictEquals(tag, tv) {
-				matched = i
-				break
-			}
-		}
-		if matched < 0 {
-			matched = defaultIdx
-		}
-		if matched < 0 {
-			return nil
-		}
-		inner := NewEnv(env)
-		for i := matched; i < len(s.Cases); i++ { // fallthrough semantics
-			for _, stmt := range s.Cases[i].Body {
-				if err := in.exec(stmt, inner); err != nil {
-					if _, brk := err.(breakSignal); brk {
-						return nil
-					}
-					return err
-				}
-			}
-		}
-		return nil
-	case *DoWhileStmt:
-		for {
-			if err := in.execLoopBody(s.Body, env); err != nil {
-				if _, brk := err.(breakSignal); brk {
-					return nil
-				}
-				return err
-			}
-			cond, err := in.eval(s.Cond, env)
-			if err != nil {
-				return err
-			}
-			if !cond.Truthy() {
-				return nil
-			}
-		}
-	case *ReturnStmt:
-		v := Undefined()
-		if s.X != nil {
-			var err error
-			v, err = in.eval(s.X, env)
-			if err != nil {
-				return err
-			}
-		}
-		return returnSignal{v: v}
-	case *BreakStmt:
-		return breakSignal{}
-	case *ContinueStmt:
-		return continueSignal{}
-	case *ThrowStmt:
-		v, err := in.eval(s.X, env)
-		if err != nil {
-			return err
-		}
-		return &Thrown{V: v}
-	case *TryStmt:
-		err := in.exec(s.Body, env)
-		var thrown *Thrown
-		if err != nil && errors.As(err, &thrown) && s.Catch != nil {
-			inner := NewEnv(env)
-			if s.CatchVar != "" {
-				inner.Define(s.CatchVar, thrown.V)
-			}
-			err = in.exec(s.Catch, inner)
-		} else if rt := (&RuntimeError{}); err != nil && errors.As(err, &rt) && s.Catch != nil {
-			// Host TypeErrors are catchable, like in a browser.
-			inner := NewEnv(env)
-			if s.CatchVar != "" {
-				eo := NewObject()
-				eo.Class = "Error"
-				eo.Set("message", String(rt.Msg))
-				inner.Define(s.CatchVar, ObjectValue(eo))
-			}
-			err = in.exec(s.Catch, inner)
-		}
-		if s.Finally != nil {
-			if ferr := in.exec(s.Finally, env); ferr != nil {
-				return ferr
-			}
-		}
-		return err
-	case *FuncDecl:
-		env.Define(s.Name, FuncValue(&Closure{
-			Name: s.Name, Params: s.Params, Body: s.Body,
-			Env: env, ScriptURL: in.CurrentScriptURL(), Line: s.Line,
-		}))
-		return nil
-	default:
-		// Expression used in statement position (from for-init).
-		_, err := in.eval(n, env)
-		return err
-	}
-}
-
-// execLoopBody runs a loop body, translating continue into nil.
-func (in *Interp) execLoopBody(body Node, env *Env) error {
-	err := in.exec(body, env)
-	if _, cont := err.(continueSignal); cont {
-		return nil
-	}
-	return err
-}
-
-func asStmt(n Node) Node { return n }
-
-// ---- expression evaluation ----
-
-func (in *Interp) eval(n Node, env *Env) (Value, error) {
-	if err := in.step(0); err != nil {
-		return Undefined(), err
-	}
-	switch e := n.(type) {
-	case *Lit:
-		return e.Val, nil
-	case *Ident:
-		if v, ok := env.Get(e.Name); ok {
-			return v, nil
-		}
-		return Undefined(), in.rterr(e.Line, "%s is not defined", e.Name)
-	case *ThisExpr:
-		if v, ok := env.Get("this"); ok {
-			return v, nil
-		}
-		return Undefined(), nil
-	case *Member:
-		obj, err := in.eval(e.Obj, env)
-		if err != nil {
-			return Undefined(), err
-		}
-		if e.Optional && (obj.IsUndefined() || obj.IsNull()) {
-			return Undefined(), nil
-		}
-		if e.Index != nil {
-			idx, err := in.eval(e.Index, env)
-			if err != nil {
-				return Undefined(), err
-			}
-			return in.getIndexed(obj, idx, e.Line)
-		}
-		return in.getMember(obj, e.Name, e.Line)
-	case *Call:
-		return in.evalCall(e, env)
-	case *Unary:
-		x, err := in.eval(e.X, env)
-		if err != nil {
-			if e.Op == "typeof" {
-				// typeof of an undefined variable is "undefined", not an error.
-				var rt *RuntimeError
-				if errors.As(err, &rt) && strings.HasSuffix(rt.Msg, "is not defined") {
-					return String("undefined"), nil
-				}
-			}
-			return Undefined(), err
-		}
-		return applyUnary(e.Op, x)
-	case *Binary:
-		return in.evalBinary(e, env)
-	case *Logical:
-		x, err := in.eval(e.X, env)
-		if err != nil {
-			return Undefined(), err
-		}
-		switch e.Op {
-		case "&&":
-			if !x.Truthy() {
-				return x, nil
-			}
-		case "||":
-			if x.Truthy() {
-				return x, nil
-			}
-		case "??":
-			if !x.IsUndefined() && !x.IsNull() {
-				return x, nil
-			}
-		}
-		return in.eval(e.Y, env)
-	case *Cond:
-		t, err := in.eval(e.Test, env)
-		if err != nil {
-			return Undefined(), err
-		}
-		if t.Truthy() {
-			return in.eval(e.Then, env)
-		}
-		return in.eval(e.Else, env)
-	case *Assign:
-		return in.evalAssign(e, env)
-	case *Update:
-		delta := 1.0
-		if e.Op == "--" {
-			delta = -1
-		}
-		// Member targets resolve base and index exactly once, shared by
-		// the read and the write (a[f()]++ must call f once).
-		if m, ok := e.Target.(*Member); ok {
-			ref, err := in.resolveRef(m, env)
-			if err != nil {
-				return Undefined(), err
-			}
-			cur, err := in.readRef(ref, m.Line)
-			if err != nil {
-				return Undefined(), err
-			}
-			nv := Number(cur.ToNumber() + delta)
-			if err := in.writeRef(ref, nv, m.Line); err != nil {
-				return Undefined(), err
-			}
-			return nv, nil
-		}
-		cur, err := in.eval(e.Target, env)
-		if err != nil {
-			return Undefined(), err
-		}
-		nv := Number(cur.ToNumber() + delta)
-		id, ok := e.Target.(*Ident)
-		if !ok {
-			return Undefined(), in.rterr(0, "invalid update target %T", e.Target)
-		}
-		env.Assign(id.Name, nv)
-		return nv, nil
-	case *ObjectLit:
-		o := NewObject()
-		for i, k := range e.Keys {
-			v, err := in.eval(e.Vals[i], env)
-			if err != nil {
-				return Undefined(), err
-			}
-			o.Set(k, v)
-		}
-		return ObjectValue(o), nil
-	case *ArrayLit:
-		elems := make([]Value, 0, len(e.Elems))
-		for _, el := range e.Elems {
-			v, err := in.eval(el, env)
-			if err != nil {
-				return Undefined(), err
-			}
-			elems = append(elems, v)
-		}
-		return ArrayValue(elems...), nil
-	case *FuncLit:
-		return FuncValue(&Closure{
-			Params: e.Params, Body: e.Body, ExprBody: e.ExprBody,
-			Env: env, ScriptURL: in.CurrentScriptURL(), Line: e.Line,
-		}), nil
-	case *SpreadExpr:
-		return in.eval(e.X, env)
-	}
-	return Undefined(), in.rterr(0, "cannot evaluate %T", n)
-}
-
-func (in *Interp) evalBinary(e *Binary, env *Env) (Value, error) {
-	x, err := in.eval(e.X, env)
-	if err != nil {
-		return Undefined(), err
-	}
-	y, err := in.eval(e.Y, env)
-	if err != nil {
-		return Undefined(), err
-	}
-	return applyBinary(e.Op, x, y, e.Line)
-}
-
 // applyUnary applies a unary operator to an evaluated operand. Pure,
-// shared by the tree-walking and compiled paths (and compile-time
-// folding). delete is evaluate-and-ignore: the interpreter has no
-// property deletion, matching the tree-walker's historic behavior.
+// shared by compiled code and compile-time folding. delete is
+// evaluate-and-ignore: the interpreter has no property deletion.
 func applyUnary(op string, x Value) (Value, error) {
 	switch op {
 	case "!":
@@ -709,8 +300,8 @@ func applyUnary(op string, x Value) (Value, error) {
 
 // applyBinary applies a (non-short-circuit) binary operator to two
 // already-evaluated values. It is pure, so the compiler folds constant
-// operands through it at compile time, and the tree-walking and
-// compiled paths share it for identical semantics.
+// operands through it at compile time with the semantics compiled code
+// applies at run time.
 func applyBinary(op string, x, y Value, line int) (Value, error) {
 	switch op {
 	case ",":
@@ -778,61 +369,6 @@ func applyBinary(op string, x, y Value, line int) (Value, error) {
 	return Undefined(), &RuntimeError{Line: line, Msg: fmt.Sprintf("unknown operator %q", op)}
 }
 
-func (in *Interp) evalAssign(e *Assign, env *Env) (Value, error) {
-	switch t := e.Target.(type) {
-	case *Ident:
-		var cur Value
-		if e.Op != "=" {
-			var err error
-			cur, err = in.eval(t, env)
-			if err != nil {
-				return Undefined(), err
-			}
-		}
-		val, err := in.eval(e.Val, env)
-		if err != nil {
-			return Undefined(), err
-		}
-		if e.Op != "=" {
-			val, err = applyBinary(strings.TrimSuffix(e.Op, "="), cur, val, e.Line)
-			if err != nil {
-				return Undefined(), err
-			}
-		}
-		env.Assign(t.Name, val)
-		return val, nil
-	case *Member:
-		// The base and index evaluate exactly once, shared by the
-		// compound-op read and the final write (a[i++] += 1 bumps i once).
-		ref, err := in.resolveRef(t, env)
-		if err != nil {
-			return Undefined(), err
-		}
-		var cur Value
-		if e.Op != "=" {
-			cur, err = in.readRef(ref, t.Line)
-			if err != nil {
-				return Undefined(), err
-			}
-		}
-		val, err := in.eval(e.Val, env)
-		if err != nil {
-			return Undefined(), err
-		}
-		if e.Op != "=" {
-			val, err = applyBinary(strings.TrimSuffix(e.Op, "="), cur, val, e.Line)
-			if err != nil {
-				return Undefined(), err
-			}
-		}
-		if err := in.writeRef(ref, val, e.Line); err != nil {
-			return Undefined(), err
-		}
-		return val, nil
-	}
-	return Undefined(), in.rterr(e.Line, "invalid assignment target %T", e.Target)
-}
-
 // memberRef is a member-assignment target with its base (and computed
 // index, if any) already evaluated — each exactly once.
 type memberRef struct {
@@ -840,23 +376,6 @@ type memberRef struct {
 	name   string // dot access
 	idx    Value  // bracket access
 	hasIdx bool
-}
-
-// resolveRef evaluates a member target's base and index expressions.
-func (in *Interp) resolveRef(m *Member, env *Env) (memberRef, error) {
-	base, err := in.eval(m.Obj, env)
-	if err != nil {
-		return memberRef{}, err
-	}
-	ref := memberRef{base: base, name: m.Name}
-	if m.Index != nil {
-		idx, err := in.eval(m.Index, env)
-		if err != nil {
-			return memberRef{}, err
-		}
-		ref.idx, ref.hasIdx = idx, true
-	}
-	return ref, nil
 }
 
 func (in *Interp) readRef(ref memberRef, line int) (Value, error) {
@@ -941,68 +460,6 @@ func (in *Interp) setMember(obj Value, name string, val Value, line int) error {
 	return in.rterr(line, "cannot set property %q of %s", name, obj.TypeOf())
 }
 
-func (in *Interp) evalCall(e *Call, env *Env) (Value, error) {
-	var this Value = Undefined()
-	var fn Value
-	var err error
-	var calleeName string
-	if m, ok := e.Fn.(*Member); ok && m.Index == nil {
-		this, err = in.eval(m.Obj, env)
-		if err != nil {
-			return Undefined(), err
-		}
-		if m.Optional && (this.IsUndefined() || this.IsNull()) {
-			return Undefined(), nil
-		}
-		fn, err = in.getMember(this, m.Name, m.Line)
-		if err != nil {
-			return Undefined(), err
-		}
-		calleeName = m.Name
-	} else {
-		fn, err = in.eval(e.Fn, env)
-		if err != nil {
-			return Undefined(), err
-		}
-		if id, ok := e.Fn.(*Ident); ok {
-			calleeName = id.Name
-		}
-	}
-	args := make([]Value, 0, len(e.Args))
-	for _, a := range e.Args {
-		if sp, ok := a.(*SpreadExpr); ok {
-			v, err := in.eval(sp.X, env)
-			if err != nil {
-				return Undefined(), err
-			}
-			if v.kind == KindArray {
-				args = append(args, v.arr.Elems...)
-			} else {
-				args = append(args, v)
-			}
-			continue
-		}
-		v, err := in.eval(a, env)
-		if err != nil {
-			return Undefined(), err
-		}
-		args = append(args, v)
-	}
-	if !fn.IsCallable() {
-		if e.Optional && (fn.IsUndefined() || fn.IsNull()) {
-			return Undefined(), nil
-		}
-		if calleeName == "" {
-			calleeName = "value"
-		}
-		return Undefined(), in.rterr(e.Line, "%s is not a function", calleeName)
-	}
-	if e.New {
-		return in.construct(fn, args, e.Line)
-	}
-	return in.call(fn, this, args, e.Line)
-}
-
 // construct implements `new`: natives act as constructors directly;
 // closures get a fresh `this` object.
 func (in *Interp) construct(fn Value, args []Value, line int) (Value, error) {
@@ -1037,37 +494,7 @@ func (in *Interp) call(fn Value, this Value, args []Value, line int) (Value, err
 		in.stack = in.stack[:len(in.stack)-1]
 		return v, err
 	case KindFunc:
-		c := fn.fn
-		if c.compiled != nil {
-			return in.callCompiled(c, this, args)
-		}
-		env := NewEnv(c.Env)
-		env.Define("this", this)
-		for i, p := range c.Params {
-			if i < len(args) {
-				env.Define(p, args[i])
-			} else {
-				env.Define(p, Undefined())
-			}
-		}
-		env.Define("arguments", ArrayValue(args...))
-		name := c.Name
-		if name == "" {
-			name = "<anonymous>"
-		}
-		in.stack = append(in.stack, frame{fnName: name, scriptURL: c.ScriptURL, line: c.Line})
-		defer func() { in.stack = in.stack[:len(in.stack)-1] }()
-		if c.ExprBody != nil {
-			return in.eval(c.ExprBody, env)
-		}
-		err := in.exec(c.Body, env)
-		if rs, ok := err.(returnSignal); ok {
-			return rs.v, nil
-		}
-		if err != nil {
-			return Undefined(), err
-		}
-		return Undefined(), nil
+		return in.callCompiled(fn.fn, this, args)
 	}
 	return Undefined(), in.rterr(line, "not callable")
 }

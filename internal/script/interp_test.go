@@ -494,10 +494,14 @@ func BenchmarkInterpQueryLoop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cp, err := Compile(prog)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		in := NewInterp()
-		if err := in.RunProgram(prog, "bench"); err != nil {
+		if err := in.RunCompiled(cp, "bench"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,11 @@
 // Package script implements a small JavaScript-subset engine: lexer,
-// parser and tree-walking interpreter. It exists so the mini browser can
-// actually *execute* the scripts served by the synthetic web and record
-// permission-related API invocations through instrumented host objects —
-// the same mechanism as the paper's Figure 1, where the original
-// function is wrapped to log the call, stack trace and arguments before
-// delegating to the real implementation.
+// parser, and a compiler to Go closures that the interpreter runs. It
+// exists so the mini browser can actually *execute* the scripts served
+// by the synthetic web and record permission-related API invocations
+// through instrumented host objects — the same mechanism as the
+// paper's Figure 1, where the original function is wrapped to log the
+// call, stack trace and arguments before delegating to the real
+// implementation.
 //
 // Supported language: var/let/const, function declarations and
 // expressions, arrow functions, if/else, while/for (bounded by a step

@@ -126,9 +126,10 @@ func (in *Interp) arrayMember(v Value, name string) (Value, error) {
 		}), nil
 	case "map":
 		return NativeValue("map", func(in *Interp, _ Value, args []Value) (Value, error) {
+			fn := firstArg(args)
 			out := make([]Value, 0, len(arr.Elems))
 			for i, e := range arr.Elems {
-				r, err := in.call(args[0], Undefined(), []Value{e, Number(float64(i)), v}, 0)
+				r, err := in.call(fn, Undefined(), []Value{e, Number(float64(i)), v}, 0)
 				if err != nil {
 					return Undefined(), err
 				}
@@ -138,9 +139,10 @@ func (in *Interp) arrayMember(v Value, name string) (Value, error) {
 		}), nil
 	case "filter":
 		return NativeValue("filter", func(in *Interp, _ Value, args []Value) (Value, error) {
+			fn := firstArg(args)
 			var out []Value
 			for i, e := range arr.Elems {
-				r, err := in.call(args[0], Undefined(), []Value{e, Number(float64(i)), v}, 0)
+				r, err := in.call(fn, Undefined(), []Value{e, Number(float64(i)), v}, 0)
 				if err != nil {
 					return Undefined(), err
 				}
@@ -152,8 +154,9 @@ func (in *Interp) arrayMember(v Value, name string) (Value, error) {
 		}), nil
 	case "find":
 		return NativeValue("find", func(in *Interp, _ Value, args []Value) (Value, error) {
+			fn := firstArg(args)
 			for i, e := range arr.Elems {
-				r, err := in.call(args[0], Undefined(), []Value{e, Number(float64(i)), v}, 0)
+				r, err := in.call(fn, Undefined(), []Value{e, Number(float64(i)), v}, 0)
 				if err != nil {
 					return Undefined(), err
 				}
@@ -165,8 +168,9 @@ func (in *Interp) arrayMember(v Value, name string) (Value, error) {
 		}), nil
 	case "some":
 		return NativeValue("some", func(in *Interp, _ Value, args []Value) (Value, error) {
+			fn := firstArg(args)
 			for i, e := range arr.Elems {
-				r, err := in.call(args[0], Undefined(), []Value{e, Number(float64(i)), v}, 0)
+				r, err := in.call(fn, Undefined(), []Value{e, Number(float64(i)), v}, 0)
 				if err != nil {
 					return Undefined(), err
 				}
@@ -364,4 +368,14 @@ func (in *Interp) funcMember(fn Value, name string) (Value, error) {
 	default:
 		return Undefined(), nil
 	}
+}
+
+// firstArg returns a native's first argument, or undefined when the
+// call passed none: [1].map() must fail as a call of undefined, not
+// index past the argument list.
+func firstArg(args []Value) Value {
+	if len(args) == 0 {
+		return Undefined()
+	}
+	return args[0]
 }

@@ -497,9 +497,7 @@ func (p *parser) assignExpr() (Node, error) {
 	if t.Kind == TokPunct {
 		switch t.Text {
 		case "=", "+=", "-=", "*=", "/=":
-			switch x.(type) {
-			case *Ident, *Member:
-			default:
+			if !assignable(x) {
 				return nil, p.errf("invalid assignment target")
 			}
 			p.advance()
@@ -664,7 +662,7 @@ func (p *parser) unaryExpr() (Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &Update{Op: t.Text, Target: x}, nil
+			return updateExpr(t, x)
 		}
 	}
 	if t.Kind == TokKeyword {
@@ -792,11 +790,34 @@ func (p *parser) postfixFrom(x Node) (Node, error) {
 			x = &Call{Fn: x, Args: args, Line: t.Line}
 		case "++", "--":
 			p.advance()
-			x = &Update{Op: t.Text, Target: x}
+			u, err := updateExpr(t, x)
+			if err != nil {
+				return nil, err
+			}
+			x = u
 		default:
 			return x, nil
 		}
 	}
+}
+
+// assignable reports whether x may be written: only names and member
+// accesses are references.
+func assignable(x Node) bool {
+	switch x.(type) {
+	case *Ident, *Member:
+		return true
+	}
+	return false
+}
+
+// updateExpr builds op's ++/-- node over x. Like a bad assignment
+// target, a target that is not a reference is an early syntax error.
+func updateExpr(op Tok, x Node) (Node, error) {
+	if !assignable(x) {
+		return nil, &SyntaxError{Line: op.Line, Msg: "invalid update target"}
+	}
+	return &Update{Op: op.Text, Target: x}, nil
 }
 
 func (p *parser) argList() ([]Node, error) {

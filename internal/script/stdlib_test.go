@@ -1,6 +1,7 @@
 package script
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -340,5 +341,41 @@ func TestCompoundMemberSingleEvaluation(t *testing.T) {
 	}
 	if get("idxCalls") != 1 || get("el") != 15 {
 		t.Errorf("idx() calls=%v a[0]=%v; want 1 and 15", get("idxCalls"), get("el"))
+	}
+}
+
+// TestArrayCallbackMissing: an array method called without its callback
+// fails as a call of undefined, a catchable runtime error, instead of
+// indexing past the argument list.
+func TestArrayCallbackMissing(t *testing.T) {
+	for _, m := range []string{"map", "filter", "find", "some"} {
+		err := NewInterp().Run("[1]."+m+"();", "t")
+		var rt *RuntimeError
+		if !errors.As(err, &rt) {
+			t.Errorf("[1].%s() = %v, want a runtime error", m, err)
+		}
+	}
+}
+
+// TestCyclicValues: a value that contains itself neither recurses
+// forever nor loses the rest of the value. JSON.stringify rejects it
+// with a catchable error, and an array renders the cyclic element empty,
+// as Array.prototype.join does.
+func TestCyclicValues(t *testing.T) {
+	in := NewInterp()
+	src := `var o = { a: 1 }; o.self = o;
+		var msg = ""; try { JSON.stringify(o); } catch (e) { msg = e.message; }
+		var arr = [1, 2]; arr.push(arr); var s = "" + arr;`
+	if err := in.Run(src, "t"); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := in.Global.Get("msg"); !strings.Contains(v.ToString(), "circular") {
+		t.Errorf("JSON.stringify of a cycle: message %q", v.ToString())
+	}
+	if v, _ := in.Global.Get("s"); v.ToString() != "1,2," {
+		t.Errorf(`"" + cyclic array = %q, want "1,2,"`, v.ToString())
+	}
+	if got := JSONString(ArrayValue(Number(1), ArrayValue(Number(2)))); got != "[1,[2]]" {
+		t.Errorf("acyclic nesting = %s", got)
 	}
 }

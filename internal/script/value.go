@@ -1,8 +1,8 @@
 package script
 
 import (
-	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -78,18 +78,15 @@ type Array struct {
 
 // Closure is a user-defined function.
 type Closure struct {
-	Name     string
-	Params   []string
-	Body     *BlockStmt
-	ExprBody Node
-	Env      *Env
+	Name string
+	Env  *Env
 	// ScriptURL is the URL of the script that defined the function; it
 	// feeds stack-trace attribution (§4.1.1: "the stacktrace enables us
 	// to determine the origin of a call").
 	ScriptURL string
 	Line      int
-	// compiled, when set, is the pre-lowered body: calls run through
-	// pooled frames and slot-resolved closures instead of the AST walk.
+	// compiled is the lowered body: calls run it through pooled frames
+	// and slot-resolved variables.
 	compiled *compiledFunc
 }
 
@@ -250,11 +247,7 @@ func (v Value) ToString() string {
 	case KindString:
 		return v.s
 	case KindArray:
-		parts := make([]string, len(v.arr.Elems))
-		for i, e := range v.arr.Elems {
-			parts[i] = e.ToString()
-		}
-		return strings.Join(parts, ",")
+		return arrayString(v.arr, nil)
 	case KindObject:
 		if v.obj.Class != "" {
 			return "[object " + v.obj.Class + "]"
@@ -359,38 +352,70 @@ func LooseEquals(a, b Value) bool {
 	return false
 }
 
-// JSONString renders a value as JSON (cycles are not detected; host
-// graphs are acyclic).
-func JSONString(v Value) string {
-	switch v.kind {
-	case KindUndefined, KindFunc, KindNative:
-		return "null"
-	case KindNull:
-		return "null"
-	case KindBool:
-		return strconv.FormatBool(v.b)
-	case KindNumber:
-		return v.ToString()
-	case KindString:
-		return strconv.Quote(v.s)
-	case KindArray:
-		parts := make([]string, len(v.arr.Elems))
-		for i, e := range v.arr.Elems {
-			parts[i] = JSONString(e)
+// arrayString joins an array's elements with commas. An element that
+// is the array itself or one enclosing it renders empty, as
+// Array.prototype.join does, so a cyclic array cannot recurse forever.
+func arrayString(a *Array, path []*Array) string {
+	if slices.Contains(path, a) {
+		return ""
+	}
+	path = append(path, a)
+	parts := make([]string, len(a.Elems))
+	for i, e := range a.Elems {
+		if e.kind == KindArray {
+			parts[i] = arrayString(e.arr, path)
+		} else {
+			parts[i] = e.ToString()
 		}
-		return "[" + strings.Join(parts, ",") + "]"
+	}
+	return strings.Join(parts, ",")
+}
+
+// JSONString renders a value as JSON. A value that contains itself
+// renders the inner reference as null; JSON.stringify rejects it.
+func JSONString(v Value) string {
+	s, _ := jsonString(v, nil)
+	return s
+}
+
+// jsonString renders v inside the arrays and objects on path, and
+// reports false when v contains one of them or itself.
+func jsonString(v Value, path []any) (string, bool) {
+	var parts []string
+	acyclic := true
+	add := func(prefix string, e Value) {
+		s, ok := jsonString(e, path)
+		parts, acyclic = append(parts, prefix+s), acyclic && ok
+	}
+	switch v.kind {
+	case KindBool:
+		return strconv.FormatBool(v.b), true
+	case KindNumber:
+		return v.ToString(), true
+	case KindString:
+		return strconv.Quote(v.s), true
+	case KindArray:
+		if slices.Contains(path, any(v.arr)) {
+			return "null", false
+		}
+		path = append(path, v.arr)
+		for _, e := range v.arr.Elems {
+			add("", e)
+		}
+		return "[" + strings.Join(parts, ",") + "]", acyclic
 	case KindObject:
+		if slices.Contains(path, any(v.obj)) {
+			return "null", false
+		}
+		path = append(path, v.obj)
 		keys := v.obj.Keys()
 		sort.Strings(keys)
-		parts := make([]string, 0, len(keys))
 		for _, k := range keys {
-			pv, _ := v.obj.Get(k)
-			if pv.IsCallable() {
-				continue
+			if pv, _ := v.obj.Get(k); !pv.IsCallable() {
+				add(strconv.Quote(k)+":", pv)
 			}
-			parts = append(parts, fmt.Sprintf("%s:%s", strconv.Quote(k), JSONString(pv)))
 		}
-		return "{" + strings.Join(parts, ",") + "}"
+		return "{" + strings.Join(parts, ",") + "}", acyclic
 	}
-	return "null"
+	return "null", true
 }

@@ -21,7 +21,7 @@ type CacheStats struct {
 }
 
 // Cache memoizes Analyzer.Analyze keyed by script content, mirroring
-// script.ParseCache: the same third-party widget script is included by
+// script.CompileCache: the same third-party widget script is included by
 // thousands of sites, and its pattern scan — a walk over the full
 // registry — is identical every time. Findings depend on the source
 // alone except for the ScriptURL attribution field, so entries are

@@ -29,13 +29,10 @@ type Realm struct {
 	// (feeding the fingerprinting observation of §4.1.1).
 	Browser permissions.Browser
 	Version int
-	// ParseScript, when non-nil, replaces script.Parse — the crawl
-	// installs a shared ParseCache here so each distinct script body is
-	// parsed once per crawl instead of once per including frame.
-	ParseScript func(src string) (*script.Program, error)
-	// CompileScript, when non-nil, supplies pre-lowered programs
-	// (typically CompileCache.Compile) and takes precedence over
-	// ParseScript: scripts run through the compiled fast path.
+	// CompileScript, when non-nil, supplies compiled programs in place
+	// of parsing and compiling each script — the crawl installs a shared
+	// CompileCache here so each distinct script body is compiled once
+	// per crawl instead of once per including frame.
 	CompileScript func(src string) (*script.Compiled, error)
 
 	handlers map[string][]script.Value
@@ -70,13 +67,6 @@ func (r *Realm) RunScript(src, scriptURL string) error {
 			return err
 		}
 		return r.In.RunCompiled(prog, scriptURL)
-	}
-	if r.ParseScript != nil {
-		prog, err := r.ParseScript(src)
-		if err != nil {
-			return err
-		}
-		return r.In.RunProgram(prog, scriptURL)
 	}
 	return r.In.Run(src, scriptURL)
 }

@@ -1,8 +1,10 @@
 package webapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -345,68 +347,66 @@ func TestServiceWorkerRegistrationsIndependent(t *testing.T) {
 }
 
 // probeCorpus exercises the instrumented surface broadly — promise
-// chains, callbacks, constructors, errors, handlers — so the compiled
-// and tree-walk paths are compared over realistic probe scripts.
-var probeCorpus = []string{
-	`navigator.permissions.query({name: 'camera'}).then(function (s) { window.state = s.state; });`,
-	`navigator.mediaDevices.getUserMedia({audio: true, video: true}).catch(function () {});`,
-	`for (var i = 0; i < 3; i++) { navigator.clipboard.writeText('x' + i); }
-	 document.featurePolicy.allowedFeatures();
-	 window.n = document.featurePolicy.features().length;`,
-	`var probe = function (names) {
-		for (var i = 0; i < names.length; i++) {
-			navigator.permissions.query({name: names[i]}).then(function (s) {
-				window.last = s.name + ':' + s.state;
-			});
-		}
-	};
-	probe(['geolocation', 'camera', 'notifications']);`,
-	`navigator.geolocation.getCurrentPosition(function (pos) { window.lat = pos.coords.latitude; });
-	 navigator.getBattery().then(function (b) { window.level = b.level; });`,
-	`try { var g = new Gyroscope(); g.start(); } catch (e) { window.err = 'caught'; }
-	 document.getElementById('btn').addEventListener('click', function () {
-		navigator.mediaDevices.getUserMedia({audio: true});
-	 });`,
-	`document.browsingTopics(); document.requestStorageAccess(); document.hasStorageAccess();
-	 navigator.serviceWorker.register('/sw.js').then(function (reg) { return reg.pushManager.subscribe(); });`,
-	`var el = document.createElement('video');
-	 el.play(); el.requestFullscreen(); el.requestPictureInPicture();
-	 new PaymentRequest([], {}).canMakePayment();`,
+// chains, callbacks, constructors, errors, handlers. It lives in
+// testdata so the script package's fuzz targets seed from it too.
+var probeCorpus = loadProbeCorpus()
+
+func loadProbeCorpus() []string {
+	raw, err := os.ReadFile("testdata/probe_corpus.json")
+	if err != nil {
+		panic(err)
+	}
+	var corpus []string
+	if err := json.Unmarshal(raw, &corpus); err != nil {
+		panic(err)
+	}
+	return corpus
 }
 
-// TestCompiledRealmRecordsIdentical runs every probe through a
-// tree-walking realm and a compiling realm and requires byte-identical
-// recorded invocations — the zero-behavioral-diff acceptance gate.
+// TestCompiledRealmRecordsIdentical runs every probe through a realm
+// and requires its error and recorded invocations to match
+// testdata/probe_invocations.golden.json byte for byte. The golden was
+// recorded from the AST interpreter the compiler replaced — the
+// zero-behavioral-diff acceptance gate.
 func TestCompiledRealmRecordsIdentical(t *testing.T) {
+	var want []struct {
+		Err         string
+		Invocations json.RawMessage
+	}
+	raw, err := os.ReadFile("testdata/probe_invocations.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(probeCorpus) {
+		t.Fatalf("golden has %d probes, corpus %d", len(want), len(probeCorpus))
+	}
 	compileCache := script.NewCompileCache()
 	for i, src := range probeCorpus {
-		tree := topLevelRealm(t, "camera=(), geolocation=self")
-		compiled := topLevelRealm(t, "camera=(), geolocation=self")
-		compiled.CompileScript = compileCache.Compile
-
-		url := fmt.Sprintf("https://cdn.example/probe%d.js", i)
-		errTree := tree.RunScript(src, url)
-		errCompiled := compiled.RunScript(src, url)
-		if (errTree == nil) != (errCompiled == nil) {
-			t.Fatalf("probe %d: error mismatch: tree=%v compiled=%v", i, errTree, errCompiled)
+		r := topLevelRealm(t, "camera=(), geolocation=self")
+		r.CompileScript = compileCache.Compile
+		var errText string
+		if err := r.RunScript(src, fmt.Sprintf("https://cdn.example/probe%d.js", i)); err != nil {
+			errText = err.Error()
 		}
-		if err := tree.FireEvent("click"); err != nil {
+		if errText != want[i].Err {
+			t.Errorf("probe %d: error %q, golden %q", i, errText, want[i].Err)
+		}
+		if err := r.FireEvent("click"); err != nil {
 			t.Fatalf("probe %d: %v", i, err)
 		}
-		if err := compiled.FireEvent("click"); err != nil {
-			t.Fatalf("probe %d: %v", i, err)
-		}
-
-		want, err := json.Marshal(tree.Rec.Invocations)
+		got, err := json.Marshal(r.Rec.Invocations)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := json.Marshal(compiled.Rec.Invocations)
-		if err != nil {
+		var golden bytes.Buffer
+		if err := json.Compact(&golden, want[i].Invocations); err != nil {
 			t.Fatal(err)
 		}
-		if string(want) != string(got) {
-			t.Errorf("probe %d: recorded invocations differ\ntree:     %s\ncompiled: %s", i, want, got)
+		if string(got) != golden.String() {
+			t.Errorf("probe %d: recorded invocations differ from the golden\ngot:  %s\nwant: %s", i, got, golden.String())
 		}
 	}
 	if stats := compileCache.Stats(); stats.Misses == 0 {

@@ -8,7 +8,7 @@
 # 1500 shared-dataset sites and the full 20k-site crawl benchmark):
 #   PERMODYSSEY_BENCH_SITES        shared analysis dataset size
 #   PERMODYSSEY_BENCH_CRAWL_SITES  BenchmarkCrawl{Cached,Uncached} size
-#   PERMODYSSEY_BENCH_CHAOS_SITES  BenchmarkCrawlChaos{Blocking,Scheduler} size
+#   PERMODYSSEY_BENCH_CHAOS_SITES  BenchmarkCrawlChaosScheduler size
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

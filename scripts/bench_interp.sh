@@ -1,37 +1,19 @@
 #!/usr/bin/env bash
-# Interpreter throughput gate: run the compile-once benchmarks — the
-# tree-walking interpreter against the compiled fast path — archive
-# them as a BENCH_INTERP_*.json artifact, and fail unless the compiled
-# path beats the tree walk by the required speedup on the loop-heavy
-# workload. That workload is where the compiler's slot-resolved locals
-# and pooled scope frames replace the tree walk's per-iteration map
-# allocations, so the ratio measures exactly the tentpole win.
+# Interpreter throughput artifact: run the compiled-execution
+# benchmarks (a short probe, a loop-heavy function, a consent widget)
+# and archive them as a BENCH_INTERP_*.json artifact. CI compares the
+# artifact against its cached baseline with scripts/benchcmp.sh.
 #
 # Usage: scripts/bench_interp.sh [output.json]
-#   PERMODYSSEY_INTERP_MIN_SPEEDUP  required tree/compiled ratio (default 2.0)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_INTERP_local.json}"
-min_speedup="${PERMODYSSEY_INTERP_MIN_SPEEDUP:-2.0}"
 
 txt="$(mktemp)"
 trap 'rm -f "$txt"' EXIT
-go test -run '^$' -bench 'BenchmarkInterpret(Small|Loop|Widget)(Tree|Compiled)$' \
+go test -run '^$' -bench 'BenchmarkInterpret(Small|Loop|Widget)Compiled$' \
     -benchtime 300x -timeout 20m . \
     | tee "$txt" >&2
 go run ./cmd/benchjson < "$txt" > "$out"
 echo "bench artifact written to $out" >&2
-
-tree="$(awk '$1 ~ /^BenchmarkInterpretLoopTree/ {print $3}' "$txt")"
-compiled="$(awk '$1 ~ /^BenchmarkInterpretLoopCompiled/ {print $3}' "$txt")"
-if [ -z "$tree" ] || [ -z "$compiled" ]; then
-    echo "bench_interp: missing benchmark results in output" >&2
-    exit 1
-fi
-awk -v t="$tree" -v c="$compiled" -v m="$min_speedup" 'BEGIN {
-    speedup = t / c
-    printf "compiled %.2fms/op vs tree-walk %.2fms/op: %.2fx speedup (gate: >= %.1fx)\n",
-        c / 1e6, t / 1e6, speedup, m
-    exit speedup >= m ? 0 : 1
-}' >&2

@@ -23,6 +23,7 @@ import (
 	"permodyssey/internal/core"
 	"permodyssey/internal/crawler"
 	"permodyssey/internal/html"
+	"permodyssey/internal/memo"
 	"permodyssey/internal/origin"
 	"permodyssey/internal/permissions"
 	"permodyssey/internal/policy"
@@ -461,10 +462,10 @@ func (f *fetchCounter) Fetch(ctx context.Context, rawURL string) (*browser.Respo
 }
 
 // crawlBench crawls the default-scale population once per iteration,
-// with or without the shared fetch/compile caches, and reports how many
-// HTTP fetches and script parses the crawl actually performed. Compare
-// BenchmarkCrawlCached against BenchmarkCrawlUncached: the cache
-// collapses the per-site re-fetching and re-compiling of the
+// with or without the shared fetch and script caches, and reports how
+// many HTTP fetches and script parses the crawl actually performed.
+// Compare BenchmarkCrawlCached against BenchmarkCrawlUncached: the
+// caches collapse the per-site re-fetching and re-compiling of the
 // Zipf-popular shared widget documents and CDN scripts.
 func crawlBench(b *testing.B, cached bool) {
 	cfg := synthweb.DefaultConfig()
@@ -489,8 +490,8 @@ func crawlBench(b *testing.B, cached bool) {
 		var fetcher browser.Fetcher = counter
 		opts := browser.DefaultOptions()
 		if cached {
-			fetcher = browser.NewCachingFetcher(counter)
-			opts.CompileCache = script.NewCompileCache()
+			fetcher = browser.NewCachingFetcher(counter, 0, 0)
+			opts.ScriptCache = memo.New[memo.Key, *browser.Script](0, 0, nil)
 		}
 		c := crawler.New(browser.New(fetcher, opts),
 			crawler.Config{Workers: 24, PerSiteTimeout: 10 * time.Second})
@@ -500,7 +501,7 @@ func crawlBench(b *testing.B, cached bool) {
 		}
 		fetches = counter.n.Load()
 		if cached {
-			cs := opts.CompileCache.Stats()
+			cs := opts.ScriptCache.Stats()
 			parses = int64(cs.Misses)
 			scripts = int64(cs.Hits + cs.Misses + cs.Coalesced)
 		}
@@ -660,22 +661,34 @@ func parseBenchCold(b *testing.B, docs []string) {
 	}
 }
 
-// parseBenchWarm serves every document from a primed ParseCache — the
-// cost of re-encountering a shared widget document mid-crawl.
+// parseBenchWarm serves every document from a primed document memo —
+// the cost of re-encountering a shared widget document mid-crawl.
 func parseBenchWarm(b *testing.B, docs []string) {
-	c := html.NewParseCache(0, 0)
+	c := primedDocMemo(b, docs)
 	var bytes int64
 	for _, d := range docs {
 		bytes += int64(len(d))
-		c.Parse(d).Release()
 	}
 	b.SetBytes(bytes / int64(len(docs)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pd := c.Parse(docs[i%len(docs)])
-		pd.Release()
+		h, _ := html.ParseShared(context.Background(), c, docs[i%len(docs)])
+		h.Release()
 	}
+}
+
+// primedDocMemo returns a document memo already holding every doc.
+func primedDocMemo(b *testing.B, docs []string) *memo.Memo[memo.Key, *html.ParsedDoc] {
+	c := html.NewDocMemo(0, 0)
+	for _, d := range docs {
+		h, err := html.ParseShared(context.Background(), c, d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Release()
+	}
+	return c
 }
 
 func BenchmarkParseHTMLSmallCold(b *testing.B) { parseBenchCold(b, parseCorpus(16, 12, benchSeed)) }
@@ -698,7 +711,7 @@ func zipfSequence(n int) ([]string, []int) {
 }
 
 // BenchmarkParseHTMLZipfCold re-parses every access; ZipfWarm serves
-// repeats from the cache. The bench-parse CI gate holds their ratio
+// repeats from the document memo. The bench-parse CI gate holds their ratio
 // above the floor: if the cache stops delivering, the gate fails.
 func BenchmarkParseHTMLZipfCold(b *testing.B) {
 	docs, seq := zipfSequence(4096)
@@ -712,15 +725,12 @@ func BenchmarkParseHTMLZipfCold(b *testing.B) {
 
 func BenchmarkParseHTMLZipfWarm(b *testing.B) {
 	docs, seq := zipfSequence(4096)
-	c := html.NewParseCache(0, 0)
-	for _, d := range docs {
-		c.Parse(d).Release()
-	}
+	c := primedDocMemo(b, docs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pd := c.Parse(docs[seq[i%len(seq)]])
-		pd.Release()
+		h, _ := html.ParseShared(context.Background(), c, docs[seq[i%len(seq)]])
+		h.Release()
 	}
 }
 

@@ -61,7 +61,7 @@ func (s *stubArchive) Stats() ArchiveStats {
 
 func TestDiskTierReadThrough(t *testing.T) {
 	inner := &countingFetcher{}
-	c := NewCachingFetcher(inner)
+	c := NewCachingFetcher(inner, 0, 0)
 	disk := newStubArchive()
 	disk.entries["https://cdn.test/lib.js"] = &Response{Status: 200, Body: "archived body"}
 	c.Disk = disk
@@ -87,7 +87,7 @@ func TestDiskTierReadThrough(t *testing.T) {
 
 func TestDiskTierWriteThrough(t *testing.T) {
 	inner := &countingFetcher{}
-	c := NewCachingFetcher(inner)
+	c := NewCachingFetcher(inner, 0, 0)
 	disk := newStubArchive()
 	c.Disk = disk
 
@@ -115,7 +115,7 @@ func TestDiskTierWriteThrough(t *testing.T) {
 // offline replay needs every resource.
 func TestDiskTierServesBypassedURLs(t *testing.T) {
 	inner := &countingFetcher{}
-	c := NewCachingFetcher(inner)
+	c := NewCachingFetcher(inner, 0, 0)
 	c.Cacheable = func(string) bool { return false }
 	disk := newStubArchive()
 	c.Disk = disk
@@ -136,7 +136,7 @@ func TestDiskTierServesBypassedURLs(t *testing.T) {
 
 func TestOfflineMissSurfacesError(t *testing.T) {
 	inner := &countingFetcher{}
-	c := NewCachingFetcher(inner)
+	c := NewCachingFetcher(inner, 0, 0)
 	disk := newStubArchive()
 	disk.offline = true
 	c.Disk = disk
@@ -155,7 +155,7 @@ func TestOfflineMissSurfacesError(t *testing.T) {
 
 func TestOfflineFailureReplaySurfaces(t *testing.T) {
 	inner := &countingFetcher{}
-	c := NewCachingFetcher(inner)
+	c := NewCachingFetcher(inner, 0, 0)
 	disk := newStubArchive()
 	disk.offline = true
 	disk.failures["https://slow.test/"] = &ReplayedFailure{Class: "timeout", Msg: "context deadline exceeded"}
@@ -168,39 +168,5 @@ func TestOfflineFailureReplaySurfaces(t *testing.T) {
 	}
 	if inner.calls.Load() != 0 {
 		t.Errorf("failure replay reached the network: %d calls", inner.calls.Load())
-	}
-}
-
-// TestReplacedEntryReleasesInternedBody pins the release bookkeeping
-// of the cache's replace branch: when Add overwrites an entry (the
-// lru.Cache.Add replace path), the old entry's interned body must lose
-// its reference, or identical re-stores would leak bodies forever.
-// This drives the exact sequence Fetch's insert path runs.
-func TestReplacedEntryReleasesInternedBody(t *testing.T) {
-	c := NewCachingFetcher(&countingFetcher{})
-	insert := func(url, body string) {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		stored, sum := c.internLocked(body)
-		old, replaced, _, ev, evicted := c.entries.Add(url, cacheEntry{resp: &Response{Body: stored}, sum: sum})
-		if replaced {
-			c.releaseLocked(old.sum)
-		}
-		if evicted {
-			c.releaseLocked(ev.sum)
-		}
-	}
-	insert("https://x.test/", "first body")
-	insert("https://x.test/", "second body")
-	insert("https://x.test/", "third body")
-
-	c.mu.Lock()
-	bodies, entries := len(c.bodies), c.entries.Len()
-	c.mu.Unlock()
-	if entries != 1 {
-		t.Fatalf("entries = %d, want 1 (same URL replaced)", entries)
-	}
-	if bodies != 1 {
-		t.Errorf("interned bodies = %d, want 1 — replaced entries leaked their bodies", bodies)
 	}
 }

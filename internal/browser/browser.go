@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"permodyssey/internal/html"
+	"permodyssey/internal/memo"
 	"permodyssey/internal/origin"
 	"permodyssey/internal/policy"
 	"permodyssey/internal/script"
@@ -32,22 +33,18 @@ type Options struct {
 	// Interact fires load/click handlers after the no-interaction pass
 	// (the Appendix A.3 manual-testing mode).
 	Interact bool
-	// CompileCache, when non-nil, memoizes script parsing and
-	// compilation across every realm this browser creates, so a shared
-	// third-party script body is compiled once per crawl rather than
-	// once per including frame.
-	CompileCache *script.CompileCache
-	// StaticCache, when non-nil, memoizes the static analyzer's pattern
-	// scan by script content, so identical widget scripts are scanned
-	// once per crawl instead of once per including frame.
-	StaticCache *static.Cache
-	// DocCache, when non-nil, memoizes HTML parsing by document content:
-	// a body fetched for N frames across the crawl is tokenized and
-	// built once, and every frame shares the immutable parsed document
-	// (tree plus the single-walk iframe/script/link extractions). When
-	// nil, each document still parses through the arena-backed
-	// ParseDoc fast path, just without cross-frame sharing.
-	DocCache *html.ParseCache
+	// DocCache, when non-nil, memoizes HTML parsing by document content
+	// (html.NewDocMemo): a body fetched for N frames across the crawl is
+	// tokenized and built once, and every frame shares the immutable
+	// parsed document (tree plus the single-walk iframe/script/link
+	// extractions). When nil, each document still parses through the
+	// arena-backed ParseDoc fast path, just without cross-frame sharing.
+	DocCache *memo.Memo[memo.Key, *html.ParsedDoc]
+	// ScriptCache, when non-nil, memoizes each script body's Script —
+	// compiled program and static findings — across every frame this
+	// browser loads, so a shared third-party script is compiled and
+	// scanned once per crawl rather than once per including frame.
+	ScriptCache *memo.Memo[memo.Key, *Script]
 }
 
 // DefaultOptions mirror the paper's crawler configuration.
@@ -245,18 +242,25 @@ func (b *Browser) declaredPolicy(fr *FrameResult) policy.Policy {
 // child frames. slot is the index of this frame in result.Frames.
 func (b *Browser) processDocument(ctx context.Context, result *PageResult, slot int,
 	fr *FrameResult, doc *policy.Document, body string) {
-	// One parse per document content: the cache shares the immutable
+	// One parse per document content: the memo shares the immutable
 	// parsed document across every frame (and every site) embedding the
 	// same body; without it the arena-backed parse is still single-walk
 	// and recycled on release. The browser only reads the extractions —
 	// the shared tree must never be mutated.
 	var pd *html.ParsedDoc
 	if b.Opts.DocCache != nil {
-		pd = b.Opts.DocCache.Parse(body)
+		h, err := html.ParseShared(ctx, b.Opts.DocCache, body)
+		if err != nil {
+			fr.LoadError = err.Error()
+			result.Frames[slot] = *fr
+			return
+		}
+		defer h.Release()
+		pd = h.Value()
 	} else {
 		pd = html.ParseDoc(body)
+		defer pd.Release()
 	}
-	defer pd.Release()
 	if fr.TopLevel {
 		for _, href := range pd.Links {
 			if resolved := resolveURL(fr.FinalURL, href); resolved != "" {
@@ -265,9 +269,6 @@ func (b *Browser) processDocument(ctx context.Context, result *PageResult, slot 
 		}
 	}
 	realm := webapi.NewRealm(doc, fr.FinalURL)
-	if b.Opts.CompileCache != nil {
-		realm.CompileScript = b.Opts.CompileCache.Compile
-	}
 
 	// Collect and run scripts: dynamic analysis.
 	for _, s := range pd.Scripts {
@@ -285,14 +286,23 @@ func (b *Browser) processDocument(ctx context.Context, result *PageResult, slot 
 			}
 			src = resp.Body
 		}
-		// Static analysis over the same sources (§3.1.1: both approaches
-		// capture inline and external scripts).
-		if b.Opts.StaticCache != nil {
-			fr.StaticFindings = append(fr.StaticFindings, b.Opts.StaticCache.Analyze(src, urlStr)...)
-		} else {
-			fr.StaticFindings = append(fr.StaticFindings, b.static.Analyze(src, urlStr)...)
+		sc, err := b.scriptFor(ctx, src)
+		if err != nil {
+			fr.ScriptErrors = append(fr.ScriptErrors, err.Error())
+			continue
 		}
-		if err := realm.RunScript(src, urlStr); err != nil {
+		// Static analysis over the same sources (§3.1.1: both approaches
+		// capture inline and external scripts), stamped with this
+		// inclusion's URL.
+		n := len(fr.StaticFindings)
+		fr.StaticFindings = append(fr.StaticFindings, sc.Findings...)
+		for i := n; i < len(fr.StaticFindings); i++ {
+			fr.StaticFindings[i].ScriptURL = urlStr
+		}
+		if err = sc.Err; err == nil {
+			err = realm.RunCompiled(sc.Prog, urlStr)
+		}
+		if err != nil {
 			fr.ScriptErrors = append(fr.ScriptErrors, err.Error())
 		}
 	}
@@ -326,6 +336,39 @@ func (b *Browser) processDocument(ctx context.Context, result *PageResult, slot 
 		}
 		b.loadChildFrame(ctx, result, fr, doc, el)
 	}
+}
+
+// Script is everything the browser derives from one script body: the
+// compiled program, or the error that stopped it compiling, and the
+// static findings with ScriptURL left for each including frame to
+// stamp. A Script is immutable and shared by every frame that includes
+// the body.
+type Script struct {
+	Prog     *script.Compiled
+	Err      error
+	Findings []static.Finding
+}
+
+// scriptFor returns the Script for src, from the ScriptCache when one
+// is set. Without a cache it derives the same value for this frame
+// alone, so scripts reach a realm one way either way.
+func (b *Browser) scriptFor(ctx context.Context, src string) (*Script, error) {
+	derive := func() (*Script, int64, error) {
+		sc := &Script{Findings: b.static.Analyze(src, "")}
+		sc.Prog, sc.Err = script.CompileSource(src)
+		return sc, int64(len(src)), nil
+	}
+	if b.Opts.ScriptCache == nil {
+		sc, _, _ := derive()
+		return sc, nil
+	}
+	h, err := b.Opts.ScriptCache.Get(ctx, memo.Sum(src), derive)
+	if err != nil {
+		return nil, err
+	}
+	sc := h.Value()
+	h.Release()
+	return sc, nil
 }
 
 // sandboxAllowsSameOrigin reports whether a sandbox attribute value

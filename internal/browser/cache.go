@@ -2,11 +2,9 @@ package browser
 
 import (
 	"context"
-	"crypto/sha256"
-	"sync"
 	"sync/atomic"
 
-	"permodyssey/internal/lru"
+	"permodyssey/internal/memo"
 )
 
 // CacheStats is a point-in-time snapshot of CachingFetcher counters.
@@ -32,19 +30,9 @@ type CacheStats struct {
 	// charged for.
 	Evictions    uint64 `json:"evictions"`
 	BytesEvicted uint64 `json:"bytes_evicted"`
-	// CachedBytes is the body bytes currently charged to live entries.
-	// Each entry is charged its full body length even when interning
-	// shares the backing storage, so this is an upper bound on body
-	// memory (DedupedBytes tracks the sharing).
+	// CachedBytes is the summed body length of the Entries cached URLs.
 	CachedBytes uint64 `json:"cached_bytes"`
-	// Entries is the number of cached URLs; UniqueBodies the number of
-	// distinct response bodies behind them (content addressing shares
-	// identical bodies served under different URLs).
-	Entries      uint64 `json:"entries"`
-	UniqueBodies uint64 `json:"unique_bodies"`
-	// DedupedBytes is memory saved by body interning: bytes of cached
-	// bodies that alias an already-stored identical body.
-	DedupedBytes uint64 `json:"deduped_bytes"`
+	Entries     uint64 `json:"entries"`
 	// NetworkFetches counts calls that reached the inner fetcher — the
 	// crawl's true network cost after both cache tiers. Offline replay
 	// must leave it at zero.
@@ -54,29 +42,8 @@ type CacheStats struct {
 	Disk ArchiveStats `json:"disk"`
 }
 
-// inflightFetch is one in-progress fetch other callers can wait on.
-type inflightFetch struct {
-	done chan struct{}
-	resp *Response
-	err  error
-}
-
-// cacheEntry pairs a cached response with its body's content hash so
-// eviction can release the interned body.
-type cacheEntry struct {
-	resp *Response
-	sum  [sha256.Size]byte
-}
-
-// internedBody is one content-addressed body with its reference count
-// across cache entries.
-type internedBody struct {
-	body string
-	refs int
-}
-
 // CachingFetcher wraps a Fetcher with a concurrency-safe, URL-keyed
-// response cache. The crawl's hot path re-fetches the same Zipf-popular
+// response memo. The crawl's hot path re-fetches the same Zipf-popular
 // third-party widget documents and CDN scripts for thousands of sites;
 // caching them collapses that to one fetch each. Keys are full URLs, so
 // per-site documents would be cached per site anyway — but since each
@@ -84,20 +51,11 @@ type internedBody struct {
 // bypass the cache for them entirely and keep memory bounded by the
 // shared-resource population.
 //
-// Concurrent fetches of the same URL are de-duplicated: one caller
-// performs the fetch, the rest wait and share the result. Failures are
-// never cached and never shared — a waiter whose leader failed (for
-// example to the leader's own per-site deadline) re-fetches under its
-// own context. Bodies are interned by content hash, so identical bodies
-// served under different URLs are stored once.
-//
-// The cache is bounded two ways, both LRU-evicted (each 0 = off): a
-// max entry count and a max total of body bytes, so that neither many
-// small entries nor a few huge bodies can grow it without limit on a
-// multi-million-site crawl. Each entry is charged its full body length
-// even when interning shares the storage — a conservative bound.
-// Evicting the last entry referencing an interned body releases the
-// body too.
+// The memo supplies the caching rules: concurrent fetches of one URL
+// share a single fetch; failures are never cached and never shared, so
+// a waiter whose leader failed (for example to the leader's own
+// per-site deadline) re-fetches under its own context; entries are
+// evicted least-recently-used by count and by body bytes.
 //
 // Cached *Response values are shared between callers and must be
 // treated as read-only, like MapFetcher entries.
@@ -117,41 +75,15 @@ type CachingFetcher struct {
 	// fetcher is never called.
 	Disk ResponseArchive
 
-	mu       sync.Mutex
-	entries  *lru.Cache[string, cacheEntry]
-	bodies   map[[sha256.Size]byte]*internedBody
-	inflight map[string]*inflightFetch
-
-	hits, misses, coalesced, bypassed, errors atomic.Uint64
-	evictions                                 atomic.Uint64
-	bytesEvicted                              atomic.Uint64
-	dedupedBytes                              atomic.Uint64
-	networkFetches                            atomic.Uint64
+	responses                        *memo.Memo[string, *Response]
+	bypassed, errors, networkFetches atomic.Uint64
 }
 
-// NewCachingFetcher wraps inner with an empty, unbounded cache; use
-// NewBoundedCachingFetcher to cap it.
-func NewCachingFetcher(inner Fetcher) *CachingFetcher {
-	return NewBoundedCachingFetcher(inner, 0)
-}
-
-// NewBoundedCachingFetcher wraps inner with a cache holding at most
-// maxEntries URLs (<= 0 = unbounded), evicted least-recently-used.
-func NewBoundedCachingFetcher(inner Fetcher, maxEntries int) *CachingFetcher {
-	return NewByteBoundedCachingFetcher(inner, maxEntries, 0)
-}
-
-// NewByteBoundedCachingFetcher wraps inner with a cache bounded both by
-// entry count and by total cached body bytes (each <= 0 = that bound
-// off), evicted least-recently-used. A single body larger than maxBytes
-// is served but never retained.
-func NewByteBoundedCachingFetcher(inner Fetcher, maxEntries int, maxBytes int64) *CachingFetcher {
-	return &CachingFetcher{
-		Inner:    inner,
-		entries:  lru.NewWithBytes[string, cacheEntry](maxEntries, maxBytes),
-		bodies:   map[[sha256.Size]byte]*internedBody{},
-		inflight: map[string]*inflightFetch{},
-	}
+// NewCachingFetcher wraps inner with a cache holding at most maxEntries
+// URLs and maxBytes of summed body bytes (each <= 0 = unbounded). A
+// single body larger than maxBytes is served but never retained.
+func NewCachingFetcher(inner Fetcher, maxEntries int, maxBytes int64) *CachingFetcher {
+	return &CachingFetcher{Inner: inner, responses: memo.New[string, *Response](maxEntries, maxBytes, nil)}
 }
 
 // Fetch implements Fetcher.
@@ -160,61 +92,20 @@ func (c *CachingFetcher) Fetch(ctx context.Context, rawURL string) (*Response, e
 		c.bypassed.Add(1)
 		return c.fetchThrough(ctx, rawURL)
 	}
-	for {
-		c.mu.Lock()
-		if e, ok := c.entries.Get(rawURL); ok {
-			c.mu.Unlock()
-			c.hits.Add(1)
-			return e.resp, nil
-		}
-		if fl, ok := c.inflight[rawURL]; ok {
-			c.mu.Unlock()
-			select {
-			case <-fl.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if fl.err == nil {
-				c.coalesced.Add(1)
-				return fl.resp, nil
-			}
-			// The leader failed — possibly to its own caller's deadline,
-			// which says nothing about ours. Loop and try again (the entry
-			// may have appeared meanwhile, or we become the new leader).
-			continue
-		}
-		fl := &inflightFetch{done: make(chan struct{})}
-		c.inflight[rawURL] = fl
-		c.mu.Unlock()
-
-		c.misses.Add(1)
+	h, err := c.responses.Get(ctx, rawURL, func() (*Response, int64, error) {
 		resp, err := c.fetchThrough(ctx, rawURL)
-
-		c.mu.Lock()
-		delete(c.inflight, rawURL)
-		if err == nil {
-			var sum [sha256.Size]byte
-			resp.Body, sum = c.internLocked(resp.Body)
-			old, replaced, evs := c.entries.AddWithSize(rawURL, cacheEntry{resp: resp, sum: sum}, int64(len(resp.Body)))
-			if replaced {
-				// The overwritten entry's interned body loses a reference
-				// or it would never be released.
-				c.releaseLocked(old.sum)
-			}
-			for _, ev := range evs {
-				c.releaseLocked(ev.Value.sum)
-				c.evictions.Add(1)
-				c.bytesEvicted.Add(uint64(ev.Size))
-			}
-		}
-		c.mu.Unlock()
 		if err != nil {
 			c.errors.Add(1)
+			return nil, 0, err
 		}
-		fl.resp, fl.err = resp, err
-		close(fl.done)
-		return resp, err
+		return resp, int64(len(resp.Body)), nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	resp := h.Value()
+	h.Release()
+	return resp, nil
 }
 
 // fetchThrough consults the persistent archive tier, then the network.
@@ -243,47 +134,19 @@ func (c *CachingFetcher) fetchThrough(ctx context.Context, rawURL string) (*Resp
 	return resp, err
 }
 
-// internLocked returns the canonical stored copy of body and its hash,
-// deduplicating identical bodies by content. Callers hold c.mu.
-func (c *CachingFetcher) internLocked(body string) (string, [sha256.Size]byte) {
-	sum := sha256.Sum256([]byte(body))
-	if stored, ok := c.bodies[sum]; ok {
-		c.dedupedBytes.Add(uint64(len(body)))
-		stored.refs++
-		return stored.body, sum
-	}
-	c.bodies[sum] = &internedBody{body: body, refs: 1}
-	return body, sum
-}
-
-// releaseLocked drops one reference to an interned body, deleting it
-// with the last referencing cache entry. Callers hold c.mu.
-func (c *CachingFetcher) releaseLocked(sum [sha256.Size]byte) {
-	if stored, ok := c.bodies[sum]; ok {
-		if stored.refs--; stored.refs <= 0 {
-			delete(c.bodies, sum)
-		}
-	}
-}
-
 // Stats snapshots the cache counters.
 func (c *CachingFetcher) Stats() CacheStats {
-	c.mu.Lock()
-	entries, unique := uint64(c.entries.Len()), uint64(len(c.bodies))
-	cachedBytes := uint64(c.entries.Bytes())
-	c.mu.Unlock()
+	m := c.responses.Stats()
 	s := CacheStats{
-		Hits:           c.hits.Load(),
-		Misses:         c.misses.Load(),
-		Coalesced:      c.coalesced.Load(),
+		Hits:           m.Hits,
+		Misses:         m.Misses,
+		Coalesced:      m.Coalesced,
 		Bypassed:       c.bypassed.Load(),
 		Errors:         c.errors.Load(),
-		Evictions:      c.evictions.Load(),
-		BytesEvicted:   c.bytesEvicted.Load(),
-		CachedBytes:    cachedBytes,
-		Entries:        entries,
-		UniqueBodies:   unique,
-		DedupedBytes:   c.dedupedBytes.Load(),
+		Evictions:      m.Evictions,
+		BytesEvicted:   m.BytesEvicted,
+		CachedBytes:    m.CachedBytes,
+		Entries:        m.Entries,
 		NetworkFetches: c.networkFetches.Load(),
 	}
 	if c.Disk != nil {

@@ -3,7 +3,6 @@ package browser
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,7 +44,7 @@ func (f *countingFetcher) Fetch(ctx context.Context, rawURL string) (*Response, 
 
 func TestCachingFetcherHitMiss(t *testing.T) {
 	inner := &countingFetcher{}
-	c := NewCachingFetcher(inner)
+	c := NewCachingFetcher(inner, 0, 0)
 	ctx := context.Background()
 
 	for i := 0; i < 5; i++ {
@@ -68,7 +67,7 @@ func TestCachingFetcherHitMiss(t *testing.T) {
 
 func TestCachingFetcherBypassPolicy(t *testing.T) {
 	inner := &countingFetcher{}
-	c := NewCachingFetcher(inner)
+	c := NewCachingFetcher(inner, 0, 0)
 	c.Cacheable = func(rawURL string) bool { return !strings.Contains(rawURL, "site") }
 	ctx := context.Background()
 
@@ -88,7 +87,7 @@ func TestCachingFetcherBypassPolicy(t *testing.T) {
 
 func TestCachingFetcherErrorsNotCached(t *testing.T) {
 	inner := &countingFetcher{failures: map[string]int{"https://flaky.example/": 2}}
-	c := NewCachingFetcher(inner)
+	c := NewCachingFetcher(inner, 0, 0)
 	ctx := context.Background()
 
 	for i := 0; i < 2; i++ {
@@ -118,7 +117,7 @@ func TestCachingFetcherErrorsNotCached(t *testing.T) {
 // Run under -race this also proves the cache is concurrency-safe.
 func TestCachingFetcherSingleflight(t *testing.T) {
 	inner := &countingFetcher{delay: 30 * time.Millisecond}
-	c := NewCachingFetcher(inner)
+	c := NewCachingFetcher(inner, 0, 0)
 	const goroutines = 32
 
 	var wg sync.WaitGroup
@@ -157,7 +156,7 @@ func TestCachingFetcherSingleflight(t *testing.T) {
 func TestCachingFetcherLeaderFailureNotShared(t *testing.T) {
 	inner := &countingFetcher{delay: 20 * time.Millisecond,
 		failures: map[string]int{"https://once.example/": 1}}
-	c := NewCachingFetcher(inner)
+	c := NewCachingFetcher(inner, 0, 0)
 
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
@@ -186,31 +185,38 @@ func TestCachingFetcherLeaderFailureNotShared(t *testing.T) {
 	}
 }
 
-// TestCachingFetcherContentAddressing: identical bodies under distinct
-// URLs are stored once.
-func TestCachingFetcherContentAddressing(t *testing.T) {
-	same := &Response{Status: 200, Body: "<html><body>in-house frame</body></html>"}
-	m := MapFetcher{}
-	for i := 0; i < 10; i++ {
-		m[fmt.Sprintf("https://www.site%06d.com/frame", i)] = &Response{
-			Status: 200, Body: same.Body,
-		}
+// panicOnceFetcher panics on its first Fetch and serves afterwards.
+type panicOnceFetcher struct{ calls atomic.Int32 }
+
+func (f *panicOnceFetcher) Fetch(_ context.Context, rawURL string) (*Response, error) {
+	if f.calls.Add(1) == 1 {
+		panic("inner fetcher exploded")
 	}
-	c := NewCachingFetcher(m)
-	ctx := context.Background()
-	for u := range m {
-		if _, err := c.Fetch(ctx, u); err != nil {
-			t.Fatal(err)
-		}
+	return &Response{Status: 200, Body: "body of " + rawURL, FinalURL: rawURL}, nil
+}
+
+// TestCachingFetcherPanicDoesNotWedge: an inner fetcher that panics
+// must not leave its URL in flight. The panic reaches the caller (the
+// crawler recovers it per visit), and the next Fetch of the URL fetches
+// afresh instead of waiting out its whole deadline.
+func TestCachingFetcherPanicDoesNotWedge(t *testing.T) {
+	c := NewCachingFetcher(&panicOnceFetcher{}, 0, 0)
+	const u = "https://widget.example/w.js"
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the inner fetcher's panic did not reach the caller")
+			}
+		}()
+		c.Fetch(context.Background(), u)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	resp, err := c.Fetch(ctx, u)
+	if err != nil {
+		t.Fatalf("fetch after a panicking fetch: %v", err)
 	}
-	s := c.Stats()
-	if s.Entries != 10 {
-		t.Errorf("entries = %d, want 10", s.Entries)
-	}
-	if s.UniqueBodies != 1 {
-		t.Errorf("unique bodies = %d, want 1 (content-addressed)", s.UniqueBodies)
-	}
-	if want := uint64(9 * len(same.Body)); s.DedupedBytes != want {
-		t.Errorf("deduped bytes = %d, want %d", s.DedupedBytes, want)
+	if resp.Body != "body of "+u {
+		t.Errorf("body = %q", resp.Body)
 	}
 }

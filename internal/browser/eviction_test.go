@@ -2,7 +2,6 @@ package browser
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -11,7 +10,7 @@ import (
 // URLs, evicts least-recently-used, and re-fetches evicted URLs.
 func TestCachingFetcherEviction(t *testing.T) {
 	inner := &countingFetcher{}
-	c := NewBoundedCachingFetcher(inner, 2)
+	c := NewCachingFetcher(inner, 2, 0)
 	ctx := context.Background()
 
 	for _, u := range []string{"https://a.test/", "https://b.test/", "https://c.test/"} {
@@ -41,63 +40,6 @@ func TestCachingFetcherEviction(t *testing.T) {
 	}
 }
 
-// TestCachingFetcherEvictionReleasesBodies: evicting the last URL
-// referencing an interned body frees the body; shared bodies survive
-// until their last referencing entry goes.
-func TestCachingFetcherEvictionReleasesBodies(t *testing.T) {
-	inner := &countingFetcher{} // body is "body of <url>": unique per URL
-	c := NewBoundedCachingFetcher(inner, 3)
-	ctx := context.Background()
-
-	for i := 0; i < 10; i++ {
-		if _, err := c.Fetch(ctx, fmt.Sprintf("https://u%d.test/", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := c.Stats()
-	if s.Entries != 3 {
-		t.Fatalf("entries = %d, want 3", s.Entries)
-	}
-	if s.UniqueBodies != 3 {
-		t.Fatalf("unique bodies = %d, want 3 (evicted bodies must be released)", s.UniqueBodies)
-	}
-	if s.Evictions != 7 {
-		t.Fatalf("evictions = %d, want 7", s.Evictions)
-	}
-}
-
-// sameBodyFetcher serves the identical body for every URL, so every
-// cache entry aliases one interned body.
-type sameBodyFetcher struct{}
-
-func (sameBodyFetcher) Fetch(_ context.Context, rawURL string) (*Response, error) {
-	return &Response{Status: 200, Body: "shared body", FinalURL: rawURL}, nil
-}
-
-// TestCachingFetcherSharedBodySurvivesPartialEviction: an interned body
-// referenced by several entries is only freed when the last of them is
-// evicted.
-func TestCachingFetcherSharedBodySurvivesPartialEviction(t *testing.T) {
-	c := NewBoundedCachingFetcher(sameBodyFetcher{}, 2)
-	ctx := context.Background()
-
-	for _, u := range []string{"https://a.test/", "https://b.test/", "https://c.test/"} {
-		if _, err := c.Fetch(ctx, u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One eviction happened, but b and c still reference the body.
-	s := c.Stats()
-	if s.Evictions != 1 || s.UniqueBodies != 1 {
-		t.Fatalf("want 1 eviction with the shared body retained, got %+v", s)
-	}
-	// A cached entry still serves the body.
-	resp, err := c.Fetch(ctx, "https://c.test/")
-	if err != nil || resp.Body != "shared body" {
-		t.Fatalf("cached shared body lost: %q, %v", resp.Body, err)
-	}
-}
-
 // sizedBodyFetcher serves a body of per-URL configured length.
 type sizedBodyFetcher struct{ sizes map[string]int }
 
@@ -107,14 +49,14 @@ func (f sizedBodyFetcher) Fetch(_ context.Context, rawURL string) (*Response, er
 
 // TestCachingFetcherByteBudget: the byte bound evicts enough entries to
 // stay under budget even when the entry count is far below its own cap,
-// releases the evicted interned bodies, and accounts the bytes.
+// and accounts the bytes.
 func TestCachingFetcherByteBudget(t *testing.T) {
 	inner := sizedBodyFetcher{sizes: map[string]int{
 		"https://a.test/": 400,
 		"https://b.test/": 400,
 		"https://c.test/": 700,
 	}}
-	c := NewByteBoundedCachingFetcher(inner, 100, 1000)
+	c := NewCachingFetcher(inner, 100, 1000)
 	ctx := context.Background()
 
 	for _, u := range []string{"https://a.test/", "https://b.test/", "https://c.test/"} {
@@ -127,20 +69,19 @@ func TestCachingFetcherByteBudget(t *testing.T) {
 	if s.Evictions != 2 || s.BytesEvicted != 800 {
 		t.Fatalf("want 2 evictions / 800 bytes evicted, got %+v", s)
 	}
-	if s.Entries != 1 || s.CachedBytes != 700 || s.UniqueBodies != 1 {
-		t.Fatalf("want only c cached (700 B, 1 body), got %+v", s)
+	if s.Entries != 1 || s.CachedBytes != 700 {
+		t.Fatalf("want only c cached (700 B), got %+v", s)
 	}
 }
 
 // TestCachingFetcherOversizedBodyNeverCached: a body alone bigger than
-// the whole byte budget is served to the caller but not retained, and
-// its interned body is released immediately.
+// the whole byte budget is served to the caller but not retained.
 func TestCachingFetcherOversizedBodyNeverCached(t *testing.T) {
 	inner := sizedBodyFetcher{sizes: map[string]int{
 		"https://small.test/": 100,
 		"https://huge.test/":  5000,
 	}}
-	c := NewByteBoundedCachingFetcher(inner, 0, 1000)
+	c := NewCachingFetcher(inner, 0, 1000)
 	ctx := context.Background()
 
 	if _, err := c.Fetch(ctx, "https://small.test/"); err != nil {
@@ -151,7 +92,7 @@ func TestCachingFetcherOversizedBodyNeverCached(t *testing.T) {
 		t.Fatalf("oversized body not served intact: %d bytes, %v", len(resp.Body), err)
 	}
 	s := c.Stats()
-	if s.Entries != 0 || s.CachedBytes != 0 || s.UniqueBodies != 0 {
+	if s.Entries != 0 || s.CachedBytes != 0 {
 		t.Fatalf("oversized body (or its victims) retained: %+v", s)
 	}
 	if s.Evictions != 2 || s.BytesEvicted != 5100 {

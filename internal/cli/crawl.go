@@ -36,9 +36,9 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	backoff := fs.Duration("retry-backoff", 100*time.Millisecond, "base delay before the first retry (doubles per attempt)")
 	hostConc := fs.Int("host-concurrency", crawler.DefaultHostConcurrency, "cap concurrently in-flight visits per host (negative = unlimited)")
 	deferBreaker := fs.Bool("defer-breaker-open", true, "defer visits to breaker-open hosts until the half-open probe time instead of recording breaker-open failures")
-	noCache := fs.Bool("no-cache", false, "disable every shared cache: fetch, compiled-script, parsed-document (DOM) and static-findings")
-	cacheEntries := fs.Int("cache-entries", 0, "cap each shared cache at N entries, evicted LRU (0 = unbounded)")
-	cacheBytes := fs.Int64("cache-bytes", 0, "cap the fetch cache's total cached body bytes, evicted LRU (0 = unbounded)")
+	noCache := fs.Bool("no-cache", false, "disable the three shared caches: fetch responses, parsed documents (DOM) and script artifacts (compiled program plus static findings)")
+	cacheEntries := fs.Int("cache-entries", 0, "cap each of the fetch, DOM and script caches at N entries, evicted LRU (0 = unbounded)")
+	cacheBytes := fs.Int64("cache-bytes", 0, "cap, each on its own, the fetch cache's cached body bytes and the DOM cache's retained memory (source plus arena slabs), evicted LRU (0 = unbounded)")
 	resume := fs.Bool("resume", false, "load an existing -out dataset, skip its completed ranks, and append the rest")
 	chaos := fs.Bool("chaos", false, "inject deterministic faults into the synthetic web (resets, slow-loris, malformed headers, redirect loops, flapping hosts, oversized bodies)")
 	chaosSeed := fs.Int64("chaos-seed", 0, "fault-assignment seed (0 = population seed)")

@@ -11,9 +11,7 @@ import (
 
 	"permodyssey/internal/analysis"
 	"permodyssey/internal/browser"
-	"permodyssey/internal/html"
-	"permodyssey/internal/script"
-	"permodyssey/internal/static"
+	"permodyssey/internal/memo"
 	"permodyssey/internal/synthweb"
 )
 
@@ -88,15 +86,15 @@ func TestCrawlCompileEquivalence(t *testing.T) {
 
 	// The crawl must actually have compiled — and shared: every site
 	// embeds common widget scripts, so hits must appear.
-	if stats.Compile.Misses == 0 || stats.Compile.Hits == 0 {
-		t.Errorf("crawl did not compile and share scripts: %+v", stats.Compile)
+	if stats.Script.Misses == 0 || stats.Script.Hits == 0 {
+		t.Errorf("crawl did not compile and share scripts: %+v", stats.Script)
 	}
 }
 
 // TestCrawlDOMCacheEquivalence proves the shared caches — fetch,
-// compiled script, parsed document, static findings — are
-// observationally transparent through the full measurement stack,
-// under a chaos-seeded population: a crawl with every cache on and one
+// parsed document, script artifacts — are observationally transparent
+// through the full measurement stack, under a chaos-seeded population:
+// a crawl with every cache on and one
 // with DisableCache produce identical records (after wall-clock
 // normalization) and identical analysis reports. Shared documents
 // (widget frames, duplicated templates) exercise real cross-site DOM
@@ -120,11 +118,10 @@ func TestCrawlDOMCacheEquivalence(t *testing.T) {
 	if cachedStats.DOM.Misses == 0 || cachedStats.DOM.Hits == 0 {
 		t.Errorf("cached run did not parse and share documents: %+v", cachedStats.DOM)
 	}
-	if cachedStats.Static.Hits == 0 {
-		t.Errorf("cached run never shared a static scan: %+v", cachedStats.Static)
+	if cachedStats.Script.Hits == 0 {
+		t.Errorf("cached run never shared a script: %+v", cachedStats.Script)
 	}
-	if plainStats.Fetch != (browser.CacheStats{}) || plainStats.Compile != (script.CompileStats{}) ||
-		plainStats.DOM != (html.ParseStats{}) || plainStats.Static != (static.CacheStats{}) {
+	if plainStats.Fetch != (browser.CacheStats{}) || plainStats.DOM != (memo.Stats{}) || plainStats.Script != (memo.Stats{}) {
 		t.Errorf("DisableCache run still touched a cache: %+v", plainStats)
 	}
 }

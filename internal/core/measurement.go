@@ -19,8 +19,7 @@ import (
 	"permodyssey/internal/crawler"
 	"permodyssey/internal/diskcache"
 	"permodyssey/internal/html"
-	"permodyssey/internal/script"
-	"permodyssey/internal/static"
+	"permodyssey/internal/memo"
 	"permodyssey/internal/store"
 	"permodyssey/internal/synthweb"
 )
@@ -36,24 +35,23 @@ type MeasurementOptions struct {
 	// StallTime is how long timeout-class sites hang (must exceed the
 	// crawl deadline to be classified as timeouts).
 	StallTime time.Duration
-	// DisableCache turns off every shared cache: fetch, compiled-script,
-	// parsed-document (DOM) and static-findings. They are on by default:
-	// per-site documents bypass the fetch cache (each site is visited
-	// once), while cross-origin widget documents and CDN scripts —
-	// fetched for thousands of sites — are served from it, each distinct
-	// script body is compiled once per crawl, each distinct document is
-	// parsed once per crawl, and each script's pattern scan runs once per
-	// crawl. Caching is observationally transparent
+	// DisableCache turns off the three shared caches: fetch responses,
+	// parsed documents (DOM) and script artifacts. They are on by
+	// default: per-site documents bypass the fetch cache (each site is
+	// visited once), while cross-origin widget documents and CDN scripts
+	// — fetched for thousands of sites — are served from it, each
+	// distinct document is parsed once per crawl, and each distinct
+	// script body is compiled and pattern-scanned once per crawl.
+	// Caching is observationally transparent
 	// (TestCrawlDOMCacheEquivalence).
 	DisableCache bool
-	// CacheEntries caps each cache (fetch responses, compiled programs,
-	// parsed documents, static findings) at this many entries, evicted
-	// LRU. 0 = unbounded.
+	// CacheEntries caps each of the three caches at this many entries,
+	// evicted LRU. 0 = unbounded.
 	CacheEntries int
-	// CacheBytes caps the fetch cache's total cached body bytes and,
-	// independently, the DOM cache's retained memory — each document's
-	// source plus the arena slabs its tree pins — each evicted LRU
-	// alongside the entry cap; a single body larger than the budget is
+	// CacheBytes caps, independently, the fetch cache's cached body
+	// bytes and the DOM cache's retained memory — each document's source
+	// plus the arena slabs its tree pins — each evicted LRU alongside
+	// the entry cap; a single body or document larger than the budget is
 	// served but never retained. 0 = unbounded.
 	CacheBytes int64
 	// Breaker enables the per-host circuit breaker between the fetch
@@ -94,7 +92,7 @@ type MeasurementOptions struct {
 }
 
 // CrawlStats aggregates the observability counters of one run: what the
-// fetch, compile, DOM and static caches saved, and what the crawler
+// fetch, DOM and script caches saved, and what the crawler
 // retried or resumed. Shard/Shards tag the counters with the rank
 // partition that produced them (0/0 outside fleet mode), so the
 // per-shard -stats-json files of a fleet crawl are self-describing.
@@ -102,9 +100,8 @@ type CrawlStats struct {
 	Shard   int `json:"shard"`
 	Shards  int `json:"shards"`
 	Fetch   browser.CacheStats
-	Compile script.CompileStats
-	DOM     html.ParseStats
-	Static  static.CacheStats
+	DOM     memo.Stats
+	Script  memo.Stats
 	Crawl   crawler.Stats
 	Breaker crawler.BreakerStats
 }
@@ -177,12 +174,11 @@ type crawlStack struct {
 
 	shard, shards int
 
-	cache        *browser.CachingFetcher
-	breaker      *crawler.BreakerFetcher
-	compileCache *script.CompileCache
-	domCache     *html.ParseCache
-	staticCache  *static.Cache
-	archive      *diskcache.Archive
+	cache   *browser.CachingFetcher
+	breaker *crawler.BreakerFetcher
+	docs    *memo.Memo[memo.Key, *html.ParsedDoc]
+	scripts *memo.Memo[memo.Key, *browser.Script]
+	archive *diskcache.Archive
 }
 
 // archiveClass adapts crawler.Classify into the diskcache failure
@@ -239,7 +235,7 @@ func newCrawlStack(srv *synthweb.Server, opts MeasurementOptions) (*crawlStack, 
 	// what the cache is for, whichever shard fetches them.
 	st.targets = crawler.PartitionTargets(st.targets, opts.Shard, opts.Shards)
 	if !opts.DisableCache {
-		st.cache = browser.NewByteBoundedCachingFetcher(fetcher, opts.CacheEntries, opts.CacheBytes)
+		st.cache = browser.NewCachingFetcher(fetcher, opts.CacheEntries, opts.CacheBytes)
 		// Per-site documents (landing and internal pages) are fetched
 		// once each — bypass them so cache memory stays bounded by the
 		// shared widget/CDN population.
@@ -272,15 +268,11 @@ func newCrawlStack(srv *synthweb.Server, opts MeasurementOptions) (*crawlStack, 
 			st.cache.Disk = ar
 		}
 		fetcher = st.cache
-		st.compileCache = script.NewBoundedCompileCache(opts.CacheEntries)
-		st.staticCache = static.NewCache(nil, opts.CacheEntries)
-		opts.BrowserOpts.CompileCache = st.compileCache
-		opts.BrowserOpts.StaticCache = st.staticCache
-		// The DOM cache mirrors the compile cache on the HTML side: one
-		// immutable parsed document per distinct body, shared by every
-		// frame that embeds it.
-		st.domCache = html.NewParseCache(opts.CacheEntries, opts.CacheBytes)
-		opts.BrowserOpts.DocCache = st.domCache
+		// One immutable parsed document and one compiled, scanned script
+		// per distinct body, shared by every frame that embeds it.
+		st.docs = html.NewDocMemo(opts.CacheEntries, opts.CacheBytes)
+		st.scripts = memo.New[memo.Key, *browser.Script](opts.CacheEntries, 0, nil)
+		opts.BrowserOpts.DocCache, opts.BrowserOpts.ScriptCache = st.docs, st.scripts
 	}
 	b := browser.New(fetcher, opts.BrowserOpts)
 	st.crawler = crawler.New(b, opts.Crawl)
@@ -300,9 +292,8 @@ func (st *crawlStack) stats() CrawlStats {
 	s := CrawlStats{Shard: st.shard, Shards: st.shards, Crawl: st.crawler.Stats()}
 	if st.cache != nil {
 		s.Fetch = st.cache.Stats()
-		s.Compile = st.compileCache.Stats()
-		s.DOM = st.domCache.Stats()
-		s.Static = st.staticCache.Stats()
+		s.DOM = st.docs.Stats()
+		s.Script = st.scripts.Stats()
 	}
 	if st.breaker != nil {
 		s.Breaker = st.breaker.Breaker.Stats()
@@ -312,24 +303,16 @@ func (st *crawlStack) stats() CrawlStats {
 
 // Summary renders the counters as one log-friendly line.
 func (s CrawlStats) Summary() string {
+	f := s.Fetch
 	line := fmt.Sprintf(
-		"visited %d (resumed %d, retries %d, partial %d, panics %d); sched: %d requeued, %d deferred (%d breaker), max ready %d, max host in-flight %d; fetch cache: %d hits, %d misses, %d coalesced, %d bypassed, %d errors, %d evictions (%s), %d entries (%s, %d unique bodies, %s deduped); static cache: %d hits, %d misses, %d evictions",
+		"visited %d (resumed %d, retries %d, partial %d, panics %d); sched: %d requeued, %d deferred (%d breaker), max ready %d, max host in-flight %d",
 		s.Crawl.Visited, s.Crawl.Resumed, s.Crawl.Retries, s.Crawl.Partial, s.Crawl.Panics,
 		s.Crawl.Requeued, s.Crawl.Deferred, s.Crawl.BreakerDeferred,
-		s.Crawl.MaxReadyDepth, s.Crawl.MaxHostInFlight,
-		s.Fetch.Hits, s.Fetch.Misses, s.Fetch.Coalesced, s.Fetch.Bypassed,
-		s.Fetch.Errors, s.Fetch.Evictions, byteSize(s.Fetch.BytesEvicted),
-		s.Fetch.Entries, byteSize(s.Fetch.CachedBytes), s.Fetch.UniqueBodies, byteSize(s.Fetch.DedupedBytes),
-		s.Static.Hits, s.Static.Misses, s.Static.Evictions)
-	if s.Compile != (script.CompileStats{}) {
-		line += fmt.Sprintf("; compile cache: %d hits, %d misses, %d coalesced, %d evictions, %d entries",
-			s.Compile.Hits, s.Compile.Misses, s.Compile.Coalesced, s.Compile.Evictions, s.Compile.Entries)
-	}
-	if s.DOM != (html.ParseStats{}) {
-		line += fmt.Sprintf("; dom cache: %d hits, %d misses, %d coalesced, %d evictions, %d entries (%s)",
-			s.DOM.Hits, s.DOM.Misses, s.DOM.Coalesced, s.DOM.Evictions, s.DOM.Entries,
-			byteSize(s.DOM.CachedBytes))
-	}
+		s.Crawl.MaxReadyDepth, s.Crawl.MaxHostInFlight)
+	line += memoSummary("fetch", memo.Stats{Hits: f.Hits, Misses: f.Misses, Coalesced: f.Coalesced,
+		Evictions: f.Evictions, BytesEvicted: f.BytesEvicted, Entries: f.Entries, CachedBytes: f.CachedBytes})
+	line += fmt.Sprintf(", %d bypassed, %d errors", f.Bypassed, f.Errors)
+	line += memoSummary("dom", s.DOM) + memoSummary("script", s.Script)
 	if s.Breaker != (crawler.BreakerStats{}) {
 		line += fmt.Sprintf("; breaker: %d trips, %d half-open probes, %d closes, %d reopens, %d short-circuits, %d open hosts",
 			s.Breaker.Trips, s.Breaker.HalfOpenProbes, s.Breaker.Closes, s.Breaker.Reopens,
@@ -342,6 +325,12 @@ func (s CrawlStats) Summary() string {
 			s.Fetch.NetworkFetches)
 	}
 	return line
+}
+
+// memoSummary renders one cache's counters for the summary line.
+func memoSummary(name string, m memo.Stats) string {
+	return fmt.Sprintf("; %s cache: %d hits, %d misses, %d coalesced, %d evictions (%s), %d entries (%s)",
+		name, m.Hits, m.Misses, m.Coalesced, m.Evictions, byteSize(m.BytesEvicted), m.Entries, byteSize(m.CachedBytes))
 }
 
 // byteSize renders n bytes human-readably.

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"permodyssey/internal/browser"
-	"permodyssey/internal/script"
+	"permodyssey/internal/memo"
 	"permodyssey/internal/store"
 	"permodyssey/internal/synthweb"
 )
@@ -145,8 +145,8 @@ func TestCrawlDeterminism(t *testing.T) {
 		var fetcher browser.Fetcher = browser.NewHTTPFetcher(srv.Client(0))
 		opts := browser.DefaultOptions()
 		if cached {
-			fetcher = browser.NewCachingFetcher(fetcher)
-			opts.CompileCache = script.NewCompileCache()
+			fetcher = browser.NewCachingFetcher(fetcher, 0, 0)
+			opts.ScriptCache = memo.New[memo.Key, *browser.Script](0, 0, nil)
 		}
 		b := browser.New(fetcher, opts)
 		c := New(b, Config{Workers: 8, PerSiteTimeout: 5 * time.Second})
@@ -190,7 +190,7 @@ func TestCrawlCompileEquivalence(t *testing.T) {
 	}
 	defer srv.Close()
 	opts := browser.DefaultOptions()
-	opts.CompileCache = script.NewCompileCache()
+	opts.ScriptCache = memo.New[memo.Key, *browser.Script](0, 0, nil)
 	b := browser.New(browser.NewHTTPFetcher(srv.Client(0)), opts)
 	c := New(b, Config{Workers: 8, PerSiteTimeout: 5 * time.Second})
 	var targets []Target
@@ -213,7 +213,7 @@ func TestCrawlCompileEquivalence(t *testing.T) {
 			t.Errorf("record %d differs from the golden:\ngot:  %s\nwant: %s", i, got[i], want[i])
 		}
 	}
-	if st := opts.CompileCache.Stats(); st.Hits == 0 {
+	if st := opts.ScriptCache.Stats(); st.Hits == 0 {
 		t.Errorf("no compiled program was shared across frames: %+v", st)
 	}
 }

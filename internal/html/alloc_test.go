@@ -1,6 +1,9 @@
 package html
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // Allocation pins for the hot paths. These are ceilings, not exact
 // counts — a small regression margin is built in so innocent compiler
@@ -12,14 +15,16 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	src := `<div class="row"><iframe src="/f" allow="camera"></iframe><script src="/s.js"></script><a href="/l">x</a><p>text &amp; more</p></div>`
 
-	// Warm cache hit: one alloc (the []byte copy feeding sha256). A tree
-	// rebuild would cost dozens.
-	c := NewParseCache(0, 0)
-	c.Parse(src).Release()
+	// Warm document-memo hit: one alloc (the []byte copy feeding
+	// sha256). A tree rebuild would cost dozens.
+	c := NewDocMemo(0, 0)
+	ctx := context.Background()
+	docHold(t, c, src).Release()
 	if got := testing.AllocsPerRun(500, func() {
-		c.Parse(src).Release()
+		h, _ := ParseShared(ctx, c, src)
+		h.Release()
 	}); got > 3 {
-		t.Errorf("warm ParseCache.Parse: %.1f allocs/op, want <= 3", got)
+		t.Errorf("warm ParseShared: %.1f allocs/op, want <= 3", got)
 	}
 
 	// Cold arena parse of a ~140-byte document: a handful of slab/header

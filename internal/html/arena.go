@@ -43,8 +43,8 @@ var (
 // is returned to the pools in O(chunks) when its owner releases it.
 //
 // Ownership contract: an arena-backed tree is immutable after parsing
-// and must not be referenced after release — ParsedDoc's refcount is
-// the single authority on when release happens. A nil *arena degrades
+// and must not be referenced after release — ParsedDoc.Release is the
+// one place release happens. A nil *arena degrades
 // every method to plain heap allocation (the public Parse path, whose
 // trees are GC-owned and live forever).
 type arena struct {

@@ -1,22 +1,36 @@
 package html
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"unsafe"
+
+	"permodyssey/internal/memo"
 )
 
+// docHold parses src through the document memo, failing the test on an
+// error; the caller releases the hold.
+func docHold(t testing.TB, docs *memo.Memo[memo.Key, *ParsedDoc], src string) memo.Hold[memo.Key, *ParsedDoc] {
+	t.Helper()
+	h, err := ParseShared(context.Background(), docs, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestParseCacheHitMiss(t *testing.T) {
-	c := NewParseCache(0, 0)
-	a := c.Parse(`<iframe src="/a"></iframe>`)
-	b := c.Parse(`<iframe src="/a"></iframe>`)
+	c := NewDocMemo(0, 0)
+	ha, hb := docHold(t, c, `<iframe src="/a"></iframe>`), docHold(t, c, `<iframe src="/a"></iframe>`)
+	hother := docHold(t, c, `<iframe src="/b"></iframe>`)
+	a, b, other := ha.Value(), hb.Value(), hother.Value()
 	if a != b {
 		t.Error("identical bodies must share one ParsedDoc")
 	}
-	other := c.Parse(`<iframe src="/b"></iframe>`)
 	if other == a {
 		t.Error("distinct bodies must not share a ParsedDoc")
 	}
@@ -27,27 +41,33 @@ func TestParseCacheHitMiss(t *testing.T) {
 	if s.CachedBytes != uint64(a.SrcLen+a.SlabBytes+other.SrcLen+other.SlabBytes) {
 		t.Errorf("cached bytes: %d", s.CachedBytes)
 	}
-	a.Release()
-	b.Release()
-	other.Release()
+	ha.Release()
+	hb.Release()
+	hother.Release()
 }
 
 func TestParseCacheSingleflight(t *testing.T) {
-	c := NewParseCache(0, 0)
+	c := NewDocMemo(0, 0)
 	const goroutines = 16
 	src := `<div><iframe src="/shared" allow="camera"></iframe><script>w()</script></div>`
-	docs := make([]*ParsedDoc, goroutines)
+	holds := make([]memo.Hold[memo.Key, *ParsedDoc], goroutines)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			docs[i] = c.Parse(src)
+			var err error
+			if holds[i], err = ParseShared(context.Background(), c, src); err != nil {
+				t.Error(err)
+			}
 		}(i)
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
 	for i := 1; i < goroutines; i++ {
-		if docs[i] != docs[0] {
+		if holds[i].Value() != holds[0].Value() {
 			t.Fatal("concurrent first sights must share one ParsedDoc")
 		}
 	}
@@ -58,8 +78,8 @@ func TestParseCacheSingleflight(t *testing.T) {
 	if s.Hits+s.Coalesced != goroutines-1 {
 		t.Errorf("hits %d + coalesced %d != %d", s.Hits, s.Coalesced, goroutines-1)
 	}
-	for _, d := range docs {
-		d.Release()
+	for _, h := range holds {
+		h.Release()
 	}
 }
 
@@ -67,15 +87,15 @@ func TestParseCacheSingleflight(t *testing.T) {
 // entry evicted while a reader still holds its document must not
 // recycle the arena under the reader.
 func TestParseCacheEvictionWhileReading(t *testing.T) {
-	c := NewParseCache(1, 0) // every new body evicts the previous one
+	c := NewDocMemo(1, 0) // every new body evicts the previous one
 	src := `<div><iframe src="/held" allow="camera"></iframe></div>`
-	held := c.Parse(src)
+	h := docHold(t, c, src)
+	held := h.Value()
 	want := Iframes(held.Tree)
 
 	// Churn the cache: each parse evicts the prior entry.
 	for i := 0; i < 20; i++ {
-		d := c.Parse(fmt.Sprintf(`<iframe src="/churn%d"></iframe>`, i))
-		d.Release()
+		docHold(t, c, fmt.Sprintf(`<iframe src="/churn%d"></iframe>`, i)).Release()
 	}
 	if got := c.Stats().Evictions; got == 0 {
 		t.Fatal("churn produced no evictions")
@@ -88,7 +108,7 @@ func TestParseCacheEvictionWhileReading(t *testing.T) {
 	if got := Iframes(held.Tree); !reflect.DeepEqual(got, want) {
 		t.Errorf("held document changed after eviction: %+v vs %+v", got, want)
 	}
-	held.Release()
+	h.Release()
 	if held.Tree != nil {
 		t.Error("last release must poison the tree")
 	}
@@ -105,9 +125,10 @@ func TestParseCacheChargesSlabs(t *testing.T) {
 		fmt.Fprintf(&b, `<p class="c%d">x</p>`, i)
 	}
 	src := b.String()
-	c := NewParseCache(0, 0)
-	d := c.Parse(src)
-	defer d.Release()
+	c := NewDocMemo(0, 0)
+	h := docHold(t, c, src)
+	defer h.Release()
+	d := h.Value()
 	a := d.arena
 	slabs := len(a.nodes)*nodeChunkSize*int(unsafe.Sizeof(Node{})) +
 		len(a.attrs)*attrChunkSize*int(unsafe.Sizeof(Attr{})) +
@@ -126,21 +147,20 @@ func TestParseCacheChargesSlabs(t *testing.T) {
 	one := ParseDoc(`<p>tiny1</p>`)
 	budget := int64(one.SrcLen + one.SlabBytes)
 	one.Release()
-	bounded := NewParseCache(0, budget)
-	bounded.Parse(`<p>tiny1</p>`).Release()
-	bounded.Parse(`<p>tiny2</p>`).Release()
+	bounded := NewDocMemo(0, budget)
+	docHold(t, bounded, `<p>tiny1</p>`).Release()
+	docHold(t, bounded, `<p>tiny2</p>`).Release()
 	if s := bounded.Stats(); s.Entries != 1 || s.CachedBytes > uint64(budget) {
 		t.Errorf("budget %d: %d entries, %d bytes cached", budget, s.Entries, s.CachedBytes)
 	}
 }
 
 func TestParseCacheByteBound(t *testing.T) {
-	c := NewParseCache(0, 64)
-	small := c.Parse(`<p>tiny</p>`)
-	small.Release()
+	c := NewDocMemo(0, 64)
+	docHold(t, c, `<p>tiny</p>`).Release()
 	// An entry alone larger than the budget is served but never retained.
-	big := c.Parse(`<div>` + string(make([]byte, 200)) + `</div>`)
-	if len(big.Tree.Children) == 0 {
+	big := docHold(t, c, `<div>`+string(make([]byte, 200))+`</div>`)
+	if len(big.Value().Tree.Children) == 0 {
 		t.Error("oversized document must still parse")
 	}
 	big.Release()
@@ -157,7 +177,7 @@ func TestParseCacheByteBound(t *testing.T) {
 // bodies, a tiny entry bound, and concurrent readers — the -race run
 // proves the hold/eviction accounting has no windows.
 func TestParseCacheConcurrentChurn(t *testing.T) {
-	c := NewParseCache(4, 0)
+	c := NewDocMemo(4, 0)
 	bodies := make([]string, 12)
 	for i := range bodies {
 		bodies[i] = fmt.Sprintf(`<div><iframe src="/w%d" allow="camera"></iframe><a href="/l%d">x</a></div>`, i, i)
@@ -169,18 +189,23 @@ func TestParseCacheConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				body := bodies[(g*7+i)%len(bodies)]
-				d := c.Parse(body)
+				h, err := ParseShared(context.Background(), c, body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				d := h.Value()
 				if len(d.Iframes) != 1 || len(d.Links) != 1 {
 					t.Error("bad extraction under churn")
-					d.Release()
+					h.Release()
 					return
 				}
 				if d.Tree == nil || d.Tree.First("iframe") == nil {
 					t.Error("recycled tree observed under churn")
-					d.Release()
+					h.Release()
 					return
 				}
-				d.Release()
+				h.Release()
 			}
 		}(g)
 	}

@@ -76,6 +76,16 @@ func Compile(prog *Program) (*Compiled, error) {
 	return &Compiled{top: top, hoisted: hoisted}, nil
 }
 
+// CompileSource parses and lowers src, failing with the parse or
+// compile error.
+func CompileSource(src string) (*Compiled, error) {
+	prog, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return Compile(prog)
+}
+
 // RunCompiled executes a compiled program against the global scope:
 // top-level function declarations bind first, then the statements run
 // in order.

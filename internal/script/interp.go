@@ -226,11 +226,7 @@ func NewInterp() *Interp {
 // Run parses, compiles and executes src. scriptURL labels stack frames
 // for 1P/3P attribution.
 func (in *Interp) Run(src, scriptURL string) error {
-	prog, err := Parse(src)
-	if err != nil {
-		return err
-	}
-	cp, err := Compile(prog)
+	cp, err := CompileSource(src)
 	if err != nil {
 		return err
 	}

@@ -29,11 +29,6 @@ type Realm struct {
 	// (feeding the fingerprinting observation of §4.1.1).
 	Browser permissions.Browser
 	Version int
-	// CompileScript, when non-nil, supplies compiled programs in place
-	// of parsing and compiling each script — the crawl installs a shared
-	// CompileCache here so each distinct script body is compiled once
-	// per crawl instead of once per including frame.
-	CompileScript func(src string) (*script.Compiled, error)
 
 	handlers map[string][]script.Value
 }
@@ -55,20 +50,25 @@ func NewRealm(doc *policy.Document, frameURL string) *Realm {
 	return r
 }
 
-// RunScript executes one script in the realm. scriptURL is "" for
-// inline scripts (attributed to the frame itself, like the paper does).
+// RunScript parses, compiles and executes one script in the realm.
+// scriptURL is "" for inline scripts (attributed to the frame itself,
+// like the paper does).
 func (r *Realm) RunScript(src, scriptURL string) error {
 	if scriptURL == "" {
 		scriptURL = r.FrameURL
 	}
-	if r.CompileScript != nil {
-		prog, err := r.CompileScript(src)
-		if err != nil {
-			return err
-		}
-		return r.In.RunCompiled(prog, scriptURL)
-	}
 	return r.In.Run(src, scriptURL)
+}
+
+// RunCompiled executes an already compiled program in the realm, as
+// RunScript does its source. Compiled programs are immutable, so the
+// crawl compiles each script body once and runs it in every realm that
+// includes it.
+func (r *Realm) RunCompiled(prog *script.Compiled, scriptURL string) error {
+	if scriptURL == "" {
+		scriptURL = r.FrameURL
+	}
+	return r.In.RunCompiled(prog, scriptURL)
 }
 
 // FireEvent invokes every handler registered for the event — the

@@ -250,12 +250,17 @@ func TestRealmTemplateImmutable(t *testing.T) {
 // must record exactly what it records alone, and under -race the run
 // proves realms share the sealed surface without racing.
 func TestRealmsConcurrent(t *testing.T) {
-	compileCache := script.NewCompileCache()
+	progs := make([]*script.Compiled, len(probeCorpus))
+	errs := make([]error, len(probeCorpus))
+	for i, src := range probeCorpus {
+		progs[i], errs[i] = script.CompileSource(`navigator.planted = 1; document.body.planted = 2; window.planted = 3;` + src)
+	}
 	run := func(i int) string {
 		r := embeddedRealm(t, "", "camera; geolocation")
-		r.CompileScript = compileCache.Compile
-		err := r.RunScript(`navigator.planted = 1; document.body.planted = 2; window.planted = 3;`+probeCorpus[i],
-			fmt.Sprintf("https://cdn.example/p%d.js", i))
+		err := errs[i]
+		if err == nil {
+			err = r.RunCompiled(progs[i], fmt.Sprintf("https://cdn.example/p%d.js", i))
+		}
 		recs, _ := json.Marshal(r.Rec.Invocations)
 		return fmt.Sprintf("error=%v %s", err != nil, recs)
 	}
@@ -383,12 +388,14 @@ func TestCompiledRealmRecordsIdentical(t *testing.T) {
 	if len(want) != len(probeCorpus) {
 		t.Fatalf("golden has %d probes, corpus %d", len(want), len(probeCorpus))
 	}
-	compileCache := script.NewCompileCache()
 	for i, src := range probeCorpus {
 		r := topLevelRealm(t, "camera=(), geolocation=self")
-		r.CompileScript = compileCache.Compile
+		prog, err := script.CompileSource(src)
+		if err == nil {
+			err = r.RunCompiled(prog, fmt.Sprintf("https://cdn.example/probe%d.js", i))
+		}
 		var errText string
-		if err := r.RunScript(src, fmt.Sprintf("https://cdn.example/probe%d.js", i)); err != nil {
+		if err != nil {
 			errText = err.Error()
 		}
 		if errText != want[i].Err {
@@ -408,8 +415,5 @@ func TestCompiledRealmRecordsIdentical(t *testing.T) {
 		if string(got) != golden.String() {
 			t.Errorf("probe %d: recorded invocations differ from the golden\ngot:  %s\nwant: %s", i, got, golden.String())
 		}
-	}
-	if stats := compileCache.Stats(); stats.Misses == 0 {
-		t.Error("compile cache never compiled anything")
 	}
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# DOM parse throughput gate: run the parse-cache benchmarks — cold
+# DOM parse throughput gate: run the DOM-cache benchmarks — cold
 # arena parses against cache-served repeats over a Zipf-popular corpus
 # — archive them as a BENCH_PARSE_*.json artifact, and fail unless the
 # warm path beats the cold path by the required speedup AND stays under

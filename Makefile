@@ -51,7 +51,7 @@ bench-sched:
 bench-interp:
 	./scripts/bench_interp.sh
 
-# DOM parse throughput gate: cold arena parses vs cache-served repeats
+# DOM parse throughput gate: cold extractions vs cache-served repeats
 # over a Zipf corpus; fails unless warm is >= 2x cold and a warm hit
 # stays under the allocation ceiling.
 bench-parse:
@@ -64,7 +64,7 @@ benchcmp:
 soak:
 	go test -race -v -timeout 20m -run 'TestChaos' ./internal/core/
 
-# Fuzz smoke: every script and html fuzz target for 10 s each.
+# Fuzz smoke: every script, html and policy fuzz target for 10 s each.
 fuzz-smoke:
 	./scripts/fuzz_smoke.sh
 

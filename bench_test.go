@@ -491,7 +491,7 @@ func crawlBench(b *testing.B, cached bool) {
 		opts := browser.DefaultOptions()
 		if cached {
 			fetcher = browser.NewCachingFetcher(counter, 0, 0)
-			opts.ScriptCache = memo.New[memo.Key, *browser.Script](0, 0, nil)
+			opts.ScriptCache = memo.New[memo.Key, *browser.Script](0, 0)
 		}
 		c := crawler.New(browser.New(fetcher, opts),
 			crawler.Config{Workers: 24, PerSiteTimeout: 10 * time.Second})
@@ -645,7 +645,7 @@ func parseCorpus(n, blocks int, seed int64) []string {
 	return docs
 }
 
-// parseBenchCold parses every document from scratch each iteration —
+// parseBenchCold extracts every document from scratch each iteration —
 // the pre-cache cost of a fetch.
 func parseBenchCold(b *testing.B, docs []string) {
 	var bytes int64
@@ -656,8 +656,7 @@ func parseBenchCold(b *testing.B, docs []string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pd := html.ParseDoc(docs[i%len(docs)])
-		pd.Release()
+		_ = html.Extract(docs[i%len(docs)])
 	}
 }
 
@@ -673,20 +672,17 @@ func parseBenchWarm(b *testing.B, docs []string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h, _ := html.ParseShared(context.Background(), c, docs[i%len(docs)])
-		h.Release()
+		_, _ = html.ExtractShared(context.Background(), c, docs[i%len(docs)])
 	}
 }
 
 // primedDocMemo returns a document memo already holding every doc.
-func primedDocMemo(b *testing.B, docs []string) *memo.Memo[memo.Key, *html.ParsedDoc] {
+func primedDocMemo(b *testing.B, docs []string) *memo.Memo[memo.Key, html.Doc] {
 	c := html.NewDocMemo(0, 0)
 	for _, d := range docs {
-		h, err := html.ParseShared(context.Background(), c, d)
-		if err != nil {
+		if _, err := html.ExtractShared(context.Background(), c, d); err != nil {
 			b.Fatal(err)
 		}
-		h.Release()
 	}
 	return c
 }
@@ -710,7 +706,7 @@ func zipfSequence(n int) ([]string, []int) {
 	return docs, seq
 }
 
-// BenchmarkParseHTMLZipfCold re-parses every access; ZipfWarm serves
+// BenchmarkParseHTMLZipfCold re-extracts every access; ZipfWarm serves
 // repeats from the document memo. The bench-parse CI gate holds their ratio
 // above the floor: if the cache stops delivering, the gate fails.
 func BenchmarkParseHTMLZipfCold(b *testing.B) {
@@ -718,8 +714,7 @@ func BenchmarkParseHTMLZipfCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pd := html.ParseDoc(docs[seq[i%len(seq)]])
-		pd.Release()
+		_ = html.Extract(docs[seq[i%len(seq)]])
 	}
 }
 
@@ -729,14 +724,13 @@ func BenchmarkParseHTMLZipfWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h, _ := html.ParseShared(context.Background(), c, docs[seq[i%len(seq)]])
-		h.Release()
+		_, _ = html.ExtractShared(context.Background(), c, docs[seq[i%len(seq)]])
 	}
 }
 
-// BenchmarkExtractThreeWalk vs SingleWalk: the old Parse + three
-// FindAll-walk extraction against the single-pass ParseDoc that records
-// iframes, scripts, and links during tree construction.
+// BenchmarkExtractThreeWalk vs SingleWalk: Parse plus the three
+// FindAll-walk wrappers against Extract, which reads the same iframes,
+// scripts and links in one tokenizer pass without building a tree.
 func BenchmarkExtractThreeWalk(b *testing.B) {
 	docs := parseCorpus(16, 40, benchSeed+9)
 	b.ReportAllocs()
@@ -754,9 +748,7 @@ func BenchmarkExtractSingleWalk(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pd := html.ParseDoc(docs[i%len(docs)])
-		_, _, _ = pd.Iframes, pd.Scripts, pd.Links
-		pd.Release()
+		_ = html.Extract(docs[i%len(docs)])
 	}
 }
 

@@ -33,13 +33,11 @@ type Options struct {
 	// Interact fires load/click handlers after the no-interaction pass
 	// (the Appendix A.3 manual-testing mode).
 	Interact bool
-	// DocCache, when non-nil, memoizes HTML parsing by document content
+	// DocCache, when non-nil, memoizes html.Extract by document content
 	// (html.NewDocMemo): a body fetched for N frames across the crawl is
-	// tokenized and built once, and every frame shares the immutable
-	// parsed document (tree plus the single-walk iframe/script/link
-	// extractions). When nil, each document still parses through the
-	// arena-backed ParseDoc fast path, just without cross-frame sharing.
-	DocCache *memo.Memo[memo.Key, *html.ParsedDoc]
+	// tokenized once, and every frame shares its iframes, scripts and
+	// links. When nil, each document is extracted for its frame alone.
+	DocCache *memo.Memo[memo.Key, html.Doc]
 	// ScriptCache, when non-nil, memoizes each script body's Script —
 	// compiled program and static findings — across every frame this
 	// browser loads, so a shared third-party script is compiled and
@@ -163,7 +161,7 @@ func (b *Browser) Visit(ctx context.Context, pageURL string) (*PageResult, error
 	if resp.Status >= 400 {
 		return nil, fmt.Errorf("status %d fetching %s", resp.Status, pageURL)
 	}
-	top := b.newFrameResult(pageURL, resp, nil, html.Iframe{}, 0, false)
+	top := newFrameResult(pageURL, resp, html.Iframe{}, 0)
 	o, err := origin.Parse(resp.FinalURL)
 	if err != nil {
 		return nil, fmt.Errorf("unparseable final URL %q: %w", resp.FinalURL, err)
@@ -176,22 +174,15 @@ func (b *Browser) Visit(ctx context.Context, pageURL string) (*PageResult, error
 }
 
 // newFrameResult captures headers and identity for a fetched frame.
-func (b *Browser) newFrameResult(frameURL string, resp *Response, parent *FrameResult,
-	el html.Iframe, depth int, local bool) *FrameResult {
+func newFrameResult(frameURL string, resp *Response, el html.Iframe, depth int) *FrameResult {
 	fr := &FrameResult{
-		URL:      frameURL,
-		Depth:    depth,
-		TopLevel: depth == 0,
-		Element:  el,
+		URL:           frameURL,
+		FinalURL:      resp.FinalURL,
+		Depth:         depth,
+		TopLevel:      depth == 0,
+		Element:       el,
+		BodyTruncated: resp.BodyTruncated,
 	}
-	if local {
-		fr.LocalScheme = true
-		fr.Origin = "null"
-		fr.FinalURL = frameURL
-		return fr
-	}
-	fr.FinalURL = resp.FinalURL
-	fr.BodyTruncated = resp.BodyTruncated
 	if o, err := origin.Parse(resp.FinalURL); err == nil {
 		fr.Origin = o.String()
 		fr.Site = o.Site()
@@ -209,7 +200,6 @@ func (b *Browser) newFrameResult(frameURL string, resp *Response, parent *FrameR
 		fr.ReportOnlyRaw = v
 	}
 	fr.CSPRaw = resp.Header.Get("Content-Security-Policy")
-	_ = parent
 	return fr
 }
 
@@ -242,27 +232,17 @@ func (b *Browser) declaredPolicy(fr *FrameResult) policy.Policy {
 // child frames. slot is the index of this frame in result.Frames.
 func (b *Browser) processDocument(ctx context.Context, result *PageResult, slot int,
 	fr *FrameResult, doc *policy.Document, body string) {
-	// One parse per document content: the memo shares the immutable
-	// parsed document across every frame (and every site) embedding the
-	// same body; without it the arena-backed parse is still single-walk
-	// and recycled on release. The browser only reads the extractions —
-	// the shared tree must never be mutated.
-	var pd *html.ParsedDoc
-	if b.Opts.DocCache != nil {
-		h, err := html.ParseShared(ctx, b.Opts.DocCache, body)
-		if err != nil {
-			fr.LoadError = err.Error()
-			result.Frames[slot] = *fr
-			return
-		}
-		defer h.Release()
-		pd = h.Value()
-	} else {
-		pd = html.ParseDoc(body)
-		defer pd.Release()
+	// One extraction per document content: the memo shares it across
+	// every frame (and every site) embedding the same body, so its lists
+	// must never be mutated.
+	page, err := html.ExtractShared(ctx, b.Opts.DocCache, body)
+	if err != nil {
+		fr.LoadError = err.Error()
+		result.Frames[slot] = *fr
+		return
 	}
 	if fr.TopLevel {
-		for _, href := range pd.Links {
+		for _, href := range page.Links {
 			if resolved := resolveURL(fr.FinalURL, href); resolved != "" {
 				result.Links = append(result.Links, resolved)
 			}
@@ -271,7 +251,7 @@ func (b *Browser) processDocument(ctx context.Context, result *PageResult, slot 
 	realm := webapi.NewRealm(doc, fr.FinalURL)
 
 	// Collect and run scripts: dynamic analysis.
-	for _, s := range pd.Scripts {
+	for _, s := range page.Scripts {
 		src, urlStr := s.Body, ""
 		if !s.Inline {
 			urlStr = resolveURL(fr.FinalURL, s.Src)
@@ -326,7 +306,7 @@ func (b *Browser) processDocument(ctx context.Context, result *PageResult, slot 
 	if fr.Depth >= b.Opts.MaxFrameDepth {
 		return
 	}
-	for _, el := range pd.Iframes {
+	for _, el := range page.Iframes {
 		if len(result.Frames) >= b.Opts.MaxFramesPerPage {
 			result.Truncated = true
 			return
@@ -362,13 +342,7 @@ func (b *Browser) scriptFor(ctx context.Context, src string) (*Script, error) {
 		sc, _, _ := derive()
 		return sc, nil
 	}
-	h, err := b.Opts.ScriptCache.Get(ctx, memo.Sum(src), derive)
-	if err != nil {
-		return nil, err
-	}
-	sc := h.Value()
-	h.Release()
-	return sc, nil
+	return b.Opts.ScriptCache.Get(ctx, memo.Sum(src), derive)
 }
 
 // sandboxAllowsSameOrigin reports whether a sandbox attribute value
@@ -438,7 +412,7 @@ func (b *Browser) loadChildFrame(ctx context.Context, result *PageResult,
 		})
 		return
 	}
-	fr := b.newFrameResult(frameURL, resp, parentFR, el, depth, false)
+	fr := newFrameResult(frameURL, resp, el, depth)
 	docOrigin, err := origin.Parse(resp.FinalURL)
 	if err != nil {
 		fr.LoadError = "unparseable frame origin"

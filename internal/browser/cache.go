@@ -83,7 +83,7 @@ type CachingFetcher struct {
 // URLs and maxBytes of summed body bytes (each <= 0 = unbounded). A
 // single body larger than maxBytes is served but never retained.
 func NewCachingFetcher(inner Fetcher, maxEntries int, maxBytes int64) *CachingFetcher {
-	return &CachingFetcher{Inner: inner, responses: memo.New[string, *Response](maxEntries, maxBytes, nil)}
+	return &CachingFetcher{Inner: inner, responses: memo.New[string, *Response](maxEntries, maxBytes)}
 }
 
 // Fetch implements Fetcher.
@@ -92,7 +92,7 @@ func (c *CachingFetcher) Fetch(ctx context.Context, rawURL string) (*Response, e
 		c.bypassed.Add(1)
 		return c.fetchThrough(ctx, rawURL)
 	}
-	h, err := c.responses.Get(ctx, rawURL, func() (*Response, int64, error) {
+	return c.responses.Get(ctx, rawURL, func() (*Response, int64, error) {
 		resp, err := c.fetchThrough(ctx, rawURL)
 		if err != nil {
 			c.errors.Add(1)
@@ -100,12 +100,6 @@ func (c *CachingFetcher) Fetch(ctx context.Context, rawURL string) (*Response, e
 		}
 		return resp, int64(len(resp.Body)), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	resp := h.Value()
-	h.Release()
-	return resp, nil
 }
 
 // fetchThrough consults the persistent archive tier, then the network.

@@ -14,7 +14,7 @@ import (
 // at most maxEntries bodies (0 = unbounded).
 func scriptBrowser(fetcher Fetcher, maxEntries int) *Browser {
 	opts := DefaultOptions()
-	opts.ScriptCache = memo.New[memo.Key, *Script](maxEntries, 0, nil)
+	opts.ScriptCache = memo.New[memo.Key, *Script](maxEntries, 0)
 	return New(fetcher, opts)
 }
 

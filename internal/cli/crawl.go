@@ -24,7 +24,7 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	sites := fs.Int("sites", 5000, "number of synthetic sites to generate and crawl")
 	seed := fs.Int64("seed", 1, "population seed (crawls are reproducible per seed)")
-	workers := fs.Int("workers", 32, "parallel crawlers (the paper used 40)")
+	workers := fs.Int("workers", crawler.DefaultWorkers, "parallel crawlers (the paper used 40)")
 	timeout := fs.Duration("timeout", 2*time.Second, "per-site hard deadline")
 	out := fs.String("out", "crawl.jsonl", "output dataset path")
 	interact := fs.Bool("interact", false, "fire click/load handlers (Appendix A.3 manual mode)")
@@ -33,20 +33,21 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	report := fs.Bool("report", false, "print the full analysis report after the crawl")
 	follow := fs.Int("follow-links", 0, "visit up to N same-site internal pages per site (lifts the §6.1 landing-page limitation)")
 	retries := fs.Int("retries", 1, "retry transient failures (timeout, ephemeral) up to N extra attempts with exponential backoff")
-	backoff := fs.Duration("retry-backoff", 100*time.Millisecond, "base delay before the first retry (doubles per attempt)")
+	backoff := fs.Duration("retry-backoff", crawler.DefaultRetryBackoff, "base delay before the first retry (doubles per attempt)")
 	hostConc := fs.Int("host-concurrency", crawler.DefaultHostConcurrency, "cap concurrently in-flight visits per host (negative = unlimited)")
 	deferBreaker := fs.Bool("defer-breaker-open", true, "defer visits to breaker-open hosts until the half-open probe time instead of recording breaker-open failures")
 	noCache := fs.Bool("no-cache", false, "disable the three shared caches: fetch responses, parsed documents (DOM) and script artifacts (compiled program plus static findings)")
 	cacheEntries := fs.Int("cache-entries", 0, "cap each of the fetch, DOM and script caches at N entries, evicted LRU (0 = unbounded)")
-	cacheBytes := fs.Int64("cache-bytes", 0, "cap, each on its own, the fetch cache's cached body bytes and the DOM cache's retained memory (source plus arena slabs), evicted LRU (0 = unbounded)")
+	cacheBytes := fs.Int64("cache-bytes", 0, "cap, each on its own, the fetch cache's cached body bytes and the DOM cache's document source bytes, evicted LRU (0 = unbounded)")
 	resume := fs.Bool("resume", false, "load an existing -out dataset, skip its completed ranks, and append the rest")
 	chaos := fs.Bool("chaos", false, "inject deterministic faults into the synthetic web (resets, slow-loris, malformed headers, redirect loops, flapping hosts, oversized bodies)")
 	chaosSeed := fs.Int64("chaos-seed", 0, "fault-assignment seed (0 = population seed)")
 	chaosRate := fs.Float64("chaos-rate", 0.08, "fraction of healthy sites given a fault")
 	chaosSubRate := fs.Float64("chaos-subresource-rate", 0.10, "fraction of shared widget/CDN hosts that reset mid-body")
 	chaosFaults := fs.String("chaos-faults", "", "comma-separated fault kinds to inject (default all: reset,slow-loris,malformed-header,oversized-header,redirect-loop,flap,oversized-body)")
-	breakerN := fs.Int("breaker-threshold", 5, "consecutive per-host failures before the circuit breaker opens (0 = breaker off)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 500*time.Millisecond, "how long an open circuit waits before half-open probing")
+	breakerDefaults := crawler.DefaultBreakerConfig()
+	breakerN := fs.Int("breaker-threshold", breakerDefaults.Threshold, "consecutive per-host failures before the circuit breaker opens (0 = breaker off)")
+	breakerCooldown := fs.Duration("breaker-cooldown", breakerDefaults.Cooldown, "how long an open circuit waits before half-open probing")
 	maxBody := fs.Int64("max-body", 0, "cap fetched bodies at N bytes; oversized pages become partial records (0 = 4 MiB default)")
 	cacheDir := fs.String("cache-dir", "", "persist every fetch outcome to a content-addressed archive rooted here; later runs read it back instead of refetching")
 	offline := fs.Bool("offline", false, "strict replay from -cache-dir: no network fetches, archived failures replay as recorded, misses become unreachable failures")

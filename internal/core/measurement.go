@@ -40,7 +40,7 @@ type MeasurementOptions struct {
 	// default: per-site documents bypass the fetch cache (each site is
 	// visited once), while cross-origin widget documents and CDN scripts
 	// — fetched for thousands of sites — are served from it, each
-	// distinct document is parsed once per crawl, and each distinct
+	// distinct document is extracted once per crawl, and each distinct
 	// script body is compiled and pattern-scanned once per crawl.
 	// Caching is observationally transparent
 	// (TestCrawlDOMCacheEquivalence).
@@ -49,10 +49,10 @@ type MeasurementOptions struct {
 	// evicted LRU. 0 = unbounded.
 	CacheEntries int
 	// CacheBytes caps, independently, the fetch cache's cached body
-	// bytes and the DOM cache's retained memory — each document's source
-	// plus the arena slabs its tree pins — each evicted LRU alongside
-	// the entry cap; a single body or document larger than the budget is
-	// served but never retained. 0 = unbounded.
+	// bytes and the DOM cache's source bytes (an extraction's strings
+	// alias its source), each evicted LRU alongside the entry cap; a
+	// single body or document larger than the budget is served but
+	// never retained. 0 = unbounded.
 	CacheBytes int64
 	// Breaker enables the per-host circuit breaker between the fetch
 	// cache and the network when Threshold > 0: a host that fails
@@ -176,7 +176,7 @@ type crawlStack struct {
 
 	cache   *browser.CachingFetcher
 	breaker *crawler.BreakerFetcher
-	docs    *memo.Memo[memo.Key, *html.ParsedDoc]
+	docs    *memo.Memo[memo.Key, html.Doc]
 	scripts *memo.Memo[memo.Key, *browser.Script]
 	archive *diskcache.Archive
 }
@@ -268,10 +268,10 @@ func newCrawlStack(srv *synthweb.Server, opts MeasurementOptions) (*crawlStack, 
 			st.cache.Disk = ar
 		}
 		fetcher = st.cache
-		// One immutable parsed document and one compiled, scanned script
-		// per distinct body, shared by every frame that embeds it.
+		// One extraction and one compiled, scanned script per distinct
+		// body, shared by every frame that embeds it.
 		st.docs = html.NewDocMemo(opts.CacheEntries, opts.CacheBytes)
-		st.scripts = memo.New[memo.Key, *browser.Script](opts.CacheEntries, 0, nil)
+		st.scripts = memo.New[memo.Key, *browser.Script](opts.CacheEntries, 0)
 		opts.BrowserOpts.DocCache, opts.BrowserOpts.ScriptCache = st.docs, st.scripts
 	}
 	b := browser.New(fetcher, opts.BrowserOpts)

@@ -91,7 +91,7 @@ type Breaker struct {
 // always true, Report a no-op).
 func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 500 * time.Millisecond
+		cfg.Cooldown = DefaultBreakerConfig().Cooldown
 	}
 	return &Breaker{cfg: cfg, hosts: map[string]*hostCircuit{}}
 }

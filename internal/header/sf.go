@@ -361,8 +361,9 @@ func (p *parser) parseParams() ([]Param, error) {
 	return params, nil
 }
 
-// SerializeItem renders an Item back to its textual form (used by the
-// header generator).
+// SerializeItem renders an Item back to its textual form, escaping
+// quotes and backslashes in strings (allowlist serialization writes
+// its origins through it).
 func SerializeItem(it Item) string {
 	var b strings.Builder
 	switch it.Kind {

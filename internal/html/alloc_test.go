@@ -16,24 +16,23 @@ func TestHotPathAllocs(t *testing.T) {
 	src := `<div class="row"><iframe src="/f" allow="camera"></iframe><script src="/s.js"></script><a href="/l">x</a><p>text &amp; more</p></div>`
 
 	// Warm document-memo hit: one alloc (the []byte copy feeding
-	// sha256). A tree rebuild would cost dozens.
+	// sha256).
 	c := NewDocMemo(0, 0)
 	ctx := context.Background()
-	docHold(t, c, src).Release()
+	docGet(t, c, src)
 	if got := testing.AllocsPerRun(500, func() {
-		h, _ := ParseShared(ctx, c, src)
-		h.Release()
+		_, _ = ExtractShared(ctx, c, src)
 	}); got > 3 {
-		t.Errorf("warm ParseShared: %.1f allocs/op, want <= 3", got)
+		t.Errorf("warm ExtractShared: %.1f allocs/op, want <= 3", got)
 	}
 
-	// Cold arena parse of a ~140-byte document: a handful of slab/header
-	// allocations, amortized to near zero once pools warm up. Measured at
-	// 11; pin with margin. The old per-node path cost 30+.
+	// Cold extraction of a ~140-byte document: the three result slices
+	// plus the one entity-decoded text token, the scratch stack pooled.
+	// Measured at 4; pinned with margin.
 	if got := testing.AllocsPerRun(500, func() {
-		ParseDoc(src).Release()
+		_ = Extract(src)
 	}); got > 20 {
-		t.Errorf("cold ParseDoc: %.1f allocs/op, want <= 20", got)
+		t.Errorf("cold Extract: %.1f allocs/op, want <= 20", got)
 	}
 
 	// Entity decoding must return the input substring unchanged when

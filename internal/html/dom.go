@@ -25,8 +25,11 @@ type Node struct {
 }
 
 // Attr returns the value of the named attribute.
-func (n *Node) Attr(name string) (string, bool) {
-	for _, a := range n.Attrs {
+func (n *Node) Attr(name string) (string, bool) { return attr(n.Attrs, name) }
+
+// attr returns the value of the first attribute named name.
+func attr(attrs []Attr, name string) (string, bool) {
+	for _, a := range attrs {
 		if a.Key == name {
 			return a.Value, true
 		}
@@ -57,77 +60,30 @@ var voidElements = map[string]bool{
 
 // Parse builds a tolerant DOM tree from src. It never fails: malformed
 // markup degrades to a best-effort tree, matching how the crawler must
-// survive the web's tag soup. The returned tree is heap-allocated and
-// GC-owned; the crawl hot path uses ParseDoc (arena-backed, cacheable)
-// instead.
+// survive the web's tag soup. The crawl itself reads only Extract's
+// three lists; Parse with the Iframes, Scripts and Links walks is the
+// reference Extract is tested against.
 func Parse(src string) *Node {
-	return parseInto(src, nil, nil)
-}
-
-// docExtract collects the measurement's three extractions during tree
-// construction, replacing the three full-tree FindAll walks the wrapper
-// functions perform.
-type docExtract struct {
-	iframes []*Node
-	scripts []*Node
-	links   []string
-}
-
-// parseInto is the single tree-construction pass shared by Parse and
-// ParseDoc: nodes come from the arena (nil = heap), and when ex is
-// non-nil the iframe/script/link extractions are recorded as elements
-// are created — document order for free, no re-walks.
-func parseInto(src string, a *arena, ex *docExtract) *Node {
-	doc := a.newNode()
-	doc.Type = DocumentNode
-	stackp := stackPool.Get().(*[]*Node)
-	stack := (*stackp)[:0]
-	stack = append(stack, doc)
-	defer func() {
-		clear(stack[:cap(stack)])
-		*stackp = stack[:0]
-		stackPool.Put(stackp)
-	}()
-	z := acquireTokenizer(src)
-	defer releaseTokenizer(z)
+	doc := &Node{Type: DocumentNode}
+	stack := []*Node{doc}
+	z := NewTokenizer(src)
 	for {
 		tok := z.Next()
+		top := stack[len(stack)-1]
 		switch tok.Type {
 		case EOFToken:
 			return doc
 		case TextToken:
-			if strings.TrimSpace(tok.Text) == "" {
-				continue
+			if strings.TrimSpace(tok.Text) != "" {
+				top.Children = append(top.Children, &Node{Type: TextNode, Text: tok.Text, Parent: top})
 			}
-			top := stack[len(stack)-1]
-			n := a.newNode()
-			n.Type, n.Text, n.Parent = TextNode, tok.Text, top
-			a.appendChild(top, n)
 		case CommentToken:
-			top := stack[len(stack)-1]
-			n := a.newNode()
-			n.Type, n.Text, n.Parent = CommentNode, tok.Text, top
-			a.appendChild(top, n)
+			top.Children = append(top.Children, &Node{Type: CommentNode, Text: tok.Text, Parent: top})
 		case DoctypeToken:
 			// Ignored: tree shape is what matters.
 		case StartTagToken, SelfClosingTagToken:
-			top := stack[len(stack)-1]
-			el := a.newNode()
-			el.Type, el.Tag, el.Parent = ElementNode, tok.Tag, top
-			el.Attrs = a.copyAttrs(tok.Attrs)
-			a.appendChild(top, el)
-			if ex != nil {
-				switch el.Tag {
-				case "iframe":
-					ex.iframes = append(ex.iframes, el)
-				case "script":
-					ex.scripts = append(ex.scripts, el)
-				case "a":
-					if href, ok := el.Attr("href"); ok && strings.TrimSpace(href) != "" {
-						ex.links = append(ex.links, strings.TrimSpace(href))
-					}
-				}
-			}
+			el := &Node{Type: ElementNode, Tag: tok.Tag, Attrs: tok.Attrs, Parent: top}
+			top.Children = append(top.Children, el)
 			if tok.Type == StartTagToken && !voidElements[tok.Tag] {
 				stack = append(stack, el)
 			}
@@ -228,33 +184,26 @@ type Iframe struct {
 // which the crawler must scroll to in order to trigger loading (§3.2).
 func (f Iframe) Lazy() bool { return strings.EqualFold(f.Loading, "lazy") }
 
-// iframeOf extracts the paper's attribute list from one iframe element —
-// the shared record builder of the Iframes wrapper and the single-walk
-// ParseDoc extraction.
-func iframeOf(el *Node) Iframe {
-	f := Iframe{
-		Src:     el.AttrOr("src", ""),
-		Allow:   el.AttrOr("allow", ""),
-		Sandbox: el.AttrOr("sandbox", ""),
-		Srcdoc:  el.AttrOr("srcdoc", ""),
-		Loading: el.AttrOr("loading", ""),
-		ID:      el.AttrOr("id", ""),
-		Name:    el.AttrOr("name", ""),
-		Class:   el.AttrOr("class", ""),
-	}
-	f.HasAllow = el.HasAttr("allow")
-	f.HasSrcdoc = el.HasAttr("srcdoc")
-	f.HasSandbox = el.HasAttr("sandbox")
+// iframeOf builds the record of one iframe element from its
+// attributes, for both Extract and the Iframes walk.
+func iframeOf(attrs []Attr) Iframe {
+	var f Iframe
+	f.Src, _ = attr(attrs, "src")
+	f.Allow, f.HasAllow = attr(attrs, "allow")
+	f.Sandbox, f.HasSandbox = attr(attrs, "sandbox")
+	f.Srcdoc, f.HasSrcdoc = attr(attrs, "srcdoc")
+	f.Loading, _ = attr(attrs, "loading")
+	f.ID, _ = attr(attrs, "id")
+	f.Name, _ = attr(attrs, "name")
+	f.Class, _ = attr(attrs, "class")
 	return f
 }
 
-// Iframes extracts all iframe elements from the document. (Thin wrapper
-// over the shared extraction; ParseDoc collects the same records in a
-// single pass during parsing.)
+// Iframes extracts all iframe elements from the document.
 func Iframes(doc *Node) []Iframe {
 	var out []Iframe
 	for _, el := range doc.FindAll("iframe") {
-		out = append(out, iframeOf(el))
+		out = append(out, iframeOf(el.Attrs))
 	}
 	return out
 }
@@ -264,11 +213,18 @@ func Iframes(doc *Node) []Iframe {
 func Links(doc *Node) []string {
 	var out []string
 	for _, a := range doc.FindAll("a") {
-		if href, ok := a.Attr("href"); ok && strings.TrimSpace(href) != "" {
-			out = append(out, strings.TrimSpace(href))
+		if href := hrefOf(a.Attrs); href != "" {
+			out = append(out, href)
 		}
 	}
 	return out
+}
+
+// hrefOf returns an anchor's href, trimmed; "" means no link, for both
+// Extract and the Links walk.
+func hrefOf(attrs []Attr) string {
+	href, _ := attr(attrs, "href")
+	return strings.TrimSpace(href)
 }
 
 // Script is one extracted script: external (Src set) or inline (Body).
@@ -278,13 +234,14 @@ type Script struct {
 	Inline bool
 }
 
-// scriptOf extracts one script element — the shared record builder of
-// the Scripts wrapper and the single-walk ParseDoc extraction.
-func scriptOf(el *Node) Script {
-	if src, ok := el.Attr("src"); ok && strings.TrimSpace(src) != "" {
+// scriptOf builds the record of one script element from its
+// attributes, for both Extract and the Scripts walk: external when src
+// is non-blank, else inline with the body left to the caller.
+func scriptOf(attrs []Attr) Script {
+	if src, ok := attr(attrs, "src"); ok && strings.TrimSpace(src) != "" {
 		return Script{Src: strings.TrimSpace(src)}
 	}
-	return Script{Body: el.InnerText(), Inline: true}
+	return Script{Inline: true}
 }
 
 // Scripts extracts all classic scripts from the document. The tokenizer
@@ -293,7 +250,11 @@ func scriptOf(el *Node) Script {
 func Scripts(doc *Node) []Script {
 	var out []Script
 	for _, el := range doc.FindAll("script") {
-		out = append(out, scriptOf(el))
+		s := scriptOf(el.Attrs)
+		if s.Inline {
+			s.Body = el.InnerText()
+		}
+		out = append(out, s)
 	}
 	return out
 }

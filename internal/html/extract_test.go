@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// extractCorpus is the shared set of documents the single-walk
-// extraction must agree on with the three-walk wrappers — tag soup,
-// raw text, self-closing frames, every edge the wrappers tolerate.
+// extractCorpus is the shared set of documents Extract must agree on
+// with the wrappers over Parse — tag soup, raw text, self-closing
+// frames, every edge the wrappers tolerate.
 var extractCorpus = []string{
 	"",
 	"plain text only",
@@ -40,92 +40,38 @@ var extractCorpus = []string{
 	`<title>a < b</title><iframe src="/t"></iframe>`,
 	`<IFRAME SRC="/UP" ALLOW="camera"></IFRAME>`,
 	`<div><iframe src="/outer"><iframe src="/inner"></iframe></iframe></div>`,
+	// A near-miss close tag leaves the script open: its body takes the
+	// text (and only the text) of whatever follows until </script>.
+	`<script>a</scripts>b<p>c</p>d</script>e`,
+	`<div><script>x</scripts>y</div>z<script>w</script>`,
+	`<script>a</scriptx><script>b</script>c</script>`,
 }
 
-// TestParseDocMatchesWrappers pins the tentpole's core equivalence: the
-// single-walk extraction built during parsing must agree exactly with
-// the three FindAll-walk wrapper functions over the same tree.
-func TestParseDocMatchesWrappers(t *testing.T) {
+// TestExtractMatchesWrappers pins Extract to the reference: the three
+// lists it reads in one tokenizer pass must equal what the Iframes,
+// Scripts and Links walks read from Parse's tree.
+func TestExtractMatchesWrappers(t *testing.T) {
 	for i, src := range extractCorpus {
 		tree := Parse(src)
-		wantIframes := Iframes(tree)
-		wantScripts := Scripts(tree)
-		wantLinks := Links(tree)
-
-		pd := ParseDoc(src)
-		if !reflect.DeepEqual(pd.Iframes, wantIframes) {
-			t.Errorf("case %d: iframes differ\n single-walk: %+v\n wrappers:    %+v", i, pd.Iframes, wantIframes)
+		want := Doc{Iframes: Iframes(tree), Scripts: Scripts(tree), Links: Links(tree)}
+		if got := Extract(src); !reflect.DeepEqual(got, want) {
+			t.Errorf("case %d %q:\n Extract:  %+v\n wrappers: %+v", i, src, got, want)
 		}
-		if !reflect.DeepEqual(pd.Scripts, wantScripts) {
-			t.Errorf("case %d: scripts differ\n single-walk: %+v\n wrappers:    %+v", i, pd.Scripts, wantScripts)
-		}
-		if !reflect.DeepEqual(pd.Links, wantLinks) {
-			t.Errorf("case %d: links differ\n single-walk: %v\n wrappers:    %v", i, pd.Links, wantLinks)
-		}
-		// The arena-backed tree must also match the wrappers when walked
-		// directly (same shape, same attributes).
-		if got := Iframes(pd.Tree); !reflect.DeepEqual(got, wantIframes) {
-			t.Errorf("case %d: arena tree iframes differ: %+v vs %+v", i, got, wantIframes)
-		}
-		if pd.SrcLen != len(src) {
-			t.Errorf("case %d: SrcLen = %d, want %d", i, pd.SrcLen, len(src))
-		}
-		pd.Release()
 	}
 }
 
-// TestParseDocReleasePoisonsTree pins the ownership contract: after the
-// last Release the tree pointer is gone (use-after-release trips on nil
-// instead of silently reading recycled nodes), while the extracted
-// value slices stay valid.
-func TestParseDocReleasePoisonsTree(t *testing.T) {
-	pd := ParseDoc(`<iframe src="/x" allow="camera"></iframe><a href="/l">l</a>`)
-	iframes, links := pd.Iframes, pd.Links
-	pd.Release()
-	if pd.Tree != nil {
-		t.Error("Tree must be nil after the last Release")
-	}
-	if len(iframes) != 1 || iframes[0].Src != "/x" {
-		t.Errorf("extracted iframes must outlive release: %+v", iframes)
-	}
-	if len(links) != 1 || links[0] != "/l" {
-		t.Errorf("extracted links must outlive release: %v", links)
-	}
-	// Releasing a nil doc must be a no-op.
-	var nilDoc *ParsedDoc
-	nilDoc.Release()
-}
-
-// TestArenaRecycling proves released arenas actually return to the
-// pools: parse the same document repeatedly with interleaved releases
-// and verify the trees stay correct even as chunks are reused.
-func TestArenaRecycling(t *testing.T) {
-	src := `<div><iframe src="/a" allow="camera"></iframe><script>s()</script><a href="/l">x</a></div>`
-	for i := 0; i < 100; i++ {
-		pd := ParseDoc(src)
-		if len(pd.Iframes) != 1 || pd.Iframes[0].Src != "/a" {
-			t.Fatalf("iteration %d: iframes %+v", i, pd.Iframes)
-		}
-		if pd.Tree.First("div") == nil {
-			t.Fatalf("iteration %d: tree lost its div", i)
-		}
-		pd.Release()
-	}
-}
-
-// TestParsedDocImmutableUnderConcurrency is the immutability audit: a
-// shared ParsedDoc walked and extracted by many goroutines at once must
-// never race (the -race CI run enforces it) and must read identically
-// throughout.
+// TestParsedDocImmutableUnderConcurrency is the immutability audit: one
+// shared Doc read by many goroutines while they extract the same source
+// again must never race (the -race CI run enforces it) and must read
+// identically throughout.
 func TestParsedDocImmutableUnderConcurrency(t *testing.T) {
 	var sb strings.Builder
 	for i := 0; i < 40; i++ {
 		fmt.Fprintf(&sb, `<div class="row"><iframe src="/f%d" allow="camera"></iframe><script>go%d()</script><a href="/l%d">x</a></div>`, i, i, i)
 	}
 	src := sb.String()
-	pd := ParseDoc(src)
-	defer pd.Release()
-	want := Iframes(pd.Tree)
+	shared := Extract(src)
+	want := Iframes(Parse(src))
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -133,11 +79,11 @@ func TestParsedDocImmutableUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if got := Iframes(pd.Tree); !reflect.DeepEqual(got, want) {
-					t.Error("concurrent walk saw a different tree")
+				if !reflect.DeepEqual(shared.Iframes, want) || !reflect.DeepEqual(Extract(src), shared) {
+					t.Error("concurrent reads saw a different document")
 					return
 				}
-				if len(pd.Scripts) != 40 || len(pd.Links) != 40 {
+				if len(shared.Scripts) != 40 || len(shared.Links) != 40 {
 					t.Error("extractions changed under concurrency")
 					return
 				}

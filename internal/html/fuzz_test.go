@@ -56,10 +56,10 @@ func FuzzTokenizer(f *testing.F) {
 	})
 }
 
-// FuzzParse: Parse and ParseDoc never panic, terminate, keep the tree
+// FuzzParse: Parse and Extract never panic, terminate, keep the tree
 // shape sane (text nodes are leaves), and agree with each other — the
-// single-walk extraction can never drift from the wrapper walks,
-// whatever the input.
+// one-pass extraction can never drift from the wrapper walks, whatever
+// the input.
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -75,15 +75,14 @@ func FuzzParse(f *testing.F) {
 			}
 			return true
 		})
-		pd := ParseDoc(src)
-		defer pd.Release()
-		if !reflect.DeepEqual(pd.Iframes, Iframes(tree)) {
+		d := Extract(src)
+		if !reflect.DeepEqual(d.Iframes, Iframes(tree)) {
 			t.Errorf("iframes diverge on %q", src)
 		}
-		if !reflect.DeepEqual(pd.Scripts, Scripts(tree)) {
+		if !reflect.DeepEqual(d.Scripts, Scripts(tree)) {
 			t.Errorf("scripts diverge on %q", src)
 		}
-		if !reflect.DeepEqual(pd.Links, Links(tree)) {
+		if !reflect.DeepEqual(d.Links, Links(tree)) {
 			t.Errorf("links diverge on %q", src)
 		}
 	})

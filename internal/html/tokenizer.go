@@ -1,5 +1,7 @@
-// Package html is a from-scratch HTML tokenizer and lightweight DOM
-// builder — the subset of HTML parsing the measurement needs: element
+// Package html is a from-scratch HTML tokenizer, the one-pass
+// extraction the crawl reads (Extract), and a lightweight DOM builder
+// (Parse) that Extract is tested against — the subset of HTML parsing
+// the measurement needs: element
 // structure, attributes (the paper's predefined iframe attribute list:
 // id, name, class, src, allow, sandbox, srcdoc, loading), raw-text
 // handling for <script> bodies (both for static analysis and for
@@ -43,14 +45,7 @@ type Token struct {
 }
 
 // Attr returns the value of the named attribute and whether it exists.
-func (t Token) Attr(name string) (string, bool) {
-	for _, a := range t.Attrs {
-		if a.Key == name {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
+func (t Token) Attr(name string) (string, bool) { return attr(t.Attrs, name) }
 
 // rawTextTags are elements whose content is raw text until the matching
 // end tag.
@@ -67,9 +62,9 @@ type Tokenizer struct {
 	// matching </rawTag> as a single text token.
 	rawTag string
 	// scratch accumulates attributes of the tag being lexed. In reuse
-	// mode (the pooled parse path) the emitted Token aliases it — valid
-	// only until the next call to Next — and the tree builder copies it
-	// into arena storage; otherwise each token gets an exact-size copy.
+	// mode (Extract's pooled tokenizer) the emitted Token aliases it —
+	// valid only until the next call to Next; otherwise each token gets
+	// an exact-size copy.
 	scratch    []Attr
 	reuseAttrs bool
 }
@@ -366,10 +361,8 @@ func (z *Tokenizer) attribute() (key, val string, ok bool) {
 }
 
 // internNames are the tag and attribute names that dominate real (and
-// synthetic) markup. Interning them fixes two costs on the hot path:
-// the strings.ToLower allocation for uppercase spellings, and — because
-// the canonical string is package-owned — a cached DOM never pins its
-// multi-megabyte source body through a tag-name substring.
+// synthetic) markup. Interning them saves the hot path the
+// strings.ToLower allocation for uppercase spellings.
 var internNames = []string{
 	// Tags.
 	"html", "head", "body", "div", "span", "p", "a", "img", "script",

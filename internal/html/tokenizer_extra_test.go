@@ -153,7 +153,6 @@ func BenchmarkRawTextPathological(b *testing.B) {
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pd := ParseDoc(src)
-		pd.Release()
+		_ = Extract(src)
 	}
 }

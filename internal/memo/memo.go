@@ -1,5 +1,5 @@
 // Package memo is the one cache type the crawl memoizes through: the
-// fetch tier keyed by URL, and the parsed documents and script
+// fetch tier keyed by URL, and the extracted documents and script
 // artifacts keyed by content digest. A crawl meets the same few
 // third-party widget documents and scripts on thousands of sites, so
 // each layer builds a value once per key and shares it; a
@@ -43,16 +43,13 @@ type Stats struct {
 // retry like after any failed build.
 var errPanicked = errors.New("memo: build panicked")
 
-// entry is one key's value, built once. holds counts its references:
-// one for the memo while the entry is in its map, plus one per
-// outstanding Hold; the value is freed when the count reaches zero.
+// entry is one key's value, built once.
 type entry[K comparable, V any] struct {
 	key   K
 	value V
 	size  int64
 	err   error         // the build's outcome, written before done closes
 	done  chan struct{} // closed once the build has finished
-	holds atomic.Int32
 
 	// built marks a published value on the recency list; built, prev
 	// and next are guarded by the memo's mu.
@@ -73,13 +70,12 @@ type entry[K comparable, V any] struct {
 //     evicted least-recently-used to keep the entry count and the summed
 //     charge within their bounds; a value alone over the byte bound is
 //     served but never retained.
-//   - Every Get returns a Hold the caller releases. A value that has
-//     left the memo is passed to free at its last release, never while
-//     a holder can still read it.
+//
+// Values are shared by every caller that gets them and must be treated
+// as read-only; an evicted value stays valid for whoever still has it.
 type Memo[K comparable, V any] struct {
 	maxEntries int
 	maxBytes   int64
-	free       func(V)
 
 	mu    sync.Mutex
 	items map[K]*entry[K, V] // built and in-flight entries
@@ -91,66 +87,48 @@ type Memo[K comparable, V any] struct {
 }
 
 // New returns an empty memo holding at most maxEntries values and
-// maxBytes of summed charge (each <= 0 = unbounded). free, when
-// non-nil, is passed each value once it has left the memo and its last
-// hold is released.
-func New[K comparable, V any](maxEntries int, maxBytes int64, free func(V)) *Memo[K, V] {
-	m := &Memo[K, V]{maxEntries: maxEntries, maxBytes: maxBytes, free: free, items: map[K]*entry[K, V]{}}
+// maxBytes of summed charge (each <= 0 = unbounded).
+func New[K comparable, V any](maxEntries int, maxBytes int64) *Memo[K, V] {
+	m := &Memo[K, V]{maxEntries: maxEntries, maxBytes: maxBytes, items: map[K]*entry[K, V]{}}
 	m.lru.prev, m.lru.next = &m.lru, &m.lru
 	return m
 }
 
-// Hold is one caller's reference to a value returned by Get.
-type Hold[K comparable, V any] struct {
-	m *Memo[K, V]
-	e *entry[K, V]
-}
-
-// Value returns the held value.
-func (h Hold[K, V]) Value() V { return h.e.value }
-
-// Release drops the hold; the value must not be used after it.
-func (h Hold[K, V]) Release() { h.m.drop(h.e) }
-
-// Get returns a hold on the value for key, calling build on a miss.
-// build returns the value and its byte charge. A Hold comes back only
-// with a nil error: the build's own error when this caller built, or
-// ctx's when it gave up waiting on another caller's build.
-func (m *Memo[K, V]) Get(ctx context.Context, key K, build func() (V, int64, error)) (Hold[K, V], error) {
+// Get returns the value for key, calling build on a miss. build
+// returns the value and its byte charge. The error is the build's own
+// when this caller built, or ctx's when it gave up waiting on another
+// caller's build; the value is meaningful only with a nil error.
+func (m *Memo[K, V]) Get(ctx context.Context, key K, build func() (V, int64, error)) (V, error) {
 	for {
 		m.mu.Lock()
 		e, ok := m.items[key]
 		if !ok {
 			e = &entry[K, V]{key: key, done: make(chan struct{})}
-			e.holds.Store(2) // the memo's and this builder's
 			m.items[key] = e
 			m.mu.Unlock()
 			return m.build(e, build)
 		}
-		// Taken under mu, before any eviction can drop the memo's hold.
-		e.holds.Add(1)
 		if e.built {
 			unlink(e)
 			m.pushFront(e)
 			m.mu.Unlock()
 			m.hits.Add(1)
-			return Hold[K, V]{m, e}, nil
+			return e.value, nil
 		}
 		m.mu.Unlock()
 		select {
 		case <-e.done:
 		case <-ctx.Done():
-			m.drop(e)
-			return Hold[K, V]{}, ctx.Err()
+			var zero V
+			return zero, ctx.Err()
 		}
 		if e.err == nil {
 			m.coalesced.Add(1)
-			return Hold[K, V]{m, e}, nil
+			return e.value, nil
 		}
 		// The builder failed, possibly to its own caller's deadline,
 		// which says nothing about ours: look again, and build if no one
 		// else has started.
-		m.drop(e)
 	}
 }
 
@@ -158,25 +136,18 @@ func (m *Memo[K, V]) Get(ctx context.Context, key K, build func() (V, int64, err
 // publishes the outcome. e.err starts as errPanicked, so a panicking
 // build is published as failed, waking its waiters, while the panic
 // continues to the caller.
-func (m *Memo[K, V]) build(e *entry[K, V], build func() (V, int64, error)) (Hold[K, V], error) {
+func (m *Memo[K, V]) build(e *entry[K, V], build func() (V, int64, error)) (V, error) {
 	m.misses.Add(1)
 	e.err = errPanicked
 	defer m.publish(e)
 	e.value, e.size, e.err = build()
-	if e.err != nil {
-		m.drop(e)
-		return Hold[K, V]{}, e.err
-	}
-	return Hold[K, V]{m, e}, nil
+	return e.value, e.err
 }
 
 // publish ends e's build. A built value joins the recency list and
 // evicts least-recently-used values until both bounds hold again; a
-// failed entry leaves the map so the next Get rebuilds. Evicted values
-// lose the memo's hold only after mu is released, since that may free
-// them.
+// failed entry leaves the map so the next Get rebuilds.
 func (m *Memo[K, V]) publish(e *entry[K, V]) {
-	var evicted []*entry[K, V]
 	m.mu.Lock()
 	if e.err != nil {
 		delete(m.items, e.key)
@@ -193,24 +164,10 @@ func (m *Memo[K, V]) publish(e *entry[K, V]) {
 			m.bytes -= old.size
 			m.evictions.Add(1)
 			m.bytesEvicted.Add(uint64(old.size))
-			evicted = append(evicted, old)
 		}
 	}
 	m.mu.Unlock()
 	close(e.done)
-	if e.err != nil {
-		m.drop(e)
-	}
-	for _, old := range evicted {
-		m.drop(old)
-	}
-}
-
-// drop releases one hold on e, freeing a built value at the last.
-func (m *Memo[K, V]) drop(e *entry[K, V]) {
-	if e.holds.Add(-1) == 0 && e.err == nil && m.free != nil {
-		m.free(e.value)
-	}
 }
 
 // pushFront makes e the most recently used entry. Callers hold mu.

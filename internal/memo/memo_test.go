@@ -15,15 +15,14 @@ func constant(v string, size int64) func() (string, int64, error) {
 	return func() (string, int64, error) { return v, size, nil }
 }
 
-// mustGet gets key, failing the test on an error, and releases the hold.
+// mustGet gets key, failing the test on an error.
 func mustGet(t *testing.T, m *Memo[string, string], key string, size int64) string {
 	t.Helper()
-	h, err := m.Get(context.Background(), key, constant("value of "+key, size))
+	v, err := m.Get(context.Background(), key, constant("value of "+key, size))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Release()
-	return h.Value()
+	return v
 }
 
 // cached reports whether key is retained, without building or
@@ -48,18 +47,17 @@ func within[T any](t *testing.T, ch <-chan T, what string) T {
 }
 
 func TestHitMiss(t *testing.T) {
-	m := New[string, string](0, 0, nil)
+	m := New[string, string](0, 0)
 	if got := mustGet(t, m, "a", 1); got != "value of a" {
 		t.Fatalf("Get(a) = %q", got)
 	}
-	h, err := m.Get(context.Background(), "a", func() (string, int64, error) {
+	v, err := m.Get(context.Background(), "a", func() (string, int64, error) {
 		t.Fatal("a cached key was rebuilt")
 		return "", 0, nil
 	})
-	if err != nil || h.Value() != "value of a" {
-		t.Fatalf("hit: %q, %v", h.Value(), err)
+	if err != nil || v != "value of a" {
+		t.Fatalf("hit: %q, %v", v, err)
 	}
-	h.Release()
 	mustGet(t, m, "b", 2)
 	want := Stats{Hits: 1, Misses: 2, Entries: 2, CachedBytes: 3}
 	if s := m.Stats(); s != want {
@@ -70,7 +68,7 @@ func TestHitMiss(t *testing.T) {
 // TestSingleflight drives many goroutines at one slow key: exactly one
 // builds, and every other either coalesces onto that build or hits.
 func TestSingleflight(t *testing.T) {
-	m := New[string, string](0, 0, nil)
+	m := New[string, string](0, 0)
 	const goroutines = 32
 	var builds atomic.Int32
 	var wg sync.WaitGroup
@@ -78,16 +76,14 @@ func TestSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h, err := m.Get(context.Background(), "k", func() (string, int64, error) {
+			v, err := m.Get(context.Background(), "k", func() (string, int64, error) {
 				builds.Add(1)
 				time.Sleep(20 * time.Millisecond)
 				return "shared", 6, nil
 			})
-			if err != nil || h.Value() != "shared" {
-				t.Errorf("Get = %q, %v", h.Value(), err)
-				return
+			if err != nil || v != "shared" {
+				t.Errorf("Get = %q, %v", v, err)
 			}
-			h.Release()
 		}()
 	}
 	wg.Wait()
@@ -103,7 +99,7 @@ func TestSingleflight(t *testing.T) {
 // TestEvictionOrder: the entry bound evicts the least recently used
 // key, and a hit counts as a use.
 func TestEvictionOrder(t *testing.T) {
-	m := New[string, string](2, 0, nil)
+	m := New[string, string](2, 0)
 	mustGet(t, m, "a", 0)
 	mustGet(t, m, "b", 0)
 	mustGet(t, m, "a", 0) // b is now the least recently used
@@ -123,7 +119,7 @@ func TestEvictionOrder(t *testing.T) {
 // TestByteBudgetEviction: the byte bound evicts least recently used
 // values until the budget holds again, and accounts their charge.
 func TestByteBudgetEviction(t *testing.T) {
-	m := New[string, string](100, 100, nil)
+	m := New[string, string](100, 100)
 	mustGet(t, m, "a", 40)
 	mustGet(t, m, "b", 40)
 	// 70 more bytes must push out both a and b: 150 over budget, still
@@ -138,7 +134,7 @@ func TestByteBudgetEviction(t *testing.T) {
 // TestByteBudgetWithEntryBound: both bounds apply together, whichever
 // trips first evicts.
 func TestByteBudgetWithEntryBound(t *testing.T) {
-	m := New[string, string](2, 100, nil)
+	m := New[string, string](2, 100)
 	mustGet(t, m, "a", 10)
 	mustGet(t, m, "b", 10)
 	mustGet(t, m, "c", 10)
@@ -154,7 +150,7 @@ func TestByteBudgetWithEntryBound(t *testing.T) {
 // TestByteBudgetOversizedEntry: a value alone larger than the budget is
 // served but never retained: it evicts everything, then itself.
 func TestByteBudgetOversizedEntry(t *testing.T) {
-	m := New[string, string](0, 100, nil)
+	m := New[string, string](0, 100)
 	mustGet(t, m, "small", 30)
 	if got := mustGet(t, m, "huge", 500); got != "value of huge" {
 		t.Fatalf("oversized value not served: %q", got)
@@ -172,22 +168,19 @@ func TestByteBudgetOversizedEntry(t *testing.T) {
 // TestChargeAtPublish: a value is charged what its build reports, once
 // the build is done; an in-flight build holds no charge and no entry.
 func TestChargeAtPublish(t *testing.T) {
-	m := New[string, string](0, 100, nil)
+	m := New[string, string](0, 100)
 	mustGet(t, m, "a", 60)
 	started, finish := make(chan struct{}), make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		h, err := m.Get(context.Background(), "b", func() (string, int64, error) {
+		if _, err := m.Get(context.Background(), "b", func() (string, int64, error) {
 			close(started)
 			<-finish
 			return "b", 50, nil
-		})
-		if err != nil {
+		}); err != nil {
 			t.Error(err)
-			return
 		}
-		h.Release()
 	}()
 	within(t, started, "build start")
 	if s := m.Stats(); s.Entries != 1 || s.CachedBytes != 60 {
@@ -203,7 +196,7 @@ func TestChargeAtPublish(t *testing.T) {
 // TestErrorNotCached: a failed build is returned to its caller and
 // never cached; the next Get builds again, and a success is cached.
 func TestErrorNotCached(t *testing.T) {
-	m := New[string, string](0, 0, nil)
+	m := New[string, string](0, 0)
 	boom := errors.New("boom")
 	for i := 0; i < 2; i++ {
 		if _, err := m.Get(context.Background(), "k", func() (string, int64, error) { return "", 0, boom }); !errors.Is(err, boom) {
@@ -220,7 +213,7 @@ func TestErrorNotCached(t *testing.T) {
 // TestLeaderFailureNotShared: a waiter must not inherit its builder's
 // failure (which may stem from the builder's own deadline); it retries.
 func TestLeaderFailureNotShared(t *testing.T) {
-	m := New[string, string](0, 0, nil)
+	m := New[string, string](0, 0)
 	var builds atomic.Int32
 	errs := make([]error, 8)
 	var wg sync.WaitGroup
@@ -228,17 +221,13 @@ func TestLeaderFailureNotShared(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var h Hold[string, string]
-			h, errs[i] = m.Get(context.Background(), "k", func() (string, int64, error) {
+			_, errs[i] = m.Get(context.Background(), "k", func() (string, int64, error) {
 				time.Sleep(20 * time.Millisecond)
 				if builds.Add(1) == 1 {
 					return "", 0, errors.New("first build fails")
 				}
 				return "ok", 2, nil
 			})
-			if errs[i] == nil {
-				h.Release()
-			}
 		}(i)
 	}
 	wg.Wait()
@@ -259,18 +248,15 @@ func TestLeaderFailureNotShared(t *testing.T) {
 // TestWaiterContextCancel: a waiter gives up with its own context's
 // error while the build goes on, and the build's value is still cached.
 func TestWaiterContextCancel(t *testing.T) {
-	m := New[string, string](0, 0, nil)
+	m := New[string, string](0, 0)
 	started, finish := make(chan struct{}), make(chan struct{})
 	built := make(chan error, 1)
 	go func() {
-		h, err := m.Get(context.Background(), "k", func() (string, int64, error) {
+		_, err := m.Get(context.Background(), "k", func() (string, int64, error) {
 			close(started)
 			<-finish
 			return "v", 1, nil
 		})
-		if err == nil {
-			h.Release()
-		}
 		built <- err
 	}()
 	within(t, started, "build start")
@@ -294,52 +280,13 @@ func TestWaiterContextCancel(t *testing.T) {
 	}
 }
 
-// TestFreeAtLastRelease: an evicted value is freed only once its last
-// holder lets go, and exactly once.
-func TestFreeAtLastRelease(t *testing.T) {
-	freed := map[string]int{}
-	m := New[string, string](1, 0, func(v string) { freed[v]++ })
-	ha, err := m.Get(context.Background(), "a", constant("A", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, err := m.Get(context.Background(), "a", constant("unused", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustGet(t, m, "b", 1) // evicts a, which two holders still read
-	if freed["A"] != 0 {
-		t.Fatal("a held value was freed on eviction")
-	}
-	ha.Release()
-	if freed["A"] != 0 {
-		t.Fatal("a value was freed while a second holder still reads it")
-	}
-	hb.Release()
-	if freed["A"] != 1 {
-		t.Fatalf("A freed %d times at its last release, want 1", freed["A"])
-	}
-	if freed["value of b"] != 0 {
-		t.Error("a retained value was freed")
-	}
-}
-
 // TestConcurrentChurn hammers a tiny memo with overlapping keys and
-// concurrent holders: no holder ever reads a freed value, every value
-// evicted is freed exactly once, and -race shows the hold accounting
-// has no windows.
+// concurrent readers: every reader gets its key's value, every value
+// built is either retained or counted evicted, and -race shows the
+// recency list and counters have no windows.
 func TestConcurrentChurn(t *testing.T) {
-	type box struct {
-		key   int
-		freed atomic.Int32
-	}
-	var built, freed atomic.Int64
-	m := New[int, *box](4, 0, func(b *box) {
-		if b.freed.Add(1) != 1 {
-			t.Error("value freed twice")
-		}
-		freed.Add(1)
-	})
+	var built atomic.Uint64
+	m := New[int, int](4, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -347,18 +294,17 @@ func TestConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				key := (g*7 + i) % 12
-				h, err := m.Get(context.Background(), key, func() (*box, int64, error) {
+				v, err := m.Get(context.Background(), key, func() (int, int64, error) {
 					built.Add(1)
-					return &box{key: key}, 1, nil
+					return key, 1, nil
 				})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if b := h.Value(); b.key != key || b.freed.Load() != 0 {
-					t.Errorf("key %d: read %d, freed=%d", key, b.key, b.freed.Load())
+				if v != key {
+					t.Errorf("key %d: read %d", key, v)
 				}
-				h.Release()
 			}
 		}(g)
 	}
@@ -367,16 +313,29 @@ func TestConcurrentChurn(t *testing.T) {
 	if s.Entries > 4 || s.Evictions == 0 {
 		t.Errorf("churn stats implausible: %+v", s)
 	}
-	if got, want := freed.Load(), built.Load()-int64(s.Entries); got != want {
-		t.Errorf("freed %d values, want %d (built %d, %d retained)", got, want, built.Load(), s.Entries)
+	if s.Misses != built.Load() || s.Evictions+s.Entries != built.Load() {
+		t.Errorf("stats = %+v; want misses and evictions+entries = %d builds", s, built.Load())
 	}
+}
+
+// waitProbe is a context that reports when Get first selects on its
+// Done channel, which Get does only to wait on another caller's build.
+type waitProbe struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *waitProbe) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
 }
 
 // TestBuildPanic: a panicking build must not wedge its key. The panic
 // reaches the builder's caller, a waiter blocked on that build rebuilds
 // and gets its own value, and a later Get is a hit.
 func TestBuildPanic(t *testing.T) {
-	m := New[string, string](0, 0, nil)
+	m := New[string, string](0, 0)
 	started, finish := make(chan struct{}), make(chan struct{})
 	recovered := make(chan any, 1)
 	go func() {
@@ -388,32 +347,16 @@ func TestBuildPanic(t *testing.T) {
 		})
 	}()
 	within(t, started, "build start")
+	probe := &waitProbe{Context: context.Background(), waiting: make(chan struct{})}
 	waited := make(chan string, 1)
 	go func() {
-		h, err := m.Get(context.Background(), "k", constant("rebuilt", 1))
+		v, err := m.Get(probe, "k", constant("rebuilt", 1))
 		if err != nil {
 			t.Error(err)
-			waited <- ""
-			return
 		}
-		defer h.Release()
-		waited <- h.Value()
+		waited <- v
 	}()
-	// Let the waiter queue on the in-flight build: it then holds a
-	// third reference beside the memo's and the builder's.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		m.mu.Lock()
-		queued := m.items["k"].holds.Load() == 3
-		m.mu.Unlock()
-		if queued {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never queued on the build")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	within(t, probe.waiting, "waiter queueing on the build")
 	close(finish)
 	if r := within(t, recovered, "panicking build"); fmt.Sprint(r) != "build exploded" {
 		t.Fatalf("builder's caller recovered %v, want the build's panic", r)
@@ -423,16 +366,13 @@ func TestBuildPanic(t *testing.T) {
 	}
 	hit := make(chan string, 1)
 	go func() {
-		h, err := m.Get(context.Background(), "k", func() (string, int64, error) {
+		v, err := m.Get(context.Background(), "k", func() (string, int64, error) {
 			return "", 0, errors.New("a cached key was rebuilt")
 		})
 		if err != nil {
 			t.Error(err)
-			hit <- ""
-			return
 		}
-		defer h.Release()
-		hit <- h.Value()
+		hit <- v
 	}()
 	if got := within(t, hit, "later Get"); got != "rebuilt" {
 		t.Fatalf("later Get = %q, want the cached value", got)

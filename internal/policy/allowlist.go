@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"permodyssey/internal/header"
 	"permodyssey/internal/origin"
 )
 
@@ -170,7 +171,7 @@ func (a Allowlist) String() string {
 	origins := append([]string{}, a.Origins...)
 	sort.Strings(origins)
 	for _, o := range origins {
-		parts = append(parts, `"`+o+`"`)
+		parts = append(parts, header.SerializeItem(header.Item{Kind: header.KindString, String: o}))
 	}
 	return "(" + strings.Join(parts, " ") + ")"
 }

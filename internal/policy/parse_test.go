@@ -16,8 +16,11 @@ func issueKinds(issues []Issue) map[IssueKind]int {
 	return m
 }
 
+// validHeader is a well-formed Permissions-Policy value with no issues.
+const validHeader = `camera=(), geolocation=(self "https://maps.example"), fullscreen=*, payment=self`
+
 func TestParsePermissionsPolicyValid(t *testing.T) {
-	p, issues, err := ParsePermissionsPolicy(`camera=(), geolocation=(self "https://maps.example"), fullscreen=*, payment=self`)
+	p, issues, err := ParsePermissionsPolicy(validHeader)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -42,24 +45,29 @@ func TestParsePermissionsPolicyValid(t *testing.T) {
 	}
 }
 
+// headerCase is a Permissions-Policy value and the issue it must raise.
+type headerCase struct {
+	value string
+	kind  IssueKind
+}
+
+// syntaxErrorCases are headers that fail to parse, by error class.
+var syntaxErrorCases = []headerCase{
+	// Feature-Policy syntax in a Permissions-Policy header: the most
+	// common parse error (§4.3.3, §6.2).
+	{"camera 'self'; geolocation 'none'", IssueFeaturePolicySyntax},
+	{"camera 'none'", IssueFeaturePolicySyntax},
+	{"geolocation https://x.com; camera *", IssueFeaturePolicySyntax},
+	// Misplaced commas.
+	{"camera=(),", IssueTrailingComma},
+	{"camera=(), geolocation=(self),", IssueTrailingComma},
+	// Other syntax garbage.
+	{"camera=((a))", IssueSyntax},
+	{"CAMERA=()", IssueSyntax},
+}
+
 func TestParsePermissionsPolicySyntaxErrorClasses(t *testing.T) {
-	tests := []struct {
-		value string
-		kind  IssueKind
-	}{
-		// Feature-Policy syntax in a Permissions-Policy header: the most
-		// common parse error (§4.3.3, §6.2).
-		{"camera 'self'; geolocation 'none'", IssueFeaturePolicySyntax},
-		{"camera 'none'", IssueFeaturePolicySyntax},
-		{"geolocation https://x.com; camera *", IssueFeaturePolicySyntax},
-		// Misplaced commas.
-		{"camera=(),", IssueTrailingComma},
-		{"camera=(), geolocation=(self),", IssueTrailingComma},
-		// Other syntax garbage.
-		{"camera=((a))", IssueSyntax},
-		{"CAMERA=()", IssueSyntax},
-	}
-	for _, tt := range tests {
+	for _, tt := range syntaxErrorCases {
 		_, issues, err := ParsePermissionsPolicy(tt.value)
 		if err == nil {
 			t.Errorf("ParsePermissionsPolicy(%q): expected error", tt.value)
@@ -74,22 +82,21 @@ func TestParsePermissionsPolicySyntaxErrorClasses(t *testing.T) {
 	}
 }
 
+// semanticCases are headers that parse but carry a misconfiguration.
+var semanticCases = []headerCase{
+	{"camera=(none)", IssueUnrecognizedToken},
+	{"camera=(0)", IssueUnrecognizedToken},
+	{"camera=(https://x.com)", IssueUnquotedOrigin},
+	{"camera=(self *)", IssueContradictory},
+	{`camera=("https://x.com")`, IssueOriginsWithoutSelf},
+	{`camera=("not a url%%%")`, IssueInvalidOrigin},
+	{`camera=("data:text/html,x")`, IssueInvalidOrigin},
+	{"camera=(), camera=(self)", IssueDuplicateFeature},
+	{"made-up-thing=()", IssueUnknownFeature},
+}
+
 func TestParsePermissionsPolicySemanticIssues(t *testing.T) {
-	tests := []struct {
-		value string
-		kind  IssueKind
-	}{
-		{"camera=(none)", IssueUnrecognizedToken},
-		{"camera=(0)", IssueUnrecognizedToken},
-		{"camera=(https://x.com)", IssueUnquotedOrigin},
-		{"camera=(self *)", IssueContradictory},
-		{`camera=("https://x.com")`, IssueOriginsWithoutSelf},
-		{`camera=("not a url%%%")`, IssueInvalidOrigin},
-		{`camera=("data:text/html,x")`, IssueInvalidOrigin},
-		{"camera=(), camera=(self)", IssueDuplicateFeature},
-		{"made-up-thing=()", IssueUnknownFeature},
-	}
-	for _, tt := range tests {
+	for _, tt := range semanticCases {
 		_, issues, err := ParsePermissionsPolicy(tt.value)
 		if err != nil {
 			t.Errorf("ParsePermissionsPolicy(%q): unexpected hard error %v", tt.value, err)
@@ -203,20 +210,23 @@ func TestParseAllowAttrEdgeCases(t *testing.T) {
 	}
 }
 
+// allowDirectiveCases are single allow-attribute directives and how
+// each classifies.
+var allowDirectiveCases = []struct {
+	raw     string
+	feature string
+	kind    DelegationDirectiveKind
+}{
+	{"camera", "camera", DelegationDefaultSrc},
+	{"camera *", "camera", DelegationWildcard},
+	{"camera 'src'", "camera", DelegationExplicitSrc},
+	{"camera 'none'", "camera", DelegationNone},
+	{"camera 'self'", "camera", DelegationSelf},
+	{"camera https://x.com", "camera", DelegationOrigin},
+}
+
 func TestClassifyAllowDirective(t *testing.T) {
-	tests := []struct {
-		raw     string
-		feature string
-		kind    DelegationDirectiveKind
-	}{
-		{"camera", "camera", DelegationDefaultSrc},
-		{"camera *", "camera", DelegationWildcard},
-		{"camera 'src'", "camera", DelegationExplicitSrc},
-		{"camera 'none'", "camera", DelegationNone},
-		{"camera 'self'", "camera", DelegationSelf},
-		{"camera https://x.com", "camera", DelegationOrigin},
-	}
-	for _, tt := range tests {
+	for _, tt := range allowDirectiveCases {
 		f, k, ok := ClassifyAllowDirective(tt.raw)
 		if !ok || f != tt.feature || k != tt.kind {
 			t.Errorf("ClassifyAllowDirective(%q) = %q, %q, %v; want %q, %q",
@@ -281,15 +291,18 @@ func TestBreadthFor(t *testing.T) {
 	}
 }
 
+// roundTripHeaders are issue-free headers whose serialization must
+// re-parse to the same serialization.
+var roundTripHeaders = []string{
+	"camera=()",
+	"camera=(self)",
+	`geolocation=(self "https://maps.example")`,
+	"fullscreen=*",
+	`camera=(), geolocation=(self "https://a.example" "https://b.example"), payment=(self)`,
+}
+
 func TestSerializationRoundTrips(t *testing.T) {
-	values := []string{
-		"camera=()",
-		"camera=(self)",
-		`geolocation=(self "https://maps.example")`,
-		"fullscreen=*",
-		`camera=(), geolocation=(self "https://a.example" "https://b.example"), payment=(self)`,
-	}
-	for _, v := range values {
+	for _, v := range roundTripHeaders {
 		p, issues, err := ParsePermissionsPolicy(v)
 		if err != nil {
 			t.Fatalf("parse %q: %v", v, err)

@@ -23,7 +23,7 @@ func (p Policy) HeaderValue() string {
 func (p Policy) FeaturePolicyValue() string {
 	parts := make([]string, 0, len(p.Directives))
 	for _, d := range p.Directives {
-		parts = append(parts, d.Feature+" "+legacyEntries(d.Allowlist, false))
+		parts = append(parts, d.Feature+" "+legacyEntries(d.Allowlist))
 	}
 	return strings.Join(parts, "; ")
 }
@@ -39,12 +39,12 @@ func (p Policy) AllowAttrValue() string {
 			parts = append(parts, d.Feature)
 			continue
 		}
-		parts = append(parts, d.Feature+" "+legacyEntries(al, true))
+		parts = append(parts, d.Feature+" "+legacyEntries(al))
 	}
 	return strings.Join(parts, "; ")
 }
 
-func legacyEntries(al Allowlist, attr bool) string {
+func legacyEntries(al Allowlist) string {
 	if al.All {
 		return "*"
 	}
@@ -59,7 +59,6 @@ func legacyEntries(al Allowlist, attr bool) string {
 		entries = append(entries, "'src'")
 	}
 	entries = append(entries, al.Origins...)
-	_ = attr
 	return strings.Join(entries, " ")
 }
 

@@ -481,7 +481,7 @@ func (c *compiler) compileCall(e *Call) (cexpr, error) {
 		}
 		mName, mOpt, mLine := m.Name, m.Optional, m.Line
 		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
-			if err := in.step(line); err != nil {
+			if err := in.step(); err != nil {
 				return Undefined(), err
 			}
 			this, err := objX.fn(in, env)
@@ -511,7 +511,7 @@ func (c *compiler) compileCall(e *Call) (cexpr, error) {
 		calleeName = id.Name
 	}
 	return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
-		if err := in.step(line); err != nil {
+		if err := in.step(); err != nil {
 			return Undefined(), err
 		}
 		fnv, err := fnX.fn(in, env)

@@ -26,7 +26,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 			return nil, err
 		}
 		return func(in *Interp, env *Env) error {
-			if err := in.step(0); err != nil {
+			if err := in.step(); err != nil {
 				return err
 			}
 			return runAll(in, env, fns)
@@ -53,7 +53,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 		if len(c.scopes) > 0 {
 			if slot, ok := c.scopes[len(c.scopes)-1].slotOf[name]; ok {
 				return func(in *Interp, env *Env) error {
-					if err := in.step(0); err != nil {
+					if err := in.step(); err != nil {
 						return err
 					}
 					v, err := initX.fn(in, env)
@@ -66,7 +66,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 			}
 		}
 		return func(in *Interp, env *Env) error {
-			if err := in.step(0); err != nil {
+			if err := in.step(); err != nil {
 				return err
 			}
 			v, err := initX.fn(in, env)
@@ -82,7 +82,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 			return nil, err
 		}
 		return func(in *Interp, env *Env) error {
-			if err := in.step(0); err != nil {
+			if err := in.step(); err != nil {
 				return err
 			}
 			_, err := x.fn(in, env)
@@ -113,7 +113,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 			return stepOnly, nil
 		}
 		return func(in *Interp, env *Env) error {
-			if err := in.step(0); err != nil {
+			if err := in.step(); err != nil {
 				return err
 			}
 			cond, err := condX.fn(in, env)
@@ -139,7 +139,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 		}
 		return func(in *Interp, env *Env) error {
 			for {
-				if err := in.step(0); err != nil {
+				if err := in.step(); err != nil {
 					return err
 				}
 				cond, err := condX.fn(in, env)
@@ -168,7 +168,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 		}
 		return func(in *Interp, env *Env) error {
 			for {
-				if err := in.step(0); err != nil {
+				if err := in.step(); err != nil {
 					return err
 				}
 				if err := runLoopBody(in, env, bodyFn); err != nil {
@@ -201,7 +201,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 			x = litExpr(Undefined())
 		}
 		return func(in *Interp, env *Env) error {
-			if err := in.step(0); err != nil {
+			if err := in.step(); err != nil {
 				return err
 			}
 			v, err := x.fn(in, env)
@@ -212,14 +212,14 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 		}, nil
 	case *BreakStmt:
 		return func(in *Interp, env *Env) error {
-			if err := in.step(0); err != nil {
+			if err := in.step(); err != nil {
 				return err
 			}
 			return breakSignal{}
 		}, nil
 	case *ContinueStmt:
 		return func(in *Interp, env *Env) error {
-			if err := in.step(0); err != nil {
+			if err := in.step(); err != nil {
 				return err
 			}
 			return continueSignal{}
@@ -230,7 +230,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 			return nil, err
 		}
 		return func(in *Interp, env *Env) error {
-			if err := in.step(0); err != nil {
+			if err := in.step(); err != nil {
 				return err
 			}
 			v, err := x.fn(in, env)
@@ -256,7 +256,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 			}
 		}
 		return func(in *Interp, env *Env) error {
-			if err := in.step(0); err != nil {
+			if err := in.step(); err != nil {
 				return err
 			}
 			v := FuncValue(&Closure{
@@ -277,7 +277,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 			return nil, err
 		}
 		return func(in *Interp, env *Env) error {
-			if err := in.step(0); err != nil {
+			if err := in.step(); err != nil {
 				return err
 			}
 			_, err := x.fn(in, env)
@@ -286,7 +286,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 	}
 }
 
-func stepOnly(in *Interp, env *Env) error { return in.step(0) }
+func stepOnly(in *Interp, env *Env) error { return in.step() }
 
 func runAll(in *Interp, env *Env, fns []execFn) error {
 	for _, fn := range fns {
@@ -316,7 +316,7 @@ func (c *compiler) compileBlock(b *BlockStmt) (execFn, error) {
 			return nil, err
 		}
 		return func(in *Interp, env *Env) error {
-			if err := in.step(0); err != nil {
+			if err := in.step(); err != nil {
 				return err
 			}
 			return runAll(in, env, fns)
@@ -330,7 +330,7 @@ func (c *compiler) compileBlock(b *BlockStmt) (execFn, error) {
 		return nil, err
 	}
 	return func(in *Interp, env *Env) error {
-		if err := in.step(0); err != nil {
+		if err := in.step(); err != nil {
 			return err
 		}
 		fe := newFrame(env, fl)
@@ -386,7 +386,7 @@ func (c *compiler) compileFor(s *ForStmt) (execFn, error) {
 			}
 		}
 		for {
-			if err := in.step(0); err != nil {
+			if err := in.step(); err != nil {
 				return err
 			}
 			if hasCond {
@@ -413,7 +413,7 @@ func (c *compiler) compileFor(s *ForStmt) (execFn, error) {
 	}
 	layout := fl
 	return func(in *Interp, env *Env) error {
-		if err := in.step(0); err != nil {
+		if err := in.step(); err != nil {
 			return err
 		}
 		fenv := env
@@ -466,7 +466,7 @@ func (c *compiler) compileSwitch(s *SwitchStmt) (execFn, error) {
 	}
 	layout := fl
 	return func(in *Interp, env *Env) error {
-		if err := in.step(0); err != nil {
+		if err := in.step(); err != nil {
 			return err
 		}
 		tag, err := tagX.fn(in, env)
@@ -559,7 +559,7 @@ func (c *compiler) compileTry(s *TryStmt) (execFn, error) {
 		return err
 	}
 	return func(in *Interp, env *Env) error {
-		if err := in.step(0); err != nil {
+		if err := in.step(); err != nil {
 			return err
 		}
 		err := bodyFn(in, env)

@@ -260,12 +260,11 @@ func (in *Interp) CallFunction(fn Value, this Value, args []Value) (Value, error
 	return in.call(fn, this, args, 0)
 }
 
-func (in *Interp) step(line int) error {
+func (in *Interp) step() error {
 	in.steps++
 	if in.steps > in.MaxSteps {
 		return ErrBudget
 	}
-	_ = line
 	return nil
 }
 

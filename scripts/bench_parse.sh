@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # DOM parse throughput gate: run the DOM-cache benchmarks — cold
-# arena parses against cache-served repeats over a Zipf-popular corpus
-# — archive them as a BENCH_PARSE_*.json artifact, and fail unless the
-# warm path beats the cold path by the required speedup AND stays under
-# the warm allocation ceiling. The Zipf pair measures exactly the
-# tentpole win: a shared widget document fetched by many sites parses
-# once and is served from the content-addressed cache thereafter; the
-# allocation ceiling pins the arena/pooling work (a warm hit is one
-# hash-key allocation, not a tree rebuild).
+# html.Extract passes against cache-served repeats over a Zipf-popular
+# corpus — archive them as a BENCH_PARSE_*.json artifact, and fail
+# unless the warm path beats the cold path by the required speedup AND
+# stays under the warm allocation ceiling. The Zipf pair measures what
+# the cache buys: a shared widget document fetched by many sites is
+# extracted once and served from the content-addressed cache
+# thereafter; the allocation ceiling pins the warm hit at one hash-key
+# allocation, not a re-extraction.
 #
 # Usage: scripts/bench_parse.sh [output.json]
 #   PERMODYSSEY_PARSE_MIN_SPEEDUP      required cold/warm ratio (default 2.0)

@@ -32,5 +32,5 @@ fi
 go test -race ./...
 
 # The memo is the one cache every crawl worker shares; repeat its tests
-# under the race detector so rare hold/eviction interleavings show up.
+# under the race detector so rare build/eviction interleavings show up.
 go test -race -count=10 ./internal/memo

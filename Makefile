@@ -34,7 +34,8 @@ test:
 	go test ./...
 
 # Crawl-benchmark smoke: the crawlbench module's own tests plus a 5 s
-# offline run that must report "correct":true (no timing gate).
+# offline run and a 5 s chaos run that must each report "correct":true
+# (no timing gate).
 crawlbench-smoke:
 	./scripts/crawlbench_smoke.sh
 

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -73,23 +74,64 @@ func (f *HTTPFetcher) Fetch(ctx context.Context, rawURL string) (*Response, erro
 	if limit <= 0 {
 		limit = 4 << 20
 	}
-	// Read one byte past the budget so truncation is detectable rather
-	// than silent.
-	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	body, truncated, err := readBody(resp.Body, limit)
 	if err != nil {
 		return nil, fmt.Errorf("reading %s: %w", rawURL, err)
-	}
-	truncated := int64(len(body)) > limit
-	if truncated {
-		body = body[:limit]
 	}
 	return &Response{
 		Status:        resp.StatusCode,
 		Header:        resp.Header,
-		Body:          string(body),
+		Body:          body,
 		FinalURL:      resp.Request.URL.String(),
 		BodyTruncated: truncated,
 	}, nil
+}
+
+// bodyChunk is the size of the pooled buffers readBody reads into.
+const bodyChunk = 32 << 10
+
+var bodyChunks = sync.Pool{New: func() any { return new([bodyChunk]byte) }}
+
+// readBody reads r to EOF and returns at most limit bytes of it as a
+// string allocated once, at its final length: the bytes land in pooled
+// chunks and are joined once, where io.ReadAll would regrow its buffer
+// about 1.25x at a time and the string conversion copy it again. One
+// byte past the budget is read so truncation is detectable rather than
+// silent. Any read error but io.EOF, a connection reset or a short
+// chunked or Content-Length body included, fails the read.
+func readBody(r io.Reader, limit int64) (body string, truncated bool, err error) {
+	r = io.LimitReader(r, limit+1)
+	var chunks []*[bodyChunk]byte
+	defer func() {
+		for _, c := range chunks {
+			bodyChunks.Put(c)
+		}
+	}()
+	var total int64
+	for n := bodyChunk; ; {
+		if n == bodyChunk {
+			chunks = append(chunks, bodyChunks.Get().(*[bodyChunk]byte))
+			n = 0
+		}
+		m, err := r.Read(chunks[len(chunks)-1][n:])
+		n += m
+		total += int64(m)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return "", false, err
+		}
+	}
+	if truncated = total > limit; truncated {
+		total = limit
+	}
+	var b strings.Builder
+	b.Grow(int(total))
+	for _, c := range chunks {
+		b.Write(c[:min(int64(bodyChunk), total-int64(b.Len()))])
+	}
+	return b.String(), truncated, nil
 }
 
 // MapFetcher serves canned responses; for tests and examples.

@@ -186,6 +186,30 @@ func TestCrawlCommand(t *testing.T) {
 	}
 }
 
+// TestCrawlProfiles pins -cpuprofile and -memprofile: after a crawl
+// both files exist and hold gzip-framed pprof data.
+func TestCrawlProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var out, errOut bytes.Buffer
+	code := Crawl(context.Background(), []string{
+		"-sites", "30", "-seed", "12", "-workers", "4", "-timeout", "300ms",
+		"-out", filepath.Join(dir, "out.jsonl"), "-cpuprofile", cpu, "-memprofile", mem,
+	}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("crawl: code=%d stderr=%q", code, errOut.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Errorf("%s: %d bytes, want a non-empty gzip-framed profile", filepath.Base(path), len(data))
+		}
+	}
+}
+
 // TestCrawlOfflineReplay is the CLI shape of the offline-replay CI
 // job: warm crawl with -cache-dir, offline re-crawl of the same
 // population, identical reports and zero network fetches.

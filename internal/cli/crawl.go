@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"permodyssey/internal/bundle"
@@ -38,7 +40,7 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	deferBreaker := fs.Bool("defer-breaker-open", true, "defer visits to breaker-open hosts until the half-open probe time instead of recording breaker-open failures")
 	noCache := fs.Bool("no-cache", false, "disable the three shared caches: fetch responses, parsed documents (DOM) and script artifacts (compiled program plus static findings)")
 	cacheEntries := fs.Int("cache-entries", 0, "cap each of the fetch, DOM and script caches at N entries, evicted LRU (0 = unbounded)")
-	cacheBytes := fs.Int64("cache-bytes", 0, "cap, each on its own, the fetch cache's cached body bytes and the DOM cache's document source bytes, evicted LRU (0 = unbounded)")
+	cacheBytes := fs.Int64("cache-bytes", core.DefaultCacheBytes, "cap each of the fetch, DOM and script caches at N bytes of what its entries keep alive (fetched bodies, extracted strings, script sources), evicted LRU (0 = unbounded)")
 	resume := fs.Bool("resume", false, "load an existing -out dataset, skip its completed ranks, and append the rest")
 	chaos := fs.Bool("chaos", false, "inject deterministic faults into the synthetic web (resets, slow-loris, malformed headers, redirect loops, flapping hosts, oversized bodies)")
 	chaosSeed := fs.Int64("chaos-seed", 0, "fault-assignment seed (0 = population seed)")
@@ -57,6 +59,8 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	era := fs.Int("era", 0, "crawl a population calibrated to this measurement year (2020, 2022, or 2024+; 0 = the paper's present-day defaults) for longitudinal comparisons")
 	bundlePath := fs.String("bundle", "", "after a finished crawl, seal config, dataset, report, and the -cache-dir archive into a Web Execution Bundle at this path (directory or .tar.gz)")
 	bundleKey := fs.String("bundle-key", "", "HMAC-sign the bundle digest with this key")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the crawl to this file (runtime/pprof)")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file once the crawl returns, after a forced GC; its alloc_space sample shows the crawl's allocation churn")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -201,7 +205,14 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	endProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		f.Close()
+		fmt.Fprintln(stderr, "permcrawl:", err)
+		return 1
+	}
 	m, err := core.Run(ctx, opts)
+	profErr := endProfiles()
 	if err != nil {
 		f.Close()
 		fmt.Fprintln(stderr, "permcrawl:", err)
@@ -223,6 +234,10 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "dataset written to %s (%d records, %s)\n",
 		*out, len(m.Dataset.Records), m.Elapsed.Round(time.Millisecond))
+	if profErr != nil {
+		fmt.Fprintln(stderr, "permcrawl: writing profiles:", profErr)
+		return 1
+	}
 	if *statsJSON != "" {
 		buf, err := json.MarshalIndent(m.Stats, "", "  ")
 		if err == nil {
@@ -270,4 +285,42 @@ func touchFile(path string) {
 		fmt.Fprintf(f, "%d\n", os.Getpid())
 		f.Close()
 	}
+}
+
+// startProfiles starts a CPU profile into cpuPath when it is set, and
+// returns the function that ends it and then, when memPath is set,
+// writes a heap profile there after a forced GC, so the profile's
+// in-use samples are what the finished crawl still holds.
+func startProfiles(cpuPath, memPath string) (end func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }

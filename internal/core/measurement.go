@@ -48,11 +48,13 @@ type MeasurementOptions struct {
 	// CacheEntries caps each of the three caches at this many entries,
 	// evicted LRU. 0 = unbounded.
 	CacheEntries int
-	// CacheBytes caps, independently, the fetch cache's cached body
-	// bytes and the DOM cache's source bytes (an extraction's strings
-	// alias its source), each evicted LRU alongside the entry cap; a
-	// single body or document larger than the budget is served but
-	// never retained. 0 = unbounded.
+	// CacheBytes caps each of the three caches, independently, at this
+	// many bytes of summed charge, evicted LRU alongside the entry cap.
+	// Each value is charged the bytes it keeps alive: a fetched body's
+	// length, an extraction's one string buffer (html.Extract copies
+	// out of the source), a script's source length. A single value
+	// larger than the budget is served but never retained. The default
+	// is DefaultCacheBytes; 0 = unbounded.
 	CacheBytes int64
 	// Breaker enables the per-host circuit breaker between the fetch
 	// cache and the network when Threshold > 0: a host that fails
@@ -106,6 +108,13 @@ type CrawlStats struct {
 	Breaker crawler.BreakerStats
 }
 
+// DefaultCacheBytes is the default byte bound of each crawl cache. The
+// caches hold what many sites share — widget documents, CDN scripts,
+// their extractions and compiled programs — which fits well within it,
+// while a long crawl's one-off documents are evicted instead of
+// accumulating.
+const DefaultCacheBytes = 64 << 20
+
 // DefaultMeasurementOptions mirrors the paper's setup, scaled down.
 func DefaultMeasurementOptions() MeasurementOptions {
 	crawlCfg := crawler.DefaultConfig()
@@ -115,6 +124,7 @@ func DefaultMeasurementOptions() MeasurementOptions {
 		Crawl:       crawlCfg,
 		BrowserOpts: browser.DefaultOptions(),
 		StallTime:   time.Second,
+		CacheBytes:  DefaultCacheBytes,
 	}
 }
 
@@ -271,7 +281,7 @@ func newCrawlStack(srv *synthweb.Server, opts MeasurementOptions) (*crawlStack, 
 		// One extraction and one compiled, scanned script per distinct
 		// body, shared by every frame that embeds it.
 		st.docs = html.NewDocMemo(opts.CacheEntries, opts.CacheBytes)
-		st.scripts = memo.New[memo.Key, *browser.Script](opts.CacheEntries, 0)
+		st.scripts = memo.New[memo.Key, *browser.Script](opts.CacheEntries, opts.CacheBytes)
 		opts.BrowserOpts.DocCache, opts.BrowserOpts.ScriptCache = st.docs, st.scripts
 	}
 	b := browser.New(fetcher, opts.BrowserOpts)

@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"permodyssey/internal/browser"
+	"permodyssey/internal/memo"
 )
 
 const (
@@ -608,7 +609,7 @@ func (a *Archive) Store(rawURL string, resp *browser.Response) {
 	if a.offline || resp == nil {
 		return
 	}
-	sum := sha256.Sum256([]byte(resp.Body))
+	sum := memo.Sum(resp.Body)
 	e := entry{
 		URL:           rawURL,
 		Hash:          hex.EncodeToString(sum[:]),

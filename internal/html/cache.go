@@ -8,8 +8,9 @@ import (
 
 // NewDocMemo returns a document memo keyed by content digest, holding
 // at most maxEntries documents and maxBytes of summed charge (each
-// <= 0 = unbounded). Each Doc is charged its source length: its strings
-// alias the source, so the source is what it keeps alive.
+// <= 0 = unbounded). Each Doc is charged the length of its one string
+// buffer: Extract copies its strings out of the source, so that buffer,
+// not the source, is what a retained Doc keeps alive.
 func NewDocMemo(maxEntries int, maxBytes int64) *memo.Memo[memo.Key, Doc] {
 	return memo.New[memo.Key, Doc](maxEntries, maxBytes)
 }
@@ -23,6 +24,7 @@ func ExtractShared(ctx context.Context, docs *memo.Memo[memo.Key, Doc], src stri
 		return Extract(src), nil
 	}
 	return docs.Get(ctx, memo.Sum(src), func() (Doc, int64, error) {
-		return Extract(src), int64(len(src)), nil
+		d := extractAliased(src)
+		return d, int64(d.own()), nil
 	})
 }

@@ -3,6 +3,7 @@ package html
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -40,8 +41,10 @@ func TestParseCacheHitMiss(t *testing.T) {
 	if s.Hits != 1 || s.Misses != 2 || s.Entries != 2 {
 		t.Errorf("stats: %+v", s)
 	}
-	if s.CachedBytes != uint64(len(srcA)+len(srcB)) {
-		t.Errorf("cached bytes: %d, want the two sources' %d", s.CachedBytes, len(srcA)+len(srcB))
+	// Each Doc is charged its extracted strings, "/a" and "/b", not its
+	// source: it no longer aliases the source, so it keeps none alive.
+	if want := uint64(len("/a") + len("/b")); s.CachedBytes != want {
+		t.Errorf("cached bytes: %d, want the two extractions' %d", s.CachedBytes, want)
 	}
 }
 
@@ -83,7 +86,9 @@ func TestParseCacheByteBound(t *testing.T) {
 	c := NewDocMemo(0, 64)
 	docGet(t, c, `<p>tiny</p>`)
 	// An entry alone larger than the budget is served but never retained.
-	big := docGet(t, c, `<div><a href="/big">`+string(make([]byte, 200))+`</a></div>`)
+	// The charge is the extraction, so the document is oversized by its
+	// 200-byte href, not by its source.
+	big := docGet(t, c, `<div><a href="/`+strings.Repeat("b", 199)+`">big</a></div>`)
 	if len(big.Links) != 1 {
 		t.Error("oversized document must still extract")
 	}

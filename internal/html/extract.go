@@ -8,9 +8,11 @@ import (
 // Doc is everything the crawl reads from one document: the iframe
 // attribute lists (§3.1.2), the inline and external scripts (§3.1.1),
 // and the anchor targets for internal-page crawling (§6.1), each in
-// document order. Its strings are substrings of the source wherever no
-// entity needed decoding, so a Doc keeps its source alive. A Doc is
-// never mutated after Extract returns and may be shared freely.
+// document order. A Doc owns its strings: Extract copies them into one
+// buffer per document, so neither the Doc nor anything holding one of
+// its strings (a crawl record, a compiled inline script, a memo entry)
+// keeps the fetched source alive. A Doc is never mutated after Extract
+// returns and may be shared freely.
 type Doc struct {
 	Iframes []Iframe
 	Scripts []Script
@@ -39,8 +41,57 @@ var extractPool = sync.Pool{New: func() any { return &extractState{} }}
 // tokenizer pass, exactly as Iframes, Scripts and Links read them from
 // Parse(src). It keeps Parse's open-element stack as tag names only:
 // an inline script's body is every non-blank text token emitted while
-// it is open, which is the text its subtree would hold.
+// it is open, which is the text its subtree would hold. The strings are
+// copied out of src into one buffer owned by the Doc.
 func Extract(src string) Doc {
+	d := extractAliased(src)
+	d.own()
+	return d
+}
+
+// own copies every string of d into one buffer and re-points the
+// fields at it, returning the buffer's length: the bytes d keeps alive,
+// and its charge in the document memo. One allocation per document,
+// not one per field, keeps a cold extraction at a handful of
+// allocations.
+func (d *Doc) own() int {
+	n := 0
+	d.eachString(func(s *string) { n += len(*s) })
+	if n == 0 {
+		return 0
+	}
+	// After Grow(n) the n bytes are written without reallocating, so
+	// every String() is a prefix of the one buffer.
+	var b strings.Builder
+	b.Grow(n)
+	d.eachString(func(s *string) {
+		off := b.Len()
+		b.WriteString(*s)
+		*s = b.String()[off:]
+	})
+	return n
+}
+
+// eachString calls fn on every string field of d, in a fixed order.
+func (d *Doc) eachString(fn func(*string)) {
+	for i := range d.Iframes {
+		f := &d.Iframes[i]
+		for _, s := range [...]*string{&f.Src, &f.Allow, &f.Sandbox, &f.Srcdoc, &f.Loading, &f.ID, &f.Name, &f.Class} {
+			fn(s)
+		}
+	}
+	for i := range d.Scripts {
+		fn(&d.Scripts[i].Src)
+		fn(&d.Scripts[i].Body)
+	}
+	for i := range d.Links {
+		fn(&d.Links[i])
+	}
+}
+
+// extractAliased is the tokenizer pass behind Extract. Its strings are
+// substrings of src wherever no entity needed decoding.
+func extractAliased(src string) Doc {
 	var d Doc
 	st := extractPool.Get().(*extractState)
 	open, texts := st.open[:0], st.texts[:0]

@@ -10,6 +10,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
+	"hash"
 	"sync"
 	"sync/atomic"
 )
@@ -17,8 +18,36 @@ import (
 // Key is a content digest: the SHA-256 of a body.
 type Key [sha256.Size]byte
 
-// Sum returns the content digest of s.
-func Sum(s string) Key { return sha256.Sum256([]byte(s)) }
+// sumChunk is the size of the pieces Sum copies a string through on its
+// way into the hash.
+const sumChunk = 8 << 10
+
+// hasher is a reusable SHA-256 state with Sum's scratch.
+type hasher struct {
+	h   hash.Hash
+	buf [sumChunk]byte
+	sum []byte
+}
+
+var hashers = sync.Pool{New: func() any { return &hasher{h: sha256.New()} }}
+
+// Sum returns the content digest of s. The hash takes bytes, and a
+// body can be megabytes, so s is fed through a pooled sumChunk buffer
+// instead of being converted to one []byte copy of itself.
+func Sum(s string) Key {
+	hs := hashers.Get().(*hasher)
+	hs.h.Reset()
+	for len(s) > 0 {
+		n := copy(hs.buf[:], s)
+		hs.h.Write(hs.buf[:n])
+		s = s[n:]
+	}
+	hs.sum = hs.h.Sum(hs.sum[:0])
+	var k Key
+	copy(k[:], hs.sum)
+	hashers.Put(hs)
+	return k
+}
 
 // Stats is a point-in-time snapshot of a Memo's counters. The fields
 // are untagged, so their JSON keys are the field names.

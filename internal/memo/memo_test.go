@@ -2,6 +2,7 @@ package memo
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -379,5 +380,19 @@ func TestBuildPanic(t *testing.T) {
 	}
 	if s := m.Stats(); s.Misses != 2 || s.Hits != 1 || s.Entries != 1 {
 		t.Errorf("stats = %+v, want 2 builds, 1 hit, 1 entry", s)
+	}
+}
+
+// TestSumMatchesSHA256 pins Sum, which feeds the hash sumChunk bytes at
+// a time, to one whole-string sha256.Sum256 at every piece boundary.
+func TestSumMatchesSHA256(t *testing.T) {
+	buf := make([]byte, 3*sumChunk+123)
+	for i := range buf {
+		buf[i] = byte(i*7 + i/251)
+	}
+	for _, n := range []int{0, 1, sumChunk - 1, sumChunk, sumChunk + 1, 2 * sumChunk, len(buf)} {
+		if got, want := Sum(string(buf[:n])), Key(sha256.Sum256(buf[:n])); got != want {
+			t.Errorf("Sum of %d bytes = %x, want %x", n, got, want)
+		}
 	}
 }

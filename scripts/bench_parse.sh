@@ -6,8 +6,9 @@
 # stays under the warm allocation ceiling. The Zipf pair measures what
 # the cache buys: a shared widget document fetched by many sites is
 # extracted once and served from the content-addressed cache
-# thereafter; the allocation ceiling pins the warm hit at one hash-key
-# allocation, not a re-extraction.
+# thereafter; the allocation ceiling pins the warm hit at a hash-key
+# lookup (no allocation since memo.Sum hashes through a pooled buffer),
+# not a re-extraction.
 #
 # Usage: scripts/bench_parse.sh [output.json]
 #   PERMODYSSEY_PARSE_MIN_SPEEDUP      required cold/warm ratio (default 2.0)

@@ -2,10 +2,12 @@
 # Crawl-benchmark smoke check: the benchmark runner is its own module
 # (crawlbench/go.mod), so `go test ./...` at the repository root never
 # builds or tests it. This runs the runner's own tests, then one short
-# `offline` run, and fails unless the run's result line reports
-# "correct":true — every record matched the synthetic web's ground
-# truth and the bundle-regenerated report was byte-identical. It is a
-# correctness check only: no timing is gated.
+# run of each gated workload — `offline`, then `chaos` — and fails
+# unless each run's result line reports "correct":true: every record
+# matched the synthetic web's ground truth and the bundle-regenerated
+# report was byte-identical. `chaos` is the only workload whose HTTP
+# fetch path and failure taxonomy are checked against that ground
+# truth. It is a correctness check only: no timing is gated.
 #
 # Usage: scripts/crawlbench_smoke.sh
 set -euo pipefail
@@ -15,12 +17,14 @@ cd "$(dirname "$0")/.."
 
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
-bash crawlbench/run.sh --workload offline --seed 1 --seconds 5 --trace 0 | tee "$out"
-last="$(tail -n 1 "$out")"
-case "$last" in
-*'"correct":true'*) echo "crawlbench smoke: correct" >&2 ;;
-*)
-    echo "crawlbench smoke: result line does not report \"correct\":true" >&2
-    exit 1
-    ;;
-esac
+for workload in offline chaos; do
+    bash crawlbench/run.sh --workload "$workload" --seed 1 --seconds 5 --trace 0 | tee "$out"
+    last="$(tail -n 1 "$out")"
+    case "$last" in
+    *'"correct":true'*) echo "crawlbench smoke: $workload correct" >&2 ;;
+    *)
+        echo "crawlbench smoke: $workload result line does not report \"correct\":true" >&2
+        exit 1
+        ;;
+    esac
+done

@@ -235,10 +235,11 @@ func newCrawlStack(srv *synthweb.Server, opts MeasurementOptions) (*crawlStack, 
 		// circuits are deferred to the probe time, not short-circuited.
 		opts.Crawl.Breaker = st.breaker.Breaker
 	}
-	siteHosts := make(map[string]bool, opts.Web.NumSites)
-	for _, s := range srv.Sites() {
-		st.targets = append(st.targets, crawler.Target{Rank: s.Rank, URL: s.URL()})
-		siteHosts[s.Host] = true
+	hosts := srv.Hosts()
+	siteHosts := make(map[string]bool, len(hosts))
+	for i, host := range hosts {
+		st.targets = append(st.targets, crawler.Target{Rank: i + 1, URL: synthweb.Site{Host: host}.URL()})
+		siteHosts[host] = true
 	}
 	// Fleet mode: this process covers only its rank partition. The host
 	// bypass set stays the full population — shared widget/CDN hosts are

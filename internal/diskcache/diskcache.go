@@ -43,6 +43,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -101,13 +102,20 @@ type entry struct {
 // a classified failure).
 func (e entry) success() bool { return e.Hash != "" }
 
-// indexed is an entry plus its overwrite generation (mirroring
-// entry.Gen), bumped on every re-store of the same URL so a Load that
-// judged a stale read corrupt cannot delete an object a concurrent
-// Store just renamed into place.
-type indexed struct {
-	entry
-	gen uint64
+// validHash reports whether h is a SHA-256 digest in the form objectPath
+// expects: 64 lowercase hex characters. Manifests are untrusted input,
+// and any other string would either panic objectPath's slicing or, with
+// path separators, name a file outside the archive.
+func validHash(h string) bool {
+	if len(h) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(h); i++ {
+		if c := h[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Options tunes an Archive.
@@ -140,6 +148,14 @@ type Options struct {
 // one process, and by multiple processes when each uses a distinct
 // Options.Shard (object writes are atomic; manifest appends are
 // per-shard single-writer, enforced by a lock file).
+//
+// Locking: mu guards the index, the generation counters and the
+// manifest append handle, and is held only to append a line and update
+// the index; no object file is read or written under it. An object file
+// is created, repaired or removed only under the lock of its objects/xx
+// bucket, so each distinct body is written once per process while
+// writers of different objects proceed in parallel. Readers take no
+// lock: an object appears by rename, whole or not at all.
 type Archive struct {
 	dir      string
 	shard    string
@@ -147,10 +163,12 @@ type Archive struct {
 	classify func(err error) string
 
 	mu       sync.Mutex
-	index    map[string]*indexed
+	index    map[string]entry
 	gens     map[string]uint64 // per-URL generation high-water mark, across all shards read
 	manifest *os.File          // append handle; nil when offline or closed
 	lockPath string            // held shard lock; "" when offline or closed
+
+	buckets [256]sync.Mutex // one per objects/xx directory, indexed by the hash's first byte
 
 	hits, writes, corrupt, bytesStored atomic.Uint64
 	orphansSwept                       atomic.Uint64
@@ -177,7 +195,7 @@ func Open(dir string, opts Options) (*Archive, error) {
 		shard:    opts.Shard,
 		offline:  opts.Offline,
 		classify: opts.Classify,
-		index:    map[string]*indexed{},
+		index:    map[string]entry{},
 		gens:     map[string]uint64{},
 	}
 	if err := os.MkdirAll(filepath.Join(dir, objectsDir), 0o755); err != nil {
@@ -325,8 +343,8 @@ func (a *Archive) loadShards() (own map[string]entry, clean bool, err error) {
 			if e.Gen > a.gens[url] {
 				a.gens[url] = e.Gen
 			}
-			if cur, ok := a.index[url]; !ok || reconcile(cur.entry, source[url], e, shard) {
-				a.index[url] = &indexed{entry: e, gen: e.Gen}
+			if cur, ok := a.index[url]; !ok || reconcile(cur, source[url], e, shard) {
+				a.index[url] = e
 				source[url] = shard
 			}
 		}
@@ -350,26 +368,32 @@ type loadStats struct {
 // URL — nothing dropped, nothing duplicated, so no compaction is owed.
 func (s loadStats) clean() bool { return s.dups == 0 && s.corrupt == 0 && !s.torn }
 
-// loadManifestFile reads one manifest shard tolerantly: within the
-// file later duplicates of a URL win, corrupt lines and a truncated
-// tail are dropped (counted in loadStats), and a missing file is an
-// empty clean shard.
-func loadManifestFile(path string) (m map[string]entry, ls loadStats, err error) {
-	m = map[string]entry{}
+// loadManifestFile reads one manifest shard (readManifest); a missing
+// file is an empty clean shard.
+func loadManifestFile(path string) (map[string]entry, loadStats, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return m, ls, nil
+		return map[string]entry{}, loadStats{}, nil
 	}
 	if err != nil {
-		return nil, ls, fmt.Errorf("diskcache: %w", err)
+		return nil, loadStats{}, fmt.Errorf("diskcache: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
+	return readManifest(f)
+}
+
+// readManifest parses manifest lines tolerantly: later duplicates of a
+// URL win, and undecodable lines — including success entries whose hash
+// is not a SHA-256 digest — and a truncated tail are dropped (counted in
+// loadStats). Only a read error other than EOF fails it.
+func readManifest(r io.Reader) (m map[string]entry, ls loadStats, err error) {
+	m = map[string]entry{}
+	br := bufio.NewReader(r)
 	for {
 		line, readErr := br.ReadBytes('\n')
 		if n := len(line); n > 0 && line[n-1] == '\n' {
 			var e entry
-			if json.Unmarshal(line, &e) == nil && e.URL != "" {
+			if json.Unmarshal(line, &e) == nil && e.URL != "" && (e.Hash == "" || validHash(e.Hash)) {
 				if _, dup := m[e.URL]; dup {
 					ls.dups++
 				}
@@ -381,8 +405,11 @@ func loadManifestFile(path string) (m map[string]entry, ls loadStats, err error)
 		} else if n > 0 {
 			ls.torn = true // truncated tail from an interrupted crawl
 		}
-		if readErr != nil {
+		if readErr == io.EOF {
 			return m, ls, nil
+		}
+		if readErr != nil {
+			return nil, ls, fmt.Errorf("diskcache: %w", readErr)
 		}
 	}
 }
@@ -465,20 +492,11 @@ func compactShard(dir, path string, entries map[string]entry) error {
 		return fmt.Errorf("diskcache: compacting: %w", err)
 	}
 	bw := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(bw)
-	urls := make([]string, 0, len(entries))
-	for url := range entries {
-		urls = append(urls, url)
+	err = writeManifest(bw, entries)
+	if err == nil {
+		err = bw.Flush()
 	}
-	sort.Strings(urls)
-	for _, url := range urls {
-		if err := enc.Encode(entries[url]); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("diskcache: compacting: %w", err)
-		}
-	}
-	if err := bw.Flush(); err == nil {
+	if err == nil {
 		err = tmp.Close()
 	} else {
 		tmp.Close()
@@ -490,6 +508,22 @@ func compactShard(dir, path string, entries map[string]entry) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("diskcache: compacting: %w", err)
+	}
+	return nil
+}
+
+// writeManifest encodes entries one line per URL, sorted by URL.
+func writeManifest(w io.Writer, entries map[string]entry) error {
+	urls := make([]string, 0, len(entries))
+	for url := range entries {
+		urls = append(urls, url)
+	}
+	sort.Strings(urls)
+	enc := json.NewEncoder(w)
+	for _, url := range urls {
+		if err := enc.Encode(entries[url]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -549,13 +583,11 @@ func pidAlive(pid int) bool {
 // and every miss is an error wrapping browser.ErrNotArchived.
 func (a *Archive) Load(rawURL string) (*browser.Response, error) {
 	a.mu.Lock()
-	ix, ok := a.index[rawURL]
+	e, ok := a.index[rawURL]
+	a.mu.Unlock()
 	if !ok {
-		a.mu.Unlock()
 		return a.miss(rawURL)
 	}
-	e, gen := ix.entry, ix.gen
-	a.mu.Unlock()
 
 	if e.Hash == "" {
 		if a.offline {
@@ -564,33 +596,54 @@ func (a *Archive) Load(rawURL string) (*browser.Response, error) {
 		}
 		return nil, nil
 	}
-	body, err := os.ReadFile(a.objectPath(e.Hash))
-	if err == nil && int64(len(body)) == e.Size {
-		if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) == e.Hash {
-			a.hits.Add(1)
-			return &browser.Response{
-				Status:        e.Status,
-				Header:        e.Header,
-				Body:          string(body),
-				FinalURL:      e.FinalURL,
-				BodyTruncated: e.BodyTruncated,
-			}, nil
-		}
+	if body, ok := a.readObject(e.Hash, e.Size); ok {
+		a.hits.Add(1)
+		return &browser.Response{
+			Status:        e.Status,
+			Header:        e.Header,
+			Body:          string(body),
+			FinalURL:      e.FinalURL,
+			BodyTruncated: e.BodyTruncated,
+		}, nil
 	}
 	// Corrupt, truncated, or missing object: degrade to a miss so the
-	// caller re-fetches. Online, drop the index entry and the bad
-	// object so the re-fetch rewrites both — unless a concurrent Store
-	// already replaced them (generation check).
+	// caller re-fetches. Online, drop the index entry — unless a
+	// concurrent Store already re-archived the URL (generation check) —
+	// and the bad object, so the re-fetch rewrites both.
 	a.corrupt.Add(1)
 	if !a.offline {
 		a.mu.Lock()
-		if cur, ok := a.index[rawURL]; ok && cur.gen == gen {
+		if cur, ok := a.index[rawURL]; ok && cur.Gen == e.Gen {
 			delete(a.index, rawURL)
-			os.Remove(a.objectPath(e.Hash))
 		}
 		a.mu.Unlock()
+		a.removeCorrupt(e.Hash, e.Size)
 	}
 	return a.miss(rawURL)
+}
+
+// readObject returns the object's bytes if it is intact: size bytes
+// long and hashing to its name.
+func (a *Archive) readObject(hash string, size int64) ([]byte, bool) {
+	body, err := os.ReadFile(objectPath(a.dir, hash))
+	if err != nil || int64(len(body)) != size {
+		return nil, false
+	}
+	sum := sha256.Sum256(body)
+	return body, hex.EncodeToString(sum[:]) == hash
+}
+
+// removeCorrupt deletes an object Load found bad. It re-checks the
+// object under its bucket lock and deletes it only if it is still bad:
+// a Store of the same body under another URL may have repaired it since
+// Load's read, and that Store's manifest line references it.
+func (a *Archive) removeCorrupt(hash string, size int64) {
+	mu := a.bucket(hash)
+	mu.Lock()
+	defer mu.Unlock()
+	if _, ok := a.readObject(hash, size); !ok {
+		os.Remove(objectPath(a.dir, hash))
+	}
 }
 
 // miss is the no-entry outcome: nil online, distinguishable offline.
@@ -602,9 +655,10 @@ func (a *Archive) miss(rawURL string) (*browser.Response, error) {
 }
 
 // Store implements browser.ResponseArchive: the object lands first
-// (temp file + rename; skipped when an intact copy of the same content
-// already exists), then the manifest line. A disk error degrades the
-// archive silently — the crawl itself already has the response.
+// (temp file + rename under its bucket lock; skipped when an intact
+// copy of the same content already exists), then the manifest line
+// under mu. A disk error degrades the archive silently — the crawl
+// itself already has the response.
 func (a *Archive) Store(rawURL string, resp *browser.Response) {
 	if a.offline || resp == nil {
 		return
@@ -619,11 +673,11 @@ func (a *Archive) Store(rawURL string, resp *browser.Response) {
 		FinalURL:      resp.FinalURL,
 		BodyTruncated: resp.BodyTruncated,
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.writeObjectLocked(e.Hash, resp.Body); err != nil {
+	if err := a.writeObject(e.Hash, resp.Body); err != nil {
 		return
 	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.appendLocked(e)
 }
 
@@ -643,12 +697,17 @@ func (a *Archive) StoreFailure(rawURL string, fetchErr error) {
 	a.appendLocked(entry{URL: rawURL, FailureClass: class, FailureMsg: fetchErr.Error()})
 }
 
-// writeObjectLocked stores body under its content hash, atomically. An
-// existing object of the right size is trusted (content addressing:
-// same hash, same bytes); a wrong-sized one — a truncated write from a
-// crash — is repaired by the rename. Callers hold a.mu.
-func (a *Archive) writeObjectLocked(hash, body string) error {
-	path := a.objectPath(hash)
+// writeObject stores body under its content hash, atomically, holding
+// only the hash's bucket lock: concurrent first stores of one body
+// queue there, so the body is written once, while other objects are
+// written in parallel. An existing object of the right size is trusted
+// (content addressing: same hash, same bytes); a wrong-sized one — a
+// truncated write from a crash — is repaired by the rename.
+func (a *Archive) writeObject(hash, body string) error {
+	mu := a.bucket(hash)
+	mu.Lock()
+	defer mu.Unlock()
+	path := objectPath(a.dir, hash)
 	if fi, err := os.Stat(path); err == nil && fi.Size() == int64(len(body)) {
 		return nil
 	}
@@ -695,16 +754,20 @@ func (a *Archive) appendLocked(e entry) {
 		}
 	}
 	a.gens[e.URL] = e.Gen
-	if ix := a.index[e.URL]; ix != nil {
-		ix.entry, ix.gen = e, e.Gen
-	} else {
-		a.index[e.URL] = &indexed{entry: e, gen: e.Gen}
-	}
+	a.index[e.URL] = e
 	a.writes.Add(1)
 }
 
-func (a *Archive) objectPath(hash string) string {
-	return filepath.Join(a.dir, objectsDir, hash[:2], hash[2:])
+// bucket returns the lock of hash's objects/xx directory.
+func (a *Archive) bucket(hash string) *sync.Mutex {
+	b, _ := strconv.ParseUint(hash[:2], 16, 8)
+	return &a.buckets[b]
+}
+
+// objectPath names hash's object file inside the archive at dir. hash
+// must pass validHash.
+func objectPath(dir, hash string) string {
+	return filepath.Join(dir, objectsDir, hash[:2], hash[2:])
 }
 
 // Stats implements browser.ResponseArchive.
@@ -864,7 +927,7 @@ func MergeShards(dir string) (MergeStats, error) {
 		if !e.success() {
 			continue
 		}
-		fi, err := os.Stat(filepath.Join(dir, objectsDir, e.Hash[:2], e.Hash[2:]))
+		fi, err := os.Stat(objectPath(dir, e.Hash))
 		if err != nil || fi.Size() != e.Size {
 			ms.MissingObjects++
 		}

@@ -3,14 +3,17 @@ package diskcache
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"permodyssey/internal/browser"
 )
@@ -161,6 +164,81 @@ func TestCorruptLineDropped(t *testing.T) {
 	b := mustOpen(t, dir, Options{})
 	if got, err := b.Load("https://first.test/"); err != nil || got == nil {
 		t.Errorf("record after corrupt line lost: %v, %v", got, err)
+	}
+}
+
+// TestCraftedManifestHash: a success line whose hash is not a SHA-256
+// digest is a corrupt line under online and offline Open and under
+// MergeShards — never a panic in objectPath's slicing, never a path to
+// a file outside the archive for Load's corrupt-object removal — and
+// online Open compacts it away.
+func TestCraftedManifestHash(t *testing.T) {
+	for name, hash := range map[string]string{
+		"short": "a",
+		// Resolves from objects/xx/ to root/victim.txt.
+		"traversal": "../../../victim.txt",
+	} {
+		t.Run(name, func(t *testing.T) {
+			root := t.TempDir()
+			dir := filepath.Join(root, "crawl", "archive")
+			victim := filepath.Join(root, "victim.txt")
+			if err := os.WriteFile(victim, []byte("precious"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			a := mustOpen(t, dir, Options{})
+			a.Store("https://ok.test/", resp("intact"))
+			a.Close()
+			crafted := fmt.Sprintf(`{"url":"https://crafted.test/","hash":%q,"size":8,"status":200}`+"\n", hash)
+			plant := func() {
+				t.Helper()
+				f, err := os.OpenFile(filepath.Join(dir, manifestName), os.O_WRONLY|os.O_APPEND, 0o644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.WriteString(crafted); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+			}
+			checkVictim := func(label string) {
+				t.Helper()
+				if raw, err := os.ReadFile(victim); err != nil || string(raw) != "precious" {
+					t.Fatalf("%s: file outside the archive touched: %q, %v", label, raw, err)
+				}
+			}
+
+			plant()
+			off := mustOpen(t, dir, Options{Offline: true})
+			if got, err := off.Load("https://crafted.test/"); got != nil || !errors.Is(err, browser.ErrNotArchived) {
+				t.Errorf("offline Load(crafted) = %v, %v; want ErrNotArchived", got, err)
+			}
+			checkVictim("offline Load")
+
+			ms, err := MergeShards(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ms.CorruptLinesDropped != 1 || ms.URLs != 1 || ms.MissingObjects != 0 {
+				t.Errorf("merge = %+v, want the crafted line dropped and 1 intact URL", ms)
+			}
+			checkVictim("MergeShards")
+
+			plant()
+			on := mustOpen(t, dir, Options{})
+			if got, err := on.Load("https://crafted.test/"); got != nil || err != nil {
+				t.Errorf("online Load(crafted) = %v, %v; want a miss", got, err)
+			}
+			checkVictim("online Load")
+			if got, err := on.Load("https://ok.test/"); err != nil || got == nil || got.Body != "intact" {
+				t.Errorf("Load(ok) = %v, %v", got, err)
+			}
+			if s := on.Stats(); s.Entries != 1 || s.CorruptRecovered != 0 {
+				t.Errorf("stats = %+v, want 1 entry and no corrupt object", s)
+			}
+			if got := manifestLines(t, dir); got != 1 {
+				t.Errorf("manifest has %d lines after online Open, want the crafted line compacted away", got)
+			}
+		})
 	}
 }
 
@@ -330,8 +408,15 @@ func TestStoreFailureNilClassify(t *testing.T) {
 
 // TestConcurrentStoreLoad hammers one archive from many goroutines —
 // the shape of several crawl workers sharing one stack — under -race.
+// Objects are written outside the archive lock, so it also pins what
+// that must not change: one body shared by many URLs (the per-site
+// /frame0.html and /about documents, identical across sites) is
+// first-stored concurrently yet written once, every line's object is in
+// place, and each URL's generations stay strictly ordered.
 func TestConcurrentStoreLoad(t *testing.T) {
-	a := mustOpen(t, t.TempDir(), Options{Classify: classifyAll})
+	dir := t.TempDir()
+	a := mustOpen(t, dir, Options{Classify: classifyAll})
+	const shared = "<html><body><p>in-house frame</p></body></html>"
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -351,14 +436,124 @@ func TestConcurrentStoreLoad(t *testing.T) {
 				case 2:
 					a.StoreFailure(fmt.Sprintf("https://f%d.test/", i%10), errors.New("reset"))
 				}
+				frame := fmt.Sprintf("https://s%d-%d.test/frame0.html", g, i)
+				a.Store(frame, resp(shared))
+				if r, err := a.Load(frame); err != nil || r == nil || r.Body != shared {
+					t.Errorf("Load(%s) right after its Store = %v, %v", frame, r, err)
+				}
 			}
+			a.Store(fmt.Sprintf("https://own%d.test/", g), resp(fmt.Sprintf("own body %d", g)))
 		}(g)
 	}
 	wg.Wait()
 	a.Close()
-	if s := a.Stats(); s.Entries == 0 {
-		t.Error("concurrent run archived nothing")
+
+	want := map[string]string{} // URL → body
+	bodies := map[string]bool{}
+	for i := 0; i < 10; i++ {
+		want[fmt.Sprintf("https://r%d.test/", i)] = fmt.Sprintf("body %d", i)
 	}
+	for g := 0; g < 8; g++ {
+		want[fmt.Sprintf("https://own%d.test/", g)] = fmt.Sprintf("own body %d", g)
+		for i := 0; i < 50; i++ {
+			want[fmt.Sprintf("https://s%d-%d.test/frame0.html", g, i)] = shared
+		}
+	}
+	distinct := uint64(0)
+	for _, body := range want {
+		if !bodies[body] {
+			bodies[body] = true
+			distinct += uint64(len(body))
+		}
+	}
+	if s := a.Stats(); s.BytesStored != distinct || s.Objects != uint64(len(bodies)) {
+		t.Errorf("stats = %+v, want %d bytes stored in %d objects (each distinct body written once)", s, distinct, len(bodies))
+	}
+	objects := objectFiles(t, dir)
+	for _, path := range objects {
+		if strings.HasPrefix(filepath.Base(path), ".obj-") {
+			t.Errorf("temp object left behind: %s", path)
+		}
+	}
+	if len(objects) != len(bodies) {
+		t.Errorf("%d object files, want %d", len(objects), len(bodies))
+	}
+
+	// The append-only manifest records each URL's stores in strictly
+	// increasing generations.
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := map[string]uint64{}
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if line == "" {
+			continue
+		}
+		var e entry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("manifest line %q: %v", line, err)
+		}
+		if e.Gen <= last[e.URL] {
+			t.Errorf("%s: generation %d after %d", e.URL, e.Gen, last[e.URL])
+		}
+		last[e.URL] = e.Gen
+	}
+
+	b := mustOpen(t, dir, Options{})
+	for url, body := range want {
+		if got, err := b.Load(url); err != nil || got == nil || got.Body != body {
+			t.Errorf("after reopen, Load(%s) = %v, %v; want %q", url, got, err, body)
+		}
+	}
+
+	t.Run("repair races corrupt removal", func(t *testing.T) {
+		// Load finds the object truncated while a Store of the same body
+		// under another URL repairs it. Load may drop the object only
+		// while it is still bad: the Store's fresh line references it.
+		dir := t.TempDir()
+		a := mustOpen(t, dir, Options{})
+		body := strings.Repeat("<p>shared landing page</p>", 40<<10)
+		for round := 0; round < 20; round++ {
+			first := fmt.Sprintf("https://first%d.test/", round)
+			second := fmt.Sprintf("https://second%d.test/", round)
+			a.Store(first, resp(body))
+			truncateObject(t, dir)
+			bucket := filepath.Dir(objectFiles(t, dir)[0])
+			var loaded *browser.Response
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				// Read while the Store is mid-write: its temp object
+				// exists and the repairing rename has not happened yet.
+				for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); runtime.Gosched() {
+					if tempObjects(bucket) > 0 {
+						break
+					}
+				}
+				loaded, _ = a.Load(first)
+			}()
+			go func() {
+				defer wg.Done()
+				a.Store(second, resp(body))
+			}()
+			wg.Wait()
+			if objects := objectFiles(t, dir); len(objects) != 1 {
+				t.Fatalf("round %d: %d object files after the race, want 1", round, len(objects))
+			}
+			if got, err := a.Load(second); err != nil || got == nil || got.Body != body {
+				t.Fatalf("round %d: the repairing Store's URL lost its object: %v, %v", round, got, err)
+			}
+			if loaded == nil {
+				a.Store(first, resp(body)) // the caller's re-fetch
+			}
+			if got, err := a.Load(first); err != nil || got == nil || got.Body != body {
+				t.Fatalf("round %d: Load(first) = %v, %v", round, got, err)
+			}
+			removeObjects(t, dir)
+		}
+	})
 }
 
 // TestTwoCrawlStacksOneArchive: two independent CachingFetchers (the
@@ -433,6 +628,19 @@ func objectFiles(t *testing.T, dir string) []string {
 }
 
 func countObjects(t *testing.T, dir string) int { return len(objectFiles(t, dir)) }
+
+// tempObjects counts the temp objects in one objects/xx bucket: writes
+// in progress.
+func tempObjects(bucket string) int {
+	entries, _ := os.ReadDir(bucket)
+	n := 0
+	for _, de := range entries {
+		if strings.HasPrefix(de.Name(), ".obj-") {
+			n++
+		}
+	}
+	return n
+}
 
 func flipObjectByte(t *testing.T, dir string) {
 	t.Helper()

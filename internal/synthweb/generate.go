@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 )
 
 // SiteKind classifies the fate of a site visit, reproducing the
@@ -178,10 +179,25 @@ func siteSeed(seed int64, rank int, stream uint64) int64 {
 	return int64(z)
 }
 
+// rngPool recycles the generators Generate and RenderHTML draw from.
+// Reseeding one in place gives exactly the stream of
+// rand.New(rand.NewSource(seed)) without allocating a fresh ~5 KB
+// source per call, and the server generates a site on every request.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // Generate deterministically computes the descriptor for one site rank
 // (1-based).
 func (c Config) Generate(rank int) Site {
-	rng := rand.New(rand.NewSource(siteSeed(c.Seed, rank, 0x1)))
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	return c.generate(rank, func(seed int64) *rand.Rand { rng.Seed(seed); return rng })
+}
+
+// generate is Generate drawing each random stream from seeded(seed). It
+// reads one stream to its end before asking for the next, so a single
+// generator reseeded in place can serve every stream.
+func (c Config) generate(rank int, seeded func(seed int64) *rand.Rand) Site {
+	rng := seeded(siteSeed(c.Seed, rank, 0x1))
 	s := Site{
 		Rank: rank,
 		Host: fmt.Sprintf("www.site%06d.%s", rank, tlds[rng.Intn(len(tlds))]),
@@ -199,17 +215,6 @@ func (c Config) Generate(rank int) Site {
 		s.Kind = KindMinor
 	default:
 		s.Kind = KindOK
-	}
-
-	// Chaos fault, from its own decorrelated stream so toggling chaos
-	// never perturbs the rest of the population.
-	if s.Kind == KindOK && c.Chaos.Enabled && c.Chaos.SiteRate > 0 {
-		cc := c.Chaos.withDefaults(c.Seed)
-		crng := rand.New(rand.NewSource(siteSeed(cc.Seed, rank, 0x7)))
-		if crng.Float64() < cc.SiteRate {
-			kinds := cc.kinds()
-			s.Fault = kinds[crng.Intn(len(kinds))]
-		}
 	}
 
 	// Category.
@@ -292,6 +297,17 @@ func (c Config) Generate(rank int) Site {
 	if rng.Float64() < 0.4 {
 		s.InternalPages = append(s.InternalPages, "/about")
 	}
+
+	// Chaos fault, from its own decorrelated stream so toggling chaos
+	// never perturbs the rest of the population.
+	if s.Kind == KindOK && c.Chaos.Enabled && c.Chaos.SiteRate > 0 {
+		cc := c.Chaos.withDefaults(c.Seed)
+		crng := seeded(siteSeed(cc.Seed, rank, 0x7))
+		if crng.Float64() < cc.SiteRate {
+			kinds := cc.kinds()
+			s.Fault = kinds[crng.Intn(len(kinds))]
+		}
+	}
 	return s
 }
 
@@ -345,7 +361,14 @@ func categoryScriptBoost(site Category, script string) float64 {
 
 // RenderHTML renders the landing page for a site descriptor.
 func (c Config) RenderHTML(s Site) string {
-	rng := rand.New(rand.NewSource(siteSeed(c.Seed, s.Rank, 0x2)))
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	return c.renderHTML(s, func(seed int64) *rand.Rand { rng.Seed(seed); return rng })
+}
+
+// renderHTML is RenderHTML drawing its random stream from seeded(seed).
+func (c Config) renderHTML(s Site, seeded func(seed int64) *rand.Rand) string {
+	rng := seeded(siteSeed(c.Seed, s.Rank, 0x2))
 	var b strings.Builder
 	b.WriteString("<!DOCTYPE html><html><head><title>")
 	fmt.Fprintf(&b, "Site %d (%s)", s.Rank, s.Category)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -24,8 +25,10 @@ type Server struct {
 	listener net.Listener
 	server   *http.Server
 
-	mu        sync.RWMutex
+	// Built once by NewServer and read-only afterwards.
 	siteRank  map[string]int // site host → rank
+	hosts     []string       // site hosts in rank order (rank r at r-1)
+	kinds     []SiteKind     // site fates in rank order
 	scriptURL map[string]string
 	widgetKey map[string]int // widget host → catalog index
 
@@ -45,6 +48,8 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		Config:    cfg,
 		siteRank:  make(map[string]int, cfg.NumSites),
+		hosts:     make([]string, 0, cfg.NumSites),
+		kinds:     make([]SiteKind, 0, cfg.NumSites),
 		scriptURL: map[string]string{},
 		widgetKey: map[string]int{},
 		StallTime: 2 * time.Second,
@@ -54,6 +59,8 @@ func NewServer(cfg Config) *Server {
 	for rank := 1; rank <= cfg.NumSites; rank++ {
 		site := cfg.Generate(rank)
 		s.siteRank[site.Host] = rank
+		s.hosts = append(s.hosts, site.Host)
+		s.kinds = append(s.kinds, site.Kind)
 	}
 	for i, w := range Catalog {
 		s.widgetKey["www."+w.Site] = i
@@ -96,6 +103,10 @@ func (s *Server) Addr() string {
 	return s.listener.Addr().String()
 }
 
+// Hosts returns every site's host in rank order (rank r at index r-1),
+// as NewServer generated them: unlike Sites, it generates nothing.
+func (s *Server) Hosts() []string { return slices.Clone(s.hosts) }
+
 // Sites returns every generated site descriptor.
 func (s *Server) Sites() []Site {
 	out := make([]Site, 0, s.Config.NumSites)
@@ -115,10 +126,8 @@ func (s *Server) Transport() http.RoundTripper {
 			if h, _, err := net.SplitHostPort(addr); err == nil {
 				host = h
 			}
-			if rank, ok := s.rankOf(host); ok {
-				if s.Config.Generate(rank).Kind == KindUnreachable {
-					return nil, &net.DNSError{Err: "no such host", Name: host, IsNotFound: true}
-				}
+			if rank, ok := s.siteRank[host]; ok && s.kinds[rank-1] == KindUnreachable {
+				return nil, &net.DNSError{Err: "no such host", Name: host, IsNotFound: true}
 			}
 			var d net.Dialer
 			return d.DialContext(ctx, "tcp", s.Addr())
@@ -143,13 +152,6 @@ func (s *Server) Transport() http.RoundTripper {
 // Client returns an http.Client over Transport.
 func (s *Server) Client(timeout time.Duration) *http.Client {
 	return &http.Client{Transport: s.Transport(), Timeout: timeout}
-}
-
-func (s *Server) rankOf(host string) (int, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r, ok := s.siteRank[host]
-	return r, ok
 }
 
 func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
@@ -185,7 +187,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Synthetic sites.
-	if rank, ok := s.rankOf(host); ok {
+	if rank, ok := s.siteRank[host]; ok {
 		s.serveSite(w, r, rank)
 		return
 	}

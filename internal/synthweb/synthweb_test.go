@@ -3,7 +3,9 @@ package synthweb
 import (
 	"context"
 	"io"
+	"math/rand"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -38,6 +40,27 @@ func TestGenerateDeterminism(t *testing.T) {
 	}
 	if diff == 0 {
 		t.Error("different seeds must change the population")
+	}
+}
+
+// TestPooledRandMatchesFresh: Generate and RenderHTML reseed pooled
+// generators in place; every site and landing page must equal the one
+// drawn from a fresh rand.New(rand.NewSource(seed)) per stream, with
+// the chaos stream on and under an era calibration.
+func TestPooledRandMatchesFresh(t *testing.T) {
+	fresh := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+	chaos := DefaultConfig()
+	chaos.Chaos = DefaultChaosConfig()
+	for name, cfg := range map[string]Config{"chaos": chaos, "era 2022": EraConfig(2022)} {
+		for rank := 1; rank <= 2000; rank++ {
+			got, want := cfg.Generate(rank), cfg.generate(rank, fresh)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s rank %d: pooled %+v, fresh %+v", name, rank, got, want)
+			}
+			if cfg.RenderHTML(got) != cfg.renderHTML(want, fresh) {
+				t.Fatalf("%s rank %d: pooled and fresh landing pages differ", name, rank)
+			}
+		}
 	}
 }
 

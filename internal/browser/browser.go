@@ -248,7 +248,10 @@ func (b *Browser) processDocument(ctx context.Context, result *PageResult, slot 
 			}
 		}
 	}
-	realm := webapi.NewRealm(doc, fr.FinalURL)
+	// The realm is built when the first script runs: most frames run
+	// none, and a realm no script ran in can hold no handler and record
+	// no invocation.
+	var realm *webapi.Realm
 
 	// Collect and run scripts: dynamic analysis.
 	for _, s := range page.Scripts {
@@ -280,6 +283,9 @@ func (b *Browser) processDocument(ctx context.Context, result *PageResult, slot 
 			fr.StaticFindings[i].ScriptURL = urlStr
 		}
 		if err = sc.Err; err == nil {
+			if realm == nil {
+				realm = webapi.NewRealm(doc, fr.FinalURL)
+			}
 			err = realm.RunCompiled(sc.Prog, urlStr)
 		}
 		if err != nil {
@@ -287,19 +293,21 @@ func (b *Browser) processDocument(ctx context.Context, result *PageResult, slot 
 		}
 	}
 
-	// The settled-page phase: load handlers fire; with Interact also
-	// clicks (the Appendix A.3 manual pass).
-	if err := realm.FireEvent("load"); err != nil {
-		fr.ScriptErrors = append(fr.ScriptErrors, err.Error())
-	}
-	if b.Opts.Interact {
-		for _, ev := range []string{"DOMContentLoaded", "click", "scroll"} {
-			if err := realm.FireEvent(ev); err != nil {
-				fr.ScriptErrors = append(fr.ScriptErrors, err.Error())
+	if realm != nil {
+		// The settled-page phase: load handlers fire; with Interact also
+		// clicks (the Appendix A.3 manual pass).
+		if err := realm.FireEvent("load"); err != nil {
+			fr.ScriptErrors = append(fr.ScriptErrors, err.Error())
+		}
+		if b.Opts.Interact {
+			for _, ev := range []string{"DOMContentLoaded", "click", "scroll"} {
+				if err := realm.FireEvent(ev); err != nil {
+					fr.ScriptErrors = append(fr.ScriptErrors, err.Error())
+				}
 			}
 		}
+		fr.Invocations = realm.Rec.Invocations
 	}
-	fr.Invocations = realm.Rec.Invocations
 	result.Frames[slot] = *fr
 
 	// Recurse into child frames.

@@ -3,6 +3,7 @@ package browser
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -233,5 +234,47 @@ func TestScriptCacheCleanScript(t *testing.T) {
 	}
 	if s := b.Opts.ScriptCache.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Fatalf("want 1 hit / 1 miss for the clean script, got %+v", s)
+	}
+}
+
+// TestFramesWithoutScriptsBuildNoRealm: a frame gets its realm when its
+// first script runs, so a frame that runs none (no script, or only
+// scripts that fail to load or compile) builds no realm and records
+// nothing. When every frame got a realm and a load event, these visits
+// allocated 1,049 and 1,450 times; without, 104 and 505 (about 600
+// under -race, whose sync.Pool drops items).
+func TestFramesWithoutScriptsBuildNoRealm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pins need a quiet heap")
+	}
+	for _, tc := range []struct {
+		name, frame string
+		// limit bounds a visit's allocations, well below a realm per
+		// frame (about 47 allocations each).
+		limit float64
+	}{
+		{"empty", `<iframe srcdoc=""></iframe>`, 200},
+		{"failing scripts", `<iframe srcdoc="&lt;script&gt;(&lt;/script&gt;&lt;script src=/gone.js&gt;&lt;/script&gt;"></iframe>`, 700},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			page := page(strings.Repeat(tc.frame, 20), nil)
+			b := scriptBrowser(MapFetcher{"https://site.example/": page}, 0)
+			visit := func() {
+				res, err := b.Visit(context.Background(), "https://site.example/")
+				if err != nil || len(res.Frames) != 21 {
+					t.Fatalf("visit: %v", err)
+				}
+				for _, fr := range res.Frames {
+					if fr.Invocations != nil {
+						t.Fatalf("frame %s recorded %v", fr.URL, fr.Invocations)
+					}
+				}
+			}
+			got := testing.AllocsPerRun(50, visit)
+			t.Logf("%.0f allocs per visit", got)
+			if got > tc.limit {
+				t.Errorf("a visit of 20 frames that run no script allocates %.0f times; want <= %.0f", got, tc.limit)
+			}
+		})
 	}
 }

@@ -601,7 +601,7 @@ func (a *Archive) Load(rawURL string) (*browser.Response, error) {
 		return &browser.Response{
 			Status:        e.Status,
 			Header:        e.Header,
-			Body:          string(body),
+			Body:          body,
 			FinalURL:      e.FinalURL,
 			BodyTruncated: e.BodyTruncated,
 		}, nil
@@ -622,15 +622,39 @@ func (a *Archive) Load(rawURL string) (*browser.Response, error) {
 	return a.miss(rawURL)
 }
 
-// readObject returns the object's bytes if it is intact: size bytes
-// long and hashing to its name.
-func (a *Archive) readObject(hash string, size int64) ([]byte, bool) {
-	body, err := os.ReadFile(objectPath(a.dir, hash))
-	if err != nil || int64(len(body)) != size {
-		return nil, false
+// readObject returns the object's content if it is intact: size bytes
+// long and hashing to its name. The content is read through a stack
+// chunk into the string's own buffer, allocated once at size (which the
+// file's size vouches for before anything is allocated); os.ReadFile
+// and a string conversion would allocate the body twice.
+func (a *Archive) readObject(hash string, size int64) (string, bool) {
+	f, err := os.Open(objectPath(a.dir, hash))
+	if err != nil {
+		return "", false
 	}
-	sum := sha256.Sum256(body)
-	return body, hex.EncodeToString(sum[:]) == hash
+	defer f.Close()
+	if fi, err := f.Stat(); err != nil || fi.Size() != size {
+		return "", false
+	}
+	var b strings.Builder
+	b.Grow(int(size))
+	var chunk [32 << 10]byte
+	for {
+		n, err := f.Read(chunk[:])
+		if int64(b.Len()+n) > size {
+			return "", false // grew since the Stat
+		}
+		b.Write(chunk[:n])
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return "", false
+		}
+	}
+	body := b.String()
+	sum := memo.Sum(body)
+	return body, int64(len(body)) == size && hex.EncodeToString(sum[:]) == hash
 }
 
 // removeCorrupt deletes an object Load found bad. It re-checks the

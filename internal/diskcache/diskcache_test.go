@@ -291,6 +291,41 @@ func TestMissingObjectDegradesToMiss(t *testing.T) {
 	}
 }
 
+// TestLoadAllocatesBodyOnce pins the cost of a hit: the object is read
+// straight into the response's string, so a 1 MiB hit allocates the
+// body once, not a []byte and then its string copy (2.01x).
+func TestLoadAllocatesBodyOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation pins need a quiet heap")
+	}
+	a := mustOpen(t, t.TempDir(), Options{})
+	var sb strings.Builder
+	for i := 0; sb.Len() < 1<<20; i++ {
+		fmt.Fprintf(&sb, "<p>%d</p>", i)
+	}
+	body := sb.String()[:1<<20]
+	a.Store("https://big.test/", resp(body))
+	load := func() {
+		got, err := a.Load("https://big.test/")
+		if err != nil || got == nil || got.Body != body {
+			t.Fatalf("1 MiB hit: err %v, served %v", err, got != nil)
+		}
+	}
+	load()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		load()
+	}
+	runtime.ReadMemStats(&after)
+	perHit := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if limit := 1.1 * float64(len(body)); perHit > limit {
+		t.Errorf("a 1 MiB hit allocates %.0f B (%.2fx the body); want <= %.0f", perHit, perHit/float64(len(body)), limit)
+	}
+}
+
 func TestOfflineMissIsDistinguishable(t *testing.T) {
 	a := mustOpen(t, t.TempDir(), Options{Offline: true})
 	got, err := a.Load("https://never.test/")

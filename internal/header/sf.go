@@ -382,7 +382,13 @@ func SerializeItem(it Item) string {
 	case KindInteger:
 		b.WriteString(strconv.FormatInt(it.Integer, 10))
 	case KindDecimal:
-		b.WriteString(strconv.FormatFloat(it.Decimal, 'f', -1, 64))
+		// A decimal keeps at least one fractional digit (RFC 8941
+		// §4.1.5): written "1" or "-0", it would reparse as an Integer.
+		d := strconv.FormatFloat(it.Decimal, 'f', -1, 64)
+		b.WriteString(d)
+		if !strings.Contains(d, ".") {
+			b.WriteString(".0")
+		}
 	case KindBoolean:
 		if it.Boolean {
 			b.WriteString("?1")

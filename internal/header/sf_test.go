@@ -2,6 +2,8 @@ package header
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -140,7 +142,11 @@ func TestSerializeItemRoundTrip(t *testing.T) {
 		{Kind: KindString, String: `https://a.com`},
 		{Kind: KindString, String: `quote " and backslash \`},
 		{Kind: KindInteger, Integer: -7},
+		{Kind: KindDecimal, Decimal: 2.5},
+		{Kind: KindDecimal, Decimal: 1},
+		{Kind: KindDecimal, Decimal: math.Copysign(0, -1)},
 		{Kind: KindBoolean, Boolean: false},
+		{Kind: KindToken, Token: "a", Params: []Param{{Key: "p", Value: Item{Kind: KindDecimal, Decimal: 1}}}},
 	}
 	for _, it := range items {
 		text := SerializeItem(it)
@@ -150,10 +156,8 @@ func TestSerializeItemRoundTrip(t *testing.T) {
 			continue
 		}
 		got, _ := d.Get("k")
-		g := got.Item
-		if g.Kind != it.Kind || g.Token != it.Token || g.String != it.String ||
-			g.Integer != it.Integer || g.Boolean != it.Boolean {
-			t.Errorf("round trip %q: got %+v want %+v", text, g, it)
+		if !reflect.DeepEqual(got.Item, it) {
+			t.Errorf("round trip %q: got %+v want %+v", text, got.Item, it)
 		}
 	}
 }

@@ -21,11 +21,16 @@ import (
 // A name is bound only once its declaration executes: a frame slot
 // holding the unset sentinel does not bind its name yet, just as a map
 // has no key until Define, so a lookup walks past it to outer scopes.
+//
+// A global scope that installed a snapshot binds its globals lazily:
+// lazy resolves a snapshot name the map lacks on its first read and
+// stores it in the map (InstallSnapshot).
 type Env struct {
 	vars   map[string]Value
 	parent *Env
 	layout *frameLayout
 	slots  []Value
+	lazy   *localizer
 }
 
 // kindUnset marks a frame slot whose declaration has not executed yet.
@@ -120,12 +125,21 @@ func (e *Env) Get(name string) (Value, bool) {
 		if v, ok := s.vars[name]; ok {
 			return v, true
 		}
+		if s.lazy != nil {
+			if t, ok := s.lazy.snap.vals[name]; ok {
+				v := s.lazy.value(t)
+				s.vars[name] = v
+				return v, true
+			}
+		}
 	}
 	return Undefined(), false
 }
 
 // Assign sets an existing binding, or defines globally if absent
-// (sloppy-mode semantics, which real probe scripts rely on).
+// (sloppy-mode semantics, which real probe scripts rely on). A snapshot
+// global not read yet is overwritten the same way: the write binds the
+// name, so its snapshot value is never localized.
 func (e *Env) Assign(name string, v Value) {
 	for s := e; s != nil; s = s.parent {
 		if s.layout != nil {

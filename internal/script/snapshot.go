@@ -26,12 +26,20 @@ import (
 // memo, aliasing holds within a realm: if the template defines window,
 // self and globalThis as one object, the realm sees one stub for all
 // three, and window.navigator === navigator.
+//
+// Installing binds no global up front either. The realm's global scope
+// keeps the snapshot and its localizer, and resolves a snapshot name
+// the first time it is read: the value is localized through the same
+// memo and stored, so later reads are plain map hits and aliasing holds
+// whichever name is read first. A Define or sloppy Assign that comes
+// before the first read binds the name itself and shadows the snapshot
+// value, just as it overwrites a global already read.
 
 // GlobalSnapshot is an immutable capture of an interpreter's global
 // bindings, ready to be installed into other interpreters.
 type GlobalSnapshot struct {
 	names []string
-	vals  []Value
+	vals  map[string]Value
 	// objects is the number of sealed objects reachable from vals.
 	objects int
 }
@@ -52,30 +60,38 @@ func NewBareInterp() *Interp {
 // only when the surface is fully built: the template interpreter must
 // not run or be written again.
 func (in *Interp) SnapshotGlobals() *GlobalSnapshot {
-	s := &GlobalSnapshot{}
-	for name := range in.Global.vars {
+	g := in.Global
+	if g.lazy != nil {
+		// Bind what the template never read, so the snapshot captures
+		// every global of the snapshot it was built on.
+		for _, name := range g.lazy.snap.names {
+			g.Get(name)
+		}
+	}
+	s := &GlobalSnapshot{vals: make(map[string]Value, len(g.vars))}
+	for name := range g.vars {
 		s.names = append(s.names, name)
 	}
 	sort.Strings(s.names)
 	sl := &sealer{done: map[*Object]*Object{}, arrs: map[*Array]bool{}}
 	for _, name := range s.names {
-		s.vals = append(s.vals, sl.value(in.Global.vars[name]))
+		s.vals[name] = sl.value(g.vars[name])
 	}
 	s.objects = sl.n
 	return s
 }
 
-// InstallSnapshot binds the snapshot's globals in this interpreter,
-// copy-on-write: the bound objects are realm-local stubs over the
-// sealed template, so realms cannot observe each other's writes.
+// InstallSnapshot gives this interpreter the snapshot's globals,
+// copy-on-write and bound on first read: each global becomes a
+// realm-local stub over the sealed template when a script first reads
+// it, so realms cannot observe each other's writes and a realm whose
+// scripts read few globals pays for few. Install one snapshot into a
+// NewBareInterp before anything is defined or run in it.
 func (in *Interp) InstallSnapshot(s *GlobalSnapshot) {
-	l := &localizer{objs: make([]*Object, s.objects)}
-	if len(in.Global.vars) == 0 {
-		in.Global.vars = make(map[string]Value, len(s.names))
+	if in.Global.lazy != nil || len(in.Global.vars) != 0 {
+		panic("script: InstallSnapshot into an interpreter that already has globals")
 	}
-	for i, name := range s.names {
-		in.Global.vars[name] = l.value(s.vals[i])
-	}
+	in.Global.lazy = &localizer{snap: s, objs: make([]*Object, s.objects)}
 }
 
 // sealer walks a template graph once, preserving aliasing (and
@@ -136,6 +152,7 @@ func (s *sealer) array(a *Array) {
 
 // localizer maps one snapshot's sealed values into one realm.
 type localizer struct {
+	snap *GlobalSnapshot
 	// objs holds the realm's stub for each sealed object, by id-1.
 	objs []*Object
 	// arrs holds the realm's eager copy of each template array reached.

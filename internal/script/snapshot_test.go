@@ -257,3 +257,145 @@ func TestSnapshotConcurrentRealms(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestLazyGlobalsShadowedBeforeRead: a var declaration, a function
+// declaration and a sloppy assignment that run before a snapshot
+// global's first read each bind the name themselves and shadow the
+// snapshot value, which is then never localized.
+func TestLazyGlobalsShadowedBeforeRead(t *testing.T) {
+	snap := cowTemplate().SnapshotGlobals()
+	realm := realmOf(t, snap)
+	if err := realm.Run(`var ns = 'var'; function child() { return 'function'; } Ctor = 'assigned';
+	var r = [ns, child(), Ctor, alias.a].join(',');`, "t"); err != nil {
+		t.Fatal(err)
+	}
+	if got := global(t, realm, "r").Str(); got != "var,function,assigned,1" {
+		t.Errorf("r = %q; want var,function,assigned,1", got)
+	}
+	for _, name := range []string{"child", "Ctor"} {
+		if stub := realm.Global.lazy.objs[snap.vals[name].obj.id-1]; stub != nil {
+			t.Errorf("the snapshot value of the shadowed global %s was localized", name)
+		}
+	}
+}
+
+// TestLazyGlobalTypeof: typeof resolves a snapshot global nothing has
+// read yet, and still answers "undefined" for a name no snapshot has.
+func TestLazyGlobalTypeof(t *testing.T) {
+	in := NewInterp()
+	if err := in.Run(`var r = [typeof parseInt, typeof JSON, typeof NaN, typeof missing].join(',');`, "t"); err != nil {
+		t.Fatal(err)
+	}
+	if got := global(t, in, "r").Str(); got != "function,object,number,undefined" {
+		t.Errorf("r = %q; want function,object,number,undefined", got)
+	}
+}
+
+// TestLazyAliasingWhicheverReadFirst: a template object reached under
+// several names resolves to one realm object whichever name a script
+// reads first, a global or a property path.
+func TestLazyAliasingWhicheverReadFirst(t *testing.T) {
+	snap := cowTemplate().SnapshotGlobals()
+	for _, first := range []string{"ns", "alias", "child", "list", "alias.child", "list[1]"} {
+		realm := realmOf(t, snap)
+		if err := realm.Run(`var first = `+first+`;
+		var same = ns === alias && ns.child === child && alias.child === child &&
+			list[1] === child && ns.list === list;`, "t"); err != nil {
+			t.Fatal(err)
+		}
+		if !global(t, realm, "same").Truthy() {
+			t.Errorf("reading %s first broke aliasing", first)
+		}
+	}
+}
+
+// TestLazyRealmsIsolated: a realm's writes and declarations stay in it
+// although another realm over the same snapshot first reads the globals
+// only afterwards.
+func TestLazyRealmsIsolated(t *testing.T) {
+	snap := cowTemplate().SnapshotGlobals()
+	const read = `var r = [alias.a, alias.b, alias.added1, list.length, child.x, Ctor.static, typeof planted].join('|');`
+	a, b := realmOf(t, snap), realmOf(t, snap)
+	if err := a.Run(cowWrites+`var planted = 1; ns = 'shadowed';`+read, "t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Run(read, "t"); err != nil {
+		t.Fatal(err)
+	}
+	fresh := realmOf(t, snap)
+	if err := fresh.Run(read, "t"); err != nil {
+		t.Fatal(err)
+	}
+	want := global(t, fresh, "r").Str()
+	if got := global(t, b, "r").Str(); got != want {
+		t.Errorf("realm b observed realm a's writes:\n got %s\nwant %s", got, want)
+	}
+	if got := global(t, a, "r").Str(); got == want {
+		t.Error("writes had no effect in the writing realm")
+	}
+}
+
+// TestSnapshotOfLazyBuiltins: NewInterp binds its builtins on first
+// read, and SnapshotGlobals binds every one never read before sealing,
+// so a snapshot of a NewInterp that read one builtin has the names and
+// values of one taken with every builtin installed up front.
+func TestSnapshotOfLazyBuiltins(t *testing.T) {
+	eager := NewBareInterp()
+	eager.installBuiltins()
+	want := eager.SnapshotGlobals()
+	lazy := NewInterp()
+	global(t, lazy, "Math")
+	got := lazy.SnapshotGlobals()
+	if !reflect.DeepEqual(got.Names(), want.Names()) {
+		t.Fatalf("names = %v\nwant %v", got.Names(), want.Names())
+	}
+	for _, name := range want.Names() {
+		if g, w := describe(got.vals[name]), describe(want.vals[name]); g != w {
+			t.Errorf("%s = %s\nwant %s", name, g, w)
+		}
+	}
+	if got.objects != want.objects {
+		t.Errorf("sealed objects = %d; want %d", got.objects, want.objects)
+	}
+}
+
+// describe renders a value graph: scalars by type and value, functions
+// by name, objects by class, callable and keys in Keys() order.
+func describe(v Value) string {
+	var b strings.Builder
+	seen := map[*Object]bool{}
+	var walk func(v Value)
+	walk = func(v Value) {
+		switch v.Kind() {
+		case KindObject:
+			o := v.Obj()
+			if seen[o] {
+				b.WriteString("<seen " + o.Class + ">")
+				return
+			}
+			seen[o] = true
+			fmt.Fprintf(&b, "%s{", o.Class)
+			if o.Call != nil {
+				b.WriteString("call " + o.Call.Name + "; ")
+			}
+			for _, k := range o.Keys() {
+				pv, _ := o.Get(k)
+				b.WriteString(k + ": ")
+				walk(pv)
+				b.WriteString(", ")
+			}
+			b.WriteString("}")
+		case KindArray:
+			b.WriteString("[")
+			for _, e := range v.Arr().Elems {
+				walk(e)
+				b.WriteString(", ")
+			}
+			b.WriteString("]")
+		default:
+			fmt.Fprintf(&b, "%s(%s)", v.TypeOf(), v.ToString())
+		}
+	}
+	walk(v)
+	return b.String()
+}

@@ -27,8 +27,7 @@ type Server struct {
 
 	// Built once by NewServer and read-only afterwards.
 	siteRank  map[string]int // site host → rank
-	hosts     []string       // site hosts in rank order (rank r at r-1)
-	kinds     []SiteKind     // site fates in rank order
+	sites     []Site         // every site in rank order (rank r at r-1)
 	scriptURL map[string]string
 	widgetKey map[string]int // widget host → catalog index
 
@@ -48,8 +47,7 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		Config:    cfg,
 		siteRank:  make(map[string]int, cfg.NumSites),
-		hosts:     make([]string, 0, cfg.NumSites),
-		kinds:     make([]SiteKind, 0, cfg.NumSites),
+		sites:     make([]Site, 0, cfg.NumSites),
 		scriptURL: map[string]string{},
 		widgetKey: map[string]int{},
 		StallTime: 2 * time.Second,
@@ -59,8 +57,7 @@ func NewServer(cfg Config) *Server {
 	for rank := 1; rank <= cfg.NumSites; rank++ {
 		site := cfg.Generate(rank)
 		s.siteRank[site.Host] = rank
-		s.hosts = append(s.hosts, site.Host)
-		s.kinds = append(s.kinds, site.Kind)
+		s.sites = append(s.sites, site)
 	}
 	for i, w := range Catalog {
 		s.widgetKey["www."+w.Site] = i
@@ -103,18 +100,18 @@ func (s *Server) Addr() string {
 	return s.listener.Addr().String()
 }
 
-// Hosts returns every site's host in rank order (rank r at index r-1),
-// as NewServer generated them: unlike Sites, it generates nothing.
-func (s *Server) Hosts() []string { return slices.Clone(s.hosts) }
-
-// Sites returns every generated site descriptor.
-func (s *Server) Sites() []Site {
-	out := make([]Site, 0, s.Config.NumSites)
-	for rank := 1; rank <= s.Config.NumSites; rank++ {
-		out = append(out, s.Config.Generate(rank))
+// Hosts returns every site's host in rank order (rank r at index r-1).
+func (s *Server) Hosts() []string {
+	hosts := make([]string, len(s.sites))
+	for i, site := range s.sites {
+		hosts[i] = site.Host
 	}
-	return out
+	return hosts
 }
+
+// Sites returns a copy of every site descriptor, in rank order, as
+// NewServer generated them.
+func (s *Server) Sites() []Site { return slices.Clone(s.sites) }
 
 // Transport returns an http.RoundTripper that dials this server for
 // every https URL, failing unreachable synthetic hosts with a DNS
@@ -126,7 +123,7 @@ func (s *Server) Transport() http.RoundTripper {
 			if h, _, err := net.SplitHostPort(addr); err == nil {
 				host = h
 			}
-			if rank, ok := s.siteRank[host]; ok && s.kinds[rank-1] == KindUnreachable {
+			if rank, ok := s.siteRank[host]; ok && s.sites[rank-1].Kind == KindUnreachable {
 				return nil, &net.DNSError{Err: "no such host", Name: host, IsNotFound: true}
 			}
 			var d net.Dialer
@@ -208,7 +205,7 @@ func (s *Server) serveWidget(w http.ResponseWriter, r *http.Request, idx int) {
 }
 
 func (s *Server) serveSite(w http.ResponseWriter, r *http.Request, rank int) {
-	site := s.Config.Generate(rank)
+	site := s.sites[rank-1]
 
 	switch site.Kind {
 	case KindTimeout:

@@ -30,6 +30,7 @@ type Realm struct {
 	Browser permissions.Browser
 	Version int
 
+	// handlers is allocated by the first addEventListener.
 	handlers map[string][]script.Value
 }
 
@@ -42,7 +43,6 @@ func NewRealm(doc *policy.Document, frameURL string) *Realm {
 		FrameURL: frameURL,
 		Browser:  permissions.Chromium,
 		Version:  127, // the paper crawled with Chromium 127 (C13)
-		handlers: map[string][]script.Value{},
 	}
 	r.In.InstallSnapshot(surfaceSnapshot())
 	r.In.Host = r
@@ -73,7 +73,11 @@ func (r *Realm) RunCompiled(prog *script.Compiled, scriptURL string) error {
 
 // FireEvent invokes every handler registered for the event — the
 // "manual interaction" pass of Appendix A.3 (clicks, loads, logins).
+// An event nobody listens for builds no event object.
 func (r *Realm) FireEvent(name string) error {
+	if len(r.handlers[name]) == 0 {
+		return nil
+	}
 	ev := script.NewObject()
 	ev.Class = "Event"
 	ev.Set("type", script.String(name))
@@ -164,6 +168,9 @@ func rnativeOf(name string, fn func(r *Realm, in *script.Interp, this script.Val
 var addEventListenerV = rnat("addEventListener", func(r *Realm, _ *script.Interp, _ script.Value, args []script.Value) (script.Value, error) {
 	if len(args) >= 2 && args[0].Kind() == script.KindString && args[1].IsCallable() {
 		name := args[0].Str()
+		if r.handlers == nil {
+			r.handlers = map[string][]script.Value{}
+		}
 		r.handlers[name] = append(r.handlers[name], args[1])
 	}
 	return script.Undefined(), nil

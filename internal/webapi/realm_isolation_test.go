@@ -100,6 +100,24 @@ func TestRealmGlobalAliasing(t *testing.T) {
 	}
 }
 
+// TestRealmAliasingWhicheverReadFirst: the surface globals are bound on
+// first read, and the aliases of one surface object still resolve to one
+// realm object whichever of them a script reads first.
+func TestRealmAliasingWhicheverReadFirst(t *testing.T) {
+	for _, first := range []string{"self", "globalThis", "document", "navigator.permissions", "document.location"} {
+		r := topLevelRealm(t, "")
+		if err := r.RunScript(`var first = `+first+`;
+		var same = window === self && self === globalThis && window.navigator === navigator &&
+			window.document === document && document.location === location &&
+			self.navigator.permissions === navigator.permissions;`, ""); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := r.In.Global.Get("same"); !v.Truthy() {
+			t.Errorf("reading %s first broke aliasing", first)
+		}
+	}
+}
+
 // dumpGlobals renders the value graph of the named globals canonically,
 // through the public accessors: objects and arrays are numbered in
 // first-visit order so aliasing shows, keys appear in Keys() order, and

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Fuzz smoke: run every fuzz target of the script engine, the HTML
-# parser, the policy parsers and the archive manifest reader for 10 s
-# each. A panic, hang or broken property fails the run and leaves the
-# failing input under the package's testdata/fuzz/ directory, where
+# parser, the policy parsers, the structured-field dictionary parser and
+# the archive manifest reader for 10 s each. A panic, hang or broken
+# property fails the run and leaves the failing input under the
+# package's testdata/fuzz/ directory, where
 # `go test -run <Target>/<input>` replays it.
 #
 # Usage: scripts/fuzz_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-for pkg in ./internal/script ./internal/html ./internal/policy ./internal/diskcache; do
+for pkg in ./internal/script ./internal/html ./internal/policy ./internal/header ./internal/diskcache; do
     for target in $(go test -list '^Fuzz' "$pkg" | grep '^Fuzz'); do
         echo "fuzz-smoke: $pkg $target" >&2
         go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s "$pkg"

@@ -2,7 +2,7 @@
 # GitHub Actions tier-1 gate; `make bench` produces a BENCH_*.json
 # perf artifact.
 
-.PHONY: ci test bench bench-sched bench-interp bench-parse benchcmp soak fuzz-smoke replay bundle-replay fleet-soak kill-soak crawlbench-smoke fmt build
+.PHONY: ci test bench bench-sched bench-interp bench-parse benchcmp soak fuzz-smoke replay bundle-replay kill-soak crawlbench-smoke fmt build
 
 ci:
 	./scripts/ci.sh
@@ -19,14 +19,9 @@ replay:
 bundle-replay:
 	./scripts/bundle_replay.sh
 
-# Fleet-soak gate: 4-process sharded chaos crawl over one shared
-# archive, merged, byte-identical to a single-process run.
-fleet-soak:
-	./scripts/fleet_soak.sh
-
-# Kill-injection soak: SIGKILL 2 of 4 fleet workers mid-crawl; the
-# supervisor must recover them with -resume and the merged report must
-# stay byte-identical to a single-process run.
+# Kill-injection soak: SIGKILL a chaos crawl twice mid-crawl and
+# finish it with -resume; the report must stay byte-identical to an
+# uninterrupted run and the archive must replay offline.
 kill-soak:
 	./scripts/kill_soak.sh
 
@@ -65,8 +60,8 @@ benchcmp:
 soak:
 	go test -race -v -timeout 20m -run 'TestChaos' ./internal/core/
 
-# Fuzz smoke: every script, html, policy, header and diskcache fuzz
-# target for 10 s each.
+# Fuzz smoke: every script, html, policy, header, diskcache and bundle
+# fuzz target for 10 s each.
 fuzz-smoke:
 	./scripts/fuzz_smoke.sh
 

@@ -40,7 +40,7 @@ type ArchiveStats struct {
 	// surfaced as errors.
 	CorruptRecovered uint64 `json:"corrupt_recovered"`
 	// OrphansSwept counts temp object/manifest files left by writers
-	// that died mid-rename (a SIGKILLed fleet worker) and GC'd by the
+	// that died mid-rename (a SIGKILLed crawler) and GC'd by the
 	// crash-consistency pass on open.
 	OrphansSwept uint64 `json:"orphans_swept"`
 	// BytesStored is object payload bytes written to disk this run

@@ -4,14 +4,14 @@
 // the crawl — the crawl configuration (population size, seed, era,
 // chaos profile, raw flags), the output dataset JSONL, the crawl-time
 // analysis report, the content-addressed resource archive (compacted
-// manifest plus objects, i.e. diskcache.MergeShards output), the tool
-// and dataset-schema versions, and a content digest over the lot,
-// optionally HMAC-signed. The design follows Hantke et al.'s argument
-// that archived, verifiable crawl evidence is what makes web
-// measurements reproducible: `permreport -from-bundle` verifies the
-// digest and re-runs analysis only — no browser, no network, no script
-// interpreter — and two bundles from different crawl eras diff into a
-// longitudinal drift report.
+// manifest plus objects, i.e. diskcache.Compact output), the tool and
+// dataset-schema versions, and a content digest over the lot and over
+// that provenance, optionally HMAC-signed. The design follows Hantke
+// et al.'s argument that archived, verifiable crawl evidence is what
+// makes web measurements reproducible: `permreport -from-bundle`
+// verifies the digest and re-runs analysis only — no browser, no
+// network, no script interpreter — and two bundles from different crawl
+// eras diff into a longitudinal drift report.
 //
 // A bundle is deterministic end to end: sealing the same crawl twice
 // produces byte-identical contents and therefore the same digest. No
@@ -35,13 +35,15 @@ import (
 	"sort"
 	"strings"
 
-	"permodyssey/internal/fleet"
 	"permodyssey/internal/store"
 )
 
-// FormatVersion is the bundle layout version written to bundle.json.
-// A reader refuses a bundle whose format it does not understand.
-const FormatVersion = 1
+// FormatVersion is the bundle layout version Seal writes to
+// bundle.json. Version 2 extends the digest from the file listing to
+// the manifest's own provenance (see Manifest.digest). Open also
+// accepts version 1, whose digest covers the file listing only, and
+// refuses any other version.
+const FormatVersion = 2
 
 // Well-known paths inside a bundle, relative to its root.
 const (
@@ -94,14 +96,13 @@ type Manifest struct {
 	Config        Config `json:"config"`
 	// Records is the sealed dataset's record count.
 	Records int `json:"records"`
-	// FleetMerge carries the shard-reconciliation provenance when the
-	// bundle was sealed by permfleet after a merged crawl.
-	FleetMerge *fleet.MergeReport `json:"fleet_merge,omitempty"`
 	// Files lists every sealed file except bundle.json itself, sorted
 	// by path.
 	Files []FileEntry `json:"files"`
-	// Digest is the hex SHA-256 of the canonical file listing (see
-	// digest): it commits to every byte of every sealed file.
+	// Digest is the hex SHA-256 of the canonical file listing and, from
+	// version 2, of the fields above (see digest): it commits to every
+	// byte of every sealed file and to what the bundle says about
+	// itself.
 	Digest string `json:"digest"`
 	// Signature is hex HMAC-SHA256(key, Digest) when the bundle was
 	// sealed with a key, binding the digest to a secret the verifier
@@ -113,11 +114,10 @@ type Manifest struct {
 type Spec struct {
 	// DatasetPath is the crawl's output JSONL, copied into the bundle.
 	DatasetPath string
-	// ArchiveDir is the crawl's resource archive root. It must already
-	// be compacted (diskcache.MergeShards): Seal copies manifest.jsonl
-	// and objects/ and refuses leftover shard manifests, because a
-	// bundle must hold the one deterministic manifest, not a pile of
-	// shards.
+	// ArchiveDir is the crawl's resource archive root, compacted first
+	// (diskcache.Compact) when the bundle must be byte-deterministic:
+	// Seal copies manifest.jsonl and objects/ as they are, and refuses
+	// the per-shard manifests of older releases.
 	ArchiveDir string
 	// Report is the crawl-time analysis report, byte-exact as the
 	// sealing tool printed it — the replay gate diffs against it.
@@ -128,7 +128,6 @@ type Spec struct {
 	ToolVersion string
 	Config      Config
 	Records     int
-	FleetMerge  *fleet.MergeReport
 	// Key, when non-empty, HMAC-signs the digest.
 	Key string
 }
@@ -193,10 +192,9 @@ func sealDir(dir string, spec Spec) (Manifest, error) {
 		DatasetSchema: store.SchemaVersion,
 		Config:        spec.Config,
 		Records:       spec.Records,
-		FleetMerge:    spec.FleetMerge,
 		Files:         files,
-		Digest:        digest(files),
 	}
+	m.Digest = m.digest(files)
 	if spec.Key != "" {
 		m.Signature = sign(m.Digest, spec.Key)
 	}
@@ -210,14 +208,14 @@ func sealDir(dir string, spec Spec) (Manifest, error) {
 	return m, nil
 }
 
-// copyArchive seals an archive directory: the compacted manifest and
-// the object store, nothing else. Shard manifests present mean the
-// archive was never merged — refuse rather than seal a view that
-// depends on reconciliation at read time.
+// copyArchive seals an archive directory: the manifest and the object
+// store, nothing else. Shard manifests present mean an older release
+// wrote the archive and never merged it — refuse rather than seal a
+// manifest that misses their URLs.
 func copyArchive(dst, src string) error {
 	shards, err := filepath.Glob(filepath.Join(src, "manifest-*.jsonl"))
 	if err == nil && len(shards) > 0 {
-		return fmt.Errorf("bundle: archive %s has %d unmerged shard manifests; run the merge first", src, len(shards))
+		return fmt.Errorf("bundle: archive %s has %d unmerged shard manifests from an older release", src, len(shards))
 	}
 	if err := copyFile(filepath.Join(dst, "manifest.jsonl"), filepath.Join(src, "manifest.jsonl")); err != nil {
 		return fmt.Errorf("bundle: sealing archive manifest: %w", err)
@@ -312,12 +310,27 @@ func hashFile(path string) (sum string, size int64, err error) {
 }
 
 // digest commits to the full file listing: one canonical line per
-// file, sorted by path, hashed as a whole. Any changed, added, or
-// removed byte in any sealed file changes the digest.
-func digest(files []FileEntry) string {
+// file, sorted by path, hashed as a whole, so any changed, added, or
+// removed byte in any sealed file changes the digest. From format
+// version 2 one more line commits to the canonical (compact, fixed
+// field order) JSON of the manifest's provenance — format version,
+// tool, versions, config and record count — so a rewritten config or
+// record count changes the digest too, and the signature with it.
+func (m *Manifest) digest(files []FileEntry) string {
 	h := sha256.New()
 	for _, f := range files {
 		fmt.Fprintf(h, "%s  %d  %s\n", f.SHA256, f.Size, f.Path)
+	}
+	if m.FormatVersion >= 2 {
+		raw, _ := json.Marshal(struct {
+			FormatVersion int    `json:"format_version"`
+			Tool          string `json:"tool"`
+			ToolVersion   string `json:"tool_version"`
+			DatasetSchema int    `json:"dataset_schema"`
+			Config        Config `json:"config"`
+			Records       int    `json:"records"`
+		}{m.FormatVersion, m.Tool, m.ToolVersion, m.DatasetSchema, m.Config, m.Records})
+		fmt.Fprintf(h, "%s\n", raw)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -354,17 +367,18 @@ func Open(path string) (*Bundle, error) {
 		b.Close()
 		return nil, fmt.Errorf("bundle: parsing %s: %w", ManifestName, err)
 	}
-	if b.Manifest.FormatVersion != FormatVersion {
+	if v := b.Manifest.FormatVersion; v != 1 && v != FormatVersion {
 		b.Close()
-		return nil, fmt.Errorf("bundle: format version %d not supported (want %d)", b.Manifest.FormatVersion, FormatVersion)
+		return nil, fmt.Errorf("bundle: format version %d not supported (want 1 or %d)", v, FormatVersion)
 	}
 	return b, nil
 }
 
 // Verify re-hashes every sealed file and checks the lot against the
 // manifest: no file missing, none added, none changed, the digest
-// matching the listing, and — when key is non-empty — the signature
-// matching the digest. Every failure wraps ErrVerify and names the
+// matching the listing (and, from version 2, the manifest's
+// provenance), and — when key is non-empty — the signature matching
+// the digest. Every failure wraps ErrVerify and names the
 // first offending path.
 func (b *Bundle) Verify(key string) error {
 	got, err := listFiles(b.Dir)
@@ -389,8 +403,8 @@ func (b *Bundle) Verify(key string) error {
 	for path := range byPath {
 		return fmt.Errorf("%w: sealed file %s is missing", ErrVerify, path)
 	}
-	if d := digest(got); d != b.Manifest.Digest {
-		return fmt.Errorf("%w: digest mismatch (manifest digest does not match sealed files)", ErrVerify)
+	if d := b.Manifest.digest(got); d != b.Manifest.Digest {
+		return fmt.Errorf("%w: digest mismatch (manifest digest does not match the sealed files and provenance)", ErrVerify)
 	}
 	if key != "" {
 		if b.Manifest.Signature == "" {

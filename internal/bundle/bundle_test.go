@@ -1,7 +1,12 @@
 package bundle_test
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,11 +20,11 @@ import (
 
 const fixtureReport = "Table 3 — everything\n0 rows\n"
 
-// fixture builds a minimal sealed-crawl input set: a merged archive
+// fixture builds a minimal sealed-crawl input set: a compacted archive
 // with a success and an archived failure, a two-record dataset, and a
 // crawl-time report. Deterministic — two calls produce byte-identical
 // inputs.
-func fixture(t *testing.T) bundle.Spec {
+func fixture(t testing.TB) bundle.Spec {
 	t.Helper()
 	dir := t.TempDir()
 	arch := filepath.Join(dir, "cache")
@@ -30,7 +35,7 @@ func fixture(t *testing.T) bundle.Spec {
 	a.Store("https://site-0.test/", &browser.Response{Status: 200, Body: "<html>ok</html>"})
 	a.StoreFailure("https://site-1.test/", errors.New("no route"))
 	a.Close()
-	if _, err := diskcache.MergeShards(arch); err != nil {
+	if err := diskcache.Compact(arch); err != nil {
 		t.Fatal(err)
 	}
 	ds := &store.Dataset{Records: []store.SiteRecord{
@@ -52,7 +57,7 @@ func fixture(t *testing.T) bundle.Spec {
 	}
 }
 
-func seal(t *testing.T, path string, spec bundle.Spec) bundle.Manifest {
+func seal(t testing.TB, path string, spec bundle.Spec) bundle.Manifest {
 	t.Helper()
 	m, err := bundle.Seal(path, spec)
 	if err != nil {
@@ -152,9 +157,24 @@ func TestTarballRoundTrip(t *testing.T) {
 }
 
 // TestTamperDetected: every way a bundle can lie — altered file,
-// deleted file, smuggled extra file, rewritten digest — fails Verify
-// with ErrVerify.
+// deleted file, smuggled extra file, rewritten digest, rewritten
+// provenance — fails Verify with ErrVerify, with and without the
+// sealing key.
 func TestTamperDetected(t *testing.T) {
+	rewrite := func(t *testing.T, dir, old, new string) {
+		t.Helper()
+		path := filepath.Join(dir, bundle.ManifestName)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(raw), old) {
+			t.Fatalf("%s does not contain %q", bundle.ManifestName, old)
+		}
+		if err := os.WriteFile(path, []byte(strings.Replace(string(raw), old, new, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	tamper := map[string]func(t *testing.T, dir string){
 		"altered dataset": func(t *testing.T, dir string) {
 			f, err := os.OpenFile(filepath.Join(dir, bundle.DatasetName), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -182,10 +202,17 @@ func TestTamperDetected(t *testing.T) {
 			forged := strings.ReplaceAll(string(raw), b.Manifest.Digest, flipDigest(b.Manifest.Digest))
 			os.WriteFile(filepath.Join(dir, bundle.ManifestName), []byte(forged), 0o644)
 		},
+		"rewritten config": func(t *testing.T, dir string) {
+			rewrite(t, dir, `"seed": 7`, `"seed": 8`)
+		},
+		"rewritten record count": func(t *testing.T, dir string) {
+			rewrite(t, dir, `"records": 2`, `"records": 3`)
+		},
 	}
 	for name, fn := range tamper {
 		t.Run(name, func(t *testing.T) {
 			spec := fixture(t)
+			spec.Key = "k"
 			dir := filepath.Join(t.TempDir(), "b")
 			seal(t, dir, spec)
 			fn(t, dir)
@@ -193,8 +220,10 @@ func TestTamperDetected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Verify(""); !errors.Is(err, bundle.ErrVerify) {
-				t.Errorf("Verify after tamper = %v, want ErrVerify", err)
+			for _, key := range []string{"", "k"} {
+				if err := b.Verify(key); !errors.Is(err, bundle.ErrVerify) {
+					t.Errorf("Verify(%q) after tamper = %v, want ErrVerify", key, err)
+				}
 			}
 		})
 	}
@@ -211,7 +240,7 @@ func flipDigest(d string) string {
 
 func TestSignature(t *testing.T) {
 	spec := fixture(t)
-	spec.Key = "fleet-secret"
+	spec.Key = "s3cret"
 	dir := filepath.Join(t.TempDir(), "b")
 	m := seal(t, dir, spec)
 	if m.Signature == "" {
@@ -221,7 +250,7 @@ func TestSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Verify("fleet-secret"); err != nil {
+	if err := b.Verify("s3cret"); err != nil {
 		t.Errorf("Verify with the right key: %v", err)
 	}
 	if err := b.Verify("wrong"); !errors.Is(err, bundle.ErrVerify) {
@@ -239,8 +268,88 @@ func TestSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ub.Verify("fleet-secret"); !errors.Is(err, bundle.ErrVerify) {
+	if err := ub.Verify("s3cret"); !errors.Is(err, bundle.ErrVerify) {
 		t.Errorf("Verify of an unsigned bundle with a key = %v, want ErrVerify", err)
+	}
+}
+
+// TestVersion1FleetBundleVerifies: a bundle an older release sealed —
+// format version 1, whose digest and signature cover the file listing
+// only, written by the retired multi-process driver with its
+// fleet_merge block — still opens and verifies.
+func TestVersion1FleetBundleVerifies(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "b")
+	m := seal(t, dir, fixture(t))
+	h := sha256.New()
+	for _, f := range m.Files {
+		fmt.Fprintf(h, "%s  %d  %s\n", f.SHA256, f.Size, f.Path)
+	}
+	digest := hex.EncodeToString(h.Sum(nil))
+	mac := hmac.New(sha256.New, []byte("k"))
+	mac.Write([]byte(digest))
+	raw, err := json.MarshalIndent(struct {
+		FormatVersion int                `json:"format_version"`
+		Tool          string             `json:"tool"`
+		ToolVersion   string             `json:"tool_version"`
+		DatasetSchema int                `json:"dataset_schema"`
+		Config        bundle.Config      `json:"config"`
+		Records       int                `json:"records"`
+		FleetMerge    json.RawMessage    `json:"fleet_merge"`
+		Files         []bundle.FileEntry `json:"files"`
+		Digest        string             `json:"digest"`
+		Signature     string             `json:"signature"`
+	}{1, "permfleet", "test", store.SchemaVersion,
+		bundle.Config{Sites: 2, Seed: 7, Flags: []string{"-sites", "2", "-seed", "7"}}, 2,
+		json.RawMessage(`{"shard_records":[1,1],"records":2,"duplicates":0,"successes_preferred":0,"canceled_dropped":0}`),
+		m.Files, digest, hex.EncodeToString(mac.Sum(nil))}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, bundle.ManifestName), append(raw, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := bundle.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if b.Manifest.FormatVersion != 1 || b.Manifest.Tool != "permfleet" || b.Manifest.Records != 2 {
+		t.Errorf("manifest = %+v", b.Manifest)
+	}
+	for _, key := range []string{"", "k"} {
+		if err := b.Verify(key); err != nil {
+			t.Errorf("Verify(%q) of a version-1 bundle: %v", key, err)
+		}
+	}
+	if err := b.Verify("wrong"); !errors.Is(err, bundle.ErrVerify) {
+		t.Errorf("Verify with the wrong key = %v, want ErrVerify", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, bundle.ReportName), []byte("forged\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Verify("k"); !errors.Is(err, bundle.ErrVerify) {
+		t.Errorf("Verify of a tampered version-1 bundle = %v, want ErrVerify", err)
+	}
+}
+
+// TestOpenRefusesUnknownVersion: a format version this release does
+// not know is refused up front.
+func TestOpenRefusesUnknownVersion(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "b")
+	seal(t, dir, fixture(t))
+	path := filepath.Join(dir, bundle.ManifestName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := strings.Replace(string(raw), fmt.Sprintf(`"format_version": %d`, bundle.FormatVersion), `"format_version": 99`, 1)
+	if err := os.WriteFile(path, []byte(forged), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := bundle.Open(dir); err == nil {
+		b.Close()
+		t.Error("Open accepted format version 99")
 	}
 }
 
@@ -254,7 +363,8 @@ func TestSealRefusals(t *testing.T) {
 		t.Error("Seal into a non-empty directory succeeded")
 	}
 
-	// An unmerged archive (leftover shard manifest) must be refused.
+	// An older release's unmerged archive (a shard manifest) must be
+	// refused.
 	shardy := fixture(t)
 	if err := os.WriteFile(filepath.Join(shardy.ArchiveDir, "manifest-0.jsonl"), nil, 0o644); err != nil {
 		t.Fatal(err)

@@ -5,14 +5,11 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"permodyssey/internal/analysis"
 	"permodyssey/internal/bundle"
 	"permodyssey/internal/core"
 	"permodyssey/internal/diskcache"
-	"permodyssey/internal/fleet"
 )
 
 // openVerified opens a bundle and refuses to return it until its
@@ -39,24 +36,21 @@ func short(digest string) string {
 	return digest
 }
 
-// sealCrawlBundle compacts the archive's manifest shards into the one
-// deterministic manifest a bundle requires, then seals everything at
-// path. Used by permcrawl after a finished crawl and by permfleet
-// after a merged one (which has already run the archive merge — the
-// rerun is an idempotent compaction).
-func sealCrawlBundle(path, cacheDir, datasetPath, report, tool string, cfg bundle.Config, records int, mr *fleet.MergeReport, key string, stderr io.Writer) error {
-	if _, err := diskcache.MergeShards(cacheDir); err != nil {
+// sealCrawlBundle compacts the archive's manifest into the one
+// deterministic manifest a bundle requires, then seals permcrawl's
+// finished crawl at path.
+func sealCrawlBundle(path, cacheDir, datasetPath, report string, cfg bundle.Config, records int, key string, stderr io.Writer) error {
+	if err := diskcache.Compact(cacheDir); err != nil {
 		return fmt.Errorf("compacting archive: %w", err)
 	}
 	m, err := bundle.Seal(path, bundle.Spec{
 		DatasetPath: datasetPath,
 		ArchiveDir:  cacheDir,
 		Report:      report,
-		Tool:        tool,
+		Tool:        "permcrawl",
 		ToolVersion: core.ToolVersion,
 		Config:      cfg,
 		Records:     records,
-		FleetMerge:  mr,
 		Key:         key,
 	})
 	if err != nil {
@@ -110,54 +104,4 @@ func diffBundlesCmd(beforePath, afterPath, key string, asJSON bool, stdout, stde
 	}
 	fmt.Fprintln(stdout, drift)
 	return 0
-}
-
-// scanCrawlConfig best-effort extracts the population knobs a bundle
-// records from a raw permcrawl argument list (the fleet's passthrough
-// args). Unknown flags are ignored; values mirror permcrawl's
-// defaults. Both "-flag v" and "-flag=v" spellings are handled.
-func scanCrawlConfig(args []string) bundle.Config {
-	cfg := bundle.Config{Sites: 5000, Seed: 1, Flags: args}
-	value := func(i int) (string, bool) {
-		if eq := strings.IndexByte(args[i], '='); eq >= 0 {
-			return args[i][eq+1:], true
-		}
-		if i+1 < len(args) {
-			return args[i+1], true
-		}
-		return "", false
-	}
-	for i := 0; i < len(args); i++ {
-		name := strings.TrimLeft(args[i], "-")
-		if eq := strings.IndexByte(name, '='); eq >= 0 {
-			name = name[:eq]
-		}
-		switch name {
-		case "sites":
-			if v, ok := value(i); ok {
-				if n, err := strconv.Atoi(v); err == nil {
-					cfg.Sites = n
-				}
-			}
-		case "seed":
-			if v, ok := value(i); ok {
-				if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-					cfg.Seed = n
-				}
-			}
-		case "era":
-			if v, ok := value(i); ok {
-				if n, err := strconv.Atoi(v); err == nil {
-					cfg.Era = n
-				}
-			}
-		case "chaos":
-			cfg.Chaos = true
-		case "chaos-faults":
-			if v, ok := value(i); ok {
-				cfg.ChaosFaults = v
-			}
-		}
-	}
-	return cfg
 }

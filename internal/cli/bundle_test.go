@@ -27,6 +27,13 @@ func TestCrawlBundleReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sealed report: %v", err)
 	}
+	b, err := bundle.Open(bdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := b.Manifest; m.Tool != "permcrawl" || m.Records != 40 || m.Config.Sites != 40 || m.Config.Seed != 21 {
+		t.Errorf("sealed provenance = %+v, want permcrawl, 40 records, sites 40, seed 21", m)
+	}
 	out, errOut, code := run(t, reportFn, "-from-bundle", bdir, "-bundle-key", "s3cret")
 	if code != 0 {
 		t.Fatalf("-from-bundle: code=%d stderr=%q", code, errOut)
@@ -69,64 +76,8 @@ func TestCrawlBundleFlagValidation(t *testing.T) {
 	if code := Crawl(context.Background(), []string{"-bundle", "b"}, &stdout, &stderr); code != 2 {
 		t.Errorf("-bundle without -cache-dir: code=%d, want 2", code)
 	}
-	if code := Crawl(context.Background(), []string{
-		"-bundle", "b", "-cache-dir", "c", "-shard", "0/2",
-	}, &stdout, &stderr); code != 2 {
-		t.Errorf("-bundle with -shard: code=%d, want 2", code)
-	}
-	if code := Fleet(context.Background(), []string{"-bundle", "b"}, &stdout, &stderr); code != 2 {
-		t.Errorf("fleet -bundle without -cache-dir: code=%d, want 2", code)
-	}
 	if _, _, code := run(t, reportFn, "-diff-bundles", "only-one"); code != 2 {
 		t.Errorf("-diff-bundles with one path: code=%d, want 2", code)
-	}
-}
-
-// TestFleetBundleSeal: the permfleet sealing path — shard crawls into
-// a shared archive, merge, seal — produces a bundle whose replay is
-// byte-identical to the merged report and whose manifest records the
-// fleet's provenance.
-func TestFleetBundleSeal(t *testing.T) {
-	dir := t.TempDir()
-	cache := filepath.Join(dir, "archive")
-	merged := filepath.Join(dir, "merged.jsonl")
-	btar := filepath.Join(dir, "fleet.bundle.tar.gz")
-	crawlTo(t, merged+".shard0", "-shard", "0/2", "-cache-dir", cache)
-	crawlTo(t, merged+".shard1", "-shard", "1/2", "-cache-dir", cache)
-
-	var stdout, stderr bytes.Buffer
-	code := Fleet(context.Background(), []string{
-		"-procs", "2", "-out", merged, "-merge-only", "-cache-dir", cache,
-		"-bundle", btar, "--", "-sites", "40", "-seed", "21",
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("fleet: code=%d stderr=%q", code, stderr.String())
-	}
-
-	b, err := bundle.Open(btar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if b.Manifest.Tool != "permfleet" {
-		t.Errorf("Tool = %q, want permfleet", b.Manifest.Tool)
-	}
-	if b.Manifest.FleetMerge == nil || b.Manifest.FleetMerge.Records != 40 {
-		t.Errorf("FleetMerge = %+v, want 40 merged records", b.Manifest.FleetMerge)
-	}
-	if b.Manifest.Config.Sites != 40 || b.Manifest.Config.Seed != 21 {
-		t.Errorf("Config = %+v, want sites 40 seed 21", b.Manifest.Config)
-	}
-	sealed, err := b.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, errOut, rcode := run(t, reportFn, "-from-bundle", btar)
-	if rcode != 0 {
-		t.Fatalf("-from-bundle: code=%d stderr=%q", rcode, errOut)
-	}
-	if out != sealed {
-		t.Error("fleet bundle replay differs from the sealed merged report")
 	}
 }
 

@@ -54,8 +54,6 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cacheDir := fs.String("cache-dir", "", "persist every fetch outcome to a content-addressed archive rooted here; later runs read it back instead of refetching")
 	offline := fs.Bool("offline", false, "strict replay from -cache-dir: no network fetches, archived failures replay as recorded, misses become unreachable failures")
 	statsJSON := fs.String("stats-json", "", "write the run's cache/crawl/archive counters as indented JSON to this file")
-	shardSpec := fs.String("shard", "", "fleet mode: crawl only ranks ≡ i (mod n), given as \"i/n\"; with -cache-dir the archive manifest is written to a per-shard file so n processes can share one archive (see permfleet)")
-	heartbeat := fs.String("heartbeat", "", "touch this file on every completed visit — the liveness signal a supervising permfleet watchdog watches")
 	era := fs.Int("era", 0, "crawl a population calibrated to this measurement year (2020, 2022, or 2024+; 0 = the paper's present-day defaults) for longitudinal comparisons")
 	bundlePath := fs.String("bundle", "", "after a finished crawl, seal config, dataset, report, and the -cache-dir archive into a Web Execution Bundle at this path (directory or .tar.gz)")
 	bundleKey := fs.String("bundle-key", "", "HMAC-sign the bundle digest with this key")
@@ -74,15 +72,6 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *bundlePath != "" && *cacheDir == "" {
 		fmt.Fprintln(stderr, "permcrawl: -bundle requires -cache-dir (a bundle seals the resource archive)")
-		return 2
-	}
-	if *bundlePath != "" && *shardSpec != "" {
-		fmt.Fprintln(stderr, "permcrawl: -bundle cannot seal one shard of a fleet crawl; use permfleet -bundle after the merge")
-		return 2
-	}
-	shard, shards, err := ParseShardSpec(*shardSpec)
-	if err != nil {
-		fmt.Fprintln(stderr, "permcrawl:", err)
 		return 2
 	}
 
@@ -124,7 +113,6 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	opts.MaxBodyBytes = *maxBody
 	opts.CacheDir = *cacheDir
 	opts.Offline = *offline
-	opts.Shard, opts.Shards = shard, shards
 	opts.BrowserOpts.Interact = *interact
 	opts.BrowserOpts.ScrollLazyIframes = !*noLazy
 	if *expected {
@@ -136,18 +124,6 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if total > 0 && done*10/total != last {
 			last = done * 10 / total
 			fmt.Fprintf(stderr, "  %d%% (%d/%d)\n", last*10, done, total)
-		}
-	}
-	if *heartbeat != "" {
-		// Heartbeat = progress, not mere liveness: the file's mtime
-		// advances only when a visit actually completes, so a wedged
-		// crawl — alive but stuck — goes visibly stale and the
-		// supervisor's watchdog can kill and restart it.
-		touchFile(*heartbeat)
-		progress := opts.Crawl.Progress
-		opts.Crawl.Progress = func(done, total int) {
-			touchFile(*heartbeat)
-			progress(done, total)
 		}
 	}
 
@@ -248,10 +224,10 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	// A crawl cut short by cancellation (the driver's SIGTERM, an
-	// operator's Ctrl-C) still checkpointed everything above — but it
-	// is not a finished dataset, and a supervising fleet driver needs
-	// the distinction to know the shard wants a -resume relaunch.
+	// A crawl cut short by cancellation (a SIGTERM, an operator's
+	// Ctrl-C) still checkpointed everything above — but it is not a
+	// finished dataset, and the distinct exit code tells a wrapping
+	// script that the crawl wants a -resume rerun.
 	if ctx.Err() != nil {
 		fmt.Fprintf(stderr, "permcrawl: interrupted; %d records checkpointed in %s (rerun with -resume to finish)\n",
 			len(m.Dataset.Records), *out)
@@ -261,7 +237,7 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// a bundle of half a dataset would replay as the wrong measurement.
 	if *bundlePath != "" {
 		cfg := bundle.Config{Sites: *sites, Seed: *seed, Era: *era, Chaos: *chaos, ChaosFaults: *chaosFaults, Flags: args}
-		if err := sealCrawlBundle(*bundlePath, *cacheDir, *out, m.Report()+"\n", "permcrawl", cfg, len(m.Dataset.Records), nil, *bundleKey, stderr); err != nil {
+		if err := sealCrawlBundle(*bundlePath, *cacheDir, *out, m.Report()+"\n", cfg, len(m.Dataset.Records), *bundleKey, stderr); err != nil {
 			fmt.Fprintln(stderr, "permcrawl: sealing bundle:", err)
 			return 1
 		}
@@ -270,21 +246,6 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, m.Report())
 	}
 	return 0
-}
-
-// touchFile advances path's mtime, creating it (stamped with this
-// process's pid) on first touch. Failures are ignored: a heartbeat is
-// advisory, and a worker must never die because its liveness file is
-// unwritable.
-func touchFile(path string) {
-	now := time.Now()
-	if os.Chtimes(path, now, now) == nil {
-		return
-	}
-	if f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644); err == nil {
-		fmt.Fprintf(f, "%d\n", os.Getpid())
-		f.Close()
-	}
 }
 
 // startProfiles starts a CPU profile into cpuPath when it is set, and

@@ -78,29 +78,14 @@ type MeasurementOptions struct {
 	// (classified unreachable) rather than a network fetch. Requires
 	// CacheDir.
 	Offline bool
-	// Shard/Shards split the rank space across a fleet of crawler
-	// processes: with Shards > 1 this process visits only ranks ≡ Shard
-	// (mod Shards), and — when CacheDir is set — appends its archive
-	// manifest lines to a per-shard manifest (manifest-<Shard>.jsonl)
-	// so any number of processes can populate one shared archive
-	// without interleaving writes. Each process streams its own
-	// checkpoint JSONL with the usual resume semantics;
-	// fleet.MergeDatasets and diskcache.MergeShards reconcile the
-	// per-shard outputs into the dataset and archive a single-process
-	// run would have produced. Shards <= 1 disables sharding.
-	Shard, Shards int
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 }
 
 // CrawlStats aggregates the observability counters of one run: what the
 // fetch, DOM and script caches saved, and what the crawler
-// retried or resumed. Shard/Shards tag the counters with the rank
-// partition that produced them (0/0 outside fleet mode), so the
-// per-shard -stats-json files of a fleet crawl are self-describing.
+// retried or resumed.
 type CrawlStats struct {
-	Shard   int `json:"shard"`
-	Shards  int `json:"shards"`
 	Fetch   browser.CacheStats
 	DOM     memo.Stats
 	Script  memo.Stats
@@ -182,8 +167,6 @@ type crawlStack struct {
 	crawler *crawler.Crawler
 	targets []crawler.Target
 
-	shard, shards int
-
 	cache   *browser.CachingFetcher
 	breaker *crawler.BreakerFetcher
 	docs    *memo.Memo[memo.Key, html.Doc]
@@ -213,13 +196,7 @@ func newCrawlStack(srv *synthweb.Server, opts MeasurementOptions) (*crawlStack, 
 	if opts.CacheDir != "" && opts.DisableCache {
 		return nil, fmt.Errorf("core: CacheDir requires the cache enabled (incompatible with DisableCache)")
 	}
-	if opts.Shards > 1 && (opts.Shard < 0 || opts.Shard >= opts.Shards) {
-		return nil, fmt.Errorf("core: Shard %d out of range for %d shards", opts.Shard, opts.Shards)
-	}
-	if opts.Shards <= 1 && opts.Shard != 0 {
-		return nil, fmt.Errorf("core: Shard %d set without Shards", opts.Shard)
-	}
-	st := &crawlStack{shard: opts.Shard, shards: opts.Shards}
+	st := &crawlStack{}
 	httpf := browser.NewHTTPFetcher(srv.Client(0))
 	if opts.MaxBodyBytes > 0 {
 		httpf.MaxBodyBytes = opts.MaxBodyBytes
@@ -241,10 +218,6 @@ func newCrawlStack(srv *synthweb.Server, opts MeasurementOptions) (*crawlStack, 
 		st.targets = append(st.targets, crawler.Target{Rank: i + 1, URL: synthweb.Site{Host: host}.URL()})
 		siteHosts[host] = true
 	}
-	// Fleet mode: this process covers only its rank partition. The host
-	// bypass set stays the full population — shared widget/CDN hosts are
-	// what the cache is for, whichever shard fetches them.
-	st.targets = crawler.PartitionTargets(st.targets, opts.Shard, opts.Shards)
 	if !opts.DisableCache {
 		st.cache = browser.NewCachingFetcher(fetcher, opts.CacheEntries, opts.CacheBytes)
 		// Per-site documents (landing and internal pages) are fetched
@@ -260,17 +233,10 @@ func newCrawlStack(srv *synthweb.Server, opts MeasurementOptions) (*crawlStack, 
 		if opts.CacheDir != "" {
 			// The disk archive sits under the in-memory cache and, unlike
 			// it, also covers bypassed per-site documents — offline replay
-			// needs every resource, not just the shared ones. In fleet
-			// mode each process appends to its own manifest shard, so N
-			// processes can share the directory without interleaving.
-			shardName := ""
-			if opts.Shards > 1 {
-				shardName = fmt.Sprint(opts.Shard)
-			}
+			// needs every resource, not just the shared ones.
 			ar, err := diskcache.Open(opts.CacheDir, diskcache.Options{
 				Offline:  opts.Offline,
 				Classify: archiveClass,
-				Shard:    shardName,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("core: opening resource archive: %w", err)
@@ -300,7 +266,7 @@ func (st *crawlStack) close() {
 
 // stats collects every layer's counters.
 func (st *crawlStack) stats() CrawlStats {
-	s := CrawlStats{Shard: st.shard, Shards: st.shards, Crawl: st.crawler.Stats()}
+	s := CrawlStats{Crawl: st.crawler.Stats()}
 	if st.cache != nil {
 		s.Fetch = st.cache.Stats()
 		s.DOM = st.docs.Stats()

@@ -34,28 +34,6 @@ type Target struct {
 	URL  string
 }
 
-// PartitionTargets returns the shard'th of shards rank-partitions of
-// targets: the subset whose Rank ≡ shard (mod shards), preserving
-// order. The modulo split interleaves ranks across the fleet so every
-// shard sees the same mix of popular and tail sites (rank correlates
-// with page weight in the synthetic population, as it does on the real
-// web); the partitions are disjoint and their union is the full target
-// list, which is what lets a merged fleet crawl reproduce a
-// single-process dataset exactly. shards <= 1 returns targets
-// unchanged.
-func PartitionTargets(targets []Target, shard, shards int) []Target {
-	if shards <= 1 {
-		return targets
-	}
-	out := make([]Target, 0, len(targets)/shards+1)
-	for _, t := range targets {
-		if t.Rank%shards == shard {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Crawl defaults — the single source of truth shared by DefaultConfig
 // and the fallbacks New applies to a partially-filled Config.
 const (

@@ -13,13 +13,17 @@ import (
 const deadPid = 999999999
 
 // plantKillDebris simulates the on-disk aftermath of SIGKILLing a
-// fleet worker that was writing shard: a torn manifest tail (the
-// append died mid-line), an orphaned temp object (a Store died between
-// CreateTemp and Rename), and an orphaned temp manifest (a compaction
-// died mid-rewrite). Returns the orphan paths.
-func plantKillDebris(t *testing.T, dir, shard string) (orphanObj, orphanManifest string) {
+// crawler that was writing dir: its lock file (it never reached
+// Close), a torn manifest tail (the append died mid-line), an orphaned
+// temp object (a Store died between CreateTemp and Rename), and an
+// orphaned temp manifest (a compaction died mid-rewrite). Returns the
+// orphan paths.
+func plantKillDebris(t *testing.T, dir string) (orphanObj, orphanManifest string) {
 	t.Helper()
-	f, err := os.OpenFile(manifestPath(dir, shard), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err := os.WriteFile(filepath.Join(dir, lockName), []byte(fmt.Sprintf("%d\n", deadPid)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, manifestName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,24 +47,25 @@ func plantKillDebris(t *testing.T, dir, shard string) (orphanObj, orphanManifest
 }
 
 // TestReopenAfterSIGKILLedWriter is the crash-recovery acceptance
-// test: a shard whose writer died mid-append and mid-rename reopens
-// cleanly — the fsck sweeps both orphaned temp files and reports them,
-// the torn manifest tail is dropped and compacted away, the intact
-// entries survive, and the reopened shard keeps working.
+// test: an archive whose writer died mid-append and mid-rename reopens
+// cleanly — the dead writer's lock is stolen, the fsck sweeps both
+// orphaned temp files and reports them, the torn manifest tail is
+// dropped and compacted away, the intact entries survive, and the
+// reopened archive keeps working.
 func TestReopenAfterSIGKILLedWriter(t *testing.T) {
 	dir := t.TempDir()
-	a := mustOpen(t, dir, Options{Shard: "1"})
+	a := mustOpen(t, dir, Options{})
 	a.Store("https://intact.test/", resp("survived the kill"))
 	a.Close()
-	orphanObj, orphanManifest := plantKillDebris(t, dir, "1")
-	// A temp file owned by a live writer (this process) must survive
-	// the sweep: a concurrent fleet member may be mid-rename right now.
+	orphanObj, orphanManifest := plantKillDebris(t, dir)
+	// A temp file tagged with a live pid (this process) must survive
+	// the sweep: its writer may be mid-rename right now.
 	liveTemp := filepath.Join(dir, objectsDir, "zz", fmt.Sprintf(".obj-%d-777", os.Getpid()))
 	if err := os.WriteFile(liveTemp, []byte("mid-rename"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	b := mustOpen(t, dir, Options{Shard: "1"})
+	b := mustOpen(t, dir, Options{})
 	if got := b.Stats().OrphansSwept; got != 2 {
 		t.Errorf("OrphansSwept = %d, want 2", got)
 	}
@@ -82,8 +87,8 @@ func TestReopenAfterSIGKILLedWriter(t *testing.T) {
 	b.Close()
 
 	// The reopen compacted the torn tail away: a third open sees a
-	// clean shard with both entries and nothing left to sweep.
-	c := mustOpen(t, dir, Options{Shard: "1"})
+	// clean manifest with both entries and nothing left to sweep.
+	c := mustOpen(t, dir, Options{})
 	if got := c.Stats().OrphansSwept; got != 0 {
 		t.Errorf("second reopen swept %d orphans, want 0", got)
 	}
@@ -126,65 +131,5 @@ func TestUntaggedTempAgeGate(t *testing.T) {
 	}
 	if _, err := os.Stat(fresh); err != nil {
 		t.Errorf("fresh untagged temp swept: %v", err)
-	}
-}
-
-// TestMergeShardsCrashConsistency: merging after a kill-injected fleet
-// crawl sweeps the dead workers' debris, drops torn tails, reports all
-// of it in MergeStats, and still reconciles the surviving entries
-// deterministically.
-func TestMergeShardsCrashConsistency(t *testing.T) {
-	dir := t.TempDir()
-	// Both workers open before either stores — the fleet shape — so the
-	// duplicate lands at the same store generation in both shards and
-	// reconciliation falls through to shard priority.
-	a := mustOpen(t, dir, Options{Shard: "0"})
-	b := mustOpen(t, dir, Options{Shard: "1"})
-	a.Store("https://both.test/", resp("from shard 0"))
-	a.Store("https://only0.test/", resp("only in 0"))
-	b.Store("https://both.test/", resp("from shard 1"))
-	b.Store("https://only1.test/", resp("only in 1"))
-	a.Close()
-	b.Close()
-	plantKillDebris(t, dir, "1")
-	// A corrupt (non-JSON, newline-terminated) line in shard 0, as if
-	// two interleaved writes tore each other before the per-shard
-	// manifests existed to prevent exactly that.
-	f, err := os.OpenFile(manifestPath(dir, "0"), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("%%% not json %%%\n"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	ms, err := MergeShards(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.OrphanTempsSwept != 2 {
-		t.Errorf("OrphanTempsSwept = %d, want 2", ms.OrphanTempsSwept)
-	}
-	if ms.TornTails != 1 {
-		t.Errorf("TornTails = %d, want 1", ms.TornTails)
-	}
-	if ms.CorruptLinesDropped != 1 {
-		t.Errorf("CorruptLinesDropped = %d, want 1", ms.CorruptLinesDropped)
-	}
-	if ms.URLs != 3 || ms.MissingObjects != 0 {
-		t.Errorf("URLs = %d, MissingObjects = %d, want 3, 0", ms.URLs, ms.MissingObjects)
-	}
-	m := mustOpen(t, dir, Options{})
-	if got, err := m.Load("https://both.test/"); err != nil || got == nil || got.Body != "from shard 0" {
-		t.Errorf("reconciliation lost shard priority: %v, %v", got, err)
-	}
-	for _, url := range []string{"https://only0.test/", "https://only1.test/"} {
-		if got, err := m.Load(url); err != nil || got == nil {
-			t.Errorf("Load(%s) after merge = %v, %v", url, got, err)
-		}
-	}
-	if got, err := m.Load("https://torn.test/"); got != nil || err != nil {
-		t.Errorf("torn entry resurrected by merge: %v, %v", got, err)
 	}
 }

@@ -19,21 +19,16 @@
 // missing object is treated as a miss and re-fetched — corruption
 // degrades the archive, it never fails the crawl. A SIGKILLed writer
 // additionally leaves debris with no live owner — temp object and
-// manifest files mid-rename, a torn manifest tail — so Open and
-// MergeShards run a crash-consistency pass: temp files are tagged with
-// their writer's pid and swept once that pid is dead (age-gated for
-// untagged strays), and the sweep's counts are surfaced in
-// ArchiveStats and MergeStats rather than silently absorbed.
+// manifest files mid-rename, a torn manifest tail, its lock file — so
+// Open and Compact run a crash-consistency pass: the dead writer's
+// lock is stolen, temp files are tagged with their writer's pid and
+// swept once that pid is dead (age-gated for untagged strays), and the
+// sweep's count is surfaced in ArchiveStats rather than silently
+// absorbed.
 //
-// One directory can back a whole fleet of crawler processes at once:
-// object writes are already atomic and content-addressed, and each
-// process appends manifest lines to its own shard
-// (manifest-<shard>.jsonl, Options.Shard), so no two processes ever
-// write one file. Open reads every shard into a reconciled view, a
-// lock file per shard makes a second Open of the same shard fail fast
-// instead of silently interleaving appends, and MergeShards compacts
-// all shards back into the single deterministic manifest a
-// one-process crawl would have written.
+// One process writes a directory at a time: a pid lock file next to
+// manifest.jsonl makes a second writer's Open fail fast (ErrLocked)
+// instead of interleaving appends. Offline readers take no lock.
 package diskcache
 
 import (
@@ -60,19 +55,16 @@ import (
 )
 
 const (
-	manifestName   = "manifest.jsonl"
-	manifestPrefix = "manifest-"
-	manifestExt    = ".jsonl"
-	lockExt        = ".lock"
-	objectsDir     = "objects"
+	manifestName = "manifest.jsonl"
+	lockName     = manifestName + ".lock"
+	objectsDir   = "objects"
 )
 
-// ErrLocked is wrapped by Open and MergeShards when a manifest shard's
-// lock file is held by a live process: a second crawler appending the
-// same shard would interleave writes and corrupt it, so the late
-// arrival fails fast instead. Fleet members avoid the collision by
-// using distinct Options.Shard names.
-var ErrLocked = errors.New("diskcache: manifest shard locked")
+// ErrLocked is wrapped by Open and Compact when the manifest's lock
+// file is held by a live process: a second crawler appending the same
+// manifest would interleave writes and corrupt it, so the late arrival
+// fails fast instead.
+var ErrLocked = errors.New("diskcache: manifest locked")
 
 // entry is one manifest line: the archived outcome of fetching URL.
 // Exactly one of Hash (success; the body lives in the object store) or
@@ -89,18 +81,12 @@ type entry struct {
 	FailureMsg    string      `json:"failure_msg,omitempty"`
 	// Gen is the URL's store generation, strictly increasing across
 	// re-stores of the same URL even across runs (each Open seeds the
-	// counter from the highest generation any shard recorded). It makes
-	// supersession durable: when a later run re-archives a URL — a
-	// healed failure, or a success that has since gone bad — merge
-	// reconciliation keeps the newest generation instead of guessing
-	// from the outcome kind. Entries from pre-generation manifests
-	// carry Gen 0 and lose to any re-store.
+	// counter from the manifest). Load's corrupt-object recovery
+	// compares it, so dropping a bad entry never drops the re-archived
+	// one a concurrent Store has put in its place. Entries from
+	// pre-generation manifests carry Gen 0.
 	Gen uint64 `json:"gen,omitempty"`
 }
-
-// success reports whether the entry archives a response (as opposed to
-// a classified failure).
-func (e entry) success() bool { return e.Hash != "" }
 
 // validHash reports whether h is a SHA-256 digest in the form objectPath
 // expects: 64 lowercase hex characters. Manifests are untrusted input,
@@ -125,7 +111,7 @@ type Options struct {
 	// (including a corrupt object) returns an error wrapping
 	// browser.ErrNotArchived, and nothing on disk is modified — no
 	// compaction, no lock file, so any number of offline readers can
-	// share the directory with a live fleet.
+	// share the directory with each other and with its writer.
 	Offline bool
 	// Classify maps a failed fetch to the failure-taxonomy class
 	// (store.FailureClass string) archived with it. Returning "" skips
@@ -133,21 +119,12 @@ type Options struct {
 	// cancellation or an open circuit breaker are not site properties
 	// and must not poison replay. nil disables failure archiving.
 	Classify func(err error) string
-	// Shard names this process's manifest shard. "" appends to the
-	// classic single manifest (manifest.jsonl); any other name appends
-	// to manifest-<Shard>.jsonl, so a fleet of processes with distinct
-	// shard names can populate one directory without ever sharing an
-	// append handle. Open always reads every shard present, merged
-	// deterministically (see reconcile); MergeShards compacts them back
-	// into one manifest once the fleet is done.
-	Shard string
 }
 
 // Archive is a content-addressed resource archive rooted at one
 // directory. Safe for concurrent use by any number of crawl stacks in
-// one process, and by multiple processes when each uses a distinct
-// Options.Shard (object writes are atomic; manifest appends are
-// per-shard single-writer, enforced by a lock file).
+// one process; one writing process per directory, enforced by the
+// manifest lock.
 //
 // Locking: mu guards the index, the generation counters and the
 // manifest append handle, and is held only to append a line and update
@@ -158,15 +135,14 @@ type Options struct {
 // lock: an object appears by rename, whole or not at all.
 type Archive struct {
 	dir      string
-	shard    string
 	offline  bool
 	classify func(err error) string
 
 	mu       sync.Mutex
 	index    map[string]entry
-	gens     map[string]uint64 // per-URL generation high-water mark, across all shards read
+	gens     map[string]uint64 // per-URL generation high-water mark
 	manifest *os.File          // append handle; nil when offline or closed
-	lockPath string            // held shard lock; "" when offline or closed
+	unlock   func()            // releases the manifest lock; nil when offline or closed
 
 	buckets [256]sync.Mutex // one per objects/xx directory, indexed by the hash's first byte
 
@@ -174,189 +150,108 @@ type Archive struct {
 	orphansSwept                       atomic.Uint64
 }
 
-// Open loads (or creates) the archive rooted at dir. Every manifest
-// shard present is read tolerantly — a truncated tail or corrupt line
-// from an interrupted crawl is dropped, later duplicates of a URL win
-// within a shard, cross-shard duplicates reconcile deterministically —
-// and this process's own shard is compacted back to one line per URL
-// before its append handle opens. Online, a crash-consistency pass
-// first sweeps temp objects and temp manifests orphaned by dead
-// writers (counted in ArchiveStats.OrphansSwept), then the shard's
-// lock file is acquired: a second process opening the same shard fails
-// fast (ErrLocked) rather than interleaving appends; a lock left by a
-// dead process is stolen. In offline mode nothing is written — no
-// sweep, no compaction, no lock.
+// Open loads (or creates) the archive rooted at dir. The manifest is
+// read tolerantly — a truncated tail or corrupt line from an
+// interrupted crawl is dropped, and later lines for a URL win. Online,
+// Open first takes the manifest lock — a second process fails fast
+// (ErrLocked) rather than interleaving appends; a lock left by a dead
+// process is stolen — then sweeps temp objects and temp manifests
+// orphaned by dead writers (counted in ArchiveStats.OrphansSwept), and
+// compacts the manifest back to one line per URL when the read had to
+// drop or collapse anything, before the append handle opens. In
+// offline mode nothing is written — no lock, no sweep, no compaction.
 func Open(dir string, opts Options) (*Archive, error) {
-	if err := validShard(opts.Shard); err != nil {
-		return nil, err
-	}
 	a := &Archive{
 		dir:      dir,
-		shard:    opts.Shard,
 		offline:  opts.Offline,
 		classify: opts.Classify,
-		index:    map[string]entry{},
 		gens:     map[string]uint64{},
+	}
+	if err := refuseShards(dir); err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(filepath.Join(dir, objectsDir), 0o755); err != nil {
 		return nil, fmt.Errorf("diskcache: %w", err)
 	}
-	if !a.offline {
-		// Crash-consistency pass: GC temp objects and temp manifests left
-		// by writers that died mid-rename (offline readers must not touch
-		// the directory, so the sweep is online-only).
-		a.orphansSwept.Add(uint64(sweepOrphans(dir)))
-	}
-	own, clean, err := a.loadShards()
-	if err != nil {
-		return nil, err
-	}
 	if a.offline {
-		return a, nil
-	}
-	path := manifestPath(dir, a.shard)
-	lock, err := acquireLock(path + lockExt)
-	if err != nil {
-		return nil, err
-	}
-	a.lockPath = path + lockExt
-	if !clean {
-		if err := compactShard(dir, path, own); err != nil {
-			lock()
-			a.lockPath = ""
+		index, _, err := loadManifest(dir)
+		if err != nil {
 			return nil, err
 		}
+		a.setIndex(index)
+		return a, nil
 	}
-	mf, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	unlock, err := acquireLock(filepath.Join(dir, lockName))
 	if err != nil {
-		lock()
-		a.lockPath = ""
-		return nil, fmt.Errorf("diskcache: %w", err)
+		return nil, err
 	}
-	a.manifest = mf
+	a.orphansSwept.Add(uint64(sweepOrphans(dir)))
+	index, ls, err := loadManifest(dir)
+	if err == nil && !ls.clean() {
+		err = rewriteManifest(dir, index)
+	}
+	if err == nil {
+		if a.manifest, err = os.OpenFile(filepath.Join(dir, manifestName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+			err = fmt.Errorf("diskcache: %w", err)
+		}
+	}
+	if err != nil {
+		unlock()
+		return nil, err
+	}
+	a.unlock = unlock
+	a.setIndex(index)
 	return a, nil
 }
 
-// validShard rejects shard names that would escape the manifest naming
-// scheme (path separators, the empty-extension trick) — a shard name is
-// a filename fragment, nothing more.
-func validShard(shard string) error {
-	if shard == "" {
-		return nil
+// setIndex installs the entries read from the manifest and seeds each
+// URL's generation counter from them, so this run's re-stores append
+// strictly newer generations.
+func (a *Archive) setIndex(index map[string]entry) {
+	a.index = index
+	for url, e := range index {
+		a.gens[url] = e.Gen
 	}
-	for _, r := range shard {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-		default:
-			return fmt.Errorf("diskcache: invalid shard name %q (want [A-Za-z0-9._-]+)", shard)
+}
+
+// Compact rewrites dir's manifest as one line per URL, sorted by URL:
+// the byte-deterministic form a sealed bundle holds. It opens the
+// archive as its writer, so it takes the lock (ErrLocked while a live
+// writer holds it), sweeps and reads exactly as Open does. Running it
+// again changes nothing.
+func Compact(dir string) error {
+	a, err := Open(dir, Options{})
+	if err != nil {
+		return err
+	}
+	defer a.Close()
+	return rewriteManifest(dir, a.index)
+}
+
+// refuseShards fails when dir holds per-shard manifests
+// (manifest-*.jsonl), which older releases wrote for multi-process
+// crawls. This release reads only manifest.jsonl, so opening such a
+// directory would make offline replay turn every URL those shards hold
+// into an unreachable failure.
+func refuseShards(dir string) error {
+	shards, err := filepath.Glob(filepath.Join(dir, "manifest-*.jsonl"))
+	if err != nil {
+		return fmt.Errorf("diskcache: %w", err)
+	}
+	if len(shards) > 0 {
+		for i, s := range shards {
+			shards[i] = filepath.Base(s)
 		}
+		return fmt.Errorf("diskcache: %s holds shard manifests from an older release (%s); merge them into %s with that release first",
+			dir, strings.Join(shards, ", "), manifestName)
 	}
 	return nil
 }
 
-// manifestPath names a shard's manifest file inside dir.
-func manifestPath(dir, shard string) string {
-	if shard == "" {
-		return filepath.Join(dir, manifestName)
-	}
-	return filepath.Join(dir, manifestPrefix+shard+manifestExt)
-}
-
-// shardFiles lists every manifest shard present in dir, sorted by
-// shardLess so reconciliation visits them in deterministic priority
-// order. The unsharded manifest.jsonl is shard "".
-func shardFiles(dir string) ([]string, error) {
-	var shards []string
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
-		shards = append(shards, "")
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, manifestPrefix+"*"+manifestExt))
-	if err != nil {
-		return nil, fmt.Errorf("diskcache: %w", err)
-	}
-	for _, m := range matches {
-		name := filepath.Base(m)
-		shards = append(shards, strings.TrimSuffix(strings.TrimPrefix(name, manifestPrefix), manifestExt))
-	}
-	sort.Slice(shards, func(i, j int) bool { return shardLess(shards[i], shards[j]) })
-	return shards, nil
-}
-
-// shardLess orders shard names for reconciliation: the unsharded
-// manifest first, then shorter names before longer, then
-// lexicographic — which orders decimal shard ids numerically ("2"
-// before "10") without requiring zero padding.
-func shardLess(a, b string) bool {
-	if (a == "") != (b == "") {
-		return a == ""
-	}
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	return a < b
-}
-
-// reconcile decides whether challenger c from shard cs replaces
-// incumbent e from shard es when both archived the same URL. The rules
-// are deterministic regardless of read order: a newer store generation
-// wins outright — a URL re-archived by a later run supersedes the
-// older outcome even when the old one was a success and the new one a
-// failure (success → refail must not resurrect the stale success).
-// Within one generation (the common fleet case: two shards of the same
-// run racing on a shared subresource host) a success beats an archived
-// failure — the fleet member that got the page wins over the one that
-// caught the site mid-fault — and between two successes or two
-// failures the lower shard id wins.
-func reconcile(e entry, es string, c entry, cs string) bool {
-	if e.Gen != c.Gen {
-		return c.Gen > e.Gen
-	}
-	if e.success() != c.success() {
-		return c.success()
-	}
-	return shardLess(cs, es)
-}
-
-// loadShards reads every manifest shard in dir into the index,
-// returning this archive's own-shard entries and whether its own shard
-// file was already one clean line per URL (false forces compaction).
-func (a *Archive) loadShards() (own map[string]entry, clean bool, err error) {
-	shards, err := shardFiles(a.dir)
-	if err != nil {
-		return nil, false, err
-	}
-	own, clean = map[string]entry{}, true
-	source := map[string]string{} // URL → shard that currently owns the index entry
-	for _, shard := range shards {
-		m, ls, err := loadManifestFile(manifestPath(a.dir, shard))
-		if err != nil {
-			return nil, false, err
-		}
-		if shard == a.shard {
-			own, clean = m, ls.clean()
-		}
-		for url, e := range m {
-			// Track the highest generation any shard recorded — even for
-			// entries that lose reconciliation — so this process's own
-			// re-stores always append a strictly newer generation.
-			if e.Gen > a.gens[url] {
-				a.gens[url] = e.Gen
-			}
-			if cur, ok := a.index[url]; !ok || reconcile(cur, source[url], e, shard) {
-				a.index[url] = e
-				source[url] = shard
-			}
-		}
-	}
-	return own, clean, nil
-}
-
-// loadStats describes how tolerant a manifest-shard read had to be.
+// loadStats describes how tolerant a manifest read had to be.
 type loadStats struct {
 	// lines counts the well-formed entries read; dups how many of them
-	// re-stated a URL already seen in the same shard (append-during-crawl
-	// churn).
+	// re-stated a URL already seen (append-during-crawl churn).
 	lines, dups int
 	// corrupt counts undecodable lines dropped; torn marks a final line
 	// with no trailing newline — the classic tail a killed writer leaves.
@@ -364,14 +259,15 @@ type loadStats struct {
 	torn    bool
 }
 
-// clean reports whether the shard was already one well-formed line per
-// URL — nothing dropped, nothing duplicated, so no compaction is owed.
+// clean reports whether the manifest was already one well-formed line
+// per URL — nothing dropped, nothing duplicated, so no compaction is
+// owed.
 func (s loadStats) clean() bool { return s.dups == 0 && s.corrupt == 0 && !s.torn }
 
-// loadManifestFile reads one manifest shard (readManifest); a missing
-// file is an empty clean shard.
-func loadManifestFile(path string) (map[string]entry, loadStats, error) {
-	f, err := os.Open(path)
+// loadManifest reads dir's manifest (readManifest); a missing file is
+// an empty clean manifest.
+func loadManifest(dir string) (map[string]entry, loadStats, error) {
+	f, err := os.Open(filepath.Join(dir, manifestName))
 	if os.IsNotExist(err) {
 		return map[string]entry{}, loadStats{}, nil
 	}
@@ -444,8 +340,7 @@ func tempOrphaned(name string, modTime time.Time) bool {
 // files in the root (a compaction killed mid-rewrite) and temp object
 // files under objects/ (a Store killed mid-rename) whose owning writer
 // is provably gone are removed. Files whose owner is still alive are
-// untouched, so any number of fleet members can sweep concurrently
-// while others write. Returns the number of orphans removed.
+// untouched. Returns the number of orphans removed.
 func sweepOrphans(dir string) int {
 	removed := sweepDir(dir, ".manifest-")
 	buckets, err := os.ReadDir(filepath.Join(dir, objectsDir))
@@ -484,9 +379,9 @@ func sweepDir(dir, prefix string) int {
 	return removed
 }
 
-// compactShard atomically rewrites one shard's manifest as one line per
-// URL, sorted by URL so the result is byte-deterministic.
-func compactShard(dir, path string, entries map[string]entry) error {
+// rewriteManifest atomically replaces dir's manifest with entries, one
+// line per URL, sorted by URL so the result is byte-deterministic.
+func rewriteManifest(dir string, entries map[string]entry) error {
 	tmp, err := os.CreateTemp(dir, tempPattern("manifest"))
 	if err != nil {
 		return fmt.Errorf("diskcache: compacting: %w", err)
@@ -505,7 +400,7 @@ func compactShard(dir, path string, entries map[string]entry) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("diskcache: compacting: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, manifestName)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("diskcache: compacting: %w", err)
 	}
@@ -528,7 +423,7 @@ func writeManifest(w io.Writer, entries map[string]entry) error {
 	return nil
 }
 
-// acquireLock takes the shard lock at path, failing fast (ErrLocked)
+// acquireLock takes the manifest lock at path, failing fast (ErrLocked)
 // when a live process holds it. The lock file records the holder's
 // pid; a lock whose pid is dead — a crawler that crashed without
 // Close — is stolen so resume never needs manual cleanup. Returns the
@@ -551,7 +446,7 @@ func acquireLock(path string) (release func(), err error) {
 		}
 		pid, parseErr := strconv.Atoi(strings.TrimSpace(string(raw)))
 		if parseErr == nil && pidAlive(pid) {
-			return nil, fmt.Errorf("%w: %s held by pid %d (another crawler is appending this shard; use a distinct -shard, or remove the lock if that process is gone)",
+			return nil, fmt.Errorf("%w: %s held by pid %d (another crawler is appending this archive; wait for it to finish, or remove the lock if that process is gone)",
 				ErrLocked, path, pid)
 		}
 		// Stale: the recorded holder is dead (or the file is garbage
@@ -763,9 +658,9 @@ func (a *Archive) writeObject(hash, body string) error {
 // one manifest line, and updates the index. The generation comes from
 // the high-water mark rather than the live index entry so that a
 // corrupt-object deletion (Load's recovery path) can never reset the
-// counter and let a stale shard line win a later merge. Each line is a
-// single Write call, so a crash mid-append corrupts at most the tail —
-// which Open drops. Callers hold a.mu.
+// counter and let a re-store repeat the generation Load compares. Each
+// line is a single Write call, so a crash mid-append corrupts at most
+// the tail — which Open drops. Callers hold a.mu.
 func (a *Archive) appendLocked(e entry) {
 	e.Gen = a.gens[e.URL] + 1
 	line, err := json.Marshal(e)
@@ -816,10 +711,10 @@ func (a *Archive) Stats() browser.ArchiveStats {
 	}
 }
 
-// Close releases the manifest append handle and the shard lock. Stores
-// after Close still update the in-memory index and object store but no
-// longer reach the manifest; close the archive only once the crawl is
-// done with it.
+// Close releases the manifest append handle and the manifest lock.
+// Stores after Close still update the in-memory index and object store
+// but no longer reach the manifest; close the archive only once the
+// crawl is done with it.
 func (a *Archive) Close() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -828,148 +723,9 @@ func (a *Archive) Close() error {
 		err = a.manifest.Close()
 		a.manifest = nil
 	}
-	if a.lockPath != "" {
-		os.Remove(a.lockPath)
-		a.lockPath = ""
+	if a.unlock != nil {
+		a.unlock()
+		a.unlock = nil
 	}
 	return err
-}
-
-// MergeStats describes what MergeShards reconciled.
-type MergeStats struct {
-	// Shards is the number of manifest shard files merged (the
-	// unsharded manifest counts when present).
-	Shards int
-	// Lines is the total well-formed manifest lines read across shards;
-	// URLs the unique URLs in the merged manifest.
-	Lines int
-	URLs  int
-	// Reconciled counts URLs archived by more than one shard;
-	// SuccessesPreferred the subset where a same-generation success
-	// displaced an archived failure; GenerationsAdvanced the subset
-	// resolved by store generation — a later run's re-store (success or
-	// failure) superseding an older generation's outcome.
-	Reconciled          int
-	SuccessesPreferred  int
-	GenerationsAdvanced int
-	// MissingObjects counts merged success entries whose object file is
-	// absent or size-mismatched — the data-loss signal a merge gate
-	// fails on. (Online replay would degrade these to re-fetches; a
-	// merge that just collected a finished fleet crawl should have
-	// none.)
-	MissingObjects int
-	// Crash-consistency counters: OrphanTempsSwept is temp object and
-	// temp manifest files GC'd because their writer pid is dead;
-	// CorruptLinesDropped and TornTails count undecodable manifest lines
-	// and newline-less final lines dropped across shards — the debris a
-	// SIGKILLed fleet worker leaves, repaired rather than merged.
-	OrphanTempsSwept    int
-	CorruptLinesDropped int
-	TornTails           int
-}
-
-// MergeShards compacts every manifest shard in dir into the single
-// unsharded manifest a one-process crawl would have written: one line
-// per URL, sorted by URL, duplicates reconciled by the same
-// deterministic rules Open applies (newest store generation first,
-// then success over archived failure, then lowest shard id). Shard
-// files are removed after the merged
-// manifest lands atomically. Every shard's lock must be free —
-// merging under a live crawler would lose its writes — so MergeShards
-// fails fast (ErrLocked) if any shard is still held by a live
-// process. Idempotent: rerunning on a merged directory is a no-op
-// compaction. The merge doubles as the fleet's crash-consistency
-// collection point: orphaned temp files from SIGKILLed writers are
-// swept and torn manifest tails dropped, with counts in MergeStats.
-func MergeShards(dir string) (MergeStats, error) {
-	var ms MergeStats
-	shards, err := shardFiles(dir)
-	if err != nil {
-		return ms, err
-	}
-	// Lock every shard present plus the merge target, releasing all on
-	// return. Locking in shardLess order keeps two concurrent merges
-	// from deadlocking; both cannot win.
-	lockShards := shards
-	if len(shards) == 0 || shards[0] != "" {
-		lockShards = append([]string{""}, shards...)
-	}
-	var releases []func()
-	defer func() {
-		for _, r := range releases {
-			r()
-		}
-	}()
-	for _, shard := range lockShards {
-		release, err := acquireLock(manifestPath(dir, shard) + lockExt)
-		if err != nil {
-			return ms, err
-		}
-		releases = append(releases, release)
-	}
-
-	ms.OrphanTempsSwept = sweepOrphans(dir)
-
-	merged := map[string]entry{}
-	source := map[string]string{}
-	for _, shard := range shards {
-		m, ls, err := loadManifestFile(manifestPath(dir, shard))
-		if err != nil {
-			return ms, err
-		}
-		ms.Shards++
-		ms.Lines += ls.lines
-		ms.CorruptLinesDropped += ls.corrupt
-		if ls.torn {
-			ms.TornTails++
-		}
-		for url, e := range m {
-			cur, ok := merged[url]
-			if !ok {
-				merged[url] = e
-				source[url] = shard
-				continue
-			}
-			ms.Reconciled++
-			if reconcile(cur, source[url], e, shard) {
-				if e.Gen != cur.Gen {
-					ms.GenerationsAdvanced++
-				} else if e.success() && !cur.success() {
-					ms.SuccessesPreferred++
-				}
-				merged[url] = e
-				source[url] = shard
-			} else if cur.Gen != e.Gen {
-				ms.GenerationsAdvanced++
-			} else if cur.success() && !e.success() {
-				ms.SuccessesPreferred++
-			}
-		}
-	}
-	ms.URLs = len(merged)
-	for _, e := range merged {
-		if !e.success() {
-			continue
-		}
-		fi, err := os.Stat(objectPath(dir, e.Hash))
-		if err != nil || fi.Size() != e.Size {
-			ms.MissingObjects++
-		}
-	}
-	if err := os.MkdirAll(filepath.Join(dir, objectsDir), 0o755); err != nil {
-		return ms, fmt.Errorf("diskcache: %w", err)
-	}
-	if err := compactShard(dir, filepath.Join(dir, manifestName), merged); err != nil {
-		return ms, err
-	}
-	// The merged manifest is durable; the shard files are now redundant.
-	for _, shard := range shards {
-		if shard == "" {
-			continue
-		}
-		if err := os.Remove(manifestPath(dir, shard)); err != nil {
-			return ms, fmt.Errorf("diskcache: removing merged shard: %w", err)
-		}
-	}
-	return ms, nil
 }

@@ -169,7 +169,7 @@ func TestCorruptLineDropped(t *testing.T) {
 
 // TestCraftedManifestHash: a success line whose hash is not a SHA-256
 // digest is a corrupt line under online and offline Open and under
-// MergeShards — never a panic in objectPath's slicing, never a path to
+// Compact — never a panic in objectPath's slicing, never a path to
 // a file outside the archive for Load's corrupt-object removal — and
 // online Open compacts it away.
 func TestCraftedManifestHash(t *testing.T) {
@@ -214,14 +214,13 @@ func TestCraftedManifestHash(t *testing.T) {
 			}
 			checkVictim("offline Load")
 
-			ms, err := MergeShards(dir)
-			if err != nil {
+			if err := Compact(dir); err != nil {
 				t.Fatal(err)
 			}
-			if ms.CorruptLinesDropped != 1 || ms.URLs != 1 || ms.MissingObjects != 0 {
-				t.Errorf("merge = %+v, want the crafted line dropped and 1 intact URL", ms)
+			if got := manifestLines(t, dir); got != 1 {
+				t.Errorf("manifest has %d lines after Compact, want the crafted line dropped and 1 intact URL", got)
 			}
-			checkVictim("MergeShards")
+			checkVictim("Compact")
 
 			plant()
 			on := mustOpen(t, dir, Options{})
@@ -366,7 +365,7 @@ func TestOfflineReplaysArchivedFailures(t *testing.T) {
 
 // TestOfflineWritesNothing: strict replay never modifies the archive —
 // no stores, no failure stores, no compaction, even when the manifest
-// has append churn that online open would compact away.
+// has append churn that online open would compact away, and no lock.
 func TestOfflineWritesNothing(t *testing.T) {
 	dir := t.TempDir()
 	a := mustOpen(t, dir, Options{})
@@ -394,6 +393,8 @@ func TestOfflineWritesNothing(t *testing.T) {
 	if s := b.Stats(); s.Writes != 0 {
 		t.Errorf("offline writes = %d, want 0", s.Writes)
 	}
+	// Nor does it take the manifest lock: a writer can open alongside.
+	mustOpen(t, dir, Options{}).Close()
 }
 
 // TestOfflineCorruptObjectIsMiss: offline cannot re-fetch, so a

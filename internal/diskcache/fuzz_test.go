@@ -50,7 +50,7 @@ func FuzzManifest(f *testing.F) {
 			if e.URL != url || url == "" {
 				t.Errorf("entry %q filed under %q", e.URL, url)
 			}
-			if e.success() && !validHash(e.Hash) {
+			if e.Hash != "" && !validHash(e.Hash) {
 				t.Errorf("entry %q admitted hash %q", url, e.Hash)
 			}
 		}

@@ -300,43 +300,49 @@ func (p *parser) parseString() (string, error) {
 	}
 }
 
+// parseNumber follows RFC 8941 §4.2.4: a digit must follow the
+// optional sign, an integer has at most 15 digits, and a decimal at
+// most 12 integer and 1–3 fractional digits.
 func (p *parser) parseNumber() (Item, error) {
 	start := p.pos
 	if p.peek() == '-' {
 		p.pos++
 	}
-	digits := 0
-	decimal := false
-	for !p.eof() {
-		c := p.peek()
-		if isDigit(c) {
-			digits++
-			p.pos++
-			continue
-		}
-		if c == '.' && !decimal {
-			decimal = true
-			p.pos++
-			continue
-		}
-		break
+	if p.eof() || !isDigit(p.peek()) {
+		return Item{}, p.err("number must start with a digit")
 	}
-	if digits == 0 {
-		return Item{}, p.err("number without digits")
-	}
-	text := p.s[start:p.pos]
-	if decimal {
-		f, err := strconv.ParseFloat(text, 64)
+	intDigits := p.digits()
+	if p.eof() || p.peek() != '.' {
+		if intDigits > 15 {
+			return Item{}, p.err("integer has more than 15 digits")
+		}
+		n, err := strconv.ParseInt(p.s[start:p.pos], 10, 64)
 		if err != nil {
-			return Item{}, p.err("invalid decimal")
+			return Item{}, p.err("invalid integer")
 		}
-		return Item{Kind: KindDecimal, Decimal: f}, nil
+		return Item{Kind: KindInteger, Integer: n}, nil
 	}
-	n, err := strconv.ParseInt(text, 10, 64)
+	if intDigits > 12 {
+		return Item{}, p.err("decimal has more than 12 integer digits")
+	}
+	p.pos++ // '.'
+	if frac := p.digits(); frac < 1 || frac > 3 {
+		return Item{}, p.err("decimal needs 1 to 3 fractional digits")
+	}
+	f, err := strconv.ParseFloat(p.s[start:p.pos], 64)
 	if err != nil {
-		return Item{}, p.err("invalid integer")
+		return Item{}, p.err("invalid decimal")
 	}
-	return Item{Kind: KindInteger, Integer: n}, nil
+	return Item{Kind: KindDecimal, Decimal: f}, nil
+}
+
+// digits consumes a run of digits and returns its length.
+func (p *parser) digits() int {
+	start := p.pos
+	for !p.eof() && isDigit(p.peek()) {
+		p.pos++
+	}
+	return p.pos - start
 }
 
 func (p *parser) parseParams() ([]Param, error) {

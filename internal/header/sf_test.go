@@ -85,6 +85,17 @@ func TestParseDictionaryNumbersDecimalsStrings(t *testing.T) {
 	if s.Item.String != `a"b\c` {
 		t.Errorf("s: %q", s.Item.String)
 	}
+	// The longest numbers RFC 8941 allows still parse.
+	d, err = ParseDictionary("i=-999999999999999, f=999999999999.999")
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if i, _ := d.Get("i"); i.Item.Integer != -999999999999999 {
+		t.Errorf("i: %+v", i)
+	}
+	if f, _ := d.Get("f"); f.Item.Kind != KindDecimal || f.Item.Decimal != 999999999999.999 {
+		t.Errorf("f: %+v", f)
+	}
 }
 
 func TestParseDictionarySyntaxErrors(t *testing.T) {
@@ -102,6 +113,10 @@ func TestParseDictionarySyntaxErrors(t *testing.T) {
 		"=()",                             // missing key
 		"camera=((self))",                 // nested inner list
 		"camera=(self\x01)",               // control character
+		"a=1.",                            // decimal without fractional digits
+		"a=-.5",                           // no digit after the sign
+		"a=0.1234",                        // more than 3 fractional digits
+		"a=1234567890123456",              // integer over 15 digits
 	}
 	for _, field := range bad {
 		if _, err := ParseDictionary(field); err == nil {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Fuzz smoke: run every fuzz target of the script engine, the HTML
-# parser, the policy parsers, the structured-field dictionary parser and
-# the archive manifest reader for 10 s each. A panic, hang or broken
+# parser, the policy parsers, the structured-field dictionary parser,
+# the archive manifest reader and the bundle verifier for 10 s each. A panic, hang or broken
 # property fails the run and leaves the failing input under the
 # package's testdata/fuzz/ directory, where
 # `go test -run <Target>/<input>` replays it.
@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-for pkg in ./internal/script ./internal/html ./internal/policy ./internal/header ./internal/diskcache; do
+for pkg in ./internal/script ./internal/html ./internal/policy ./internal/header ./internal/diskcache ./internal/bundle; do
     for target in $(go test -list '^Fuzz' "$pkg" | grep '^Fuzz'); do
         echo "fuzz-smoke: $pkg $target" >&2
         go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s "$pkg"

@@ -1,25 +1,27 @@
 #!/usr/bin/env bash
-# Kill-injection soak: a 4-process fleet crawl in which two workers are
-# SIGKILLed mid-crawl at staged points. The supervisor must relaunch
-# each with -resume over its own checkpoint, completed ranks must never
-# be re-crawled (asserted from the workers' resume counts and the
-# driver's summed visited+resumed stats), the shared archive must
-# survive its killed writers (orphan fsck + stale-lock stealing), and
-# the merged report must still be byte-identical to a single-process
-# crawl of the same seed. CI runs this as the kill-soak job;
+# Kill-injection soak for one crawler process: a chaos crawl writing a
+# -cache-dir archive is SIGKILLed once about 25% and once about 60% of
+# the way through its checkpoint, and rerun with -resume after each
+# kill. Each rerun must steal the dead process's manifest lock and
+# resume (not re-crawl) the completed prefix: its logged resume count
+# and the final -stats-json accounting (visited + resumed = the
+# population) prove it. The finished dataset's report must be
+# byte-identical to an uninterrupted crawl of the same seed, and the
+# archive, after its crash fsck, must replay the whole population
+# offline with zero network fetches. CI runs this as the kill-soak job;
 # `make kill-soak` runs it locally.
 #
-# The crawl flags pin the same deterministic chaos contract as
-# fleet_soak.sh: every timing-raced fault (slow-loris) off, -retries 0,
-# -breaker-threshold 0, so record contents cannot depend on how the
-# kills interleaved.
+# The crawl flags pin the deterministic chaos contract: every
+# timing-raced fault (slow-loris) off, -retries 0, -breaker-threshold
+# 0, so record contents cannot depend on where the kills landed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SITES="${PERMODYSSEY_KILL_SITES:-800}"
-PROCS=4
-if [ -n "${PERMODYSSEY_FLEET_WORK:-}" ]; then
-    work="$PERMODYSSEY_FLEET_WORK"
+# PERMODYSSEY_KILL_WORK pins the workdir (CI uploads it as a failure
+# artifact); unset, a temp dir is used and cleaned up.
+if [ -n "${PERMODYSSEY_KILL_WORK:-}" ]; then
+    work="$PERMODYSSEY_KILL_WORK"
     mkdir -p "$work"
 else
     work="$(mktemp -d)"
@@ -27,109 +29,101 @@ else
 fi
 
 go build -o "$work/permcrawl" ./cmd/permcrawl
-go build -o "$work/permfleet" ./cmd/permfleet
 go build -o "$work/permreport" ./cmd/permreport
 
 crawl_flags=(-sites "$SITES" -seed 13 -workers 16 -timeout 2s -retries 0
     -breaker-threshold 0 -chaos
     -chaos-faults reset,malformed-header,oversized-header,redirect-loop,flap,oversized-body)
+out="$work/crawl.jsonl"
+archive="$work/archive"
+lock="$archive/manifest.jsonl.lock"
+log="$work/crawl.log"
 
-echo "== single-process baseline ($SITES sites) =="
-"$work/permcrawl" "${crawl_flags[@]}" -out "$work/single.jsonl"
+echo "== uninterrupted baseline ($SITES sites) =="
+"$work/permcrawl" "${crawl_flags[@]}" -out "$work/baseline.jsonl"
 
-echo "== $PROCS-process fleet, SIGKILLing workers mid-crawl =="
-log="$work/fleet.log"
-"$work/permfleet" -procs "$PROCS" -out "$work/fleet.jsonl" \
-    -cache-dir "$work/archive" -expect-records "$SITES" \
-    -max-restarts 3 -watchdog 2m \
-    -self "$work/permfleet" -- "${crawl_flags[@]}" >"$log" 2>&1 &
-fleet_pid=$!
+# die MSG: show the interrupted runs' log, then fail with MSG.
+die() {
+    sed 's/^/   | /' "$log" >&2
+    echo "kill soak: $*" >&2
+    exit 1
+}
 
-# wait_lines FILE THRESHOLD: poll FILE until it holds >= THRESHOLD
-# complete lines (or 60s pass), echoing the count reached.
-wait_lines() {
-    local f=$1 n=$2 deadline=$((SECONDS + 60)) c=0
+# kill_at THRESHOLD [FLAGS...]: run permcrawl over the archive in the
+# background, SIGKILL it once its checkpoint holds THRESHOLD complete
+# lines, check it left its manifest lock behind, and set killed to the
+# number of complete lines the dead process left.
+kill_at() {
+    local threshold=$1 c=0 deadline=$((SECONDS + 60))
+    shift
+    "$work/permcrawl" "${crawl_flags[@]}" -cache-dir "$archive" -out "$out" "$@" >>"$log" 2>&1 &
+    local pid=$!
     while :; do
-        c=$(wc -l <"$f" 2>/dev/null || echo 0)
-        [ "$c" -ge "$n" ] && break
+        [ -f "$out" ] && c=$(wc -l <"$out")
+        [ "$c" -ge "$threshold" ] && break
+        kill -0 "$pid" 2>/dev/null || die "permcrawl exited at $c of $threshold checkpointed records"
         if [ "$SECONDS" -ge "$deadline" ]; then
-            echo "kill soak: $f stuck at $c/$n lines" >&2
-            kill "$fleet_pid" 2>/dev/null || true
-            exit 1
+            kill -KILL "$pid" 2>/dev/null || true
+            die "$out stuck at $c/$threshold lines"
         fi
         sleep 0.05
     done
-    echo "$c"
+    kill -KILL "$pid" 2>/dev/null || die "permcrawl finished before it could be killed"
+    wait "$pid" 2>/dev/null || true
+    [ "$(cat "$lock" 2>/dev/null)" = "$pid" ] || die "the killed permcrawl (pid $pid) left no manifest lock"
+    killed=$(wc -l <"$out")
+    echo "   SIGKILLed pid $pid at $killed checkpointed records"
 }
 
-# Stage the kills: shard 1 early (~25% of its ranks checkpointed),
-# shard 2 late (~60%), so recovery is proven from both a short and a
-# long completed prefix. Each worker's argv carries its unique
-# "-shard i/4", which is what pkill matches.
-per_shard=$((SITES / PROCS))
-declare -A kill_lines
-for spec in "1:$((per_shard / 4))" "2:$((per_shard * 6 / 10))"; do
-    shard=${spec%%:*} threshold=${spec##*:}
-    lines=$(wait_lines "$work/fleet.jsonl.shard$shard" "$threshold")
-    kill_lines[$shard]=$lines
-    pkill -KILL -f -- "-shard $shard/$PROCS" || {
-        echo "kill soak: no worker process matched -shard $shard/$PROCS" >&2
-        kill "$fleet_pid" 2>/dev/null || true
-        exit 1
-    }
-    echo "   SIGKILLed shard $shard worker at $lines checkpointed records"
-done
+# check_resumed RUN KILLED: the RUN-th "resuming: N records" line of the
+# log must carry N >= KILLED - 1. A SIGKILL can tear at most the final
+# in-flight line, so a resumed count below that means completed ranks
+# were re-crawled.
+check_resumed() {
+    local resumed
+    resumed=$(sed -n 's/^resuming: \([0-9]*\) records.*/\1/p' "$log" | sed -n "${1}p")
+    if [ -z "$resumed" ] || [ "$resumed" -lt $(($2 - 1)) ]; then
+        die "rerun $1 resumed ${resumed:-0} records, want >= $(($2 - 1)) (killed at $2)"
+    fi
+    echo "   rerun $1 stole the lock and resumed $resumed of $2 checkpointed records"
+}
 
-status=0
-wait "$fleet_pid" || status=$?
+: >"$log"
+echo "== crawl with -cache-dir, SIGKILLed at ~25% =="
+kill_at $((SITES / 4))
+first=$killed
+echo "== -resume, SIGKILLed at ~60% =="
+kill_at $((SITES * 6 / 10)) -resume
+check_resumed 1 "$first"
+echo "== -resume to the end =="
+"$work/permcrawl" "${crawl_flags[@]}" -cache-dir "$archive" -out "$out" -resume \
+    -stats-json "$work/stats.json" >>"$log" 2>&1 || die "the final -resume run failed"
+check_resumed 2 "$killed"
 sed 's/^/   | /' "$log"
-if [ "$status" -ne 0 ]; then
-    echo "kill soak: fleet exited $status — supervisor failed to recover the killed workers" >&2
-    exit 1
-fi
 
-# Every killed shard must have been relaunched with -resume…
-for shard in 1 2; do
-    if ! grep -q "shard $shard:.*restarting with -resume" "$log"; then
-        echo "kill soak: no -resume relaunch logged for killed shard $shard" >&2
-        exit 1
-    fi
-    # …and must have resumed (not re-crawled) its completed prefix. A
-    # SIGKILL can tear at most the final in-flight line, so the resumed
-    # count may trail the kill-time count by exactly one.
-    resumed=$(sed -n "s/^\[shard $shard\] resuming: \([0-9]*\) records.*/\1/p" "$log" | head -1)
-    floor=$((kill_lines[$shard] - 1))
-    if [ -z "$resumed" ] || [ "$resumed" -lt "$floor" ]; then
-        echo "kill soak: shard $shard resumed ${resumed:-0} records, want >= $floor (killed at ${kill_lines[$shard]}) — completed ranks were re-crawled" >&2
-        exit 1
-    fi
-    echo "   shard $shard resumed $resumed of ${kill_lines[$shard]} checkpointed records"
-done
-
-# The summed stats must account for every rank exactly once: ranks
-# crawled live + ranks resumed from checkpoints = the population.
-stats_line=$(grep '^fleet stats:' "$log" || true)
-visited=$(sed -n 's/^fleet stats: visited \([0-9]*\) + resumed.*/\1/p' <<<"$stats_line")
-resumed=$(sed -n 's/^fleet stats: visited [0-9]* + resumed \([0-9]*\).*/\1/p' <<<"$stats_line")
-if [ -z "$visited" ] || [ $((visited + resumed)) -ne "$SITES" ]; then
+# The final run's stats account for every rank exactly once: ranks
+# crawled live + ranks resumed from the checkpoint = the population.
+counter() { sed -n "s/^    \"$1\": \([0-9]*\),*\$/\1/p" "$work/stats.json"; }
+visited=$(counter Visited) resumed=$(counter Resumed)
+if [ -z "$visited" ] || [ -z "$resumed" ] || [ $((visited + resumed)) -ne "$SITES" ]; then
     echo "kill soak: visited ${visited:-?} + resumed ${resumed:-?} != $SITES sites — ranks re-crawled or lost" >&2
     exit 1
 fi
 echo "   accounting: $visited crawled live + $resumed resumed = $SITES"
 
-"$work/permreport" -in "$work/single.jsonl" -json >"$work/single-report.json"
-"$work/permreport" -in "$work/fleet.jsonl" -json >"$work/fleet-report.json"
-if ! diff -u "$work/single-report.json" "$work/fleet-report.json"; then
-    echo "kill soak: report after kill-recovery diverges from the single-process report" >&2
+"$work/permreport" -in "$work/baseline.jsonl" -json >"$work/baseline-report.json"
+"$work/permreport" -in "$out" -json >"$work/report.json"
+if ! diff -u "$work/baseline-report.json" "$work/report.json"; then
+    echo "kill soak: report after two kills and resumes diverges from the uninterrupted crawl" >&2
     exit 1
 fi
 
-# The archive took two SIGKILLed writers and must still replay the
+# The archive outlived two SIGKILLed writers and must still replay the
 # whole population offline after its fsck.
-"$work/permcrawl" "${crawl_flags[@]}" -cache-dir "$work/archive" -offline \
+"$work/permcrawl" "${crawl_flags[@]}" -cache-dir "$archive" -offline \
     -out "$work/replay.jsonl" -stats-json "$work/replay-stats.json"
 "$work/permreport" -in "$work/replay.jsonl" -json >"$work/replay-report.json"
-if ! diff -u "$work/single-report.json" "$work/replay-report.json"; then
+if ! diff -u "$work/baseline-report.json" "$work/replay-report.json"; then
     echo "kill soak: offline replay from the kill-survived archive diverges" >&2
     exit 1
 fi
@@ -138,4 +132,4 @@ if ! grep -q '"network_fetches": 0' "$work/replay-stats.json"; then
     exit 1
 fi
 
-echo "kill soak: 2 of $PROCS workers SIGKILLed and recovered; merged report byte-identical, archive replayable"
+echo "kill soak: permcrawl SIGKILLed twice and resumed; report byte-identical, archive replayable"

@@ -2,7 +2,7 @@
 # GitHub Actions tier-1 gate; `make bench` produces a BENCH_*.json
 # perf artifact.
 
-.PHONY: ci test bench bench-sched bench-interp bench-parse benchcmp soak fuzz-smoke replay bundle-replay kill-soak crawlbench-smoke fmt build
+.PHONY: ci test bench bench-sched bench-interp bench-parse benchcmp soak fuzz-smoke replay bundle-replay kill-soak crawlbench-smoke fmt build loc
 
 ci:
 	./scripts/ci.sh
@@ -70,3 +70,8 @@ fmt:
 
 build:
 	go build ./...
+
+# Go line counts: non-test lines outside crawlbench/, test lines, and
+# non-test lines of internal/script and internal/html.
+loc:
+	./scripts/loc.sh

@@ -537,8 +537,9 @@ var out = JSON.stringify({msg: msg, sum: parts.length});
 `
 
 // interpLoop is the interpreter-bound workload: a hot loop inside a
-// function scope, run on slot-resolved locals and pooled frames. This
-// is the shape of real widget code — analytics loops, array scans.
+// function scope, run on slot-resolved locals, its body's block frame
+// allocated afresh each iteration. This is the shape of real widget
+// code — analytics loops, array scans.
 const interpLoop = `
 var total = (function () {
 	var sum = 0;

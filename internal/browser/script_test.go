@@ -278,3 +278,34 @@ func TestFramesWithoutScriptsBuildNoRealm(t *testing.T) {
 		})
 	}
 }
+
+// TestDataBlockScriptsSkipped: a script element whose type names no
+// JavaScript is a data block, which a browser neither fetches nor runs.
+// It leaves no script URL, error, static finding or invocation, so a
+// missing data file cannot mark the record Partial, while the page's
+// classic script still runs.
+func TestDataBlockScriptsSkipped(t *testing.T) {
+	fetcher := MapFetcher{
+		"https://site.example/": page(`
+			<script type="application/ld+json">{"api": "navigator.getBattery()"}</script>
+			<script type="text/template"><p>{{navigator.geolocation.getCurrentPosition()}}</p></script>
+			<script type="text/plain" src="/notes.txt"></script>
+			<script>navigator.permissions.query({name: 'notifications'});</script>`, nil),
+	}
+	res, err := New(fetcher, DefaultOptions()).Visit(context.Background(), "https://site.example/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := res.TopFrame()
+	if top.ScriptURLs != nil || top.ScriptErrors != nil {
+		t.Errorf("data blocks were loaded or run: URLs %q, errors %q", top.ScriptURLs, top.ScriptErrors)
+	}
+	for _, f := range top.StaticFindings {
+		if f.Permission == "battery" || f.Permission == "geolocation" {
+			t.Errorf("static finding from a data block: %+v", f)
+		}
+	}
+	if len(top.Invocations) != 1 || top.Invocations[0].API != "navigator.permissions.query" {
+		t.Errorf("invocations: %+v; want the classic script's one query", top.Invocations)
+	}
+}

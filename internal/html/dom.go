@@ -1,6 +1,7 @@
 package html
 
 import (
+	"slices"
 	"strings"
 )
 
@@ -82,7 +83,8 @@ func Parse(src string) *Node {
 		case DoctypeToken:
 			// Ignored: tree shape is what matters.
 		case StartTagToken, SelfClosingTagToken:
-			el := &Node{Type: ElementNode, Tag: tok.Tag, Attrs: tok.Attrs, Parent: top}
+			// The node keeps its attributes past the next token: copy them.
+			el := &Node{Type: ElementNode, Tag: tok.Tag, Attrs: slices.Clone(tok.Attrs), Parent: top}
 			top.Children = append(top.Children, el)
 			if tok.Type == StartTagToken && !voidElements[tok.Tag] {
 				stack = append(stack, el)
@@ -236,21 +238,63 @@ type Script struct {
 
 // scriptOf builds the record of one script element from its
 // attributes, for both Extract and the Scripts walk: external when src
-// is non-blank, else inline with the body left to the caller.
-func scriptOf(attrs []Attr) Script {
-	if src, ok := attr(attrs, "src"); ok && strings.TrimSpace(src) != "" {
-		return Script{Src: strings.TrimSpace(src)}
+// is non-blank, else inline with the body left to the caller. It
+// reports false for a data block, which a browser neither fetches nor
+// runs.
+func scriptOf(attrs []Attr) (Script, bool) {
+	if !runsScript(attrs) {
+		return Script{}, false
 	}
-	return Script{Inline: true}
+	if src, ok := attr(attrs, "src"); ok && strings.TrimSpace(src) != "" {
+		return Script{Src: strings.TrimSpace(src)}, true
+	}
+	return Script{Inline: true}, true
 }
 
-// Scripts extracts all classic scripts from the document. The tokenizer
-// treats <script> as raw text, so inline bodies survive intact even when
-// they contain '<'.
+// javaScriptTypes are the JavaScript MIME type essences (MIME Sniffing
+// §4.6), lower-cased.
+var javaScriptTypes = map[string]bool{
+	"application/ecmascript": true, "application/javascript": true,
+	"application/x-ecmascript": true, "application/x-javascript": true,
+	"text/ecmascript": true, "text/javascript": true,
+	"text/javascript1.0": true, "text/javascript1.1": true,
+	"text/javascript1.2": true, "text/javascript1.3": true,
+	"text/javascript1.4": true, "text/javascript1.5": true,
+	"text/jscript": true, "text/livescript": true,
+	"text/x-ecmascript": true, "text/x-javascript": true,
+}
+
+// runsScript reports whether a script element with these attributes
+// runs, as HTML's "prepare the script element" decides: with no type
+// (or an empty one) and no non-empty language, or with a type string
+// that is a JavaScript MIME type essence or "module". Any other type
+// (application/ld+json, text/template, ...) makes the element a data
+// block.
+func runsScript(attrs []Attr) bool {
+	typ, hasType := attr(attrs, "type")
+	lang, _ := attr(attrs, "language")
+	switch {
+	case hasType && typ == "", !hasType && lang == "":
+		return true
+	case hasType:
+		typ = strings.Trim(typ, "\t\n\f\r ")
+	default:
+		typ = "text/" + lang
+	}
+	typ = strings.ToLower(typ)
+	return javaScriptTypes[typ] || typ == "module"
+}
+
+// Scripts extracts every script the document runs, data blocks left
+// out. The tokenizer treats <script> as raw text, so inline bodies
+// survive intact even when they contain '<'.
 func Scripts(doc *Node) []Script {
 	var out []Script
 	for _, el := range doc.FindAll("script") {
-		s := scriptOf(el.Attrs)
+		s, ok := scriptOf(el.Attrs)
+		if !ok {
+			continue
+		}
 		if s.Inline {
 			s.Body = el.InnerText()
 		}

@@ -1,9 +1,6 @@
 package html
 
-import (
-	"strings"
-	"sync"
-)
+import "strings"
 
 // Doc is everything the crawl reads from one document: the iframe
 // attribute lists (§3.1.2), the inline and external scripts (§3.1.1),
@@ -27,15 +24,6 @@ type openElem struct {
 	script int
 	from   int
 }
-
-// extractState is Extract's scratch: the open-element stack and the
-// text tokens seen while an inline script is open, pooled across calls.
-type extractState struct {
-	open  []openElem
-	texts []string
-}
-
-var extractPool = sync.Pool{New: func() any { return &extractState{} }}
 
 // Extract returns the iframes, scripts and links of src in one
 // tokenizer pass, exactly as Iframes, Scripts and Links read them from
@@ -93,15 +81,9 @@ func (d *Doc) eachString(fn func(*string)) {
 // substrings of src wherever no entity needed decoding.
 func extractAliased(src string) Doc {
 	var d Doc
-	st := extractPool.Get().(*extractState)
-	open, texts := st.open[:0], st.texts[:0]
-	defer func() {
-		clear(open[:cap(open)])
-		clear(texts[:cap(texts)])
-		st.open, st.texts = open[:0], texts[:0]
-		extractPool.Put(st)
-	}()
-	inline := 0 // inline scripts on the stack
+	var open []openElem
+	var texts []string // text tokens seen while an inline script is open
+	inline := 0        // inline scripts on the stack
 	// closeTo pops the stack down to n elements, finishing the bodies of
 	// the inline scripts it pops.
 	closeTo := func(n int) {
@@ -117,8 +99,7 @@ func extractAliased(src string) Doc {
 			texts = texts[:0]
 		}
 	}
-	z := acquireTokenizer(src)
-	defer releaseTokenizer(z)
+	z := NewTokenizer(src)
 	for {
 		tok := z.Next()
 		switch tok.Type {
@@ -135,11 +116,12 @@ func extractAliased(src string) Doc {
 			case "iframe":
 				d.Iframes = append(d.Iframes, iframeOf(tok.Attrs))
 			case "script":
-				s := scriptOf(tok.Attrs)
-				d.Scripts = append(d.Scripts, s)
-				if s.Inline && tok.Type == StartTagToken {
-					el.script, el.from = len(d.Scripts)-1, len(texts)
-					inline++
+				if s, ok := scriptOf(tok.Attrs); ok {
+					d.Scripts = append(d.Scripts, s)
+					if s.Inline && tok.Type == StartTagToken {
+						el.script, el.from = len(d.Scripts)-1, len(texts)
+						inline++
+					}
 				}
 			case "a":
 				if href := hrefOf(tok.Attrs); href != "" {

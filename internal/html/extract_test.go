@@ -45,6 +45,13 @@ var extractCorpus = []string{
 	`<script>a</scripts>b<p>c</p>d</script>e`,
 	`<div><script>x</scripts>y</div>z<script>w</script>`,
 	`<script>a</scriptx><script>b</script>c</script>`,
+	// Data blocks are neither listed nor collect a body; scripts around
+	// and inside them still do.
+	`<script type="application/ld+json">{"a": 1}</script><script>run()</script>`,
+	`<script type="text/template"><iframe src="/tpl"></iframe></script><script type="text/plain" src="/data.txt"></script>`,
+	`<script>a</scripts><script type="text/plain">b</script>c</script>`,
+	`<script type="module" src="/m.js"></script><script type=" TEXT/JavaScript ">a()</script><script type="">b()</script><script type="  ">c()</script>`,
+	`<script language="javascript">d()</script><script language="vbscript">e()</script><script language="">f()</script><script type="text/javascript" language="vbscript">g()</script>`,
 }
 
 // TestExtractMatchesWrappers pins Extract to the reference: the three
@@ -56,6 +63,41 @@ func TestExtractMatchesWrappers(t *testing.T) {
 		want := Doc{Iframes: Iframes(tree), Scripts: Scripts(tree), Links: Links(tree)}
 		if got := Extract(src); !reflect.DeepEqual(got, want) {
 			t.Errorf("case %d %q:\n Extract:  %+v\n wrappers: %+v", i, src, got, want)
+		}
+	}
+}
+
+// TestScriptDataBlocks: a script element runs only with no type, an
+// empty type, a JavaScript MIME type or "module" (without a type, a
+// language attribute names one); every other type makes it a data
+// block, which neither Extract nor the Scripts walk lists.
+func TestScriptDataBlocks(t *testing.T) {
+	tests := []struct {
+		src  string
+		want []Script
+	}{
+		{`<script type="application/ld+json">{"@type": "Organization"}</script>`, nil},
+		{`<script type="text/template"><p>{{name}}</p></script>`, nil},
+		{`<script type="text/plain" src="/notes.txt"></script>`, nil},
+		{`<script type="importmap">{"imports": {}}</script>`, nil},
+		{`<script type="text/javascript; charset=utf-8">a()</script>`, nil},
+		{`<script type="  ">a()</script>`, nil},
+		{`<script language="vbscript">a()</script>`, nil},
+		{`<script>a()</script>`, []Script{{Body: "a()", Inline: true}}},
+		{`<script type="">a()</script>`, []Script{{Body: "a()", Inline: true}}},
+		{`<script type=" Text/JavaScript ">a()</script>`, []Script{{Body: "a()", Inline: true}}},
+		{`<script type="application/x-javascript">a()</script>`, []Script{{Body: "a()", Inline: true}}},
+		{`<script type="module" src="/m.js"></script>`, []Script{{Src: "/m.js"}}},
+		{`<script language="JavaScript1.5">a()</script>`, []Script{{Body: "a()", Inline: true}}},
+		{`<script language="">a()</script>`, []Script{{Body: "a()", Inline: true}}},
+		{`<script type="text/javascript" language="vbscript">a()</script>`, []Script{{Body: "a()", Inline: true}}},
+	}
+	for _, tt := range tests {
+		if got := Extract(tt.src).Scripts; !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("Extract(%q).Scripts = %+v; want %+v", tt.src, got, tt.want)
+		}
+		if got := Scripts(Parse(tt.src)); !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("Scripts(Parse(%q)) = %+v; want %+v", tt.src, got, tt.want)
 		}
 	}
 }

@@ -12,10 +12,7 @@
 // agency semantics.
 package html
 
-import (
-	"strings"
-	"sync"
-)
+import "strings"
 
 // TokenType discriminates tokens.
 type TokenType uint8
@@ -36,7 +33,8 @@ type Attr struct {
 	Value string
 }
 
-// Token is one lexical token.
+// Token is one lexical token. Its Attrs alias the tokenizer's scratch:
+// they are valid only until the next call to Next.
 type Token struct {
 	Type  TokenType
 	Tag   string // lower-cased tag name for tag tokens
@@ -61,40 +59,15 @@ type Tokenizer struct {
 	// rawTag, when set, makes the tokenizer consume everything until the
 	// matching </rawTag> as a single text token.
 	rawTag string
-	// scratch accumulates attributes of the tag being lexed. In reuse
-	// mode (Extract's pooled tokenizer) the emitted Token aliases it —
-	// valid only until the next call to Next; otherwise each token gets
-	// an exact-size copy.
-	scratch    []Attr
-	reuseAttrs bool
+	// scratch accumulates attributes of the tag being lexed. The emitted
+	// Token's Attrs alias it, so they are valid only until the next call
+	// to Next; a caller that keeps them copies them.
+	scratch []Attr
 }
 
 // NewTokenizer tokenizes src.
 func NewTokenizer(src string) *Tokenizer {
 	return &Tokenizer{src: src}
-}
-
-// tokenizerPool recycles Tokenizer structs (and their attribute scratch
-// buffers) across parses — the per-parse state is three words plus a
-// slice that would otherwise be reallocated for every document.
-var tokenizerPool = sync.Pool{New: func() any { return &Tokenizer{} }}
-
-// acquireTokenizer returns a pooled tokenizer in attribute-reuse mode;
-// callers own it until releaseTokenizer.
-func acquireTokenizer(src string) *Tokenizer {
-	z := tokenizerPool.Get().(*Tokenizer)
-	z.src, z.pos, z.rawTag = src, 0, ""
-	z.reuseAttrs = true
-	return z
-}
-
-// releaseTokenizer drops the tokenizer's references to the source (so a
-// pooled tokenizer cannot pin a multi-megabyte body) and returns it.
-func releaseTokenizer(z *Tokenizer) {
-	z.src, z.rawTag = "", ""
-	clear(z.scratch[:cap(z.scratch)])
-	z.scratch = z.scratch[:0]
-	tokenizerPool.Put(z)
 }
 
 // Next returns the next token; EOFToken at the end of input.
@@ -247,7 +220,7 @@ func (z *Tokenizer) endTag() Token {
 	for z.pos < len(z.src) && isTagNameChar(z.src[z.pos]) {
 		z.pos++
 	}
-	tag := internLower(z.src[start:z.pos])
+	tag := strings.ToLower(z.src[start:z.pos])
 	// Skip to '>'.
 	for z.pos < len(z.src) && z.src[z.pos] != '>' {
 		z.pos++
@@ -264,7 +237,7 @@ func (z *Tokenizer) startTag() Token {
 	for z.pos < len(z.src) && isTagNameChar(z.src[z.pos]) {
 		z.pos++
 	}
-	tok := Token{Type: StartTagToken, Tag: internLower(z.src[start:z.pos])}
+	tok := Token{Type: StartTagToken, Tag: strings.ToLower(z.src[start:z.pos])}
 	z.scratch = z.scratch[:0]
 	for {
 		for z.pos < len(z.src) && isSpace(z.src[z.pos]) {
@@ -294,11 +267,7 @@ func (z *Tokenizer) startTag() Token {
 		z.scratch = append(z.scratch, Attr{Key: key, Value: val})
 	}
 	if len(z.scratch) > 0 {
-		if z.reuseAttrs {
-			tok.Attrs = z.scratch
-		} else {
-			tok.Attrs = append([]Attr(nil), z.scratch...)
-		}
+		tok.Attrs = z.scratch
 	}
 	if tok.Type == StartTagToken && rawTextTags[tok.Tag] {
 		z.rawTag = tok.Tag
@@ -320,7 +289,7 @@ func (z *Tokenizer) attribute() (key, val string, ok bool) {
 		z.pos++
 		return "", "", false
 	}
-	key = internLower(z.src[start:z.pos])
+	key = strings.ToLower(z.src[start:z.pos])
 	for z.pos < len(z.src) && isSpace(z.src[z.pos]) {
 		z.pos++
 	}
@@ -358,78 +327,6 @@ func (z *Tokenizer) attribute() (key, val string, ok bool) {
 		val = DecodeEntities(val)
 	}
 	return key, val, true
-}
-
-// internNames are the tag and attribute names that dominate real (and
-// synthetic) markup. Interning them saves the hot path the
-// strings.ToLower allocation for uppercase spellings.
-var internNames = []string{
-	// Tags.
-	"html", "head", "body", "div", "span", "p", "a", "img", "script",
-	"style", "iframe", "link", "meta", "title", "br", "hr", "ul", "ol",
-	"li", "table", "tr", "td", "th", "form", "input", "button", "h1",
-	"h2", "h3", "h4", "h5", "h6", "header", "footer", "nav", "section",
-	"article", "main", "em", "strong", "b", "i", "u", "small", "label",
-	"select", "option", "textarea", "video", "audio", "source", "canvas",
-	"noscript", "svg", "picture", "figure",
-	// Attributes.
-	"id", "class", "src", "href", "allow", "sandbox", "srcdoc",
-	"loading", "name", "type", "rel", "alt", "width", "height", "value",
-	"placeholder", "content", "charset", "lang", "target", "title",
-	"data-src", "crossorigin", "referrerpolicy", "allowfullscreen",
-	"http-equiv", "role", "media", "integrity", "async", "defer",
-}
-
-// maxInternLen bounds the stack buffer internLower lowers into; every
-// internNames entry fits.
-const maxInternLen = 16
-
-var internTable = func() map[string]string {
-	m := make(map[string]string, len(internNames))
-	for _, s := range internNames {
-		if len(s) > maxInternLen {
-			panic("html: intern name longer than maxInternLen: " + s)
-		}
-		m[s] = s
-	}
-	return m
-}()
-
-// internLower lower-cases an ASCII tag or attribute name without
-// allocating: already-lowercase common names map to their interned
-// canonical string, already-lowercase uncommon names return the input
-// substring unchanged, and only an uppercase uncommon (or non-ASCII)
-// name pays the strings.ToLower allocation.
-func internLower(s string) string {
-	if len(s) == 0 {
-		return s
-	}
-	if len(s) > maxInternLen {
-		return strings.ToLower(s)
-	}
-	var buf [maxInternLen]byte
-	hasUpper := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 0x80 {
-			// Non-ASCII names keep the full Unicode lowering semantics.
-			return strings.ToLower(s)
-		}
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-			hasUpper = true
-		}
-		buf[i] = c
-	}
-	// The map lookup on string(buf[:len(s)]) does not allocate: the Go
-	// compiler recognizes the conversion-for-lookup pattern.
-	if canon, ok := internTable[string(buf[:len(s)])]; ok {
-		return canon
-	}
-	if !hasUpper {
-		return s
-	}
-	return strings.ToLower(s)
 }
 
 // entities is the minimal named-entity table the measurement needs.

@@ -120,31 +120,28 @@ func TestNumericCharrefSpec(t *testing.T) {
 	}
 }
 
-// TestInternLower pins the interning fast paths: common names come back
-// as the canonical package-owned string, lowercase uncommon names come
-// back unchanged, and only uppercase uncommon names allocate.
-func TestInternLower(t *testing.T) {
-	tests := []struct{ in, want string }{
-		{"div", "div"},
-		{"DIV", "div"},
-		{"IfRaMe", "iframe"},
-		{"allow", "allow"},
-		{"data-custom-thing", "data-custom-thing"},
-		{"DATA-CUSTOM", "data-custom"},
-		{"", ""},
-		{"averyveryverylongtagnamethatexceedsthebuffer", "averyveryverylongtagnamethatexceedsthebuffer"},
+// TestTokenizerLowersNames: tag and attribute names come out of the
+// tokenizer lower-cased, whatever their spelling, and a name that is
+// already lowercase comes back unchanged.
+func TestTokenizerLowersNames(t *testing.T) {
+	tests := []struct{ src, tag, key string }{
+		{`<div id=x>`, "div", "id"},
+		{`<DIV ID=x>`, "div", "id"},
+		{`<IfRaMe AlLoW=x>`, "iframe", "allow"},
+		{`<data-custom-thing data-custom-attr=x>`, "data-custom-thing", "data-custom-attr"},
+		{`<DATA-CUSTOM DATA-SRC=x>`, "data-custom", "data-src"},
+		{`<averyveryverylongtagnamethatexceedsthebuffer AVERYVERYVERYLONGATTRIBUTENAME=x>`,
+			"averyveryverylongtagnamethatexceedsthebuffer", "averyveryverylongattributename"},
 	}
 	for _, tt := range tests {
-		if got := internLower(tt.in); got != tt.want {
-			t.Errorf("internLower(%q) = %q; want %q", tt.in, got, tt.want)
+		z := NewTokenizer(tt.src + "</" + strings.ToUpper(tt.tag) + ">")
+		start := z.Next()
+		if start.Type != StartTagToken || start.Tag != tt.tag || len(start.Attrs) != 1 || start.Attrs[0].Key != tt.key {
+			t.Errorf("%q: start tag %+v; want <%s %s=x>", tt.src, start, tt.tag, tt.key)
 		}
-	}
-	// Interned names share backing storage with the canonical table
-	// entry, so a cached tree never pins its source body via a tag name.
-	big := "<DIV>" + strings.Repeat("x", 1000) + "</DIV>"
-	tag := Parse(big).First("div").Tag
-	if tag != "div" {
-		t.Fatalf("tag: %q", tag)
+		if end := z.Next(); end.Type != EndTagToken || end.Tag != tt.tag {
+			t.Errorf("%q: end tag %+v; want </%s>", tt.src, end, tt.tag)
+		}
 	}
 }
 

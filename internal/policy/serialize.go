@@ -19,7 +19,9 @@ func (p Policy) HeaderValue() string {
 }
 
 // FeaturePolicyValue serializes the policy in the legacy Feature-Policy
-// header syntax.
+// header syntax. Its canonical form writes an allowlist holding * as *
+// alone and keeps origins in their order, so ParseFeaturePolicy reads
+// the value back to an equal Policy up to that form.
 func (p Policy) FeaturePolicyValue() string {
 	parts := make([]string, 0, len(p.Directives))
 	for _, d := range p.Directives {
@@ -30,7 +32,10 @@ func (p Policy) FeaturePolicyValue() string {
 
 // AllowAttrValue serializes the policy as an iframe allow attribute.
 // Directives whose allowlist is exactly 'src' are emitted bare, the
-// idiomatic (and 82.12%-prevalent) form.
+// idiomatic (and 82.12%-prevalent) form. As for FeaturePolicyValue, an
+// allowlist holding * is written * alone and origins keep their order,
+// so ParseAllowAttr reads the value back to an equal Policy up to that
+// form.
 func (p Policy) AllowAttrValue() string {
 	parts := make([]string, 0, len(p.Directives))
 	for _, d := range p.Directives {

@@ -1,10 +1,9 @@
 package script
 
 // This file lowers a parsed *Program into the form the interpreter
-// executes: every statement and expression becomes a Go closure,
-// constant subexpressions fold at compile time, and locally declared
-// names resolve to (hops, slot) indexes into frame-mode Envs instead of
-// map lookups. Compiled programs are immutable and safe to
+// executes: every statement and expression becomes a Go closure, and
+// locally declared names resolve to (hops, slot) indexes into
+// frame-mode Envs instead of map lookups. Compiled programs are immutable and safe to
 // execute concurrently from many interpreters — per-run state lives in
 // the Interp and its environments, never in the compiled closures.
 //
@@ -48,24 +47,6 @@ type compiledFunc struct {
 	line       int
 }
 
-// cexpr is a compiled expression. isLit marks compile-time constants so
-// parent nodes can fold (Binary with two lits, Logical/Cond with a lit
-// test). Object and array literals are never lits: each evaluation must
-// allocate a fresh mutable value.
-type cexpr struct {
-	fn    evalFn
-	lit   Value
-	isLit bool
-}
-
-func litExpr(v Value) cexpr {
-	return cexpr{
-		fn:    func(*Interp, *Env) (Value, error) { return v, nil },
-		lit:   v,
-		isLit: true,
-	}
-}
-
 // Compile lowers a parsed program. It never mutates prog, and the
 // result may be shared across goroutines and interpreters.
 func Compile(prog *Program) (*Compiled, error) {
@@ -103,7 +84,7 @@ func (in *Interp) RunCompiled(p *Compiled, scriptURL string) error {
 }
 
 // callCompiled is the KindFunc call path for closures carrying compiled
-// bodies: one pooled frame instead of a map env per call.
+// bodies: one slot frame instead of a map env per call.
 func (in *Interp) callCompiled(c *Closure, this Value, args []Value) (Value, error) {
 	cf := c.compiled
 	env := newFrame(c.Env, cf.layout)
@@ -139,9 +120,6 @@ func (in *Interp) callCompiled(c *Closure, this Value, args []Value) (Value, err
 		}
 	}
 	in.stack = in.stack[:len(in.stack)-1]
-	if cf.layout.poolable {
-		releaseFrame(env)
-	}
 	if err != nil {
 		return Undefined(), err
 	}
@@ -182,8 +160,8 @@ func (c *compiler) resolve(name string) (hops, slot int, ok bool) {
 	return 0, 0, false
 }
 
-func newLayout(names []string, poolable bool) *frameLayout {
-	fl := &frameLayout{names: names, slotOf: make(map[string]int, len(names)), poolable: poolable}
+func newLayout(names []string) *frameLayout {
+	fl := &frameLayout{names: names, slotOf: make(map[string]int, len(names))}
 	for i, n := range names {
 		fl.slotOf[n] = i
 	}
@@ -326,25 +304,6 @@ func findNode(n Node, pred func(Node) bool) bool {
 	return false
 }
 
-func isFuncNode(n Node) bool {
-	switch n.(type) {
-	case *FuncLit, *FuncDecl:
-		return true
-	}
-	return false
-}
-
-// poolableScope reports whether frames for a scope whose body is stmts
-// may be recycled: no closure created anywhere inside can capture them.
-func poolableScope(stmts []Node) bool {
-	for _, s := range stmts {
-		if findNode(s, isFuncNode) {
-			return false
-		}
-	}
-	return true
-}
-
 func identUsed(name string, stmts []Node) bool {
 	pred := func(n Node) bool {
 		id, ok := n.(*Ident)
@@ -392,7 +351,6 @@ func (c *compiler) compileFunc(name string, params []string, body *BlockStmt, ex
 			add(n)
 		}
 	}
-	fl.poolable = poolableScope(scan)
 
 	cf := &compiledFunc{
 		name: name, paramSlots: paramSlots,
@@ -405,7 +363,7 @@ func (c *compiler) compileFunc(name string, params []string, body *BlockStmt, ex
 		if err != nil {
 			return nil, err
 		}
-		cf.expr = x.fn
+		cf.expr = x
 		return cf, nil
 	}
 	var err error

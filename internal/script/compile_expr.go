@@ -5,61 +5,65 @@ import (
 	"strings"
 )
 
-// Expression lowering with constant folding: Binary/Logical/Cond (and
-// pure Unary) over literal operands collapse at compile time via the
-// same applyBinary/applyUnary the running code uses, so folding can
-// never change semantics. Object and array literals never fold — each
-// evaluation must produce a fresh mutable value.
+// Expression lowering: each expression becomes an evalFn that
+// evaluates its operands when it runs; operators apply applyUnary and
+// applyBinary to the results. Object and array literals allocate a
+// fresh mutable value on each evaluation.
 
-func (c *compiler) compileExpr(n Node) (cexpr, error) {
+// literal returns an evalFn yielding v.
+func literal(v Value) evalFn {
+	return func(*Interp, *Env) (Value, error) { return v, nil }
+}
+
+func (c *compiler) compileExpr(n Node) (evalFn, error) {
 	switch e := n.(type) {
 	case *Lit:
-		return litExpr(e.Val), nil
+		return literal(e.Val), nil
 	case *Ident:
 		return c.compileIdent(e.Name, e.Line), nil
 	case *ThisExpr:
 		if hops, slot, ok := c.resolve("this"); ok {
-			return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
+			return func(in *Interp, env *Env) (Value, error) {
 				if v := envUp(env, hops).slots[slot]; v.kind != kindUnset {
 					return v, nil
 				}
 				return Undefined(), nil
-			}}, nil
+			}, nil
 		}
-		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
+		return func(in *Interp, env *Env) (Value, error) {
 			if v, ok := env.Get("this"); ok {
 				return v, nil
 			}
 			return Undefined(), nil
-		}}, nil
+		}, nil
 	case *Member:
 		objX, err := c.compileExpr(e.Obj)
 		if err != nil {
-			return cexpr{}, err
+			return nil, err
 		}
 		name, line, optional := e.Name, e.Line, e.Optional
 		if e.Index != nil {
 			idxX, err := c.compileExpr(e.Index)
 			if err != nil {
-				return cexpr{}, err
+				return nil, err
 			}
-			return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
-				obj, err := objX.fn(in, env)
+			return func(in *Interp, env *Env) (Value, error) {
+				obj, err := objX(in, env)
 				if err != nil {
 					return Undefined(), err
 				}
 				if optional && (obj.IsUndefined() || obj.IsNull()) {
 					return Undefined(), nil
 				}
-				idx, err := idxX.fn(in, env)
+				idx, err := idxX(in, env)
 				if err != nil {
 					return Undefined(), err
 				}
 				return in.getIndexed(obj, idx, line)
-			}}, nil
+			}, nil
 		}
-		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
-			obj, err := objX.fn(in, env)
+		return func(in *Interp, env *Env) (Value, error) {
+			obj, err := objX(in, env)
 			if err != nil {
 				return Undefined(), err
 			}
@@ -67,174 +71,152 @@ func (c *compiler) compileExpr(n Node) (cexpr, error) {
 				return Undefined(), nil
 			}
 			return in.getMember(obj, name, line)
-		}}, nil
+		}, nil
 	case *Call:
 		return c.compileCall(e)
 	case *Unary:
 		xX, err := c.compileExpr(e.X)
 		if err != nil {
-			return cexpr{}, err
+			return nil, err
 		}
 		op := e.Op
-		if xX.isLit {
-			if v, err := applyUnary(op, xX.lit); err == nil {
-				return litExpr(v), nil
-			}
-		}
-		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
-			x, err := xX.fn(in, env)
+		_, bareName := e.X.(*Ident)
+		return func(in *Interp, env *Env) (Value, error) {
+			x, err := xX(in, env)
 			if err != nil {
-				if op == "typeof" {
-					// typeof of an undefined variable is "undefined", not an error.
-					var rt *RuntimeError
-					if errors.As(err, &rt) && strings.HasSuffix(rt.Msg, "is not defined") {
-						return String("undefined"), nil
-					}
+				if op == "typeof" && bareName {
+					// typeof of an undeclared name is "undefined", not a
+					// ReferenceError; a name's read fails no other way. An
+					// operand that only contains such a name still throws.
+					return String("undefined"), nil
 				}
 				return Undefined(), err
 			}
 			return applyUnary(op, x)
-		}}, nil
+		}, nil
 	case *Binary:
 		xX, err := c.compileExpr(e.X)
 		if err != nil {
-			return cexpr{}, err
+			return nil, err
 		}
 		yX, err := c.compileExpr(e.Y)
 		if err != nil {
-			return cexpr{}, err
+			return nil, err
 		}
 		op, line := e.Op, e.Line
-		if xX.isLit && yX.isLit {
-			if v, err := applyBinary(op, xX.lit, yX.lit, line); err == nil {
-				return litExpr(v), nil
-			}
-		}
-		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
-			x, err := xX.fn(in, env)
+		return func(in *Interp, env *Env) (Value, error) {
+			x, err := xX(in, env)
 			if err != nil {
 				return Undefined(), err
 			}
-			y, err := yX.fn(in, env)
+			y, err := yX(in, env)
 			if err != nil {
 				return Undefined(), err
 			}
 			return applyBinary(op, x, y, line)
-		}}, nil
+		}, nil
 	case *Logical:
 		xX, err := c.compileExpr(e.X)
 		if err != nil {
-			return cexpr{}, err
+			return nil, err
 		}
 		yX, err := c.compileExpr(e.Y)
 		if err != nil {
-			return cexpr{}, err
+			return nil, err
 		}
 		op := e.Op
-		if xX.isLit {
-			if logicalShortCircuits(op, xX.lit) {
-				return litExpr(xX.lit), nil
-			}
-			return yX, nil
-		}
-		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
-			x, err := xX.fn(in, env)
+		return func(in *Interp, env *Env) (Value, error) {
+			x, err := xX(in, env)
 			if err != nil {
 				return Undefined(), err
 			}
 			if logicalShortCircuits(op, x) {
 				return x, nil
 			}
-			return yX.fn(in, env)
-		}}, nil
+			return yX(in, env)
+		}, nil
 	case *Cond:
 		testX, err := c.compileExpr(e.Test)
 		if err != nil {
-			return cexpr{}, err
+			return nil, err
 		}
 		thenX, err := c.compileExpr(e.Then)
 		if err != nil {
-			return cexpr{}, err
+			return nil, err
 		}
 		elseX, err := c.compileExpr(e.Else)
 		if err != nil {
-			return cexpr{}, err
+			return nil, err
 		}
-		if testX.isLit {
-			if testX.lit.Truthy() {
-				return thenX, nil
-			}
-			return elseX, nil
-		}
-		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
-			t, err := testX.fn(in, env)
+		return func(in *Interp, env *Env) (Value, error) {
+			t, err := testX(in, env)
 			if err != nil {
 				return Undefined(), err
 			}
 			if t.Truthy() {
-				return thenX.fn(in, env)
+				return thenX(in, env)
 			}
-			return elseX.fn(in, env)
-		}}, nil
+			return elseX(in, env)
+		}, nil
 	case *Assign:
 		return c.compileAssign(e)
 	case *Update:
 		return c.compileUpdate(e)
 	case *ObjectLit:
-		vals := make([]cexpr, len(e.Vals))
+		vals := make([]evalFn, len(e.Vals))
 		for i, v := range e.Vals {
 			var err error
 			if vals[i], err = c.compileExpr(v); err != nil {
-				return cexpr{}, err
+				return nil, err
 			}
 		}
 		keys := e.Keys
-		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
+		return func(in *Interp, env *Env) (Value, error) {
 			o := NewObject()
 			for i, k := range keys {
-				v, err := vals[i].fn(in, env)
+				v, err := vals[i](in, env)
 				if err != nil {
 					return Undefined(), err
 				}
 				o.Set(k, v)
 			}
 			return ObjectValue(o), nil
-		}}, nil
+		}, nil
 	case *ArrayLit:
-		elems := make([]cexpr, len(e.Elems))
+		elems := make([]evalFn, len(e.Elems))
 		for i, el := range e.Elems {
 			var err error
 			if elems[i], err = c.compileExpr(el); err != nil {
-				return cexpr{}, err
+				return nil, err
 			}
 		}
-		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
+		return func(in *Interp, env *Env) (Value, error) {
 			out := make([]Value, 0, len(elems))
 			for i := range elems {
-				v, err := elems[i].fn(in, env)
+				v, err := elems[i](in, env)
 				if err != nil {
 					return Undefined(), err
 				}
 				out = append(out, v)
 			}
 			return ArrayValue(out...), nil
-		}}, nil
+		}, nil
 	case *FuncLit:
 		cf, err := c.compileFunc("", e.Params, e.Body, e.ExprBody, e.Line)
 		if err != nil {
-			return cexpr{}, err
+			return nil, err
 		}
 		line := e.Line
-		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
+		return func(in *Interp, env *Env) (Value, error) {
 			return FuncValue(&Closure{
 				compiled: cf, Env: env,
 				ScriptURL: in.CurrentScriptURL(), Line: line,
 			}), nil
-		}}, nil
+		}, nil
 	case *SpreadExpr:
 		return c.compileExpr(e.X)
 	}
-	return cexpr{}, errUncompilable
+	return nil, errUncompilable
 }
 
 // errUncompilable reports a node the parser never produces in that
@@ -257,9 +239,9 @@ func logicalShortCircuits(op string, x Value) bool {
 // back to the dynamic chain while unset: a hoisted declaration does not
 // bind its name until it executes, so until then the read finds an
 // outer binding (or nothing).
-func (c *compiler) compileIdent(name string, line int) cexpr {
+func (c *compiler) compileIdent(name string, line int) evalFn {
 	if hops, slot, ok := c.resolve(name); ok {
-		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
+		return func(in *Interp, env *Env) (Value, error) {
 			if v := envUp(env, hops).slots[slot]; v.kind != kindUnset {
 				return v, nil
 			}
@@ -267,14 +249,14 @@ func (c *compiler) compileIdent(name string, line int) cexpr {
 				return v, nil
 			}
 			return Undefined(), in.rterr(line, "%s is not defined", name)
-		}}
+		}
 	}
-	return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
+	return func(in *Interp, env *Env) (Value, error) {
 		if v, ok := env.Get(name); ok {
 			return v, nil
 		}
 		return Undefined(), in.rterr(line, "%s is not defined", name)
-	}}
+	}
 }
 
 // compileIdentWrite builds the sloppy-mode assignment path: write the
@@ -294,10 +276,10 @@ func (c *compiler) compileIdentWrite(name string) func(env *Env, v Value) {
 	return func(env *Env, v Value) { env.Assign(name, v) }
 }
 
-func (c *compiler) compileAssign(e *Assign) (cexpr, error) {
+func (c *compiler) compileAssign(e *Assign) (evalFn, error) {
 	valX, err := c.compileExpr(e.Val)
 	if err != nil {
-		return cexpr{}, err
+		return nil, err
 	}
 	op, line := e.Op, e.Line
 	compound := op != "="
@@ -306,15 +288,15 @@ func (c *compiler) compileAssign(e *Assign) (cexpr, error) {
 	case *Ident:
 		readX := c.compileIdent(t.Name, t.Line)
 		write := c.compileIdentWrite(t.Name)
-		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
+		return func(in *Interp, env *Env) (Value, error) {
 			var cur Value
 			if compound {
 				var err error
-				if cur, err = readX.fn(in, env); err != nil {
+				if cur, err = readX(in, env); err != nil {
 					return Undefined(), err
 				}
 			}
-			val, err := valX.fn(in, env)
+			val, err := valX(in, env)
 			if err != nil {
 				return Undefined(), err
 			}
@@ -325,30 +307,30 @@ func (c *compiler) compileAssign(e *Assign) (cexpr, error) {
 			}
 			write(env, val)
 			return val, nil
-		}}, nil
+		}, nil
 	case *Member:
 		objX, err := c.compileExpr(t.Obj)
 		if err != nil {
-			return cexpr{}, err
+			return nil, err
 		}
-		var idxX cexpr
+		var idxX evalFn
 		hasIdx := t.Index != nil
 		if hasIdx {
 			if idxX, err = c.compileExpr(t.Index); err != nil {
-				return cexpr{}, err
+				return nil, err
 			}
 		}
 		name, tline := t.Name, t.Line
-		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
+		return func(in *Interp, env *Env) (Value, error) {
 			// Base and index evaluate exactly once, shared by the
 			// compound-op read and the final write.
-			base, err := objX.fn(in, env)
+			base, err := objX(in, env)
 			if err != nil {
 				return Undefined(), err
 			}
 			ref := memberRef{base: base, name: name}
 			if hasIdx {
-				idx, err := idxX.fn(in, env)
+				idx, err := idxX(in, env)
 				if err != nil {
 					return Undefined(), err
 				}
@@ -360,7 +342,7 @@ func (c *compiler) compileAssign(e *Assign) (cexpr, error) {
 					return Undefined(), err
 				}
 			}
-			val, err := valX.fn(in, env)
+			val, err := valX(in, env)
 			if err != nil {
 				return Undefined(), err
 			}
@@ -373,12 +355,12 @@ func (c *compiler) compileAssign(e *Assign) (cexpr, error) {
 				return Undefined(), err
 			}
 			return val, nil
-		}}, nil
+		}, nil
 	}
-	return cexpr{}, errUncompilable
+	return nil, errUncompilable
 }
 
-func (c *compiler) compileUpdate(e *Update) (cexpr, error) {
+func (c *compiler) compileUpdate(e *Update) (evalFn, error) {
 	delta := 1.0
 	if e.Op == "--" {
 		delta = -1
@@ -387,24 +369,24 @@ func (c *compiler) compileUpdate(e *Update) (cexpr, error) {
 	case *Member:
 		objX, err := c.compileExpr(t.Obj)
 		if err != nil {
-			return cexpr{}, err
+			return nil, err
 		}
-		var idxX cexpr
+		var idxX evalFn
 		hasIdx := t.Index != nil
 		if hasIdx {
 			if idxX, err = c.compileExpr(t.Index); err != nil {
-				return cexpr{}, err
+				return nil, err
 			}
 		}
 		name, line := t.Name, t.Line
-		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
-			base, err := objX.fn(in, env)
+		return func(in *Interp, env *Env) (Value, error) {
+			base, err := objX(in, env)
 			if err != nil {
 				return Undefined(), err
 			}
 			ref := memberRef{base: base, name: name}
 			if hasIdx {
-				idx, err := idxX.fn(in, env)
+				idx, err := idxX(in, env)
 				if err != nil {
 					return Undefined(), err
 				}
@@ -419,26 +401,26 @@ func (c *compiler) compileUpdate(e *Update) (cexpr, error) {
 				return Undefined(), err
 			}
 			return nv, nil
-		}}, nil
+		}, nil
 	case *Ident:
 		readX := c.compileIdent(t.Name, t.Line)
 		write := c.compileIdentWrite(t.Name)
-		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
-			cur, err := readX.fn(in, env)
+		return func(in *Interp, env *Env) (Value, error) {
+			cur, err := readX(in, env)
 			if err != nil {
 				return Undefined(), err
 			}
 			nv := Number(cur.ToNumber() + delta)
 			write(env, nv)
 			return nv, nil
-		}}, nil
+		}, nil
 	}
-	return cexpr{}, errUncompilable
+	return nil, errUncompilable
 }
 
-func (c *compiler) compileCall(e *Call) (cexpr, error) {
+func (c *compiler) compileCall(e *Call) (evalFn, error) {
 	type argC struct {
-		x      cexpr
+		x      evalFn
 		spread bool
 	}
 	args := make([]argC, len(e.Args))
@@ -446,21 +428,21 @@ func (c *compiler) compileCall(e *Call) (cexpr, error) {
 		if sp, ok := a.(*SpreadExpr); ok {
 			x, err := c.compileExpr(sp.X)
 			if err != nil {
-				return cexpr{}, err
+				return nil, err
 			}
 			args[i] = argC{x: x, spread: true}
 			continue
 		}
 		x, err := c.compileExpr(a)
 		if err != nil {
-			return cexpr{}, err
+			return nil, err
 		}
 		args[i] = argC{x: x}
 	}
 	evalArgs := func(in *Interp, env *Env) ([]Value, error) {
 		out := make([]Value, 0, len(args))
 		for i := range args {
-			v, err := args[i].x.fn(in, env)
+			v, err := args[i].x(in, env)
 			if err != nil {
 				return nil, err
 			}
@@ -477,14 +459,14 @@ func (c *compiler) compileCall(e *Call) (cexpr, error) {
 		// Method call: the receiver binds this.
 		objX, err := c.compileExpr(m.Obj)
 		if err != nil {
-			return cexpr{}, err
+			return nil, err
 		}
 		mName, mOpt, mLine := m.Name, m.Optional, m.Line
-		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
+		return func(in *Interp, env *Env) (Value, error) {
 			if err := in.step(); err != nil {
 				return Undefined(), err
 			}
-			this, err := objX.fn(in, env)
+			this, err := objX(in, env)
 			if err != nil {
 				return Undefined(), err
 			}
@@ -500,21 +482,21 @@ func (c *compiler) compileCall(e *Call) (cexpr, error) {
 				return Undefined(), err
 			}
 			return in.finishCall(fnv, this, av, mName, isNew, optional, line)
-		}}, nil
+		}, nil
 	}
 	fnX, err := c.compileExpr(e.Fn)
 	if err != nil {
-		return cexpr{}, err
+		return nil, err
 	}
 	var calleeName string
 	if id, ok := e.Fn.(*Ident); ok {
 		calleeName = id.Name
 	}
-	return cexpr{fn: func(in *Interp, env *Env) (Value, error) {
+	return func(in *Interp, env *Env) (Value, error) {
 		if err := in.step(); err != nil {
 			return Undefined(), err
 		}
-		fnv, err := fnX.fn(in, env)
+		fnv, err := fnX(in, env)
 		if err != nil {
 			return Undefined(), err
 		}
@@ -523,7 +505,7 @@ func (c *compiler) compileCall(e *Call) (cexpr, error) {
 			return Undefined(), err
 		}
 		return in.finishCall(fnv, Undefined(), av, calleeName, isNew, optional, line)
-	}}, nil
+	}, nil
 }
 
 // finishCall is the shared tail of both call paths: callable check,

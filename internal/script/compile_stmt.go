@@ -34,15 +34,12 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 	case *BlockStmt:
 		return c.compileBlock(s)
 	case *VarDecl:
-		var initX cexpr
+		initX := literal(Undefined())
 		if s.Init != nil {
 			var err error
-			initX, err = c.compileExpr(s.Init)
-			if err != nil {
+			if initX, err = c.compileExpr(s.Init); err != nil {
 				return nil, err
 			}
-		} else {
-			initX = litExpr(Undefined())
 		}
 		name := s.Name
 		// The declaring scope is the innermost frame, when one exists and
@@ -56,7 +53,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 					if err := in.step(); err != nil {
 						return err
 					}
-					v, err := initX.fn(in, env)
+					v, err := initX(in, env)
 					if err != nil {
 						return err
 					}
@@ -69,7 +66,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 			if err := in.step(); err != nil {
 				return err
 			}
-			v, err := initX.fn(in, env)
+			v, err := initX(in, env)
 			if err != nil {
 				return err
 			}
@@ -85,7 +82,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 			if err := in.step(); err != nil {
 				return err
 			}
-			_, err := x.fn(in, env)
+			_, err := x(in, env)
 			return err
 		}, nil
 	case *IfStmt:
@@ -103,20 +100,11 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 				return nil, err
 			}
 		}
-		if condX.isLit {
-			if condX.lit.Truthy() {
-				return thenFn, nil
-			}
-			if elseFn != nil {
-				return elseFn, nil
-			}
-			return stepOnly, nil
-		}
 		return func(in *Interp, env *Env) error {
 			if err := in.step(); err != nil {
 				return err
 			}
-			cond, err := condX.fn(in, env)
+			cond, err := condX(in, env)
 			if err != nil {
 				return err
 			}
@@ -142,7 +130,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 				if err := in.step(); err != nil {
 					return err
 				}
-				cond, err := condX.fn(in, env)
+				cond, err := condX(in, env)
 				if err != nil {
 					return err
 				}
@@ -177,7 +165,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 					}
 					return err
 				}
-				cond, err := condX.fn(in, env)
+				cond, err := condX(in, env)
 				if err != nil {
 					return err
 				}
@@ -191,20 +179,18 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 	case *SwitchStmt:
 		return c.compileSwitch(s)
 	case *ReturnStmt:
-		var x cexpr
+		x := literal(Undefined())
 		if s.X != nil {
 			var err error
 			if x, err = c.compileExpr(s.X); err != nil {
 				return nil, err
 			}
-		} else {
-			x = litExpr(Undefined())
 		}
 		return func(in *Interp, env *Env) error {
 			if err := in.step(); err != nil {
 				return err
 			}
-			v, err := x.fn(in, env)
+			v, err := x(in, env)
 			if err != nil {
 				return err
 			}
@@ -233,7 +219,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 			if err := in.step(); err != nil {
 				return err
 			}
-			v, err := x.fn(in, env)
+			v, err := x(in, env)
 			if err != nil {
 				return err
 			}
@@ -280,13 +266,11 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 			if err := in.step(); err != nil {
 				return err
 			}
-			_, err := x.fn(in, env)
+			_, err := x(in, env)
 			return err
 		}, nil
 	}
 }
-
-func stepOnly(in *Interp, env *Env) error { return in.step() }
 
 func runAll(in *Interp, env *Env, fns []execFn) error {
 	for _, fn := range fns {
@@ -322,7 +306,7 @@ func (c *compiler) compileBlock(b *BlockStmt) (execFn, error) {
 			return runAll(in, env, fns)
 		}, nil
 	}
-	fl := newLayout(decls, poolableScope(b.Body))
+	fl := newLayout(decls)
 	c.push(fl)
 	hoisted, fns, err := c.compileScope(b.Body, fl.slotOf)
 	c.pop()
@@ -335,11 +319,7 @@ func (c *compiler) compileBlock(b *BlockStmt) (execFn, error) {
 		}
 		fe := newFrame(env, fl)
 		defineHoisted(in, fe, hoisted)
-		err := runAll(in, fe, fns)
-		if fl.poolable {
-			releaseFrame(fe)
-		}
-		return err
+		return runAll(in, fe, fns)
 	}, nil
 }
 
@@ -347,7 +327,7 @@ func (c *compiler) compileFor(s *ForStmt) (execFn, error) {
 	var fl *frameLayout
 	if s.Init != nil {
 		if decls := declNames([]Node{s.Init}); len(decls) > 0 {
-			fl = newLayout(decls, poolableScope([]Node{s.Init, s.Cond, s.Post, s.Body}))
+			fl = newLayout(decls)
 		}
 	}
 	if fl != nil {
@@ -361,16 +341,13 @@ func (c *compiler) compileFor(s *ForStmt) (execFn, error) {
 			return nil, err
 		}
 	}
-	var condX cexpr
-	hasCond := s.Cond != nil
-	if hasCond {
+	var condX, postX evalFn
+	if s.Cond != nil {
 		if condX, err = c.compileExpr(s.Cond); err != nil {
 			return nil, err
 		}
 	}
-	var postX cexpr
-	hasPost := s.Post != nil
-	if hasPost {
+	if s.Post != nil {
 		if postX, err = c.compileExpr(s.Post); err != nil {
 			return nil, err
 		}
@@ -379,7 +356,13 @@ func (c *compiler) compileFor(s *ForStmt) (execFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(in *Interp, env *Env) error {
+	return func(in *Interp, env *Env) error {
+		if err := in.step(); err != nil {
+			return err
+		}
+		if fl != nil {
+			env = newFrame(env, fl)
+		}
 		if initFn != nil {
 			if err := initFn(in, env); err != nil {
 				return err
@@ -389,8 +372,8 @@ func (c *compiler) compileFor(s *ForStmt) (execFn, error) {
 			if err := in.step(); err != nil {
 				return err
 			}
-			if hasCond {
-				cond, err := condX.fn(in, env)
+			if condX != nil {
+				cond, err := condX(in, env)
 				if err != nil {
 					return err
 				}
@@ -404,27 +387,12 @@ func (c *compiler) compileFor(s *ForStmt) (execFn, error) {
 				}
 				return err
 			}
-			if hasPost {
-				if _, err := postX.fn(in, env); err != nil {
+			if postX != nil {
+				if _, err := postX(in, env); err != nil {
 					return err
 				}
 			}
 		}
-	}
-	layout := fl
-	return func(in *Interp, env *Env) error {
-		if err := in.step(); err != nil {
-			return err
-		}
-		fenv := env
-		if layout != nil {
-			fenv = newFrame(env, layout)
-		}
-		err := run(in, fenv)
-		if layout != nil && layout.poolable {
-			releaseFrame(fenv)
-		}
-		return err
 	}, nil
 }
 
@@ -435,16 +403,14 @@ func (c *compiler) compileSwitch(s *SwitchStmt) (execFn, error) {
 	}
 	// Case tests evaluate in the enclosing scope, before the case-body
 	// scope exists — compile them outside the pushed layout.
-	tests := make([]*cexpr, len(s.Cases))
+	tests := make([]evalFn, len(s.Cases)) // nil for default
 	for i, cs := range s.Cases {
 		if cs.Test == nil {
 			continue
 		}
-		x, err := c.compileExpr(cs.Test)
-		if err != nil {
+		if tests[i], err = c.compileExpr(cs.Test); err != nil {
 			return nil, err
 		}
-		tests[i] = &x
 	}
 	var all []Node
 	for _, cs := range s.Cases {
@@ -452,7 +418,7 @@ func (c *compiler) compileSwitch(s *SwitchStmt) (execFn, error) {
 	}
 	var fl *frameLayout
 	if decls := declNames(all); len(decls) > 0 {
-		fl = newLayout(decls, poolableScope(all))
+		fl = newLayout(decls)
 		c.push(fl)
 		defer c.pop()
 	}
@@ -464,12 +430,11 @@ func (c *compiler) compileSwitch(s *SwitchStmt) (execFn, error) {
 			return nil, err
 		}
 	}
-	layout := fl
 	return func(in *Interp, env *Env) error {
 		if err := in.step(); err != nil {
 			return err
 		}
-		tag, err := tagX.fn(in, env)
+		tag, err := tagX(in, env)
 		if err != nil {
 			return err
 		}
@@ -479,7 +444,7 @@ func (c *compiler) compileSwitch(s *SwitchStmt) (execFn, error) {
 				defaultIdx = i
 				continue
 			}
-			tv, err := tests[i].fn(in, env)
+			tv, err := tests[i](in, env)
 			if err != nil {
 				return err
 			}
@@ -494,26 +459,20 @@ func (c *compiler) compileSwitch(s *SwitchStmt) (execFn, error) {
 		if matched < 0 {
 			return nil
 		}
-		senv := env
-		if layout != nil {
-			senv = newFrame(env, layout)
+		if fl != nil {
+			env = newFrame(env, fl)
 		}
-		var rerr error
-	cases:
 		for i := matched; i < len(bodies); i++ { // fallthrough semantics
 			for _, fn := range bodies[i] {
-				if err := fn(in, senv); err != nil {
-					if _, brk := err.(breakSignal); !brk {
-						rerr = err
+				if err := fn(in, env); err != nil {
+					if _, brk := err.(breakSignal); brk {
+						return nil
 					}
-					break cases
+					return err
 				}
 			}
 		}
-		if layout != nil && layout.poolable {
-			releaseFrame(senv)
-		}
-		return rerr
+		return nil
 	}, nil
 }
 
@@ -529,7 +488,7 @@ func (c *compiler) compileTry(s *TryStmt) (execFn, error) {
 			// The catch variable lives in its own one-slot scope wrapping
 			// the catch block; the block's declarations bind in the
 			// block's frame inside it.
-			catchFl = newLayout([]string{s.CatchVar}, poolableScope(s.Catch.Body))
+			catchFl = newLayout([]string{s.CatchVar})
 			c.push(catchFl)
 		}
 		catchFn, err = c.compileBlock(s.Catch)
@@ -547,16 +506,11 @@ func (c *compiler) compileTry(s *TryStmt) (execFn, error) {
 		}
 	}
 	runCatch := func(in *Interp, env *Env, caught Value) error {
-		cenv := env
 		if catchFl != nil {
-			cenv = newFrame(env, catchFl)
-			cenv.slots[0] = caught
+			env = newFrame(env, catchFl)
+			env.slots[0] = caught
 		}
-		err := catchFn(in, cenv)
-		if catchFl != nil && catchFl.poolable {
-			releaseFrame(cenv)
-		}
-		return err
+		return catchFn(in, env)
 	}
 	return func(in *Interp, env *Env) error {
 		if err := in.step(); err != nil {

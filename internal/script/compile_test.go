@@ -30,10 +30,10 @@ func runObserved(t *testing.T, src string) []string {
 	return log
 }
 
-// equivalenceCorpus exercises the language surface: folding, scoping,
+// equivalenceCorpus exercises the language surface: operators, scoping,
 // functions, loops, switch, exceptions, members and builtins.
 var equivalenceCorpus = []string{
-	// Basics, folding fodder, string ops.
+	// Basics: operators on literals, string ops.
 	`probe(1 + 2 * 3, "a" + "b", 10 % 3, 2 < 1, "x" < "y", 7 & 3, 7 | 8, 5 ^ 1);`,
 	`probe(!0, -(-3), +"42", ~5, typeof {}, typeof missingVar);`,
 	`probe(1 && 2, 0 || "fb", null ?? "d", 0 ?? "kept", true ? "y" : "n");`,

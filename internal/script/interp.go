@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 )
 
 // Env is a lexical scope. It has two storage modes:
@@ -38,49 +37,21 @@ type Env struct {
 const kindUnset Kind = 0xFF
 
 // frameLayout is the immutable compile-time shape of a frame-mode
-// scope: slot names, their indexes, and whether frames of this shape
-// may be recycled through the frame pool (no closure created anywhere
-// in the scope's body can capture them).
+// scope: slot names and their indexes.
 type frameLayout struct {
-	names    []string
-	slotOf   map[string]int
-	poolable bool
+	names  []string
+	slotOf map[string]int
 }
 
-// framePool recycles poolable activation frames (and their slot
-// slices) across compiled calls and block entries.
-var framePool = sync.Pool{New: func() any { return &Env{} }}
-
-// newFrame creates (or recycles) a frame-mode scope for a layout.
+// newFrame creates a frame-mode scope for a layout, every slot unset.
+// A frame is an ordinary allocation: closures may capture it, and the
+// collector reclaims it once nothing does.
 func newFrame(parent *Env, fl *frameLayout) *Env {
-	n := len(fl.names)
-	var e *Env
-	if fl.poolable {
-		e = framePool.Get().(*Env)
-	} else {
-		e = &Env{}
+	slots := make([]Value, len(fl.names))
+	for i := range slots {
+		slots[i].kind = kindUnset
 	}
-	e.parent, e.layout, e.vars = parent, fl, nil
-	if cap(e.slots) >= n {
-		e.slots = e.slots[:n]
-	} else {
-		e.slots = make([]Value, n)
-	}
-	for i := range e.slots {
-		e.slots[i] = Value{kind: kindUnset}
-	}
-	return e
-}
-
-// releaseFrame returns a poolable frame to the pool, dropping every
-// value reference it holds.
-func releaseFrame(e *Env) {
-	for i := range e.slots {
-		e.slots[i] = Value{}
-	}
-	e.parent, e.layout = nil, nil
-	e.slots = e.slots[:0]
-	framePool.Put(e)
+	return &Env{parent: parent, layout: fl, slots: slots}
 }
 
 // NewEnv creates a map-mode scope nested in parent (nil for the global
@@ -286,9 +257,8 @@ func (in *Interp) rterr(line int, format string, args ...any) error {
 	return &RuntimeError{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
-// applyUnary applies a unary operator to an evaluated operand. Pure,
-// shared by compiled code and compile-time folding. delete is
-// evaluate-and-ignore: the interpreter has no property deletion.
+// applyUnary applies a unary operator to an evaluated operand. delete
+// is evaluate-and-ignore: the interpreter has no property deletion.
 func applyUnary(op string, x Value) (Value, error) {
 	switch op {
 	case "!":
@@ -308,9 +278,7 @@ func applyUnary(op string, x Value) (Value, error) {
 }
 
 // applyBinary applies a (non-short-circuit) binary operator to two
-// already-evaluated values. It is pure, so the compiler folds constant
-// operands through it at compile time with the semantics compiled code
-// applies at run time.
+// already-evaluated values; compound assignments share it.
 func applyBinary(op string, x, y Value, line int) (Value, error) {
 	switch op {
 	case ",":

@@ -506,3 +506,34 @@ func BenchmarkInterpQueryLoop(b *testing.B) {
 		}
 	}
 }
+
+// TestTypeofReferenceError: typeof turns a ReferenceError into
+// "undefined" only when its operand is a bare undeclared name. An
+// operand that reads such a name anywhere else throws, as in a browser,
+// and try/catch catches the error.
+func TestTypeofReferenceError(t *testing.T) {
+	tests := []struct{ src, want string }{
+		{`var r = typeof nope;`, "undefined"},
+		{`var r = typeof (function () { return nope; })();`, "ERR nope is not defined"},
+		{`var r = typeof (nope + 1);`, "ERR nope is not defined"},
+		{`var r = typeof [nope];`, "ERR nope is not defined"},
+		{`var r; try { r = typeof (nope + 1); } catch (e) { r = "caught " + e.message; }`, "caught nope is not defined"},
+	}
+	for _, tt := range tests {
+		in := NewInterp()
+		got := ""
+		if err := in.Run(tt.src, "test://typeof"); err != nil {
+			var rt *RuntimeError
+			if !errors.As(err, &rt) {
+				t.Fatalf("%s: %v", tt.src, err)
+			}
+			got = "ERR " + rt.Msg
+		} else {
+			v, _ := in.Global.Get("r")
+			got = v.ToString()
+		}
+		if got != tt.want {
+			t.Errorf("%s: got %q, want %q", tt.src, got, tt.want)
+		}
+	}
+}

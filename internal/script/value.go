@@ -85,8 +85,8 @@ type Closure struct {
 	// to determine the origin of a call").
 	ScriptURL string
 	Line      int
-	// compiled is the lowered body: calls run it through pooled frames
-	// and slot-resolved variables.
+	// compiled is the lowered body: each call runs it in a fresh slot
+	// frame with slot-resolved variables.
 	compiled *compiledFunc
 }
 

@@ -37,8 +37,8 @@ crawlbench-smoke:
 bench:
 	./scripts/bench.sh
 
-# Scheduler benchmark: retry-heavy chaos crawl through the host-aware
-# scheduler, written as a BENCH_SCHED_*.json artifact for benchcmp.
+# Scheduler benchmark: retry-heavy chaos crawl through the crawl queue,
+# written as a BENCH_SCHED_*.json artifact for benchcmp.
 bench-sched:
 	./scripts/bench_sched.sh
 

@@ -753,15 +753,15 @@ func BenchmarkExtractSingleWalk(b *testing.B) {
 	}
 }
 
-// ---- Crawl-at-scale: host-aware scheduler under chaos ----
+// ---- Crawl-at-scale: the crawl queue under chaos ----
 
 // BenchmarkCrawlChaosScheduler crawls a fault-heavy population with
 // retries on, once per iteration against a fresh server (flap counters
-// restart), through the scheduler's non-blocking deferral heap. The
-// fault mix is fail-fast and deterministic — resets and flapping hosts,
-// the kinds that trigger retries — so the time measured is scheduling,
-// not fault timing: backoffs wait on the deferral heap while the
-// workers keep crawling.
+// restart), through the crawl queue's non-blocking retries. The fault
+// mix is fail-fast and deterministic — resets and flapping hosts, the
+// kinds that trigger retries — so the time measured is scheduling, not
+// fault timing: backoffs wait on timers while the workers keep
+// crawling.
 func BenchmarkCrawlChaosScheduler(b *testing.B) {
 	cfg := synthweb.DefaultConfig()
 	cfg.NumSites = envSites("PERMODYSSEY_BENCH_CHAOS_SITES", 300)

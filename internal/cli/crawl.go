@@ -36,7 +36,6 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	follow := fs.Int("follow-links", 0, "visit up to N same-site internal pages per site (lifts the §6.1 landing-page limitation)")
 	retries := fs.Int("retries", 1, "retry transient failures (timeout, ephemeral) up to N extra attempts with exponential backoff")
 	backoff := fs.Duration("retry-backoff", crawler.DefaultRetryBackoff, "base delay before the first retry (doubles per attempt)")
-	hostConc := fs.Int("host-concurrency", crawler.DefaultHostConcurrency, "cap concurrently in-flight visits per host (negative = unlimited)")
 	deferBreaker := fs.Bool("defer-breaker-open", true, "defer visits to breaker-open hosts until the half-open probe time instead of recording breaker-open failures")
 	noCache := fs.Bool("no-cache", false, "disable the three shared caches: fetch responses, parsed documents (DOM) and script artifacts (compiled program plus static findings)")
 	cacheEntries := fs.Int("cache-entries", 0, "cap each of the fetch, DOM and script caches at N entries, evicted LRU (0 = unbounded)")
@@ -88,7 +87,6 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	opts.Crawl.FollowInternalLinks = *follow
 	opts.Crawl.MaxRetries = *retries
 	opts.Crawl.RetryBackoff = *backoff
-	opts.Crawl.HostConcurrency = *hostConc
 	opts.Crawl.DeferBreakerOpen = *deferBreaker
 	opts.DisableCache = *noCache
 	opts.CacheEntries = *cacheEntries

@@ -33,7 +33,6 @@ func chaosSoakOptions(sites int) MeasurementOptions {
 	opts.Crawl.PerSiteTimeout = 300 * time.Millisecond
 	opts.Crawl.MaxRetries = 3
 	opts.Crawl.RetryBackoff = 30 * time.Millisecond
-	opts.Crawl.HostConcurrency = 4
 	opts.Crawl.DeferBreakerOpen = true
 	opts.StallTime = 600 * time.Millisecond
 	// Threshold low enough that a flapping host's own failures trip its
@@ -181,11 +180,11 @@ func TestChaosSoak(t *testing.T) {
 	}
 	t.Logf("breaker: %+v", stats.Breaker)
 
-	// Scheduler accounting: every retry is a non-blocking requeue, the
-	// deferral heap saw every requeue plus every breaker deferral, and —
-	// with the cooldown exceeding the early backoffs — retries against
-	// tripped circuits were deferred to the probe time instead of burned
-	// as breaker-open dispatches.
+	// Crawl-queue accounting: every retry is a non-blocking requeue,
+	// every requeue and every breaker deferral was parked on a timer,
+	// and — with the cooldown exceeding the early backoffs — retries
+	// against tripped circuits were deferred to the probe time instead
+	// of burned as breaker-open dispatches.
 	if stats.Crawl.Requeued != stats.Crawl.Retries {
 		t.Errorf("requeued %d != retries %d: a retry blocked a worker", stats.Crawl.Requeued, stats.Crawl.Retries)
 	}
@@ -196,12 +195,8 @@ func TestChaosSoak(t *testing.T) {
 	if stats.Crawl.BreakerDeferred == 0 {
 		t.Errorf("no breaker deferrals despite cooldown > backoff: %+v", stats.Crawl)
 	}
-	if cap := opts.Crawl.HostConcurrency; stats.Crawl.MaxHostInFlight > cap {
-		t.Errorf("max host in-flight %d exceeds cap %d", stats.Crawl.MaxHostInFlight, cap)
-	}
-	t.Logf("sched: %d requeued, %d deferred (%d breaker), max ready %d, max host in-flight %d",
-		stats.Crawl.Requeued, stats.Crawl.Deferred, stats.Crawl.BreakerDeferred,
-		stats.Crawl.MaxReadyDepth, stats.Crawl.MaxHostInFlight)
+	t.Logf("sched: %d requeued, %d deferred (%d breaker)",
+		stats.Crawl.Requeued, stats.Crawl.Deferred, stats.Crawl.BreakerDeferred)
 
 	// Partial records carry their reasons; clean ones carry none.
 	for _, r := range ds.Records {

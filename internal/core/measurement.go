@@ -208,7 +208,7 @@ func newCrawlStack(srv *synthweb.Server, opts MeasurementOptions) (*crawlStack, 
 		// attempt does.
 		st.breaker = crawler.NewBreakerFetcher(fetcher, opts.Breaker)
 		fetcher = st.breaker
-		// Hand the breaker to the crawl scheduler so visits to open
+		// Hand the breaker to the crawl queue so visits to open
 		// circuits are deferred to the probe time, not short-circuited.
 		opts.Crawl.Breaker = st.breaker.Breaker
 	}
@@ -282,10 +282,9 @@ func (st *crawlStack) stats() CrawlStats {
 func (s CrawlStats) Summary() string {
 	f := s.Fetch
 	line := fmt.Sprintf(
-		"visited %d (resumed %d, retries %d, partial %d, panics %d); sched: %d requeued, %d deferred (%d breaker), max ready %d, max host in-flight %d",
+		"visited %d (resumed %d, retries %d, partial %d, panics %d); sched: %d requeued, %d deferred (%d breaker)",
 		s.Crawl.Visited, s.Crawl.Resumed, s.Crawl.Retries, s.Crawl.Partial, s.Crawl.Panics,
-		s.Crawl.Requeued, s.Crawl.Deferred, s.Crawl.BreakerDeferred,
-		s.Crawl.MaxReadyDepth, s.Crawl.MaxHostInFlight)
+		s.Crawl.Requeued, s.Crawl.Deferred, s.Crawl.BreakerDeferred)
 	line += memoSummary("fetch", memo.Stats{Hits: f.Hits, Misses: f.Misses, Coalesced: f.Coalesced,
 		Evictions: f.Evictions, BytesEvicted: f.BytesEvicted, Entries: f.Entries, CachedBytes: f.CachedBytes})
 	line += fmt.Sprintf(", %d bypassed, %d errors", f.Bypassed, f.Errors)

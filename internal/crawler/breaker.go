@@ -25,7 +25,7 @@ type BreakerConfig struct {
 	// 0 disables the breaker.
 	Threshold int
 	// Cooldown is how long an open circuit refuses requests before it
-	// half-opens and lets a single probe through. With the scheduler's
+	// half-opens and lets a single probe through. With the crawl queue's
 	// breaker deferral on (Config.DeferBreakerOpen) a retried visit is
 	// parked until the probe time whatever the backoff; without it, keep
 	// the cooldown at or below the crawler's retry backoff so a retried
@@ -96,40 +96,57 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	return &Breaker{cfg: cfg, hosts: map[string]*hostCircuit{}}
 }
 
-// Allow reports whether a request to host may proceed right now. A
-// false return is a short-circuit: the caller must not hit the host.
-func (b *Breaker) Allow(host string) bool {
+// Allow reports whether a request to host may proceed right now, and
+// whether it was admitted as the half-open probe. A false allowed is a
+// short-circuit: the caller must not hit the host. The probe's caller
+// owes the circuit a verdict: Report, or Unprobe when the request ends
+// without one.
+func (b *Breaker) Allow(host string) (allowed, probe bool) {
 	if b.cfg.Threshold <= 0 {
-		return true
+		return true, false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c, ok := b.hosts[host]
 	if !ok {
-		return true
+		return true, false
 	}
 	switch c.state {
 	case circuitClosed:
-		return true
+		return true, false
 	case circuitHalfOpen:
 		// A probe is already in flight; everyone else waits.
 		b.shortCircuits.Add(1)
-		return false
+		return false, false
 	default: // open
 		if time.Since(c.openedAt) >= b.cfg.Cooldown {
 			c.state = circuitHalfOpen
 			b.halfOpens.Add(1)
-			return true
+			return true, true
 		}
 		b.shortCircuits.Add(1)
-		return false
+		return false, false
+	}
+}
+
+// Unprobe returns a half-open circuit whose probe ended without a
+// verdict (its caller gave up) to open with the cooldown already spent,
+// so the next request probes. Only the request Allow admitted as the
+// probe may call it; otherwise the circuit would stay half-open, and
+// short-circuit every request, for good.
+func (b *Breaker) Unprobe(host string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if c := b.hosts[host]; c != nil && c.state == circuitHalfOpen {
+		c.state = circuitOpen
+		c.openedAt = time.Now().Add(-b.cfg.Cooldown)
 	}
 }
 
 // NextProbe reports whether a request to host could be admitted right
 // now without mutating any circuit state, and — when it could not —
 // the earliest instant the circuit will next admit a probe. The crawl
-// scheduler consults it before dispatching a visit so that sites on an
+// queue consults it before dispatching a visit so that sites on an
 // open circuit are deferred to the half-open time instead of burning a
 // dispatch on a short-circuit. Unlike Allow it never transitions the
 // circuit to half-open and never counts a short-circuit; the fetch
@@ -235,13 +252,17 @@ func (f *BreakerFetcher) Fetch(ctx context.Context, rawURL string) (*browser.Res
 		return nil, err
 	}
 	host := u.Hostname()
-	if !f.Breaker.Allow(host) {
+	allowed, probe := f.Breaker.Allow(host)
+	if !allowed {
 		return nil, fmt.Errorf("%w for host %s", ErrCircuitOpen, host)
 	}
 	resp, err := f.Inner.Fetch(ctx, rawURL)
 	// A cancelled parent context says nothing about the host's health;
 	// don't let one slow site open circuits for everyone else.
 	if err != nil && (errors.Is(err, context.Canceled) || ctx.Err() != nil) {
+		if probe {
+			f.Breaker.Unprobe(host)
+		}
 		return resp, err
 	}
 	f.Breaker.Report(host, err == nil)

@@ -15,7 +15,7 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// Below threshold: stays closed.
 	for i := 0; i < 2; i++ {
-		if !b.Allow("h.test") {
+		if ok, _ := b.Allow("h.test"); !ok {
 			t.Fatalf("closed circuit refused request %d", i)
 		}
 		b.Report("h.test", false)
@@ -30,7 +30,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if s := b.Stats(); s.Trips != 1 || s.OpenHosts != 1 {
 		t.Fatalf("want 1 trip and 1 open host, got %+v", s)
 	}
-	if b.Allow("h.test") {
+	if ok, _ := b.Allow("h.test"); ok {
 		t.Fatal("open circuit allowed a request inside its cooldown")
 	}
 	if s := b.Stats(); s.ShortCircuits == 0 {
@@ -38,16 +38,16 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// Other hosts are unaffected.
-	if !b.Allow("other.test") {
+	if ok, _ := b.Allow("other.test"); !ok {
 		t.Fatal("healthy host blocked by another host's open circuit")
 	}
 
 	// After the cooldown: exactly one half-open probe gets through.
 	time.Sleep(25 * time.Millisecond)
-	if !b.Allow("h.test") {
-		t.Fatal("cooled-down circuit refused its half-open probe")
+	if ok, probe := b.Allow("h.test"); !ok || !probe {
+		t.Fatalf("cooled-down circuit: allowed %v, probe %v; want its half-open probe", ok, probe)
 	}
-	if b.Allow("h.test") {
+	if ok, _ := b.Allow("h.test"); ok {
 		t.Fatal("second request allowed while a probe was in flight")
 	}
 
@@ -56,28 +56,66 @@ func TestBreakerStateMachine(t *testing.T) {
 	if s := b.Stats(); s.Reopens != 1 || s.HalfOpenProbes != 1 {
 		t.Fatalf("want 1 reopen after failed probe, got %+v", s)
 	}
-	if b.Allow("h.test") {
+	if ok, _ := b.Allow("h.test"); ok {
 		t.Fatal("re-opened circuit allowed a request")
 	}
 
 	// Successful probe: closes and forgets the host.
 	time.Sleep(25 * time.Millisecond)
-	if !b.Allow("h.test") {
-		t.Fatal("re-cooled circuit refused its probe")
+	if ok, probe := b.Allow("h.test"); !ok || !probe {
+		t.Fatalf("re-cooled circuit: allowed %v, probe %v; want its probe", ok, probe)
 	}
 	b.Report("h.test", true)
 	if s := b.Stats(); s.Closes != 1 || s.OpenHosts != 0 {
 		t.Fatalf("want closed circuit after successful probe, got %+v", s)
 	}
-	if !b.Allow("h.test") {
+	if ok, _ := b.Allow("h.test"); !ok {
 		t.Fatal("closed circuit refused a request")
+	}
+}
+
+// TestBreakerProbeWithoutVerdict: a half-open probe cut off by its
+// caller's context says nothing about the host, so the circuit must let
+// the next request probe instead of short-circuiting for good.
+func TestBreakerProbeWithoutVerdict(t *testing.T) {
+	down := true
+	f := fetcherFunc(func(ctx context.Context, rawURL string) (*browser.Response, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if down {
+			return nil, errReset{}
+		}
+		return &browser.Response{Status: 200, FinalURL: rawURL, Body: "<html></html>"}, nil
+	})
+	bf := NewBreakerFetcher(f, BreakerConfig{Threshold: 1, Cooldown: 10 * time.Millisecond})
+	if _, err := bf.Fetch(context.Background(), "https://h.test/"); err == nil {
+		t.Fatal("want the reset that trips the circuit")
+	}
+	time.Sleep(12 * time.Millisecond)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := bf.Fetch(cancelled, "https://h.test/"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("probe under a cancelled context: %v, want context.Canceled", err)
+	}
+
+	down = false
+	for i := 0; i < 3; i++ {
+		if _, err := bf.Fetch(context.Background(), "https://h.test/"); err != nil {
+			t.Errorf("fetch %d after the host recovered: %v", i, err)
+		}
+		time.Sleep(15 * time.Millisecond)
+	}
+	s := bf.Breaker.Stats()
+	if s.ShortCircuits != 0 || s.HalfOpenProbes != 2 || s.Closes != 1 || s.OpenHosts != 0 {
+		t.Errorf("want the verdictless probe to hand over to a second, closing one: %+v", s)
 	}
 }
 
 func TestBreakerDisabled(t *testing.T) {
 	b := NewBreaker(BreakerConfig{Threshold: 0})
 	for i := 0; i < 100; i++ {
-		if !b.Allow("h.test") {
+		if ok, _ := b.Allow("h.test"); !ok {
 			t.Fatal("disabled breaker refused a request")
 		}
 		b.Report("h.test", false)

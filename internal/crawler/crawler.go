@@ -59,17 +59,13 @@ type Config struct {
 	// store.FailureClass.Transient). 0 disables retries.
 	MaxRetries int
 	// RetryBackoff is the delay before the first retry, doubling per
-	// subsequent attempt (exponential backoff). The scheduler serves it
-	// by re-queueing the visit with a deadline — the worker moves on to
-	// other sites meanwhile.
+	// subsequent attempt (exponential backoff). The crawl queue serves
+	// it by parking the visit on a timer — the worker moves on to other
+	// sites meanwhile.
 	RetryBackoff time.Duration
-	// HostConcurrency caps concurrently in-flight visits per host so
-	// one slow host cannot monopolize the pool. 0 means
-	// DefaultHostConcurrency; negative disables the cap.
-	HostConcurrency int
 	// Breaker, when non-nil, is the per-host circuit breaker guarding
 	// the fetch path (core wires the BreakerFetcher's Breaker here). It
-	// lets the scheduler observe circuit state at dispatch time.
+	// lets the crawl queue observe circuit state at dispatch time.
 	Breaker *Breaker
 	// DeferBreakerOpen defers a visit whose host's circuit is open
 	// until the breaker's half-open probe time instead of dispatching
@@ -108,9 +104,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = DefaultRetryBackoff
 	}
-	if cfg.HostConcurrency == 0 {
-		cfg.HostConcurrency = DefaultHostConcurrency
-	}
 	return cfg
 }
 
@@ -134,22 +127,17 @@ type Stats struct {
 	// Partial is the number of records that succeeded in degraded form
 	// (a subresource frame, external script, or body tail was lost).
 	Partial int
-	// Requeued is the number of transient-failure retries the scheduler
-	// re-queued with a backoff deadline instead of sleeping inside a
-	// worker; it tracks Retries.
+	// Requeued is the number of transient-failure retries the crawl
+	// queue parked until their backoff deadline instead of sleeping
+	// inside a worker; it tracks Retries.
 	Requeued int
-	// Deferred is the total number of entries parked on the scheduler's
-	// time-deferral heap: backoff requeues plus breaker deferrals.
+	// Deferred is the total number of entries parked on a timer:
+	// Requeued plus BreakerDeferred.
 	Deferred int
 	// BreakerDeferred counts dispatches avoided because the target
 	// host's circuit was open: the visit was deferred to the half-open
 	// probe time instead of being burned as a breaker-open record.
 	BreakerDeferred int
-	// MaxReadyDepth is the high-water mark of the scheduler's ready
-	// queue; MaxHostInFlight the largest per-host visit concurrency
-	// observed (bounded by Config.HostConcurrency when the cap is on).
-	MaxReadyDepth   int
-	MaxHostInFlight int
 }
 
 // Crawler drives a Browser over a target list.
@@ -164,10 +152,7 @@ type Crawler struct {
 	partial atomic.Int64
 
 	requeued        atomic.Int64
-	deferred        atomic.Int64
 	breakerDeferred atomic.Int64
-	maxReady        atomic.Int64
-	maxHostInflight atomic.Int64
 }
 
 // New creates a Crawler, filling unset Config fields with the package
@@ -185,10 +170,8 @@ func (c *Crawler) Stats() Stats {
 		Panics:          int(c.panics.Load()),
 		Partial:         int(c.partial.Load()),
 		Requeued:        int(c.requeued.Load()),
-		Deferred:        int(c.deferred.Load()),
+		Deferred:        int(c.requeued.Load() + c.breakerDeferred.Load()),
 		BreakerDeferred: int(c.breakerDeferred.Load()),
-		MaxReadyDepth:   int(c.maxReady.Load()),
-		MaxHostInFlight: int(c.maxHostInflight.Load()),
 	}
 }
 
@@ -196,15 +179,11 @@ func (c *Crawler) Stats() Stats {
 // With Config.Resume set, targets whose rank already has a record are
 // skipped and the prior records are carried into the result.
 //
-// Dispatch runs through the host-aware scheduler: pending targets fill
-// a ready queue, workers pull from it, transiently-failed visits are
-// re-queued with their backoff deadline instead of blocking a worker,
-// visits to a host whose circuit is open are deferred to the half-open
-// probe time (Config.DeferBreakerOpen), and per-host in-flight caps
-// keep one slow host from monopolizing the pool. The final dataset is
-// identical to the old flat pool's — rank-sorted, resume-equivalent,
-// with the same retry budget per site — only the worker-seconds spent
-// waiting move off the workers.
+// Dispatch runs through the crawl queue: workers take pending targets
+// in order, a transiently-failed visit is parked on a timer until its
+// backoff deadline instead of blocking a worker and goes ahead of
+// fresh targets once due, and a visit to a host whose circuit is open
+// is deferred to the half-open probe time (Config.DeferBreakerOpen).
 func (c *Crawler) Crawl(ctx context.Context, targets []Target) *store.Dataset {
 	ds := &store.Dataset{Records: make([]store.SiteRecord, 0, len(targets))}
 	pending := targets
@@ -232,28 +211,18 @@ func (c *Crawler) Crawl(ctx context.Context, targets []Target) *store.Dataset {
 		c.resumed.Add(int64(done))
 	}
 
-	sched := newScheduler(c.Config.HostConcurrency, c.Config.Breaker, c.Config.DeferBreakerOpen)
-	for _, t := range pending {
-		sched.enqueue(t)
+	var breaker *Breaker
+	if c.Config.DeferBreakerOpen {
+		breaker = c.Config.Breaker
 	}
-	// The scheduler's cond cannot watch ctx directly; a watcher stops it
-	// on cancellation so blocked workers wake and exit.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			sched.stop()
-		case <-watchDone:
-		}
-	}()
-
+	q := newQueue(pending, breaker, &c.breakerDeferred)
 	results := make(chan store.SiteRecord, c.Config.Workers)
 	var wg sync.WaitGroup
 	for i := 0; i < c.Config.Workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.worker(ctx, sched, results)
+			c.worker(ctx, q, results)
 		}()
 	}
 	go func() {
@@ -272,59 +241,46 @@ func (c *Crawler) Crawl(ctx context.Context, targets []Target) *store.Dataset {
 			c.Config.Progress(done, len(targets))
 		}
 	}
-	close(watchDone)
-	sched.stop()
-	c.harvestSchedStats(sched)
 	sort.Slice(ds.Records, func(i, j int) bool { return ds.Records[i].Rank < ds.Records[j].Rank })
 	return ds
 }
 
-// worker pulls dispatchable entries from the scheduler until the crawl
-// drains. One pull is one visit attempt; a transient failure with
-// budget left re-queues the entry with its backoff deadline and the
-// worker immediately pulls other work — the backoff costs no
-// worker-seconds.
-func (c *Crawler) worker(ctx context.Context, sched *scheduler, results chan<- store.SiteRecord) {
+// worker takes entries from the crawl queue until the crawl drains.
+// One entry taken is one visit attempt; a transient failure with budget
+// left parks the entry until its backoff deadline and the worker
+// immediately takes other work — the backoff costs no worker-seconds.
+func (c *Crawler) worker(ctx context.Context, q *queue, results chan<- store.SiteRecord) {
 	cfg := c.Config
 	for {
-		e, ok := sched.next(ctx)
+		e, ok := q.next(ctx)
 		if !ok {
 			return
 		}
 		rec := c.attempt(ctx, e.t)
-		if rec.Failure.Transient() && e.retries < cfg.MaxRetries && ctx.Err() == nil {
-			if e.retries == 0 {
-				e.first = rec.Failure
+		if rec.Failure.Transient() && e.retries < cfg.MaxRetries {
+			if ctx.Err() == nil {
+				if e.retries == 0 {
+					e.first = rec.Failure
+				}
+				backoff := cfg.RetryBackoff << uint(e.retries)
+				e.retries++
+				c.retries.Add(1)
+				c.requeued.Add(1)
+				q.park(e, backoff)
+				continue
 			}
-			backoff := cfg.RetryBackoff << uint(e.retries)
-			e.retries++
-			c.retries.Add(1)
-			sched.requeue(e, time.Now().Add(backoff))
-			continue
+			// The crawl was cancelled before this site's retry: the
+			// attempt is not its verdict, so it is recorded as cancelled,
+			// like a visit cut mid-fetch, and resume re-crawls it.
+			rec.Failure = store.FailureCanceled
 		}
 		rec.Retries = e.retries
 		if e.retries > 0 {
 			rec.FirstAttemptFailure = e.first
 		}
 		rec.Elapsed = time.Since(e.start)
-		sched.finish(e)
+		q.finish()
 		results <- rec
-	}
-}
-
-// harvestSchedStats folds one crawl's scheduler counters into the
-// crawler's cumulative stats.
-func (c *Crawler) harvestSchedStats(s *scheduler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c.requeued.Add(s.requeued)
-	c.deferred.Add(s.deferredTotal)
-	c.breakerDeferred.Add(s.breakerDeferred)
-	if s.maxReady > c.maxReady.Load() {
-		c.maxReady.Store(s.maxReady)
-	}
-	if s.maxHostInflight > c.maxHostInflight.Load() {
-		c.maxHostInflight.Store(s.maxHostInflight)
 	}
 }
 

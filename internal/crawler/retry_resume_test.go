@@ -248,6 +248,33 @@ func TestCancelMidCrawlThenResume(t *testing.T) {
 	}
 }
 
+// TestCancelledRetryIsNotFinal: a visit that fails on its own just as
+// the crawl is cancelled, with retries left, is not the site's verdict.
+// It must be written as cancelled, so resume re-crawls it, not as the
+// attempt's transient class, which resume would keep.
+func TestCancelledRetryIsNotFinal(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := fetcherFunc(func(context.Context, string) (*browser.Response, error) {
+		cancel()
+		return nil, errReset{}
+	})
+	c := New(browser.New(f, browser.DefaultOptions()), Config{Workers: 1,
+		PerSiteTimeout: time.Second, MaxRetries: 2, RetryBackoff: time.Millisecond})
+	target := []Target{{Rank: 1, URL: "https://a.test/"}}
+	partial := c.Crawl(ctx, target)
+	if len(partial.Records) != 1 || partial.Records[0].Failure != store.FailureCanceled {
+		t.Fatalf("records %+v, want one cancelled record", partial.Records)
+	}
+
+	ok := &flakyFetcher{failures: map[string]int{}, fail: timeoutErr}
+	rc := New(browser.New(ok, browser.DefaultOptions()), Config{Workers: 1,
+		PerSiteTimeout: time.Second, Resume: partial})
+	if ds := rc.Crawl(context.Background(), target); len(ds.Records) != 1 || !ds.Records[0].OK() {
+		t.Fatalf("resume did not re-crawl the cancelled rank: %+v", ds.Records)
+	}
+}
+
 // hangingFetcher blocks until released or the context dies, signalling
 // once the first fetch has begun.
 type hangingFetcher struct {

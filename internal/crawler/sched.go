@@ -1,20 +1,13 @@
 package crawler
 
 import (
-	"container/heap"
 	"context"
 	"net/url"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"permodyssey/internal/store"
 )
-
-// DefaultHostConcurrency caps concurrently in-flight visits per host.
-// One slow-loris host with many queued sites must not monopolize the
-// worker pool; four in flight keeps a healthy host saturated while the
-// rest of the pool works elsewhere.
-const DefaultHostConcurrency = 4
 
 // maxBreakerDeferrals bounds how many times one entry can be re-parked
 // because its host's circuit was open. Past the bound the entry is
@@ -23,16 +16,11 @@ const DefaultHostConcurrency = 4
 // dead host from deferring its queue forever.
 const maxBreakerDeferrals = 8
 
-// schedEntry is one site's position in the scheduler: its target, how
-// many retry attempts it has spent, and — while parked on the deferral
-// heap — when it becomes dispatchable again.
+// schedEntry is one dispatched site: its target, how many retry
+// attempts it has spent, and how often an open circuit parked it.
 type schedEntry struct {
 	t    Target
 	host string
-	// readyAt is the earliest instant this entry may dispatch; zero
-	// means immediately. A backoff requeue sets it to the retry
-	// deadline, a breaker deferral to the circuit's half-open time.
-	readyAt time.Time
 	// retries is the number of extra attempts already spent; first is
 	// how the first attempt failed, for the recovered-vs-stuck table.
 	retries int
@@ -41,91 +29,56 @@ type schedEntry struct {
 	// attempt plus the time spent parked between them.
 	start time.Time
 	// breakerDeferrals counts circuit-open re-parks (see
-	// maxBreakerDeferrals); index is the heap position.
+	// maxBreakerDeferrals).
 	breakerDeferrals int
-	index            int
 }
 
-// deferHeap is a min-heap of parked entries ordered by readyAt.
-type deferHeap []*schedEntry
-
-func (h deferHeap) Len() int           { return len(h) }
-func (h deferHeap) Less(i, j int) bool { return h[i].readyAt.Before(h[j].readyAt) }
-func (h deferHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *deferHeap) Push(x any)        { e := x.(*schedEntry); e.index = len(*h); *h = append(*h, e) }
-func (h *deferHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// scheduler is the crawl's dispatch core: a FIFO ready queue, a
-// min-heap of time-deferred entries, and per-host in-flight accounting.
-// It replaces the flat jobs channel so that
+// queue is the crawl's dispatch core. Fresh targets wait in rank order
+// on one channel. An entry parked until a deadline — a retry backoff or
+// a breaker probe time — sits on its own timer, which moves it to the
+// due channel when the deadline passes. Workers take a due entry before
+// any fresh target, so a retry waits for its backoff, not behind every
+// site not yet attempted, and no worker ever sleeps out a backoff.
 //
-//   - a transiently-failed visit is re-queued with its backoff deadline
-//     instead of sleeping inside a worker (non-blocking retries),
-//   - a visit whose host's circuit is open is parked until the
-//     breaker's half-open probe time instead of burning a dispatch on a
-//     short-circuit, and
-//   - no host holds more than hostCap visits in flight, so a slow or
-//     flapping host cannot monopolize the pool.
-//
-// Entries flow ready → (dispatch | hostWait | deferred) → ready …
-// until finished. All state is guarded by mu; workers block in next on
-// cond, woken by releases, deferral deadlines (one shared timer armed
-// for the earliest deadline), completion, or cancellation.
-type scheduler struct {
-	hostCap      int // <= 0 = unlimited
-	breaker      *Breaker
-	deferBreaker bool
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	// ready is the FIFO dispatch queue; head is a cursor so popping is
-	// O(1) without reslicing churn.
-	ready []*schedEntry
-	head  int
-	// deferred holds time-parked entries; hostWait holds entries whose
-	// host is at its in-flight cap, resumed one per slot release.
-	deferred deferHeap
-	hostWait map[string][]*schedEntry
-	inflight map[string]int
-	// outstanding is every entry not yet finished; zero means the crawl
-	// is drained and workers may exit.
-	outstanding int
-	stopped     bool
-	timer       *time.Timer
-	timerAt     time.Time
-
-	// Counters surfaced through Crawler.Stats.
-	requeued        int64
-	deferredTotal   int64
-	breakerDeferred int64
-	maxReady        int64
-	maxHostInflight int64
+// An entry sits in exactly one place (fresh, a timer, due, or a
+// worker), so both channels hold every pending target and no send
+// blocks, not even a timer firing after a cancelled crawl returned.
+// The last finished entry closes drained; cancellation abandons parked
+// entries while in-flight visits drain.
+type queue struct {
+	fresh      chan Target
+	due        chan *schedEntry
+	unfinished atomic.Int64
+	drained    chan struct{}
+	// breaker, when non-nil, parks an entry whose host's circuit is
+	// open until its probe time, counting each park in breakerDeferred.
+	breaker         *Breaker
+	breakerDeferred *atomic.Int64
 }
 
-// newScheduler creates an empty scheduler; hostCap <= 0 disables the
-// per-host in-flight cap, breaker may be nil.
-func newScheduler(hostCap int, breaker *Breaker, deferBreaker bool) *scheduler {
-	s := &scheduler{
-		hostCap:  hostCap,
-		breaker:  breaker,
-		hostWait: map[string][]*schedEntry{},
-		inflight: map[string]int{},
+// newQueue queues pending in order; a nil breaker turns breaker
+// deferral off.
+func newQueue(pending []Target, breaker *Breaker, breakerDeferred *atomic.Int64) *queue {
+	q := &queue{
+		fresh:           make(chan Target, len(pending)),
+		due:             make(chan *schedEntry, len(pending)),
+		drained:         make(chan struct{}),
+		breaker:         breaker,
+		breakerDeferred: breakerDeferred,
 	}
-	s.deferBreaker = deferBreaker && breaker != nil
-	s.cond = sync.NewCond(&s.mu)
-	return s
+	for _, t := range pending {
+		q.fresh <- t
+	}
+	q.unfinished.Store(int64(len(pending)))
+	if len(pending) == 0 {
+		close(q.drained)
+	}
+	return q
 }
 
 // targetHost extracts the host a target's visit will hit, the key for
-// in-flight caps and breaker deferral. Unparseable URLs share the ""
-// bucket; they fail fast at visit time anyway.
+// breaker deferral. Unparseable URLs share the "" bucket; they fail
+// fast at visit time anyway.
 func targetHost(rawURL string) string {
 	u, err := url.Parse(rawURL)
 	if err != nil {
@@ -134,176 +87,52 @@ func targetHost(rawURL string) string {
 	return u.Hostname()
 }
 
-// enqueue adds a fresh target to the tail of the ready queue.
-func (s *scheduler) enqueue(t Target) {
-	s.mu.Lock()
-	s.readyPushLocked(&schedEntry{t: t, host: targetHost(t.URL)})
-	s.outstanding++
-	s.mu.Unlock()
-}
-
-// readyPushLocked appends to the ready queue and tracks its high-water
-// depth.
-func (s *scheduler) readyPushLocked(e *schedEntry) {
-	s.ready = append(s.ready, e)
-	if depth := int64(len(s.ready) - s.head); depth > s.maxReady {
-		s.maxReady = depth
-	}
-}
-
-// readyPopLocked pops the head of the ready queue, compacting the
-// backing slice once the cursor has consumed half of it.
-func (s *scheduler) readyPopLocked() *schedEntry {
-	e := s.ready[s.head]
-	s.ready[s.head] = nil
-	s.head++
-	if s.head > len(s.ready)/2 && s.head > 32 {
-		s.ready = append(s.ready[:0], s.ready[s.head:]...)
-		s.head = 0
-	}
-	return e
-}
-
-// next blocks until an entry is dispatchable and claims a host slot for
-// it, or returns false when the crawl is drained or cancelled.
-func (s *scheduler) next(ctx context.Context) (*schedEntry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// next returns the entry to visit next, a due one before any fresh
+// target, or false once the crawl has drained or ctx is cancelled.
+func (q *queue) next(ctx context.Context) (*schedEntry, bool) {
 	for {
-		if s.stopped || ctx.Err() != nil || s.outstanding == 0 {
+		var e *schedEntry
+		select {
+		case e = <-q.due:
+		default:
+			select {
+			case e = <-q.due:
+			case t := <-q.fresh:
+				e = &schedEntry{t: t, host: targetHost(t.URL)}
+			case <-q.drained:
+				return nil, false
+			case <-ctx.Done():
+				return nil, false
+			}
+		}
+		if ctx.Err() != nil {
 			return nil, false
 		}
-		now := time.Now()
-		// Promote every deferred entry whose deadline has passed.
-		for len(s.deferred) > 0 && !now.Before(s.deferred[0].readyAt) {
-			s.readyPushLocked(heap.Pop(&s.deferred).(*schedEntry))
-		}
-		for s.head < len(s.ready) {
-			e := s.readyPopLocked()
-			if s.hostCap > 0 && s.inflight[e.host] >= s.hostCap {
-				// Host saturated: park until a slot frees (release moves
-				// exactly one waiter back per freed slot).
-				s.hostWait[e.host] = append(s.hostWait[e.host], e)
+		if q.breaker != nil && e.breakerDeferrals < maxBreakerDeferrals {
+			if at, allow := q.breaker.NextProbe(e.host); !allow {
+				// Circuit open: dispatching now would only burn the
+				// visit on a short-circuit. Park until the probe time.
+				e.breakerDeferrals++
+				q.breakerDeferred.Add(1)
+				q.park(e, time.Until(at))
 				continue
 			}
-			if s.deferBreaker && e.breakerDeferrals < maxBreakerDeferrals {
-				if at, allow := s.breaker.NextProbe(e.host); !allow {
-					// Circuit open: dispatching now would only burn the
-					// visit on a short-circuit. Park until the half-open
-					// probe time instead.
-					e.breakerDeferrals++
-					s.breakerDeferred++
-					s.deferLocked(e, at)
-					continue
-				}
-			}
-			s.inflight[e.host]++
-			if n := int64(s.inflight[e.host]); n > s.maxHostInflight {
-				s.maxHostInflight = n
-			}
-			if e.start.IsZero() {
-				e.start = now
-			}
-			return e, true
 		}
-		s.waitLocked()
-	}
-}
-
-// requeue releases the entry's host slot and parks it until readyAt —
-// the non-blocking retry: the worker that called this immediately asks
-// next for other work instead of sleeping out the backoff.
-func (s *scheduler) requeue(e *schedEntry, readyAt time.Time) {
-	s.mu.Lock()
-	s.releaseLocked(e.host)
-	s.requeued++
-	s.deferLocked(e, readyAt)
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// finish releases the entry's host slot and retires it; when the last
-// outstanding entry finishes, every blocked worker is released.
-func (s *scheduler) finish(e *schedEntry) {
-	s.mu.Lock()
-	s.releaseLocked(e.host)
-	s.outstanding--
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// releaseLocked frees one in-flight slot for host and resumes exactly
-// one host-capped waiter into the slot it freed.
-func (s *scheduler) releaseLocked(host string) {
-	if n := s.inflight[host]; n <= 1 {
-		delete(s.inflight, host)
-	} else {
-		s.inflight[host] = n - 1
-	}
-	if q := s.hostWait[host]; len(q) > 0 {
-		e := q[0]
-		if len(q) == 1 {
-			delete(s.hostWait, host)
-		} else {
-			s.hostWait[host] = q[1:]
+		if e.start.IsZero() {
+			e.start = time.Now()
 		}
-		s.readyPushLocked(e)
+		return e, true
 	}
 }
 
-// deferLocked parks e on the deferral heap until readyAt and keeps the
-// shared timer armed for the earliest deadline.
-func (s *scheduler) deferLocked(e *schedEntry, readyAt time.Time) {
-	e.readyAt = readyAt
-	heap.Push(&s.deferred, e)
-	s.deferredTotal++
-	s.armTimerLocked(readyAt)
+// park hands e to the due channel once d has passed.
+func (q *queue) park(e *schedEntry, d time.Duration) {
+	time.AfterFunc(d, func() { q.due <- e })
 }
 
-// armTimerLocked (re)arms the wake-up timer if at is earlier than what
-// it is currently armed for.
-func (s *scheduler) armTimerLocked(at time.Time) {
-	if !s.timerAt.IsZero() && !at.Before(s.timerAt) {
-		return
+// finish retires a dispatched entry; the last one closes drained.
+func (q *queue) finish() {
+	if q.unfinished.Add(-1) == 0 {
+		close(q.drained)
 	}
-	d := time.Until(at)
-	if d < 0 {
-		d = 0
-	}
-	s.timerAt = at
-	if s.timer == nil {
-		s.timer = time.AfterFunc(d, s.timerFired)
-	} else {
-		s.timer.Reset(d)
-	}
-}
-
-// timerFired wakes every waiter so due deferrals promote.
-func (s *scheduler) timerFired() {
-	s.mu.Lock()
-	s.timerAt = time.Time{}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// waitLocked blocks until new work may be dispatchable: a release, a
-// promotion deadline, completion, or cancellation.
-func (s *scheduler) waitLocked() {
-	if len(s.deferred) > 0 {
-		s.armTimerLocked(s.deferred[0].readyAt)
-	}
-	s.cond.Wait()
-}
-
-// stop cancels the scheduler: every blocked or future next call returns
-// false. Parked entries are abandoned, matching the old pool's
-// behaviour of not visiting undelivered targets after cancellation.
-func (s *scheduler) stop() {
-	s.mu.Lock()
-	s.stopped = true
-	if s.timer != nil {
-		s.timer.Stop()
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
 }

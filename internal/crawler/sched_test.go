@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"context"
+	"fmt"
 	"regexp"
 	"sync"
 	"testing"
@@ -11,81 +12,6 @@ import (
 	"permodyssey/internal/store"
 	"permodyssey/internal/synthweb"
 )
-
-// hostCountingFetcher serves a canned page while tracking, per host, how
-// many fetches are in flight at once.
-type hostCountingFetcher struct {
-	mu      sync.Mutex
-	cur     map[string]int
-	maxSeen map[string]int
-}
-
-func (f *hostCountingFetcher) Fetch(_ context.Context, rawURL string) (*browser.Response, error) {
-	host := targetHost(rawURL)
-	f.mu.Lock()
-	f.cur[host]++
-	if f.cur[host] > f.maxSeen[host] {
-		f.maxSeen[host] = f.cur[host]
-	}
-	f.mu.Unlock()
-	// Long enough that uncapped dispatch would demonstrably overlap.
-	time.Sleep(5 * time.Millisecond)
-	f.mu.Lock()
-	f.cur[host]--
-	f.mu.Unlock()
-	return &browser.Response{
-		Status: 200, FinalURL: rawURL,
-		Body: "<html><body><p>ok</p></body></html>",
-	}, nil
-}
-
-// TestHostConcurrencyCap floods two hosts with many more workers than
-// the per-host cap allows and asserts no host ever exceeded it, while a
-// control run without the cap proves the workload would have.
-func TestHostConcurrencyCap(t *testing.T) {
-	targets := make([]Target, 0, 24)
-	for i := 0; i < 12; i++ {
-		targets = append(targets,
-			Target{Rank: 2*i + 1, URL: "https://a.test/" + string(rune('a'+i))},
-			Target{Rank: 2*i + 2, URL: "https://b.test/" + string(rune('a'+i))})
-	}
-	run := func(hostConc int) (*hostCountingFetcher, Stats) {
-		f := &hostCountingFetcher{cur: map[string]int{}, maxSeen: map[string]int{}}
-		b := browser.New(f, browser.DefaultOptions())
-		c := New(b, Config{Workers: 16, PerSiteTimeout: time.Second, HostConcurrency: hostConc})
-		ds := c.Crawl(context.Background(), targets)
-		if len(ds.Records) != len(targets) {
-			t.Fatalf("records: %d, want %d", len(ds.Records), len(targets))
-		}
-		return f, c.Stats()
-	}
-
-	f, stats := run(3)
-	for host, m := range f.maxSeen {
-		if m > 3 {
-			t.Errorf("host %s saw %d concurrent visits, cap 3", host, m)
-		}
-	}
-	if stats.MaxHostInFlight > 3 {
-		t.Errorf("MaxHostInFlight %d exceeds cap 3", stats.MaxHostInFlight)
-	}
-
-	// Control: unlimited dispatch of the same workload overlaps more,
-	// so the capped run above was a real constraint, not a slow fetcher.
-	f, stats = run(-1)
-	over := 0
-	for _, m := range f.maxSeen {
-		if m > 3 {
-			over++
-		}
-	}
-	if over == 0 {
-		t.Errorf("uncapped control never exceeded 3 concurrent visits per host: %v", f.maxSeen)
-	}
-	if stats.MaxHostInFlight <= 3 {
-		t.Errorf("uncapped MaxHostInFlight %d, want > 3", stats.MaxHostInFlight)
-	}
-}
 
 // stampingFetcher records when each fetch attempt arrives, failing the
 // first failures attempts with a timeout-class error.
@@ -109,10 +35,9 @@ func (f *stampingFetcher) Fetch(_ context.Context, rawURL string) (*browser.Resp
 	}, nil
 }
 
-// TestBackoffDeferralNeverEarly asserts the scheduler's deferral heap
-// honors retry deadlines: with idle workers standing by, a re-queued
-// visit still never re-attempts before its exponential backoff has
-// elapsed.
+// TestBackoffDeferralNeverEarly asserts the crawl queue honors retry
+// deadlines: with idle workers standing by, a re-queued visit still
+// never re-attempts before its exponential backoff has elapsed.
 func TestBackoffDeferralNeverEarly(t *testing.T) {
 	const backoff = 40 * time.Millisecond
 	f := &stampingFetcher{failures: 2}
@@ -193,9 +118,9 @@ func TestBreakerDeferral(t *testing.T) {
 var schedAddrPattern = regexp.MustCompile(`127\.0\.0\.1:\d+`)
 
 // TestSchedulerDeterminismChaos runs the same seeded chaotic population
-// twice through the scheduler — per-host caps on, retries on — and
-// asserts the two datasets are identical: deferral, requeueing, and
-// host caps reorder work in time but must not change any record.
+// twice through the crawl queue with retries on and asserts the two
+// datasets are identical: parking and requeueing reorder work in time
+// but must not change any record.
 func TestSchedulerDeterminismChaos(t *testing.T) {
 	cfg := synthweb.DefaultConfig()
 	cfg.NumSites = 60
@@ -224,7 +149,7 @@ func TestSchedulerDeterminismChaos(t *testing.T) {
 		}
 		b := browser.New(browser.NewHTTPFetcher(srv.Client(0)), browser.DefaultOptions())
 		c := New(b, Config{Workers: 12, PerSiteTimeout: 2 * time.Second,
-			MaxRetries: 3, RetryBackoff: 10 * time.Millisecond, HostConcurrency: 2})
+			MaxRetries: 3, RetryBackoff: 10 * time.Millisecond})
 		recs := normalizeRecords(t, c.Crawl(context.Background(), targets))
 		for i, r := range recs {
 			recs[i] = schedAddrPattern.ReplaceAllString(r, "127.0.0.1:0")
@@ -241,4 +166,89 @@ func TestSchedulerDeterminismChaos(t *testing.T) {
 			t.Errorf("record %d differs between runs:\n first:  %s\n second: %s", i, first[i], second[i])
 		}
 	}
+}
+
+// TestDueRetryGoesFirst: a retry whose backoff has passed is dispatched
+// ahead of the fresh targets still waiting, instead of behind all of
+// them. With one worker, rank 1's 10 ms backoff ends about five 2 ms
+// visits in.
+func TestDueRetryGoesFirst(t *testing.T) {
+	targets := make([]Target, 200)
+	for i := range targets {
+		targets[i] = Target{Rank: i + 1, URL: fmt.Sprintf("https://site%d.test/", i+1)}
+	}
+	var mu sync.Mutex
+	var fetched []string // in arrival order; the first is rank 1's
+	f := fetcherFunc(func(_ context.Context, rawURL string) (*browser.Response, error) {
+		mu.Lock()
+		fetched = append(fetched, rawURL)
+		n := len(fetched)
+		mu.Unlock()
+		if n == 1 {
+			return nil, errReset{}
+		}
+		time.Sleep(2 * time.Millisecond)
+		return &browser.Response{Status: 200, FinalURL: rawURL, Body: "<html><body><p>ok</p></body></html>"}, nil
+	})
+	c := New(browser.New(f, browser.DefaultOptions()), Config{Workers: 1,
+		PerSiteTimeout: time.Second, MaxRetries: 1, RetryBackoff: 10 * time.Millisecond})
+
+	ds := c.Crawl(context.Background(), targets)
+	if rec := ds.Records[0]; !rec.OK() || rec.Retries != 1 {
+		t.Fatalf("rank 1: failure=%q retries=%d, want ok with 1 retry", rec.Failure, rec.Retries)
+	}
+	for i, u := range fetched[1:] {
+		if u == targets[0].URL && i+2 >= 50 {
+			t.Errorf("rank 1's due retry was fetch %d of %d; it waited behind fresh targets (elapsed %v)",
+				i+2, len(fetched), ds.Records[0].Elapsed)
+		}
+	}
+}
+
+// TestCancelAbandonsParkedEntry: cancelling a crawl while an entry is
+// parked on a long backoff returns promptly and writes no record for
+// it; the parked visit is abandoned, not waited for.
+func TestCancelAbandonsParkedEntry(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := fetcherFunc(func(_ context.Context, rawURL string) (*browser.Response, error) {
+		if rawURL == "https://parked.test/" {
+			return nil, errReset{}
+		}
+		// The one worker reaches rank 2 only after parking rank 1.
+		cancel()
+		return nil, context.Canceled
+	})
+	b := browser.New(f, browser.DefaultOptions())
+	c := New(b, Config{Workers: 1, PerSiteTimeout: time.Second,
+		MaxRetries: 1, RetryBackoff: time.Hour})
+	var sunk []int
+	c.Config.Sink = func(r store.SiteRecord) { sunk = append(sunk, r.Rank) }
+
+	start := time.Now()
+	ds := c.Crawl(ctx, []Target{
+		{Rank: 1, URL: "https://parked.test/"},
+		{Rank: 2, URL: "https://cancels.test/"},
+	})
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Crawl returned %v after cancellation with an entry parked for an hour", d)
+	}
+	for _, r := range ds.Records {
+		if r.Rank == 1 {
+			t.Errorf("parked rank 1 got a record: failure=%q", r.Failure)
+		}
+	}
+	if len(sunk) != 1 || sunk[0] != 2 {
+		t.Errorf("sunk ranks %v, want [2]", sunk)
+	}
+	if st := c.Stats(); st.Requeued != 1 {
+		t.Errorf("requeued %d, want 1", st.Requeued)
+	}
+}
+
+// fetcherFunc adapts a function to browser.Fetcher.
+type fetcherFunc func(ctx context.Context, rawURL string) (*browser.Response, error)
+
+func (f fetcherFunc) Fetch(ctx context.Context, rawURL string) (*browser.Response, error) {
+	return f(ctx, rawURL)
 }

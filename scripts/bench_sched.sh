@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Scheduler throughput artifact: run the chaos crawl benchmark — a
-# retry-heavy fault mix through the host-aware scheduler — and archive
+# retry-heavy fault mix through the crawl queue — and archive
 # it as a BENCH_SCHED_*.json artifact. CI compares the artifact against
 # its cached baseline with scripts/benchcmp.sh.
 #

@@ -34,3 +34,5 @@ go test -race ./...
 # The memo is the one cache every crawl worker shares; repeat its tests
 # under the race detector so rare build/eviction interleavings show up.
 go test -race -count=10 ./internal/memo
+# The crawl queue is the other structure every worker shares.
+go test -race -count=5 ./internal/crawler

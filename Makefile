@@ -72,6 +72,6 @@ build:
 	go build ./...
 
 # Go line counts: non-test lines outside crawlbench/, test lines, and
-# non-test lines of internal/script and internal/html.
+# non-test lines of internal/script, internal/html and internal/analysis.
 loc:
 	./scripts/loc.sh

@@ -81,6 +81,24 @@ func benchDataset(b *testing.B) *analysis.Analysis {
 	return analysis.New(benchDS)
 }
 
+var (
+	benchReportOnce sync.Once
+	benchReport     analysis.ReportData
+)
+
+// benchTable renders the table `permreport -table key` prints for the
+// shared dataset, computing the report once per process.
+func benchTable(b *testing.B, key string) string {
+	b.Helper()
+	a := benchDataset(b)
+	benchReportOnce.Do(func() { benchReport = a.ReportData(10) })
+	t, ok := benchReport.Lookup(key)
+	if !ok {
+		b.Fatalf("no table %q", key)
+	}
+	return t.String()
+}
+
 // printOnce emits a table to stderr exactly once per benchmark name.
 var printed sync.Map
 
@@ -157,8 +175,7 @@ func BenchmarkTable2_Characteristics(b *testing.B) {
 
 func BenchmarkTable3_TopEmbeds(b *testing.B) {
 	a := benchDataset(b)
-	rows, total := a.Table3TopEmbeds(10)
-	printOnce(b.Name(), analysis.RenderTable3(rows, total).String())
+	printOnce(b.Name(), benchTable(b, "3"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Table3TopEmbeds(10)
@@ -167,8 +184,7 @@ func BenchmarkTable3_TopEmbeds(b *testing.B) {
 
 func BenchmarkTable4_Invocations(b *testing.B) {
 	a := benchDataset(b)
-	rows, totalRow, _ := a.Table4Invocations(10)
-	printOnce(b.Name(), analysis.RenderTable4(rows, totalRow).String())
+	printOnce(b.Name(), benchTable(b, "4"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Table4Invocations(10)
@@ -177,8 +193,7 @@ func BenchmarkTable4_Invocations(b *testing.B) {
 
 func BenchmarkTable5_StatusChecks(b *testing.B) {
 	a := benchDataset(b)
-	rows, totalRow, _ := a.Table5StatusChecks(10)
-	printOnce(b.Name(), analysis.RenderTable5(rows, totalRow).String())
+	printOnce(b.Name(), benchTable(b, "5"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Table5StatusChecks(10)
@@ -187,8 +202,7 @@ func BenchmarkTable5_StatusChecks(b *testing.B) {
 
 func BenchmarkTable6_Static(b *testing.B) {
 	a := benchDataset(b)
-	rows, totalRow, _ := a.Table6Static(10)
-	printOnce(b.Name(), analysis.RenderTable6(rows, totalRow).String())
+	printOnce(b.Name(), benchTable(b, "6"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Table6Static(10)
@@ -197,8 +211,7 @@ func BenchmarkTable6_Static(b *testing.B) {
 
 func BenchmarkTable7_DelegatedEmbeds(b *testing.B) {
 	a := benchDataset(b)
-	rows, total := a.Table7DelegatedEmbeds(10)
-	printOnce(b.Name(), analysis.RenderTable7(rows, total).String())
+	printOnce(b.Name(), benchTable(b, "7"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Table7DelegatedEmbeds(10)
@@ -207,8 +220,7 @@ func BenchmarkTable7_DelegatedEmbeds(b *testing.B) {
 
 func BenchmarkTable8_DelegatedPermissions(b *testing.B) {
 	a := benchDataset(b)
-	rows, totalRow := a.Table8DelegatedPermissions(10)
-	printOnce(b.Name(), analysis.RenderTable8(rows, totalRow).String())
+	printOnce(b.Name(), benchTable(b, "8"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Table8DelegatedPermissions(10)
@@ -217,8 +229,7 @@ func BenchmarkTable8_DelegatedPermissions(b *testing.B) {
 
 func BenchmarkTable9_HeaderDirectives(b *testing.B) {
 	a := benchDataset(b)
-	rows, totalRow, _ := a.Table9HeaderDirectives(10)
-	printOnce(b.Name(), analysis.RenderTable9(rows, totalRow).String())
+	printOnce(b.Name(), benchTable(b, "9"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Table9HeaderDirectives(10)
@@ -227,7 +238,7 @@ func BenchmarkTable9_HeaderDirectives(b *testing.B) {
 
 func BenchmarkFigure2_Adoption(b *testing.B) {
 	a := benchDataset(b)
-	printOnce(b.Name(), analysis.RenderFigure2(a.Figure2Adoption()).String())
+	printOnce(b.Name(), benchTable(b, "fig2"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Figure2Adoption()
@@ -237,8 +248,7 @@ func BenchmarkFigure2_Adoption(b *testing.B) {
 func BenchmarkTable10_Overpermissioned(b *testing.B) {
 	a := benchDataset(b)
 	cfg := analysis.DefaultOverPermissionConfig()
-	rows, total := a.OverPermissioned(cfg, 10)
-	printOnce(b.Name(), analysis.RenderTable10(rows, total).String())
+	printOnce(b.Name(), benchTable(b, "10"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.OverPermissioned(cfg, 10)
@@ -299,7 +309,7 @@ func BenchmarkMisconfigurations(b *testing.B) {
 
 func BenchmarkDelegationDirectives(b *testing.B) {
 	a := benchDataset(b)
-	printOnce(b.Name(), analysis.RenderDirectiveShares(a.DelegationDirectives()).String())
+	printOnce(b.Name(), benchTable(b, "directives"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.DelegationDirectives()
@@ -308,7 +318,7 @@ func BenchmarkDelegationDirectives(b *testing.B) {
 
 func BenchmarkFailureTaxonomy(b *testing.B) {
 	a := benchDataset(b)
-	printOnce(b.Name(), analysis.RenderFailures(a.FailureTaxonomy()).String())
+	printOnce(b.Name(), benchTable(b, "failures"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.FailureTaxonomy()

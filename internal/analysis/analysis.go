@@ -81,22 +81,30 @@ type SiteCount struct {
 	Count int
 }
 
-// topCounts turns a map into a sorted ranking, ties broken by name.
+// rank is the one order of every ranked list: by key's count, largest
+// first, then by key's name, keeping the first n rows (all when n <= 0).
+func rank[T any](rows []T, key func(T) (name string, count int), n int) []T {
+	sort.Slice(rows, func(i, j int) bool {
+		ni, ci := key(rows[i])
+		nj, cj := key(rows[j])
+		if ci != cj {
+			return ci > cj
+		}
+		return ni < nj
+	})
+	if n > 0 && len(rows) > n {
+		rows = rows[:n]
+	}
+	return rows
+}
+
+// topCounts turns a map into a ranking.
 func topCounts(m map[string]int, n int) []SiteCount {
 	out := make([]SiteCount, 0, len(m))
 	for k, v := range m {
 		out = append(out, SiteCount{Site: k, Count: v})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Site < out[j].Site
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
+	return rank(out, func(r SiteCount) (string, int) { return r.Site, r.Count }, n)
 }
 
 // FrameStats reports the frame census of §4: totals, top-level vs

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"sort"
 	"strings"
 
 	"permodyssey/internal/policy"
@@ -132,15 +131,7 @@ func (a *Analysis) Table8DelegatedPermissions(n int) ([]DelegatedPermissionRow, 
 			Name: name, Delegations: c.delegations, Websites: len(c.websites),
 		})
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Websites != rows[j].Websites {
-			return rows[i].Websites > rows[j].Websites
-		}
-		return rows[i].Name < rows[j].Name
-	})
-	if n > 0 && len(rows) > n {
-		rows = rows[:n]
-	}
+	rows = rank(rows, func(r DelegatedPermissionRow) (string, int) { return r.Name, r.Websites }, n)
 	return rows, DelegatedPermissionRow{
 		Name: "Total (any permission)", Delegations: total.delegations, Websites: len(total.websites),
 	}

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"permodyssey/internal/store"
@@ -131,14 +130,7 @@ func diffCounts(before, after map[string]int, prefix string) []DriftRow {
 		}
 		rows = append(rows, row)
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		di, dj := abs(rows[i].Delta), abs(rows[j].Delta)
-		if di != dj {
-			return di > dj
-		}
-		return rows[i].Name < rows[j].Name
-	})
-	return rows
+	return rank(rows, func(r DriftRow) (string, int) { return r.Name, abs(r.Delta) }, 0)
 }
 
 func abs(v int) int {

@@ -1,8 +1,11 @@
 package analysis
 
 import (
+	"html"
 	"strings"
 	"testing"
+
+	"permodyssey/internal/store"
 )
 
 func TestNestedDelegations(t *testing.T) {
@@ -65,7 +68,7 @@ func TestHTMLReport(t *testing.T) {
 	out := a.HTML(10)
 	for _, want := range []string{
 		"<!DOCTYPE html>", "Table 3", "Table 4", "Figure 2",
-		"Tables 10/13", "Delegation purposes", "livechatinc.com",
+		"Table 10/13", "Delegation purposes", "livechatinc.com",
 	} {
 		if !containsStr(out, want) {
 			t.Errorf("HTML report missing %q", want)
@@ -73,6 +76,50 @@ func TestHTMLReport(t *testing.T) {
 	}
 	if len(out) < 5000 {
 		t.Errorf("HTML report too short: %d bytes", len(out))
+	}
+}
+
+// TestHTMLCompleteness: the HTML page holds everything the text report
+// says. Every block's title, headers and cells, HTML-escaped, and every
+// non-blank prose line of FullReport must be on the page, over a dataset
+// with a canceled visit and a retried one.
+func TestHTMLCompleteness(t *testing.T) {
+	ds := handDataset()
+	ds.Add(store.SiteRecord{Rank: 4, URL: "https://four.example/", Failure: store.FailureCanceled})
+	ds.Add(store.SiteRecord{Rank: 5, URL: "https://five.example/", Failure: store.FailureEphemeral,
+		Retries: 2, FirstAttemptFailure: store.FailureTimeout})
+	a := New(ds)
+	page := a.HTML(10)
+	prose := a.FullReport()
+	want := []string{"<td>canceled</td>", "<h2>Retry outcomes by first-attempt failure class</h2>"}
+	for _, b := range a.ReportData(10).Blocks() {
+		if b.Table == nil {
+			continue
+		}
+		prose = strings.Replace(prose, b.Table.String(), "", 1)
+		want = append(want, "<h2>"+html.EscapeString(b.Table.Title)+"</h2>")
+		for _, h := range b.Table.Headers {
+			want = append(want, "<th>"+html.EscapeString(h)+"</th>")
+		}
+		for _, row := range b.Table.Rows {
+			for _, cell := range row {
+				want = append(want, ">"+html.EscapeString(cell)+"</td>")
+			}
+		}
+	}
+	lines := strings.Split(prose, "\n")
+	if !strings.HasPrefix(lines[0], "=== ") {
+		t.Fatalf("report does not open with its header line: %q", lines[0])
+	}
+	for _, line := range lines[1:] {
+		if strings.TrimSpace(line) != "" {
+			want = append(want, html.EscapeString(line))
+		}
+	}
+	for _, w := range want {
+		if !strings.Contains(page, w) {
+			t.Errorf("HTML report missing %q", w)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"permodyssey/internal/origin"
 	"permodyssey/internal/policy"
 )
@@ -150,15 +148,7 @@ func (a *Analysis) Table9HeaderDirectives(n int) ([]DirectiveBreadthRow, Directi
 	for _, row := range perName {
 		rows = append(rows, *row)
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Websites != rows[j].Websites {
-			return rows[i].Websites > rows[j].Websites
-		}
-		return rows[i].Name < rows[j].Name
-	})
-	if n > 0 && len(rows) > n {
-		rows = rows[:n]
-	}
+	rows = rank(rows, func(r DirectiveBreadthRow) (string, int) { return r.Name, r.Websites }, n)
 	return rows, *total, stats
 }
 

@@ -4,16 +4,14 @@ import (
 	"fmt"
 	"html"
 	"strings"
-
-	"permodyssey/internal/store"
 )
 
-func storeClass(s string) store.FailureClass { return store.FailureClass(s) }
-
 // HTML renders the full report as a self-contained HTML page — the
-// shareable artifact counterpart of the paper's results website.
+// shareable artifact counterpart of the paper's results website. It
+// renders the text report's blocks: each table as a heading and a
+// table, each prose block preformatted.
 func (a *Analysis) HTML(topN int) string {
-	d := a.ReportData(topN)
+	rd := a.ReportData(topN)
 	var b strings.Builder
 	b.WriteString(`<!DOCTYPE html>
 <html lang="en"><head><meta charset="utf-8">
@@ -30,143 +28,41 @@ p.meta { color: #4a5568; }
 `)
 	fmt.Fprintf(&b, "<h1>Permissions Odyssey — measurement report</h1>\n")
 	fmt.Fprintf(&b, "<p class=\"meta\">%d of %d sites measured successfully.</p>\n",
-		d.Websites, d.TotalRecords)
-
-	writeTable := func(title string, headers []string, rows [][]string) {
-		fmt.Fprintf(&b, "<h2>%s</h2>\n<table><tr>", html.EscapeString(title))
-		for _, h := range headers {
-			fmt.Fprintf(&b, "<th>%s</th>", html.EscapeString(h))
+		rd.Websites, rd.TotalRecords)
+	for _, blk := range rd.Blocks() {
+		if blk.Table != nil {
+			blk.Table.writeHTML(&b)
 		}
-		b.WriteString("</tr>\n")
-		for _, row := range rows {
-			b.WriteString("<tr>")
-			for i, cell := range row {
-				class := ""
-				if i > 0 && looksNumeric(cell) {
-					class = ` class="num"`
-				}
-				fmt.Fprintf(&b, "<td%s>%s</td>", class, html.EscapeString(cell))
-			}
-			b.WriteString("</tr>\n")
-		}
-		b.WriteString("</table>\n")
-	}
-
-	// Failures.
-	var failRows [][]string
-	for _, class := range []string{"ok", "partial", "unreachable", "timeout", "ephemeral", "minor", "excluded", "breaker-open"} {
-		if n, ok := d.Failures[storeClass(class)]; ok {
-			failRows = append(failRows, []string{class, d2(n)})
+		if prose := strings.Trim(blk.Prose, "\n"); prose != "" {
+			fmt.Fprintf(&b, "<pre>%s</pre>\n", html.EscapeString(prose))
 		}
 	}
-	writeTable("Crawl outcome taxonomy (§4)", []string{"Outcome", "Sites"}, failRows)
-
-	// Table 3.
-	var t3 [][]string
-	for _, r := range d.Table3 {
-		t3 = append(t3, []string{r.Site, d2(r.Count)})
-	}
-	t3 = append(t3, []string{"Total (any site)", d2(d.Table3Total)})
-	writeTable("Table 3 — Top external embedded document sites", []string{"Embedded site", "# Websites"}, t3)
-
-	// Table 4.
-	var t4 [][]string
-	for _, r := range append(d.Table4, d.Table4Total) {
-		t4 = append(t4, []string{
-			r.Name,
-			fmt.Sprintf("%d (%.1f%% / %.1f%%)", r.TopContexts, r.Top1PPct, r.Top3PPct),
-			fmt.Sprintf("%d (%.1f%% / %.1f%%)", r.EmbContexts, r.Emb1PPct, r.Emb3PPct),
-			d2(r.TotalContexts),
-		})
-	}
-	writeTable("Table 4 — Permissions used (dynamic)", []string{"Permission", "Top-level (1P/3P)", "Embedded (1P/3P)", "Contexts"}, t4)
-
-	// Table 5.
-	var t5 [][]string
-	for _, r := range append(d.Table5, d.Table5Total) {
-		t5 = append(t5, []string{r.Name, fmt.Sprintf("%.1f%%", r.EmbeddedPct), d2(r.Websites)})
-	}
-	writeTable("Table 5 — Permission status checks", []string{"Permission", "% from embedded", "# Websites"}, t5)
-
-	// Table 6.
-	var t6 [][]string
-	for _, r := range append(d.Table6, d.Table6Total) {
-		t6 = append(t6, []string{r.Name, fmt.Sprintf("%.1f%%", r.EmbeddedPct), d2(r.Websites)})
-	}
-	writeTable("Table 6 — Statically detected permissions", []string{"Permission", "% in embedded", "# Websites"}, t6)
-
-	// Tables 7/8.
-	var t7 [][]string
-	for _, r := range d.Table7 {
-		t7 = append(t7, []string{r.Site, d2(r.Count)})
-	}
-	t7 = append(t7, []string{"Total (any site)", d2(d.Table7Total)})
-	writeTable("Table 7 — Embeds with delegated permissions", []string{"Embedded site", "# Websites"}, t7)
-	var t8 [][]string
-	for _, r := range append(d.Table8, d.Table8Total) {
-		t8 = append(t8, []string{r.Name, d2(r.Delegations), d2(r.Websites)})
-	}
-	writeTable("Table 8 — Delegated permissions", []string{"Permission", "Delegations", "# Websites"}, t8)
-
-	// Figure 2.
-	writeTable("Figure 2 — Header adoption", []string{"Metric", "Value"}, [][]string{
-		{"Documents analyzed (non-local)", d2(d.Adoption.Documents)},
-		{"Permissions-Policy documents", fmt.Sprintf("%d (%.2f%%)", d.Adoption.PPDocuments, d.Adoption.PPDocumentsPct)},
-		{"Feature-Policy documents", fmt.Sprintf("%d (%.2f%%)", d.Adoption.FPDocuments, d.Adoption.FPDocumentsPct)},
-		{"Permissions-Policy top-level", fmt.Sprintf("%d (%.2f%%)", d.Adoption.PPTopLevel, d.Adoption.PPTopLevelPct)},
-		{"Permissions-Policy embedded", fmt.Sprintf("%d (%.2f%%)", d.Adoption.PPEmbedded, d.Adoption.PPEmbeddedPct)},
-	})
-
-	// Table 9.
-	var t9 [][]string
-	for _, r := range append(d.Table9, d.Table9Total) {
-		row := []string{r.Name}
-		for _, breadth := range breadthOrder {
-			row = append(row, d2(r.Counts[breadth]))
-		}
-		row = append(row, d2(r.Websites))
-		t9 = append(t9, row)
-	}
-	t9headers := []string{"Permission"}
-	for _, breadth := range breadthOrder {
-		t9headers = append(t9headers, breadth.String())
-	}
-	t9headers = append(t9headers, "# Websites")
-	writeTable("Table 9 — Header directive breadth (top-level)", t9headers, t9)
-
-	// Table 10.
-	var t10 [][]string
-	for _, r := range d.Table10 {
-		t10 = append(t10, []string{r.Site, strings.Join(r.UnusedPermissions, ", "), d2(r.AffectedWebsites)})
-	}
-	t10 = append(t10, []string{"Total (any iframe)", "", d2(d.Table10Total)})
-	writeTable("Tables 10/13 — Potentially unused delegations", []string{"Embedded iframe", "Unused permissions", "# Affected websites"}, t10)
-
-	// Purposes & extensions.
-	var pr [][]string
-	for _, r := range d.Purposes {
-		pr = append(pr, []string{string(r.Purpose), d2(r.Embeds), d2(r.Websites)})
-	}
-	writeTable("Delegation purposes (§4.2.1)", []string{"Purpose", "Embed sites", "# Websites"}, pr)
-
-	writeTable("Extensions", []string{"Metric", "Value"}, [][]string{
-		{"Deep (≥2) frames / delegated", fmt.Sprintf("%d / %d", d.Nested.DeepFrames, d.Nested.DeepDelegated)},
-		{"Websites with ≥2-hop delegation chains", d2(d.Nested.WebsitesWithChains)},
-		{"Report-only documents", d2(d.ReportOnlyH.WithReportOnly)},
-		{"Local-scheme bypass exposure (self-only powerful / exposed)",
-			fmt.Sprintf("%d / %d", d.Exposure.SelfOnlyPowerful, d.Exposure.Exposed)},
-	})
-
 	b.WriteString("</body></html>\n")
 	return b.String()
 }
 
-func d2(n int) string { return fmt.Sprintf("%d", n) }
+// writeHTML renders the table as an <h2> title and a <table>; cells
+// after the first that start with a digit are numeric.
+func (t Table) writeHTML(b *strings.Builder) {
+	fmt.Fprintf(b, "<h2>%s</h2>\n<table><tr>", html.EscapeString(t.Title))
+	for _, h := range t.Headers {
+		fmt.Fprintf(b, "<th>%s</th>", html.EscapeString(h))
+	}
+	b.WriteString("</tr>\n")
+	for _, row := range t.Rows {
+		b.WriteString("<tr>")
+		for i, cell := range row {
+			class := ""
+			if i > 0 && looksNumeric(cell) {
+				class = ` class="num"`
+			}
+			fmt.Fprintf(b, "<td%s>%s</td>", class, html.EscapeString(cell))
+		}
+		b.WriteString("</tr>\n")
+	}
+	b.WriteString("</table>\n")
+}
 
 func looksNumeric(s string) bool {
-	if s == "" {
-		return false
-	}
-	c := s[0]
-	return c >= '0' && c <= '9'
+	return s != "" && s[0] >= '0' && s[0] <= '9'
 }

@@ -140,15 +140,7 @@ func (a *Analysis) OverPermissioned(cfg OverPermissionConfig, n int) ([]OverPerm
 			AffectedWebsites:  len(affected),
 		})
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].AffectedWebsites != rows[j].AffectedWebsites {
-			return rows[i].AffectedWebsites > rows[j].AffectedWebsites
-		}
-		return rows[i].Site < rows[j].Site
-	})
-	if n > 0 && len(rows) > n {
-		rows = rows[:n]
-	}
+	rows = rank(rows, func(r OverPermissionRow) (string, int) { return r.Site, r.AffectedWebsites }, n)
 	return rows, len(affectedTotal)
 }
 
@@ -224,11 +216,5 @@ func (a *Analysis) WildcardRisks() []WildcardRisk {
 		sort.Strings(perms)
 		out = append(out, WildcardRisk{Site: site, Permissions: perms, Websites: len(c.websites)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Websites != out[j].Websites {
-			return out[i].Websites > out[j].Websites
-		}
-		return out[i].Site < out[j].Site
-	})
-	return out
+	return rank(out, func(r WildcardRisk) (string, int) { return r.Site, r.Websites }, 0)
 }

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"sort"
 	"strings"
 
 	"permodyssey/internal/browser"
@@ -131,13 +130,7 @@ func (a *Analysis) DelegationsByPurpose() []PurposeRow {
 	for p, c := range byPurpose {
 		out = append(out, PurposeRow{Purpose: p, Embeds: len(c.embeds), Websites: len(c.websites)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Websites != out[j].Websites {
-			return out[i].Websites > out[j].Websites
-		}
-		return out[i].Purpose < out[j].Purpose
-	})
-	return out
+	return rank(out, func(r PurposeRow) (string, int) { return string(r.Purpose), r.Websites }, 0)
 }
 
 // LocalSchemeExposure estimates how many measured websites satisfy the

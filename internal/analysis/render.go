@@ -55,16 +55,123 @@ func (t Table) String() string {
 	return b.String()
 }
 
-func f1(v float64) string { return fmt.Sprintf("%.1f%%", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f%%", v) }
 func d(v int) string      { return fmt.Sprintf("%d", v) }
 
-// RenderTable3 renders the top external embeds.
-func RenderTable3(rows []SiteCount, total int) Table {
-	t := Table{
-		Title:   "Table 3: Top External Embedded Documents Site",
-		Headers: []string{"Embedded Document Site", "# Websites including"},
+// Block is one section of the report: a table followed by its prose, or
+// prose alone. Key names the table for `permreport -table`; a block that
+// command does not select has none.
+type Block struct {
+	Key   string // "" for a block `permreport -table` does not select
+	Table *Table // nil for prose alone
+	Prose string // the lines after the table, each newline-terminated
+}
+
+// Blocks lays the report out once, in paper order. The text report, the
+// HTML page and `permreport -table` all render these blocks.
+func (rd ReportData) Blocks() []Block {
+	table := func(key string, t Table, prose string) Block { return Block{Key: key, Table: &t, Prose: prose} }
+	blocks := []Block{table("failures", failureTable(rd.Failures), "")}
+	if rd.Retries.RetriedSites > 0 {
+		blocks = append(blocks, table("", retryTable(rd.Retries), ""))
 	}
+
+	fs, usum, cstats, hstats, emb := rd.Frames, rd.Usage, rd.Checks, rd.HeaderStats, rd.EmbeddedHdr
+	var features, tiers, purposes strings.Builder
+	// The §4.3.2 line names five features, however many topN keeps.
+	for _, f := range emb.TopFeatures[:min(5, len(emb.TopFeatures))] {
+		fmt.Fprintf(&features, " %s(%d)", f.Site, f.Count)
+	}
+	for i, tier := range rd.Prevalence {
+		if i > 0 {
+			tiers.WriteString(", ")
+		}
+		fmt.Fprintf(&tiers, "%d sites in ≥%d websites", tier.Sites, tier.MinWebsites)
+	}
+	for _, row := range rd.Purposes {
+		fmt.Fprintf(&purposes, "  %-28s %3d embed sites on %4d websites\n", row.Purpose, row.Embeds, row.Websites)
+	}
+	return append(blocks,
+		Block{Prose: fmt.Sprintf("Frames: %d total (%d top-level, %d embedded: %.1f%% local / %.1f%% external)\nWebsites with iframes: %d (avg %.1f direct iframes)\n",
+			fs.TotalFrames, fs.TopLevelFrames, fs.EmbeddedFrames,
+			pct(fs.LocalEmbedded, fs.EmbeddedFrames), pct(fs.ExternalEmbedded, fs.EmbeddedFrames),
+			fs.WebsitesWithFrame, fs.AvgIframesPerSite)},
+		table("3", siteTable("Table 3: Top External Embedded Documents Site", "# Websites including", rd.Table3, rd.Table3Total), ""),
+		table("4", table4(rd.Table4, rd.Table4Total), fmt.Sprintf(
+			"Websites with any invocation: %d (%s); top-level %s; embedded %s; deprecated Feature-Policy API reliance: %d websites\n",
+			usum.WithAnyInvocation, f2(pct(usum.WithAnyInvocation, usum.Websites)),
+			f2(pct(usum.WithTopLevelActivity, usum.Websites)), f2(pct(usum.WithEmbeddedActivity, usum.Websites)),
+			usum.DeprecatedAPIWebsites)),
+		table("5", table5(rd.Table5, rd.Table5Total), fmt.Sprintf(
+			"Status-check websites: %d (top %d / embedded %d); mean %.2f specific permissions checked (max %d)\n",
+			cstats.Websites, cstats.AtTopLevel, cstats.InEmbedded, cstats.MeanPerTop, cstats.MaxPerTop)),
+		table("6", table6(rd.Table6, rd.Table6Total), fmt.Sprintf("Static functionality on %d websites (%s)\n",
+			rd.Static.Websites, f2(pct(rd.Static.Websites, rd.Websites)))),
+		Block{Prose: fmt.Sprintf("Hybrid headline (§4.1.4): %d/%d websites (%s) show any permission-related functionality\n",
+			rd.Hybrid.AnyActivity, rd.Hybrid.Websites, f2(pct(rd.Hybrid.AnyActivity, rd.Hybrid.Websites)))},
+		Block{Prose: fmt.Sprintf("Delegation (§4.2): any %s; external %s; third-party %d websites\n",
+			f2(pct(rd.Delegation.AnyDelegation, rd.Delegation.Websites)),
+			f2(pct(rd.Delegation.ExternalDelegation, rd.Delegation.Websites)), rd.Delegation.ThirdPartyDelegation)},
+		table("7", siteTable("Table 7: Top External Embedded Documents with Delegated Permissions", "# Top-Level Websites", rd.Table7, rd.Table7Total), ""),
+		table("8", table8(rd.Table8, rd.Table8Total), ""),
+		table("directives", directivesTable(rd.Directives), ""),
+		table("fig2", figure2(rd.Adoption), ""),
+		table("9", table9(rd.Table9, rd.Table9Total), fmt.Sprintf(
+			"Header content: %d websites declare it, %d parse; avg %.2f permissions (max %d); disable %s / self %s / * %s; powerful tight %s\n",
+			hstats.HeaderWebsites, hstats.ParsedWebsites, hstats.AvgPermissions, hstats.MaxPermissions,
+			f2(hstats.DisablePct), f2(hstats.SelfPct), f2(hstats.AllPct), f2(hstats.PowerfulDisableOrSelfPct))),
+		Block{Prose: fmt.Sprintf("Embedded-document headers (§4.3.2): %d docs; directives disable %s / self %s / * %s; powerful %s; top features:%s\n",
+			emb.Documents, f2(emb.DisablePct), f2(emb.SelfPct), f2(emb.AllPct), f2(emb.PowerfulDirectivePct), features.String())},
+		Block{Prose: fmt.Sprintf("Misconfigurations (§4.3.3): %d frames with header; %d syntax-invalid (top %d / embedded %d); semantic: %d websites top-level, %d embedded\n",
+			rd.Misconfig.FramesWithHeader, rd.Misconfig.SyntaxErrorFrames, rd.Misconfig.SyntaxErrorTopLevel,
+			rd.Misconfig.SyntaxErrorEmbedded, rd.Misconfig.SemanticMisconfigWebsites, rd.Misconfig.SemanticMisconfigEmbedded)},
+		// Table 10's notes sit one blank line below it.
+		table("10", table10(rd.Table10, rd.Table10Total), fmt.Sprintf(
+			"\nNested delegation (extension beyond §4.2's depth-1 scope): %d deep frames, %d delegated; %d websites carry ≥2-hop chains (%d hops of powerful permissions)\nDelegated-embed prevalence (§4.2): %s\nReport-only mode: %d documents serve Permissions-Policy-Report-Only (%d also enforce; %d distinct endpoints)\n",
+			rd.Nested.DeepFrames, rd.Nested.DeepDelegated, rd.Nested.WebsitesWithChains, rd.Nested.PowerfulChains,
+			tiers.String(), rd.ReportOnlyH.WithReportOnly, rd.ReportOnlyH.AlsoEnforcing, rd.ReportOnlyH.EndpointsSeen)),
+		Block{Prose: "Delegation purposes (§4.2.1 grouping)\n" + purposes.String()},
+		Block{Prose: fmt.Sprintf("Local-scheme bypass exposure (§6.2): %d websites restrict a powerful permission to self; %d of them would let an injected data: iframe load (no frame-governing CSP)\n",
+			rd.Exposure.SelfOnlyPowerful, rd.Exposure.Exposed)},
+	)
+}
+
+// Lookup returns the table `permreport -table key` prints: key 3 to 10,
+// 13 (Table 10's alias), fig2, failures or directives.
+func (rd ReportData) Lookup(key string) (Table, bool) {
+	if key == "13" {
+		key = "10"
+	}
+	for _, b := range rd.Blocks() {
+		if key != "" && b.Key == key {
+			return *b.Table, true
+		}
+	}
+	return Table{}, false
+}
+
+// FullReport renders every block of the evaluation in paper order.
+func (a *Analysis) FullReport() string {
+	rd := a.ReportData(10)
+	var b strings.Builder
+	fmt.Fprintf(&b, "=== Permissions Odyssey — measurement report over %d/%d sites ===\n", rd.Websites, rd.TotalRecords)
+	for _, blk := range rd.Blocks() {
+		b.WriteByte('\n')
+		if blk.Table != nil {
+			b.WriteString(blk.Table.String())
+		}
+		b.WriteString(blk.Prose)
+	}
+	return b.String()
+}
+
+// withTotal lists a ranking's rows, then its Total row, leaving the
+// ranking's backing array alone.
+func withTotal[T any](rows []T, total T) []T { return append(rows[:len(rows):len(rows)], total) }
+
+// siteTable renders a ranking of embedded document sites (Tables 3, 7).
+func siteTable(title, counted string, rows []SiteCount, total int) Table {
+	t := Table{Title: title, Headers: []string{"Embedded Document Site", counted}}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{r.Site, d(r.Count)})
 	}
@@ -72,76 +179,56 @@ func RenderTable3(rows []SiteCount, total int) Table {
 	return t
 }
 
-// RenderTable4 renders the dynamic invocation ranking.
-func RenderTable4(rows []UsageRow, total UsageRow) Table {
+// table4 renders the dynamic invocation ranking.
+func table4(rows []UsageRow, total UsageRow) Table {
 	t := Table{
 		Title:   "Table 4: Top Permissions Used Across Top-Level and Embedded Contexts",
 		Headers: []string{"Permission", "Top-Level (1P/3P)", "Embedded (1P/3P)", "Total Contexts"},
 	}
-	mk := func(r UsageRow) []string {
-		return []string{
+	for _, r := range withTotal(rows, total) {
+		t.Rows = append(t.Rows, []string{
 			r.Name,
 			fmt.Sprintf("%d (%s/%s)", r.TopContexts, f2(r.Top1PPct), f2(r.Top3PPct)),
 			fmt.Sprintf("%d (%s/%s)", r.EmbContexts, f2(r.Emb1PPct), f2(r.Emb3PPct)),
 			d(r.TotalContexts),
-		}
+		})
 	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, mk(r))
-	}
-	t.Rows = append(t.Rows, mk(total))
 	return t
 }
 
-// RenderTable5 renders the status-check ranking.
-func RenderTable5(rows []CheckRow, total CheckRow) Table {
+// table5 renders the status-check ranking.
+func table5(rows []CheckRow, total CheckRow) Table {
 	t := Table{
 		Title:   "Table 5: Top Permission's Status Checked",
 		Headers: []string{"Permission", "% Checked From Embedded", "# Top-Level Websites"},
 	}
-	for _, r := range rows {
+	for _, r := range withTotal(rows, total) {
 		t.Rows = append(t.Rows, []string{r.Name, f2(r.EmbeddedPct), d(r.Websites)})
 	}
-	t.Rows = append(t.Rows, []string{total.Name, f2(total.EmbeddedPct), d(total.Websites)})
 	return t
 }
 
-// RenderTable6 renders the static-detection ranking.
-func RenderTable6(rows []StaticRow, total StaticRow) Table {
+// table6 renders the static-detection ranking.
+func table6(rows []StaticRow, total StaticRow) Table {
 	t := Table{
 		Title:   "Table 6: Top Statically Detected Permissions",
 		Headers: []string{"Permission", "% Functionality in Embedded", "# Top-Level Websites"},
 	}
-	for _, r := range rows {
+	for _, r := range withTotal(rows, total) {
 		t.Rows = append(t.Rows, []string{r.Name, f2(r.EmbeddedPct), d(r.Websites)})
 	}
-	t.Rows = append(t.Rows, []string{total.Name, f2(total.EmbeddedPct), d(total.Websites)})
 	return t
 }
 
-// RenderTable7 renders the delegated-embed ranking.
-func RenderTable7(rows []SiteCount, total int) Table {
-	t := Table{
-		Title:   "Table 7: Top External Embedded Documents with Delegated Permissions",
-		Headers: []string{"Embedded Document Site", "# Top-Level Websites"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Site, d(r.Count)})
-	}
-	t.Rows = append(t.Rows, []string{"Total (any site)", d(total)})
-	return t
-}
-
-// RenderTable8 renders the delegated-permission ranking.
-func RenderTable8(rows []DelegatedPermissionRow, total DelegatedPermissionRow) Table {
+// table8 renders the delegated-permission ranking.
+func table8(rows []DelegatedPermissionRow, total DelegatedPermissionRow) Table {
 	t := Table{
 		Title:   "Table 8: Top Delegated Permissions to External Embedded Documents",
 		Headers: []string{"Permission", "Delegations", "# Top-Level Websites"},
 	}
-	for _, r := range rows {
+	for _, r := range withTotal(rows, total) {
 		t.Rows = append(t.Rows, []string{r.Name, d(r.Delegations), d(r.Websites)})
 	}
-	t.Rows = append(t.Rows, []string{total.Name, d(total.Delegations), d(total.Websites)})
 	return t
 }
 
@@ -150,41 +237,36 @@ var breadthOrder = []policy.Breadth{
 	policy.BreadthSameSite, policy.BreadthThirdParty, policy.BreadthAll,
 }
 
-// RenderTable9 renders header-directive breadths.
-func RenderTable9(rows []DirectiveBreadthRow, total DirectiveBreadthRow) Table {
+// table9 renders header-directive breadths: a permission's row shares
+// its websites, the Total row shares all directives.
+func table9(rows []DirectiveBreadthRow, total DirectiveBreadthRow) Table {
 	headers := []string{"Permission"}
 	for _, b := range breadthOrder {
 		headers = append(headers, b.String())
 	}
 	headers = append(headers, "# Websites")
 	t := Table{Title: "Table 9: Permissions-Policy header least restrictive directives (top-level)", Headers: headers}
-	mk := func(r DirectiveBreadthRow) []string {
-		row := []string{r.Name}
+	row := func(r DirectiveBreadthRow, whole int) []string {
+		cells := []string{r.Name}
 		for _, b := range breadthOrder {
 			c := r.Counts[b]
-			row = append(row, fmt.Sprintf("%d (%s)", c, f2(pct(c, r.Websites))))
+			cells = append(cells, fmt.Sprintf("%d (%s)", c, f2(pct(c, whole))))
 		}
-		return append(row, d(r.Websites))
+		return append(cells, d(r.Websites))
 	}
 	for _, r := range rows {
-		t.Rows = append(t.Rows, mk(r))
+		t.Rows = append(t.Rows, row(r, r.Websites))
 	}
 	sumDirectives := 0
 	for _, b := range breadthOrder {
 		sumDirectives += total.Counts[b]
 	}
-	row := []string{total.Name}
-	for _, b := range breadthOrder {
-		c := total.Counts[b]
-		row = append(row, fmt.Sprintf("%d (%s)", c, f2(pct(c, sumDirectives))))
-	}
-	row = append(row, d(total.Websites))
-	t.Rows = append(t.Rows, row)
+	t.Rows = append(t.Rows, row(total, sumDirectives))
 	return t
 }
 
-// RenderFigure2 renders adoption shares as a text "figure".
-func RenderFigure2(s AdoptionStats) Table {
+// figure2 renders adoption shares as a text "figure".
+func figure2(s AdoptionStats) Table {
 	return Table{
 		Title:   "Figure 2: Permission Control headers adoption",
 		Headers: []string{"Metric", "Value"},
@@ -199,8 +281,8 @@ func RenderFigure2(s AdoptionStats) Table {
 	}
 }
 
-// RenderTable10 renders the over-permission ranking.
-func RenderTable10(rows []OverPermissionRow, total int) Table {
+// table10 renders the over-permission ranking.
+func table10(rows []OverPermissionRow, total int) Table {
 	t := Table{
 		Title:   "Table 10/13: Embedded Documents with Potentially Unused Delegated Permissions",
 		Headers: []string{"Embedded Iframe", "Potentially Unused Permissions", "# Affected Websites"},
@@ -212,8 +294,8 @@ func RenderTable10(rows []OverPermissionRow, total int) Table {
 	return t
 }
 
-// RenderFailures renders the crawl-failure taxonomy.
-func RenderFailures(counts map[store.FailureClass]int) Table {
+// failureTable renders the crawl-failure taxonomy.
+func failureTable(counts map[store.FailureClass]int) Table {
 	t := Table{
 		Title:   "Crawl outcome taxonomy (§4)",
 		Headers: []string{"Outcome", "Sites"},
@@ -229,8 +311,8 @@ func RenderFailures(counts map[store.FailureClass]int) Table {
 	return t
 }
 
-// RenderDirectiveShares renders §4.2.2's delegation-directive split.
-func RenderDirectiveShares(s DirectiveShares) Table {
+// directivesTable renders §4.2.2's delegation-directive split.
+func directivesTable(s DirectiveShares) Table {
 	return Table{
 		Title:   "Delegation directives (§4.2.2)",
 		Headers: []string{"Directive form", "Share"},
@@ -244,121 +326,4 @@ func RenderDirectiveShares(s DirectiveShares) Table {
 			{"total directives", d(s.Total)},
 		},
 	}
-}
-
-// FullReport renders every table of the evaluation in paper order.
-func (a *Analysis) FullReport() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "=== Permissions Odyssey — measurement report over %d/%d sites ===\n\n",
-		a.Websites(), a.TotalRecords())
-
-	b.WriteString(RenderFailures(a.FailureTaxonomy()).String())
-	b.WriteByte('\n')
-
-	if rt := a.RetryOutcomes(); rt.RetriedSites > 0 {
-		b.WriteString(RenderRetryTable(rt).String())
-		b.WriteByte('\n')
-	}
-
-	fs := a.Frames()
-	fmt.Fprintf(&b, "Frames: %d total (%d top-level, %d embedded: %.1f%% local / %.1f%% external)\n",
-		fs.TotalFrames, fs.TopLevelFrames, fs.EmbeddedFrames,
-		pct(fs.LocalEmbedded, fs.EmbeddedFrames), pct(fs.ExternalEmbedded, fs.EmbeddedFrames))
-	fmt.Fprintf(&b, "Websites with iframes: %d (avg %.1f direct iframes)\n\n",
-		fs.WebsitesWithFrame, fs.AvgIframesPerSite)
-
-	t3, t3Total := a.Table3TopEmbeds(10)
-	b.WriteString(RenderTable3(t3, t3Total).String())
-	b.WriteByte('\n')
-
-	t4, t4Total, usum := a.Table4Invocations(10)
-	b.WriteString(RenderTable4(t4, t4Total).String())
-	fmt.Fprintf(&b, "Websites with any invocation: %d (%s); top-level %s; embedded %s; deprecated Feature-Policy API reliance: %d websites\n\n",
-		usum.WithAnyInvocation, f2(pct(usum.WithAnyInvocation, usum.Websites)),
-		f2(pct(usum.WithTopLevelActivity, usum.Websites)),
-		f2(pct(usum.WithEmbeddedActivity, usum.Websites)),
-		usum.DeprecatedAPIWebsites)
-
-	t5, t5Total, cstats := a.Table5StatusChecks(10)
-	b.WriteString(RenderTable5(t5, t5Total).String())
-	fmt.Fprintf(&b, "Status-check websites: %d (top %d / embedded %d); mean %.2f specific permissions checked (max %d)\n\n",
-		cstats.Websites, cstats.AtTopLevel, cstats.InEmbedded, cstats.MeanPerTop, cstats.MaxPerTop)
-
-	t6, t6Total, ssum := a.Table6Static(10)
-	b.WriteString(RenderTable6(t6, t6Total).String())
-	fmt.Fprintf(&b, "Static functionality on %d websites (%s)\n\n",
-		ssum.Websites, f2(pct(ssum.Websites, a.Websites())))
-
-	hy := a.SummaryHybrid()
-	fmt.Fprintf(&b, "Hybrid headline (§4.1.4): %d/%d websites (%s) show any permission-related functionality\n\n",
-		hy.AnyActivity, hy.Websites, f2(pct(hy.AnyActivity, hy.Websites)))
-
-	ds := a.SummaryDelegation()
-	fmt.Fprintf(&b, "Delegation (§4.2): any %s; external %s; third-party %d websites\n\n",
-		f2(pct(ds.AnyDelegation, ds.Websites)), f2(pct(ds.ExternalDelegation, ds.Websites)),
-		ds.ThirdPartyDelegation)
-
-	t7, t7Total := a.Table7DelegatedEmbeds(10)
-	b.WriteString(RenderTable7(t7, t7Total).String())
-	b.WriteByte('\n')
-
-	t8, t8Total := a.Table8DelegatedPermissions(10)
-	b.WriteString(RenderTable8(t8, t8Total).String())
-	b.WriteByte('\n')
-
-	b.WriteString(RenderDirectiveShares(a.DelegationDirectives()).String())
-	b.WriteByte('\n')
-
-	b.WriteString(RenderFigure2(a.Figure2Adoption()).String())
-	b.WriteByte('\n')
-
-	t9, t9Total, hstats := a.Table9HeaderDirectives(10)
-	b.WriteString(RenderTable9(t9, t9Total).String())
-	fmt.Fprintf(&b, "Header content: %d websites declare it, %d parse; avg %.2f permissions (max %d); disable %s / self %s / * %s; powerful tight %s\n\n",
-		hstats.HeaderWebsites, hstats.ParsedWebsites, hstats.AvgPermissions, hstats.MaxPermissions,
-		f2(hstats.DisablePct), f2(hstats.SelfPct), f2(hstats.AllPct), f2(hstats.PowerfulDisableOrSelfPct))
-
-	emb := a.EmbeddedHeaders(5)
-	fmt.Fprintf(&b, "Embedded-document headers (§4.3.2): %d docs; directives disable %s / self %s / * %s; powerful %s; top features:",
-		emb.Documents, f2(emb.DisablePct), f2(emb.SelfPct), f2(emb.AllPct), f2(emb.PowerfulDirectivePct))
-	for _, fcount := range emb.TopFeatures {
-		fmt.Fprintf(&b, " %s(%d)", fcount.Site, fcount.Count)
-	}
-	b.WriteString("\n\n")
-
-	mis := a.Misconfigurations()
-	fmt.Fprintf(&b, "Misconfigurations (§4.3.3): %d frames with header; %d syntax-invalid (top %d / embedded %d); semantic: %d websites top-level, %d embedded\n\n",
-		mis.FramesWithHeader, mis.SyntaxErrorFrames, mis.SyntaxErrorTopLevel, mis.SyntaxErrorEmbedded,
-		mis.SemanticMisconfigWebsites, mis.SemanticMisconfigEmbedded)
-
-	t10, t10Total := a.OverPermissioned(DefaultOverPermissionConfig(), 10)
-	b.WriteString(RenderTable10(t10, t10Total).String())
-	b.WriteByte('\n')
-
-	nested := a.NestedDelegations()
-	fmt.Fprintf(&b, "Nested delegation (extension beyond §4.2's depth-1 scope): %d deep frames, %d delegated; %d websites carry ≥2-hop chains (%d hops of powerful permissions)\n",
-		nested.DeepFrames, nested.DeepDelegated, nested.WebsitesWithChains, nested.PowerfulChains)
-
-	tiers := a.DelegatedEmbedPrevalence([]int{1, 10, 50, 100})
-	b.WriteString("Delegated-embed prevalence (§4.2): ")
-	for i, tier := range tiers {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%d sites in ≥%d websites", tier.Sites, tier.MinWebsites)
-	}
-	b.WriteByte('\n')
-
-	ro := a.ReportOnly()
-	fmt.Fprintf(&b, "Report-only mode: %d documents serve Permissions-Policy-Report-Only (%d also enforce; %d distinct endpoints)\n\n",
-		ro.WithReportOnly, ro.AlsoEnforcing, ro.EndpointsSeen)
-
-	b.WriteString("Delegation purposes (§4.2.1 grouping)\n")
-	for _, row := range a.DelegationsByPurpose() {
-		fmt.Fprintf(&b, "  %-28s %3d embed sites on %4d websites\n", row.Purpose, row.Embeds, row.Websites)
-	}
-	exp := a.SpecIssueExposure()
-	fmt.Fprintf(&b, "\nLocal-scheme bypass exposure (§6.2): %d websites restrict a powerful permission to self; %d of them would let an injected data: iframe load (no frame-governing CSP)\n",
-		exp.SelfOnlyPowerful, exp.Exposed)
-	return b.String()
 }

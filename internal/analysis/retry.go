@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"sort"
-
-	"permodyssey/internal/store"
-)
+import "permodyssey/internal/store"
 
 // RetryRow summarizes retried visits that first failed with one class.
 type RetryRow struct {
@@ -70,17 +66,12 @@ func (a *Analysis) RetryOutcomes() RetryStats {
 	for _, row := range byClass {
 		s.Rows = append(s.Rows, *row)
 	}
-	sort.Slice(s.Rows, func(i, j int) bool {
-		if s.Rows[i].Sites != s.Rows[j].Sites {
-			return s.Rows[i].Sites > s.Rows[j].Sites
-		}
-		return s.Rows[i].FirstFailure < s.Rows[j].FirstFailure
-	})
+	s.Rows = rank(s.Rows, func(r RetryRow) (string, int) { return string(r.FirstFailure), r.Sites }, 0)
 	return s
 }
 
-// RenderRetryTable renders the first-attempt-vs-recovered breakdown.
-func RenderRetryTable(s RetryStats) Table {
+// retryTable renders the first-attempt-vs-recovered breakdown.
+func retryTable(s RetryStats) Table {
 	t := Table{
 		Title:   "Retry outcomes by first-attempt failure class",
 		Headers: []string{"First failure", "Sites", "Recovered", "Partial", "Stuck", "Retries spent"},

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"permodyssey/internal/permissions"
 	"permodyssey/internal/static"
 	"permodyssey/internal/webapi"
@@ -145,15 +143,7 @@ func (a *Analysis) Table4Invocations(n int) ([]UsageRow, UsageRow, UsageSummary)
 	for name, c := range perName {
 		rows = append(rows, mkRow(name, c))
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].TotalContexts != rows[j].TotalContexts {
-			return rows[i].TotalContexts > rows[j].TotalContexts
-		}
-		return rows[i].Name < rows[j].Name
-	})
-	if n > 0 && len(rows) > n {
-		rows = rows[:n]
-	}
+	rows = rank(rows, func(r UsageRow) (string, int) { return r.Name, r.TotalContexts }, n)
 	totalRow := mkRow("Total (any permission)", total)
 	totalRow.Name = "Total (any permission)"
 	return rows, totalRow, sum
@@ -284,15 +274,7 @@ func (a *Analysis) Table5StatusChecks(n int) ([]CheckRow, CheckRow, CheckStats) 
 	for name, c := range perName {
 		rows = append(rows, mkRow(name, c))
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Websites != rows[j].Websites {
-			return rows[i].Websites > rows[j].Websites
-		}
-		return rows[i].Name < rows[j].Name
-	})
-	if n > 0 && len(rows) > n {
-		rows = rows[:n]
-	}
+	rows = rank(rows, func(r CheckRow) (string, int) { return r.Name, r.Websites }, n)
 	sumN, maxN := 0, 0
 	for _, k := range specificCounts {
 		sumN += k
@@ -386,15 +368,7 @@ func (a *Analysis) Table6Static(n int) ([]StaticRow, StaticRow, StaticSummary) {
 	for name, c := range perName {
 		rows = append(rows, mkRow(name, c))
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Websites != rows[j].Websites {
-			return rows[i].Websites > rows[j].Websites
-		}
-		return rows[i].Name < rows[j].Name
-	})
-	if n > 0 && len(rows) > n {
-		rows = rows[:n]
-	}
+	rows = rank(rows, func(r StaticRow) (string, int) { return r.Name, r.Websites }, n)
 	totalRow := mkRow("Total (any permission)", total)
 	totalRow.Name = "Total (any permission)"
 	return rows, totalRow, sum

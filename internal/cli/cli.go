@@ -272,43 +272,16 @@ func Report(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 		return exit
 	}
-	switch *table {
-	case "":
+	if *table == "" {
 		fmt.Fprintln(stdout, a.FullReport())
-	case "3":
-		rows, total := a.Table3TopEmbeds(*topN)
-		fmt.Fprintln(stdout, analysis.RenderTable3(rows, total))
-	case "4":
-		rows, totalRow, _ := a.Table4Invocations(*topN)
-		fmt.Fprintln(stdout, analysis.RenderTable4(rows, totalRow))
-	case "5":
-		rows, totalRow, _ := a.Table5StatusChecks(*topN)
-		fmt.Fprintln(stdout, analysis.RenderTable5(rows, totalRow))
-	case "6":
-		rows, totalRow, _ := a.Table6Static(*topN)
-		fmt.Fprintln(stdout, analysis.RenderTable6(rows, totalRow))
-	case "7":
-		rows, total := a.Table7DelegatedEmbeds(*topN)
-		fmt.Fprintln(stdout, analysis.RenderTable7(rows, total))
-	case "8":
-		rows, totalRow := a.Table8DelegatedPermissions(*topN)
-		fmt.Fprintln(stdout, analysis.RenderTable8(rows, totalRow))
-	case "9":
-		rows, totalRow, _ := a.Table9HeaderDirectives(*topN)
-		fmt.Fprintln(stdout, analysis.RenderTable9(rows, totalRow))
-	case "10", "13":
-		rows, total := a.OverPermissioned(analysis.DefaultOverPermissionConfig(), *topN)
-		fmt.Fprintln(stdout, analysis.RenderTable10(rows, total))
-	case "fig2":
-		fmt.Fprintln(stdout, analysis.RenderFigure2(a.Figure2Adoption()))
-	case "failures":
-		fmt.Fprintln(stdout, analysis.RenderFailures(a.FailureTaxonomy()))
-	case "directives":
-		fmt.Fprintln(stdout, analysis.RenderDirectiveShares(a.DelegationDirectives()))
-	default:
+		return exit
+	}
+	t, ok := a.ReportData(*topN).Lookup(*table)
+	if !ok {
 		fmt.Fprintf(stderr, "permreport: unknown table %q\n", *table)
 		return 2
 	}
+	fmt.Fprintln(stdout, t)
 	return exit
 }
 

@@ -295,13 +295,22 @@ func TestReportAllTables(t *testing.T) {
 	if err := m.Dataset.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	for _, table := range []string{"3", "4", "5", "6", "7", "8", "9", "10", "13", "failures", "directives"} {
+	full, _, code := run(t, reportFn, "-in", path)
+	if code != 0 {
+		t.Fatalf("full report: code=%d", code)
+	}
+	for _, table := range []string{"3", "4", "5", "6", "7", "8", "9", "10", "13", "fig2", "failures", "directives"} {
 		out, errOut, code := run(t, reportFn, "-in", path, "-table", table)
 		if code != 0 {
 			t.Errorf("table %s: code=%d stderr=%q", table, code, errOut)
 		}
 		if len(out) < 20 {
 			t.Errorf("table %s: output too short: %q", table, out)
+		}
+		// At the default -n a single table is the full report's copy of
+		// it, plus the newline Println ends it with.
+		if !strings.Contains(full, strings.TrimSuffix(out, "\n")) {
+			t.Errorf("table %s is not verbatim in the full report:\n%s", table, out)
 		}
 	}
 }

@@ -157,11 +157,13 @@ type Assign struct {
 	Line   int
 }
 
-// Update is X++ / X-- (postfix and prefix collapse; value semantics of
-// the postfix form are rarely load-bearing in probe scripts).
+// Update is ++X / --X (Prefix) or X++ / X--. Both write ToNumber of the
+// old value plus or minus one; the prefix form yields the new value and
+// the postfix form the old one, as a number.
 type Update struct {
 	Op     string // "++" or "--"
 	Target Node
+	Prefix bool
 }
 
 // ObjectLit is {k: v, ...}.

@@ -365,6 +365,7 @@ func (c *compiler) compileUpdate(e *Update) (evalFn, error) {
 	if e.Op == "--" {
 		delta = -1
 	}
+	prefix := e.Prefix
 	switch t := e.Target.(type) {
 	case *Member:
 		objX, err := c.compileExpr(t.Obj)
@@ -396,11 +397,15 @@ func (c *compiler) compileUpdate(e *Update) (evalFn, error) {
 			if err != nil {
 				return Undefined(), err
 			}
-			nv := Number(cur.ToNumber() + delta)
+			old := cur.ToNumber()
+			nv := Number(old + delta)
 			if err := in.writeRef(ref, nv, line); err != nil {
 				return Undefined(), err
 			}
-			return nv, nil
+			if prefix {
+				return nv, nil
+			}
+			return Number(old), nil
 		}, nil
 	case *Ident:
 		readX := c.compileIdent(t.Name, t.Line)
@@ -410,9 +415,13 @@ func (c *compiler) compileUpdate(e *Update) (evalFn, error) {
 			if err != nil {
 				return Undefined(), err
 			}
-			nv := Number(cur.ToNumber() + delta)
+			old := cur.ToNumber()
+			nv := Number(old + delta)
 			write(env, nv)
-			return nv, nil
+			if prefix {
+				return nv, nil
+			}
+			return Number(old), nil
 		}, nil
 	}
 	return nil, errUncompilable

@@ -204,7 +204,8 @@ func TestCompiledSharedAcrossInterps(t *testing.T) {
 // TestUpdateTargets: ++/-- on anything but a name or member access is an
 // early syntax error at the operator's line, as browsers raise it, so no
 // script reaches the compiler with an unwritable update target. Writable
-// targets keep their behavior (an update yields the updated value).
+// targets keep their behavior (a postfix update yields the old value, a
+// prefix update the updated one).
 func TestUpdateTargets(t *testing.T) {
 	for _, src := range []string{"probe(1);\n[A]++", "probe(1);\n++(a+b)", "probe(1);\nf()--"} {
 		_, err := Parse(src)
@@ -215,8 +216,29 @@ func TestUpdateTargets(t *testing.T) {
 	}
 	log := runObserved(t, "var a = 1; var i = 0; var o = { x: 5 }; var arr = [7];\n"+
 		"probe(a++, a, (a)++, a, o.x--, o.x, arr[i]++, arr[0], ++a, --o.x, i);")
-	want := "[number:2|number:2|number:3|number:3|number:4|number:4|number:8|number:8|number:4|number:3|number:0]"
+	want := "[number:1|number:2|number:2|number:3|number:5|number:4|number:7|number:8|number:4|number:3|number:0]"
 	if got := fmt.Sprint(log); got != want {
 		t.Errorf("updates of writable targets:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// TestUpdateValues pins ECMAScript's update expressions (§13.4): each
+// form writes ToNumber(old) plus or minus one; a postfix form yields
+// ToNumber(old), a prefix form the new value.
+func TestUpdateValues(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"var a = 0; var b = a++; probe(b, a);", "number:0|number:1"},
+		{"var a = 5; probe(a--, a);", "number:5|number:4"},
+		{`var o = { n: "7" }; probe(o.n++, o.n);`, "number:7|number:8"},
+		{`var s = "x"; probe(s++, s);`, "number:NaN|number:NaN"},
+		{"var arr = [10, 20]; var i = 0; probe(arr[i++], i);", "number:10|number:1"},
+		{"var a = 0; var b = ++a; probe(b, a);", "number:1|number:1"},
+		{"var a = 5; probe(--a, a);", "number:4|number:4"},
+		{`var o = { n: "7" }; probe(++o.n, o.n);`, "number:8|number:8"},
+		{"var arr = [10, 20]; var i = 0; probe(arr[++i], i);", "number:20|number:1"},
+	} {
+		if got := fmt.Sprint(runObserved(t, tc.src)); got != "["+tc.want+"]" {
+			t.Errorf("%s\ngot  %s\nwant [%s]", tc.src, got, tc.want)
+		}
 	}
 }

@@ -662,7 +662,7 @@ func (p *parser) unaryExpr() (Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			return updateExpr(t, x)
+			return updateExpr(t, x, true)
 		}
 	}
 	if t.Kind == TokKeyword {
@@ -790,7 +790,7 @@ func (p *parser) postfixFrom(x Node) (Node, error) {
 			x = &Call{Fn: x, Args: args, Line: t.Line}
 		case "++", "--":
 			p.advance()
-			u, err := updateExpr(t, x)
+			u, err := updateExpr(t, x, false)
 			if err != nil {
 				return nil, err
 			}
@@ -813,11 +813,11 @@ func assignable(x Node) bool {
 
 // updateExpr builds op's ++/-- node over x. Like a bad assignment
 // target, a target that is not a reference is an early syntax error.
-func updateExpr(op Tok, x Node) (Node, error) {
+func updateExpr(op Tok, x Node, prefix bool) (Node, error) {
 	if !assignable(x) {
 		return nil, &SyntaxError{Line: op.Line, Msg: "invalid update target"}
 	}
-	return &Update{Op: op.Text, Target: x}, nil
+	return &Update{Op: op.Text, Target: x, Prefix: prefix}, nil
 }
 
 func (p *parser) argList() ([]Node, error) {

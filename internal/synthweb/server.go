@@ -82,14 +82,15 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// Close stops the server.
+// Close stops the server at once and closes every connection, busy or
+// not. Callers close it after their crawl, when no response is awaited;
+// a graceful shutdown would wait on connections that never carried a
+// request.
 func (s *Server) Close() error {
 	if s.server == nil {
 		return nil
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	return s.server.Shutdown(ctx)
+	return s.server.Close()
 }
 
 // Addr returns the listener address.
@@ -209,7 +210,14 @@ func (s *Server) serveSite(w http.ResponseWriter, r *http.Request, rank int) {
 
 	switch site.Kind {
 	case KindTimeout:
-		time.Sleep(s.StallTime)
+		// Stall until StallTime passes or the client gives up.
+		stall := time.NewTimer(s.StallTime)
+		defer stall.Stop()
+		select {
+		case <-stall.C:
+		case <-r.Context().Done():
+			return
+		}
 		// After stalling past every reasonable deadline, answer anyway:
 		// a crawler with a generous budget would classify it as slow.
 		fmt.Fprint(w, "<html><body>slow</body></html>")

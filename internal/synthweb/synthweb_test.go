@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"reflect"
 	"strings"
@@ -313,6 +314,63 @@ func TestServerFailureModes(t *testing.T) {
 		!strings.Contains(err.Error(), "malformed") {
 		t.Errorf("minor site error: %v", err)
 	}
+}
+
+// closeQuickly closes srv and requires it to finish within 250 ms.
+func closeQuickly(t *testing.T, srv *Server) {
+	t.Helper()
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	if took := time.Since(start); took > 250*time.Millisecond {
+		t.Errorf("Close took %v, want at most 250ms", took)
+	}
+}
+
+// TestCloseAfterAbandonedStall: a stalled timeout-kind request ends when
+// its client gives up, so Close does not wait out the stall.
+func TestCloseAfterAbandonedStall(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumSites = 300
+	cfg.Seed = 9
+	cfg.TimeoutRate = 0.1
+	srv := NewServer(cfg)
+	srv.StallTime = 10 * time.Second
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var stalled Site
+	for _, site := range srv.Sites() {
+		if site.Kind == KindTimeout {
+			stalled = site
+			break
+		}
+	}
+	if stalled.Kind != KindTimeout {
+		t.Fatal("no timeout-kind site")
+	}
+	if _, err := srv.Client(50 * time.Millisecond).Get(stalled.URL()); err == nil {
+		t.Error("timeout site must exceed the client deadline")
+	}
+	closeQuickly(t, srv)
+}
+
+// TestCloseWithUnusedConnection: a connection that never carries a
+// request does not hold Close open.
+func TestCloseWithUnusedConnection(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumSites = 5
+	srv := NewServer(cfg)
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	closeQuickly(t, srv)
 }
 
 func TestTransportContextCancel(t *testing.T) {

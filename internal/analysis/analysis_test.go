@@ -363,11 +363,6 @@ func TestOverPermissionedShape(t *testing.T) {
 			t.Errorf("meetwidget uses its delegations; flagged: %v", mw.UnusedPermissions)
 		}
 	}
-	// Powerful filter keeps camera/mic widgets.
-	powerful := PowerfulUnused(rows)
-	if len(powerful) == 0 {
-		t.Error("powerful-unused filter must keep customer-support widgets")
-	}
 }
 
 func TestWildcardRisks(t *testing.T) {

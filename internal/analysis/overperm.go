@@ -144,27 +144,6 @@ func (a *Analysis) OverPermissioned(cfg OverPermissionConfig, n int) ([]OverPerm
 	return rows, len(affectedTotal)
 }
 
-// PowerfulUnused filters an over-permission report to rows delegating
-// unused POWERFUL permissions — the §5 risk focus (customer-support
-// widgets with camera/microphone).
-func PowerfulUnused(rows []OverPermissionRow) []OverPermissionRow {
-	var out []OverPermissionRow
-	for _, r := range rows {
-		var powerful []string
-		for _, perm := range r.UnusedPermissions {
-			if p, ok := permissions.Lookup(perm); ok && p.Powerful {
-				powerful = append(powerful, perm)
-			}
-		}
-		if len(powerful) > 0 {
-			out = append(out, OverPermissionRow{
-				Site: r.Site, UnusedPermissions: powerful, AffectedWebsites: r.AffectedWebsites,
-			})
-		}
-	}
-	return out
-}
-
 // WildcardDelegationRisks finds widgets included with wildcard (*)
 // delegations of powerful permissions — the LiveChat hijacking pattern
 // of §5.2: a redirect of the embedded document would carry the

@@ -229,7 +229,7 @@ func copyArchive(dst, src string) error {
 			return fmt.Errorf("bundle: sealing objects: %w", err)
 		}
 		if d.IsDir() || strings.HasPrefix(d.Name(), ".") {
-			return nil // skip temp debris; objects are plain hash-named files
+			return nil // skip temp debris; packs and pre-pack objects are plain files
 		}
 		rel, err := filepath.Rel(src, path)
 		if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -78,6 +79,31 @@ func TestOfflineReplayEquivalence(t *testing.T) {
 	}
 }
 
+// TestArchiveIsOnePack: a crawl into a fresh archive appends every
+// body to one pack file, so objects/ holds that pack and nothing else —
+// no per-body files, no bucket directories.
+func TestArchiveIsOnePack(t *testing.T) {
+	opts := archiveOptions(t, 120)
+	m, err := Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := m.Stats.Fetch.Disk; d.Objects < 100 {
+		t.Fatalf("crawl archived %d bodies, want a population's worth", d.Objects)
+	}
+	entries, err := os.ReadDir(filepath.Join(opts.CacheDir, "objects"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range entries {
+		names = append(names, de.Name())
+	}
+	if len(entries) != 1 || !entries[0].Type().IsRegular() || filepath.Ext(names[0]) != ".pack" {
+		t.Errorf("objects/ holds %q, want one pack file", names)
+	}
+}
+
 // TestOfflineEmptyArchive: replaying against an archive that never saw
 // a crawl turns every site into a distinguishable unreachable failure
 // instead of silently fetching from the network.
@@ -99,9 +125,10 @@ func TestOfflineEmptyArchive(t *testing.T) {
 	}
 }
 
-// TestCorruptArchiveDegrades: flip a byte in archived objects, re-run
-// the warm crawl against the damaged archive, and the measurement is
-// unchanged — corruption costs re-fetches, never correctness.
+// TestCorruptArchiveDegrades: flip a byte in each of several archived
+// bodies, re-run the warm crawl against the damaged archive, and the
+// measurement is unchanged — corruption costs re-fetches, never
+// correctness.
 func TestCorruptArchiveDegrades(t *testing.T) {
 	opts := archiveOptions(t, 120)
 
@@ -114,21 +141,44 @@ func TestCorruptArchiveDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	corrupted := 0
-	err = filepath.Walk(filepath.Join(opts.CacheDir, "objects"), func(path string, fi os.FileInfo, err error) error {
-		if err != nil || fi.IsDir() || corrupted >= 5 {
-			return err
+	// The manifest locates each body in its pack; corrupt five
+	// distinct ones in the middle.
+	raw, err := os.ReadFile(filepath.Join(opts.CacheDir, "manifest.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type body struct {
+		Pack   string `json:"pack"`
+		Offset int64  `json:"offset"`
+		Size   int64  `json:"size"`
+	}
+	seen := map[body]bool{}
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var b body
+		if err := json.Unmarshal(line, &b); err != nil {
+			t.Fatal(err)
 		}
-		raw, err := os.ReadFile(path)
-		if err != nil || len(raw) == 0 {
-			return err
+		if b.Pack == "" || b.Size == 0 || seen[b] || len(seen) == 5 {
+			continue
 		}
-		raw[len(raw)/2] ^= 0xFF
-		corrupted++
-		return os.WriteFile(path, raw, 0o644)
-	})
-	if err != nil || corrupted == 0 {
-		t.Fatalf("corrupting archive: %v (corrupted %d)", err, corrupted)
+		seen[b] = true
+		f, err := os.OpenFile(filepath.Join(opts.CacheDir, "objects", b.Pack), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := make([]byte, 1)
+		if _, err := f.ReadAt(c, b.Offset+b.Size/2); err != nil {
+			t.Fatal(err)
+		}
+		c[0] ^= 0xFF
+		if _, err := f.WriteAt(c, b.Offset+b.Size/2); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	corrupted := len(seen)
+	if corrupted < 5 {
+		t.Fatalf("corrupted %d bodies, want 5", corrupted)
 	}
 
 	second, err := Run(context.Background(), opts)

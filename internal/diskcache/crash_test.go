@@ -14,12 +14,22 @@ const deadPid = 999999999
 
 // plantKillDebris simulates the on-disk aftermath of SIGKILLing a
 // crawler that was writing dir: its lock file (it never reached
-// Close), a torn manifest tail (the append died mid-line), an orphaned
-// temp object (a Store died between CreateTemp and Rename), and an
-// orphaned temp manifest (a compaction died mid-rewrite). Returns the
-// orphan paths.
+// Close), part of a body at its pack's tail (the kill came between the
+// body's append and its manifest line), a torn manifest tail (the
+// append died mid-line), an orphaned temp object (an older release's
+// Store died between CreateTemp and Rename), and an orphaned temp
+// manifest (a compaction died mid-rewrite). dir must hold pack 1.
+// Returns the orphan paths.
 func plantKillDebris(t *testing.T, dir string) (orphanObj, orphanManifest string) {
 	t.Helper()
+	pack, err := os.OpenFile(filepath.Join(dir, objectsDir, packName(1)), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pack.WriteString("<html>a body the kill cut sh"); err != nil {
+		t.Fatal(err)
+	}
+	pack.Close()
 	if err := os.WriteFile(filepath.Join(dir, lockName), []byte(fmt.Sprintf("%d\n", deadPid)), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +61,15 @@ func plantKillDebris(t *testing.T, dir string) (orphanObj, orphanManifest string
 // cleanly — the dead writer's lock is stolen, the fsck sweeps both
 // orphaned temp files and reports them, the torn manifest tail is
 // dropped and compacted away, the intact entries survive, and the
-// reopened archive keeps working.
+// reopened archive keeps working: it appends to a fresh pack and
+// leaves the dead writer's pack, tail bytes and all, as it was.
 func TestReopenAfterSIGKILLedWriter(t *testing.T) {
 	dir := t.TempDir()
 	a := mustOpen(t, dir, Options{})
 	a.Store("https://intact.test/", resp("survived the kill"))
 	a.Close()
 	orphanObj, orphanManifest := plantKillDebris(t, dir)
+	deadPack := packBytes(t, dir, packName(1))
 	// A temp file tagged with a live pid (this process) must survive
 	// the sweep: its writer may be mid-rename right now.
 	liveTemp := filepath.Join(dir, objectsDir, "zz", fmt.Sprintf(".obj-%d-777", os.Getpid()))
@@ -85,6 +97,12 @@ func TestReopenAfterSIGKILLedWriter(t *testing.T) {
 	}
 	b.Store("https://after.test/", resp("post-recovery write"))
 	b.Close()
+	if packBytes(t, dir, packName(1)) != deadPack {
+		t.Error("the reopened writer wrote to the dead writer's pack")
+	}
+	if e := b.index["https://after.test/"]; e.Pack != packName(2) || e.Offset != 0 {
+		t.Errorf("post-recovery body at %s+%d, want the start of a fresh pack %s", e.Pack, e.Offset, packName(2))
+	}
 
 	// The reopen compacted the torn tail away: a third open sees a
 	// clean manifest with both entries and nothing left to sweep.
@@ -97,6 +115,16 @@ func TestReopenAfterSIGKILLedWriter(t *testing.T) {
 			t.Errorf("Load(%s) after recovery = %v, %v", url, got, err)
 		}
 	}
+}
+
+// packBytes returns the contents of the named pack.
+func packBytes(t *testing.T, dir, pack string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, objectsDir, pack))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
 }
 
 // TestUntaggedTempAgeGate: a temp file with no pid tag (an older

@@ -3,17 +3,20 @@ package diskcache
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"permodyssey/internal/browser"
 )
@@ -168,15 +171,19 @@ func TestCorruptLineDropped(t *testing.T) {
 }
 
 // TestCraftedManifestHash: a success line whose hash is not a SHA-256
-// digest is a corrupt line under online and offline Open and under
-// Compact — never a panic in objectPath's slicing, never a path to
-// a file outside the archive for Load's corrupt-object removal — and
-// online Open compacts it away.
+// digest, or whose pack is not a name the writer gives its packs, is a
+// corrupt line under online and offline Open and under Compact — never
+// a panic in objectPath's slicing, never a path to a file outside the
+// archive — and online Open compacts it away.
 func TestCraftedManifestHash(t *testing.T) {
-	for name, hash := range map[string]string{
-		"short": "a",
+	precious := sha256.Sum256([]byte("precious"))
+	for name, ref := range map[string]string{
+		"short": `"hash":"a"`,
 		// Resolves from objects/xx/ to root/victim.txt.
-		"traversal": "../../../victim.txt",
+		"traversal": `"hash":"../../../victim.txt"`,
+		// Resolves from objects/ to root/victim.txt, whose bytes match
+		// the hash: admitting it would serve a file outside the archive.
+		"pack traversal": fmt.Sprintf(`"hash":"%x","pack":"../../../victim.txt"`, precious),
 	} {
 		t.Run(name, func(t *testing.T) {
 			root := t.TempDir()
@@ -188,18 +195,8 @@ func TestCraftedManifestHash(t *testing.T) {
 			a := mustOpen(t, dir, Options{})
 			a.Store("https://ok.test/", resp("intact"))
 			a.Close()
-			crafted := fmt.Sprintf(`{"url":"https://crafted.test/","hash":%q,"size":8,"status":200}`+"\n", hash)
-			plant := func() {
-				t.Helper()
-				f, err := os.OpenFile(filepath.Join(dir, manifestName), os.O_WRONLY|os.O_APPEND, 0o644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.WriteString(crafted); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
-			}
+			crafted := fmt.Sprintf(`{"url":"https://crafted.test/",%s,"size":8,"status":200}`+"\n", ref)
+			plant := func() { appendManifest(t, dir, crafted) }
 			checkVictim := func(label string) {
 				t.Helper()
 				if raw, err := os.ReadFile(victim); err != nil || string(raw) != "precious" {
@@ -325,6 +322,159 @@ func TestLoadAllocatesBodyOnce(t *testing.T) {
 	}
 }
 
+// TestFailedWriteRetiresPack: a write that fails indexes nothing and
+// retires its pack — its tail may hold part of the body — and the next
+// Store appends to a fresh pack while the retired one's entries load.
+func TestFailedWriteRetiresPack(t *testing.T) {
+	dir := t.TempDir()
+	a := mustOpen(t, dir, Options{})
+	a.Store("https://a.test/", resp("in the first pack"))
+	a.pack.Close() // the next write fails, as on a full disk
+	a.Store("https://lost.test/", resp("never archived"))
+	if got, err := a.Load("https://lost.test/"); got != nil || err != nil {
+		t.Errorf("Load(lost) = %v, %v; want a miss", got, err)
+	}
+	a.Store("https://b.test/", resp("in the second pack"))
+	if e := a.index["https://b.test/"]; e.Pack != packName(2) || e.Offset != 0 {
+		t.Errorf("store after the failure at %s+%d, want the start of %s", e.Pack, e.Offset, packName(2))
+	}
+	for url, body := range map[string]string{"https://a.test/": "in the first pack", "https://b.test/": "in the second pack"} {
+		if got, err := a.Load(url); err != nil || got == nil || got.Body != body {
+			t.Errorf("Load(%s) = %v, %v; want %q", url, got, err, body)
+		}
+	}
+}
+
+// TestStoreAfterClose: a Store after Close archives nothing — no
+// manifest line, no index entry, no pack — and a Load after Close
+// misses.
+func TestStoreAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	a := mustOpen(t, dir, Options{Classify: classifyAll})
+	a.Store("https://before.test/", resp("archived"))
+	a.Close()
+	a.Store("https://after.test/", resp("too late"))
+	a.StoreFailure("https://failed-after.test/", errors.New("too late"))
+	if got, err := a.Load("https://before.test/"); got != nil || err != nil {
+		t.Errorf("Load after Close = %v, %v; want a miss", got, err)
+	}
+	if s := a.Stats(); s.Writes != 1 || s.Entries != 1 || s.BytesStored != uint64(len("archived")) {
+		t.Errorf("stats = %+v, want only the store before Close", s)
+	}
+	if got := objectsEntries(t, dir); len(got) != 1 {
+		t.Errorf("objects/ holds %q, want the one pack written before Close", got)
+	}
+	b := mustOpen(t, dir, Options{Offline: true})
+	if got, err := b.Load("https://before.test/"); err != nil || got == nil || got.Body != "archived" {
+		t.Errorf("Load(before) = %v, %v", got, err)
+	}
+	for _, url := range []string{"https://after.test/", "https://failed-after.test/"} {
+		if got, err := b.Load(url); got != nil || !errors.Is(err, browser.ErrNotArchived) {
+			t.Errorf("Load(%s) = %v, %v; want it never archived", url, got, err)
+		}
+	}
+}
+
+// TestLegacyArchiveReplays: an archive written before packs — one file
+// per body under objects/xx/, manifest lines without a pack — replays
+// offline, and a writer over it appends its new bodies to a pack while
+// the old entries keep loading from their files.
+func TestLegacyArchiveReplays(t *testing.T) {
+	dir := t.TempDir()
+	old := map[string]string{
+		"https://old-a.test/": "legacy body A",
+		"https://old-b.test/": "legacy body B",
+	}
+	var manifest strings.Builder
+	for url, body := range old {
+		sum := sha256.Sum256([]byte(body))
+		hash := hex.EncodeToString(sum[:])
+		path := filepath.Join(dir, objectsDir, hash[:2], hash[2:])
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&manifest, `{"url":%q,"hash":%q,"size":%d,"status":200,"gen":1}`+"\n", url, hash, len(body))
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifest.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, want map[string]string) {
+		t.Helper()
+		ar := mustOpen(t, dir, Options{Offline: true})
+		for url, body := range want {
+			if got, err := ar.Load(url); err != nil || got == nil || got.Body != body {
+				t.Errorf("%s: Load(%s) = %v, %v; want %q", label, url, got, err, body)
+			}
+		}
+		ar.Close()
+	}
+	check("legacy archive", old)
+	legacy := objectsEntries(t, dir)
+
+	w := mustOpen(t, dir, Options{})
+	w.Store("https://new.test/", resp("a body stored after packs"))
+	w.Store("https://old-a.test/", resp("legacy body A")) // a re-fetch of an old body
+	if e := w.index["https://new.test/"]; e.Pack != packName(1) {
+		t.Errorf("new entry references pack %q, want %q", e.Pack, packName(1))
+	}
+	if s := w.Stats(); s.BytesStored != uint64(len("a body stored after packs")) {
+		t.Errorf("bytes stored = %d, want only the new body appended", s.BytesStored)
+	}
+	w.Close()
+	want := append(legacy, packName(1))
+	sort.Strings(want)
+	if got := objectsEntries(t, dir); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("objects/ holds %q, want the legacy buckets plus one pack %q", got, want)
+	}
+	old["https://new.test/"] = "a body stored after packs"
+	check("after a pack writer", old)
+}
+
+// TestPackRangeOutsidePack: a manifest line whose range does not fit in
+// its pack — past its end, at an offset beyond it, or with an offset
+// and size whose sum overflows — is a miss online and offline, refused
+// before anything near its claimed size is allocated.
+func TestPackRangeOutsidePack(t *testing.T) {
+	const body = "the one body in the pack"
+	sum := sha256.Sum256([]byte(body))
+	for name, c := range map[string]struct{ offset, size int64 }{
+		"runs past the end":   {0, 64 << 20},
+		"starts past the end": {int64(len(body)) + 1, 1},
+		"offset at MaxInt64":  {math.MaxInt64, 64 << 20},
+		"size at MaxInt64":    {1, math.MaxInt64},
+		"sum overflows":       {math.MaxInt64 - 32<<20, 64 << 20},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			a := mustOpen(t, dir, Options{})
+			a.Store("https://ok.test/", resp(body))
+			a.Close()
+			appendManifest(t, dir, fmt.Sprintf(`{"url":"https://crafted.test/","hash":"%x","size":%d,"pack":%q,"offset":%d,"status":200}`+"\n",
+				sum, c.size, packName(1), c.offset))
+			for _, offline := range []bool{true, false} {
+				ar := mustOpen(t, dir, Options{Offline: offline})
+				if got, err := ar.Load("https://ok.test/"); err != nil || got == nil || got.Body != body {
+					t.Fatalf("offline %v: Load(ok) = %v, %v", offline, got, err)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				got, err := ar.Load("https://crafted.test/")
+				runtime.ReadMemStats(&after)
+				if got != nil || (offline && !errors.Is(err, browser.ErrNotArchived)) || (!offline && err != nil) {
+					t.Errorf("offline %v: Load(crafted) = %v, %v; want a miss", offline, got, err)
+				}
+				if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+					t.Errorf("offline %v: refusing the range allocated %d bytes", offline, alloc)
+				}
+				ar.Close()
+			}
+		})
+	}
+}
+
 func TestOfflineMissIsDistinguishable(t *testing.T) {
 	a := mustOpen(t, t.TempDir(), Options{Offline: true})
 	got, err := a.Load("https://never.test/")
@@ -444,11 +594,12 @@ func TestStoreFailureNilClassify(t *testing.T) {
 
 // TestConcurrentStoreLoad hammers one archive from many goroutines —
 // the shape of several crawl workers sharing one stack — under -race.
-// Objects are written outside the archive lock, so it also pins what
+// Every worker appends to the session's one pack, so it also pins what
 // that must not change: one body shared by many URLs (the per-site
 // /frame0.html and /about documents, identical across sites) is
-// first-stored concurrently yet written once, every line's object is in
-// place, and each URL's generations stay strictly ordered.
+// first-stored concurrently yet written once, the session leaves one
+// pack and no per-body files, every line's body is in place, and each
+// URL's generations stay strictly ordered.
 func TestConcurrentStoreLoad(t *testing.T) {
 	dir := t.TempDir()
 	a := mustOpen(t, dir, Options{Classify: classifyAll})
@@ -505,14 +656,8 @@ func TestConcurrentStoreLoad(t *testing.T) {
 	if s := a.Stats(); s.BytesStored != distinct || s.Objects != uint64(len(bodies)) {
 		t.Errorf("stats = %+v, want %d bytes stored in %d objects (each distinct body written once)", s, distinct, len(bodies))
 	}
-	objects := objectFiles(t, dir)
-	for _, path := range objects {
-		if strings.HasPrefix(filepath.Base(path), ".obj-") {
-			t.Errorf("temp object left behind: %s", path)
-		}
-	}
-	if len(objects) != len(bodies) {
-		t.Errorf("%d object files, want %d", len(objects), len(bodies))
+	if got := objectsEntries(t, dir); len(got) != 1 || got[0] != packName(1) {
+		t.Errorf("objects/ holds %q, want the session's one pack %q", got, packName(1))
 	}
 
 	// The append-only manifest records each URL's stores in strictly
@@ -543,51 +688,50 @@ func TestConcurrentStoreLoad(t *testing.T) {
 		}
 	}
 
-	t.Run("repair races corrupt removal", func(t *testing.T) {
-		// Load finds the object truncated while a Store of the same body
-		// under another URL repairs it. Load may drop the object only
-		// while it is still bad: the Store's fresh line references it.
+	t.Run("load forgets only the current location", func(t *testing.T) {
+		// A Load that finds a body bad forgets its location only while it
+		// is still the digest's current one. A fresh copy that a Store
+		// appended in the meantime stays current, so the re-fetch of every
+		// URL that referenced the bad copy reuses it instead of appending
+		// the body once more per stale reader.
 		dir := t.TempDir()
 		a := mustOpen(t, dir, Options{})
 		body := strings.Repeat("<p>shared landing page</p>", 40<<10)
 		for round := 0; round < 20; round++ {
-			first := fmt.Sprintf("https://first%d.test/", round)
-			second := fmt.Sprintf("https://second%d.test/", round)
-			a.Store(first, resp(body))
-			truncateObject(t, dir)
-			bucket := filepath.Dir(objectFiles(t, dir)[0])
-			var loaded *browser.Response
-			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				// Read while the Store is mid-write: its temp object
-				// exists and the repairing rename has not happened yet.
-				for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); runtime.Gosched() {
-					if tempObjects(bucket) > 0 {
-						break
-					}
+			url := func(name string) string { return fmt.Sprintf("https://%s%d.test/", name, round) }
+			a.Store(url("first"), resp(body))
+			a.Store(url("second"), resp(body))
+			e := a.index[url("first")]
+			flipPackByte(t, dir, e.Pack, e.Offset)
+			if got, _ := a.Load(url("first")); got != nil {
+				t.Fatalf("round %d: corrupt body served", round)
+			}
+			before := a.Stats().BytesStored
+			if round%2 == 0 {
+				// In order: the fresh copy lands before the stale reader
+				// of the bad one gives up.
+				a.Store(url("third"), resp(body))
+				if got, _ := a.Load(url("second")); got != nil {
+					t.Fatalf("round %d: corrupt body served to a second URL", round)
 				}
-				loaded, _ = a.Load(first)
-			}()
-			go func() {
-				defer wg.Done()
-				a.Store(second, resp(body))
-			}()
-			wg.Wait()
-			if objects := objectFiles(t, dir); len(objects) != 1 {
-				t.Fatalf("round %d: %d object files after the race, want 1", round, len(objects))
+			} else {
+				var wg sync.WaitGroup
+				wg.Add(2)
+				go func() { defer wg.Done(); a.Load(url("second")) }()
+				go func() { defer wg.Done(); a.Store(url("third"), resp(body)) }()
+				wg.Wait()
 			}
-			if got, err := a.Load(second); err != nil || got == nil || got.Body != body {
-				t.Fatalf("round %d: the repairing Store's URL lost its object: %v, %v", round, got, err)
+			// The callers' re-fetches reuse the fresh copy.
+			a.Store(url("first"), resp(body))
+			a.Store(url("second"), resp(body))
+			if got, want := a.Stats().BytesStored-before, uint64(len(body)); got != want {
+				t.Fatalf("round %d: %d bytes appended after the corruption, want one fresh copy (%d)", round, got, want)
 			}
-			if loaded == nil {
-				a.Store(first, resp(body)) // the caller's re-fetch
+			for _, name := range []string{"first", "second", "third"} {
+				if got, err := a.Load(url(name)); err != nil || got == nil || got.Body != body {
+					t.Fatalf("round %d: Load(%s) = %v, %v", round, name, got, err)
+				}
 			}
-			if got, err := a.Load(first); err != nil || got == nil || got.Body != body {
-				t.Fatalf("round %d: Load(first) = %v, %v", round, got, err)
-			}
-			removeObjects(t, dir)
 		}
 	})
 }
@@ -633,6 +777,19 @@ func (f fetcherFunc) Fetch(ctx context.Context, rawURL string) (*browser.Respons
 
 // --- filesystem fault helpers ---
 
+// appendManifest appends raw lines to dir's manifest.
+func appendManifest(t *testing.T, dir, lines string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, manifestName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(lines); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func manifestLines(t *testing.T, dir string) int {
 	t.Helper()
 	f, err := os.Open(filepath.Join(dir, manifestName))
@@ -665,17 +822,42 @@ func objectFiles(t *testing.T, dir string) []string {
 
 func countObjects(t *testing.T, dir string) int { return len(objectFiles(t, dir)) }
 
-// tempObjects counts the temp objects in one objects/xx bucket: writes
-// in progress.
-func tempObjects(bucket string) int {
-	entries, _ := os.ReadDir(bucket)
-	n := 0
-	for _, de := range entries {
-		if strings.HasPrefix(de.Name(), ".obj-") {
-			n++
-		}
+// objectsEntries lists the names directly under objects/, sorted, with
+// a trailing slash on directories.
+func objectsEntries(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(dir, objectsDir))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return n
+	var names []string
+	for _, de := range entries {
+		name := de.Name()
+		if de.IsDir() {
+			name += "/"
+		}
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// flipPackByte inverts the byte at off in the named pack, in place.
+func flipPackByte(t *testing.T, dir, pack string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, objectsDir, pack), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func flipObjectByte(t *testing.T, dir string) {

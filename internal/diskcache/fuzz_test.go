@@ -3,6 +3,7 @@ package diskcache
 import (
 	"bytes"
 	"encoding/json"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,10 @@ import (
 // manifestSeeds are lines from a real chaos-crawl manifest (successes
 // with headers, archived failures with their re-store generations),
 // plus the debris and hostile input a reader must survive: a torn tail,
-// a duplicate URL, and success lines whose hash is not a digest.
+// a duplicate URL, success lines whose hash is not a digest, and pack
+// references the writer never makes — names with separators, dot-dots,
+// no digits or too many, negative offsets and sizes, and ranges near
+// MaxInt64.
 var manifestSeeds = []string{
 	`{"url":"https://www.site000009.io/","hash":"d2ab8b7d48b059189d96e3ae14525068ea250b2ff1e2a1500dc9efbeacaa5c7a","size":648,"status":200,"header":{"Content-Length":["648"],"Content-Type":["text/html"],"Date":["Sun, 18 Oct 2026 03:34:30 GMT"]},"final_url":"https://www.site000009.io/","gen":1}` + "\n",
 	`{"url":"https://www.2mdn.net/creative","hash":"1ba81ac745ce67354b015488c8d4875101c40d06f078f387091291096cd5bb96","size":506,"status":200,"header":{"Content-Length":["506"],"Content-Type":["text/html"],"Permissions-Policy":["ch-ua=*, ch-ua-arch=*, ch-ua-mobile=*"]},"final_url":"https://www.2mdn.net/creative","gen":1}` + "\n",
@@ -22,12 +26,31 @@ var manifestSeeds = []string{
 	`{"url":"https://crafted.test/","hash":"a","size":1}` + "\n",
 	`{"url":"https://crafted.test/","hash":"../../../victim.txt","size":8}` + "\n",
 	"!!not json!!\n\n",
+	`{"url":"https://www.site000001.com/","hash":"d2ab8b7d48b059189d96e3ae14525068ea250b2ff1e2a1500dc9efbeacaa5c7a","size":648,"pack":"3.pack","offset":1048576,"status":200,"gen":2}` + "\n",
+	`{"url":"https://p.test/","hash":"d2ab8b7d48b059189d96e3ae14525068ea250b2ff1e2a1500dc9efbeacaa5c7a","size":8,"pack":"../../../victim.txt"}` + "\n" +
+		`{"url":"https://q.test/","hash":"d2ab8b7d48b059189d96e3ae14525068ea250b2ff1e2a1500dc9efbeacaa5c7a","size":8,"pack":"1.pack/../../x.pack"}` + "\n",
+	`{"url":"https://p.test/","hash":"d2ab8b7d48b059189d96e3ae14525068ea250b2ff1e2a1500dc9efbeacaa5c7a","size":8,"pack":"","offset":5}` + "\n" +
+		`{"url":"https://q.test/","hash":"d2ab8b7d48b059189d96e3ae14525068ea250b2ff1e2a1500dc9efbeacaa5c7a","size":8,"pack":".pack"}` + "\n",
+	`{"url":"https://p.test/","hash":"d2ab8b7d48b059189d96e3ae14525068ea250b2ff1e2a1500dc9efbeacaa5c7a","size":8,"pack":"1234567890.pack"}` + "\n" +
+		`{"url":"https://q.test/","hash":"d2ab8b7d48b059189d96e3ae14525068ea250b2ff1e2a1500dc9efbeacaa5c7a","size":8,"pack":"999999999.pack"}` + "\n",
+	`{"url":"https://p.test/","hash":"d2ab8b7d48b059189d96e3ae14525068ea250b2ff1e2a1500dc9efbeacaa5c7a","size":8,"pack":"1.pack","offset":-1}` + "\n" +
+		`{"url":"https://q.test/","hash":"d2ab8b7d48b059189d96e3ae14525068ea250b2ff1e2a1500dc9efbeacaa5c7a","size":-8,"pack":"1.pack"}` + "\n",
+	`{"url":"https://p.test/","hash":"d2ab8b7d48b059189d96e3ae14525068ea250b2ff1e2a1500dc9efbeacaa5c7a","size":9223372036854775807,"pack":"1.pack","offset":9223372036854775807}` + "\n" +
+		`{"url":"https://q.test/","hash":"d2ab8b7d48b059189d96e3ae14525068ea250b2ff1e2a1500dc9efbeacaa5c7a","size":16,"pack":"1.pack","offset":9223372036854775800}` + "\n",
+	`{"url":"https://p.test/","hash":"d2ab8b7d48b059189d96e3ae14525068ea250b2ff1e2a1500dc9efbeacaa5c7a","size":8,"pack":"01.pack"}` + "\n" +
+		`{"url":"https://q.test/","hash":"d2ab8b7d48b059189d96e3ae14525068ea250b2ff1e2a1500dc9efbeacaa5c7a","size":8,"pack":"+1.pack"}` + "\n",
 }
+
+// packRef is the form of every pack reference the writer makes:
+// packName of a number from 1 to maxPack.
+var packRef = regexp.MustCompile(`^[1-9][0-9]{0,8}\.pack$`)
 
 // FuzzManifest: the manifest reader never panics, accounts for every
 // newline-terminated line as an entry or a corrupt line, flags a final
-// line without a newline as torn, admits only digest-shaped hashes, and
-// reads back what the compaction encoder writes from its entries.
+// line without a newline as torn, admits only digest-shaped hashes and
+// pack references of the writer's form (a packRef name, offset and
+// size non-negative, and no offset without a pack), and reads back
+// what the compaction encoder writes from its entries.
 func FuzzManifest(f *testing.F) {
 	for _, s := range manifestSeeds {
 		f.Add(s)
@@ -52,6 +75,9 @@ func FuzzManifest(f *testing.F) {
 			}
 			if e.Hash != "" && !validHash(e.Hash) {
 				t.Errorf("entry %q admitted hash %q", url, e.Hash)
+			}
+			if (e.Pack != "" && !packRef.MatchString(e.Pack)) || e.Offset < 0 || e.Size < 0 || (e.Pack == "" && e.Offset != 0) {
+				t.Errorf("entry %q admitted body reference pack %q, offset %d, size %d", url, e.Pack, e.Offset, e.Size)
 			}
 		}
 

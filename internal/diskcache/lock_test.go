@@ -124,7 +124,8 @@ func TestReconcileNewerGenerationWins(t *testing.T) {
 // TestCompactTruncatedTail: compacting after a writer was SIGKILLed
 // steals its lock, sweeps its temp files, drops its torn tail and any
 // corrupt line, keeps every intact entry, and leaves one sorted line
-// per URL that a second Compact and a reopen leave byte-identical.
+// per URL that a second Compact and a reopen leave byte-identical. It
+// writes no pack: the dead writer's stays as it was.
 func TestCompactTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
 	a := mustOpen(t, dir, Options{})
@@ -141,9 +142,13 @@ func TestCompactTruncatedTail(t *testing.T) {
 	}
 	f.Close()
 	orphanObj, orphanManifest := plantKillDebris(t, dir)
+	deadPack := packBytes(t, dir, packName(1))
 
 	if err := Compact(dir); err != nil {
 		t.Fatal(err)
+	}
+	if packBytes(t, dir, packName(1)) != deadPack {
+		t.Error("Compact wrote to the dead writer's pack")
 	}
 	for _, p := range []string{orphanObj, orphanManifest, filepath.Join(dir, lockName)} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {

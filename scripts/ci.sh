@@ -34,5 +34,8 @@ go test -race ./...
 # The memo is the one cache every crawl worker shares; repeat its tests
 # under the race detector so rare build/eviction interleavings show up.
 go test -race -count=10 ./internal/memo
-# The crawl queue is the other structure every worker shares.
+# The crawl queue is the second structure every worker shares.
 go test -race -count=5 ./internal/crawler
+# The archive's pack writer is the third: every worker's Store appends
+# to one pack, and a Load may forget a location a Store just made.
+go test -race -count=5 ./internal/diskcache

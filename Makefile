@@ -60,8 +60,8 @@ benchcmp:
 soak:
 	go test -race -v -timeout 20m -run 'TestChaos' ./internal/core/
 
-# Fuzz smoke: every script, html, policy, header, diskcache and bundle
-# fuzz target for 10 s each.
+# Fuzz smoke: every script, html, policy, header, diskcache, bundle and
+# analysis fuzz target for 10 s each.
 fuzz-smoke:
 	./scripts/fuzz_smoke.sh
 

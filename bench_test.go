@@ -1,9 +1,10 @@
 // Package permodyssey's root benchmark harness regenerates every table
 // and figure of the paper's evaluation (go test -bench=. -benchmem).
-// Each Benchmark prints its table once (via b.Logf on -v, or silently
-// validates it) and then measures the cost of recomputing the analysis
-// from the shared crawl dataset. The crawl itself is performed once per
-// process over a deterministic synthetic web.
+// Each Benchmark prints its table or experiment once to stderr and then
+// measures the cost of recomputing it; BenchmarkReport prints the full
+// report and times the whole report path over the shared crawl dataset.
+// The crawl itself is performed once per process over a deterministic
+// synthetic web.
 package permodyssey
 
 import (
@@ -51,10 +52,13 @@ var (
 	benchOnce sync.Once
 	benchDS   *store.Dataset
 	benchErr  error
+	// benchReport keeps each timed report alive, so the compiler
+	// cannot drop the call.
+	benchReport analysis.ReportData
 )
 
 // benchDataset crawls the shared synthetic web once.
-func benchDataset(b *testing.B) *analysis.Analysis {
+func benchDataset(b *testing.B) *store.Dataset {
 	b.Helper()
 	benchOnce.Do(func() {
 		cfg := synthweb.DefaultConfig()
@@ -78,25 +82,7 @@ func benchDataset(b *testing.B) *analysis.Analysis {
 	if benchErr != nil {
 		b.Fatal(benchErr)
 	}
-	return analysis.New(benchDS)
-}
-
-var (
-	benchReportOnce sync.Once
-	benchReport     analysis.ReportData
-)
-
-// benchTable renders the table `permreport -table key` prints for the
-// shared dataset, computing the report once per process.
-func benchTable(b *testing.B, key string) string {
-	b.Helper()
-	a := benchDataset(b)
-	benchReportOnce.Do(func() { benchReport = a.ReportData(10) })
-	t, ok := benchReport.Lookup(key)
-	if !ok {
-		b.Fatalf("no table %q", key)
-	}
-	return t.String()
+	return benchDS
 }
 
 // printOnce emits a table to stderr exactly once per benchmark name.
@@ -173,85 +159,36 @@ func BenchmarkTable2_Characteristics(b *testing.B) {
 	}
 }
 
-func BenchmarkTable3_TopEmbeds(b *testing.B) {
-	a := benchDataset(b)
-	printOnce(b.Name(), benchTable(b, "3"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Table3TopEmbeds(10)
+// BenchmarkReport regenerates every table and figure of §4-§5 from
+// the shared dataset (Tables 3-10/13, Figure 2, the failure taxonomy,
+// the §4.2.2 directives and the §4.3.3 misconfigurations), printing the
+// full report once with two ablations read off it, and times the whole
+// report path: one fold over the records plus ReportData.
+//
+// The ablations: static-only vs dynamic-only vs hybrid detection (the
+// design rationale of §3.1.1), and the first-occurrence rule of §4.1,
+// raw invocation records versus deduplicated contexts.
+func BenchmarkReport(b *testing.B) {
+	ds := benchDataset(b)
+	a := analysis.New(ds)
+	rd := a.ReportData(0)
+	raw := 0
+	for _, rec := range ds.Successful() {
+		for _, f := range rec.Page.Frames {
+			raw += len(f.Invocations)
+		}
 	}
-}
-
-func BenchmarkTable4_Invocations(b *testing.B) {
-	a := benchDataset(b)
-	printOnce(b.Name(), benchTable(b, "4"))
+	contexts := rd.Table4Total.TotalContexts
+	printOnce(b.Name(), a.FullReport()+fmt.Sprintf(
+		"\nAblation: detection method\n"+
+			"dynamic-only: %d websites\nstatic-only:  %d websites\nhybrid:       %d websites (+%d over dynamic alone)\n"+
+			"\nAblation: first-occurrence dedup\n"+
+			"raw invocation records:        %d\nfirst-occurrence contexts:     %d (%.1fx inflation avoided)\n",
+		rd.Usage.WithAnyInvocation, rd.Static.Websites, rd.Hybrid.AnyActivity, rd.Hybrid.AnyActivity-rd.Usage.WithAnyInvocation,
+		raw, contexts, float64(raw)/float64(max(1, contexts))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Table4Invocations(10)
-	}
-}
-
-func BenchmarkTable5_StatusChecks(b *testing.B) {
-	a := benchDataset(b)
-	printOnce(b.Name(), benchTable(b, "5"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Table5StatusChecks(10)
-	}
-}
-
-func BenchmarkTable6_Static(b *testing.B) {
-	a := benchDataset(b)
-	printOnce(b.Name(), benchTable(b, "6"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Table6Static(10)
-	}
-}
-
-func BenchmarkTable7_DelegatedEmbeds(b *testing.B) {
-	a := benchDataset(b)
-	printOnce(b.Name(), benchTable(b, "7"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Table7DelegatedEmbeds(10)
-	}
-}
-
-func BenchmarkTable8_DelegatedPermissions(b *testing.B) {
-	a := benchDataset(b)
-	printOnce(b.Name(), benchTable(b, "8"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Table8DelegatedPermissions(10)
-	}
-}
-
-func BenchmarkTable9_HeaderDirectives(b *testing.B) {
-	a := benchDataset(b)
-	printOnce(b.Name(), benchTable(b, "9"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Table9HeaderDirectives(10)
-	}
-}
-
-func BenchmarkFigure2_Adoption(b *testing.B) {
-	a := benchDataset(b)
-	printOnce(b.Name(), benchTable(b, "fig2"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Figure2Adoption()
-	}
-}
-
-func BenchmarkTable10_Overpermissioned(b *testing.B) {
-	a := benchDataset(b)
-	cfg := analysis.DefaultOverPermissionConfig()
-	printOnce(b.Name(), benchTable(b, "10"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.OverPermissioned(cfg, 10)
+		benchReport = analysis.New(ds).ReportData(10)
 	}
 }
 
@@ -294,55 +231,7 @@ func BenchmarkTable12_ManualValidation(b *testing.B) {
 	}
 }
 
-func BenchmarkMisconfigurations(b *testing.B) {
-	a := benchDataset(b)
-	s := a.Misconfigurations()
-	printOnce(b.Name(), fmt.Sprintf(
-		"frames with header: %d; syntax-invalid: %d (top %d / emb %d); by kind: %v\nsemantic misconfig websites: top %d, embedded %d\n",
-		s.FramesWithHeader, s.SyntaxErrorFrames, s.SyntaxErrorTopLevel, s.SyntaxErrorEmbedded,
-		s.ByKind, s.SemanticMisconfigWebsites, s.SemanticMisconfigEmbedded))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Misconfigurations()
-	}
-}
-
-func BenchmarkDelegationDirectives(b *testing.B) {
-	a := benchDataset(b)
-	printOnce(b.Name(), benchTable(b, "directives"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.DelegationDirectives()
-	}
-}
-
-func BenchmarkFailureTaxonomy(b *testing.B) {
-	a := benchDataset(b)
-	printOnce(b.Name(), benchTable(b, "failures"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.FailureTaxonomy()
-	}
-}
-
 // ---- Ablations (DESIGN.md design-choice studies) ----
-
-// BenchmarkAblationHybridDetection compares the three detection methods
-// (static-only / dynamic-only / hybrid) on the shared dataset — the
-// design rationale of §3.1.1.
-func BenchmarkAblationHybridDetection(b *testing.B) {
-	a := benchDataset(b)
-	_, _, usum := a.Table4Invocations(0)
-	_, _, ssum := a.Table6Static(0)
-	hy := a.SummaryHybrid()
-	printOnce(b.Name(), fmt.Sprintf(
-		"dynamic-only: %d websites\nstatic-only:  %d websites\nhybrid:       %d websites (+%d over dynamic alone)\n",
-		usum.WithAnyInvocation, ssum.Websites, hy.AnyActivity, hy.AnyActivity-usum.WithAnyInvocation))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.SummaryHybrid()
-	}
-}
 
 // BenchmarkAblationLazyScroll crawls a small population with and
 // without lazy-iframe scrolling, measuring the frame-coverage loss the
@@ -387,7 +276,7 @@ func BenchmarkAblationLazyScroll(b *testing.B) {
 // BenchmarkAblationOverpermissionThreshold sweeps the §5 prevalence
 // threshold, showing the paper's 5% choice sits on a stable plateau.
 func BenchmarkAblationOverpermissionThreshold(b *testing.B) {
-	a := benchDataset(b)
+	a := analysis.New(benchDataset(b))
 	var table string
 	for _, th := range []float64{0.01, 0.05, 0.20, 0.50, 0.90} {
 		cfg := analysis.OverPermissionConfig{Threshold: th, MinInclusions: 3}
@@ -400,26 +289,6 @@ func BenchmarkAblationOverpermissionThreshold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.OverPermissioned(cfg, 0)
-	}
-}
-
-// BenchmarkAblationFirstOccurrenceDedup quantifies the first-occurrence
-// rule of §4.1: raw invocation counts versus deduplicated contexts.
-func BenchmarkAblationFirstOccurrenceDedup(b *testing.B) {
-	a := benchDataset(b)
-	_, totalRow, _ := a.Table4Invocations(0)
-	raw := 0
-	for _, rec := range benchDS.Successful() {
-		for _, f := range rec.Page.Frames {
-			raw += len(f.Invocations)
-		}
-	}
-	printOnce(b.Name(), fmt.Sprintf(
-		"raw invocation records:        %d\nfirst-occurrence contexts:     %d (%.1fx inflation avoided)\n",
-		raw, totalRow.TotalContexts, float64(raw)/float64(max(1, totalRow.TotalContexts))))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Table4Invocations(0)
 	}
 }
 
@@ -447,7 +316,7 @@ func BenchmarkAblationInternalLinks(b *testing.B) {
 		return c.Crawl(context.Background(), targets)
 	}
 	withLinks := run(3)
-	gain := analysis.New(withLinks).InternalPages()
+	gain := analysis.New(withLinks).ReportData(0).InternalGain
 	printOnce(b.Name(), fmt.Sprintf(
 		"internal pages visited on %d sites; %d sites gained permissions only visible there (%v)\n",
 		gain.SitesWithInternalPages, gain.SitesWithNewPermissions, gain.PermissionsGained))

@@ -23,37 +23,41 @@ var (
 // across the analysis tests (the crawl is deterministic).
 func dataset(t *testing.T) *store.Dataset {
 	t.Helper()
-	dsOnce.Do(func() {
-		cfg := synthweb.DefaultConfig()
-		cfg.NumSites = 1200
-		cfg.Seed = 42
-		srv := synthweb.NewServer(cfg)
-		srv.StallTime = 300 * time.Millisecond
-		if err := srv.Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		b := browser.New(browser.NewHTTPFetcher(srv.Client(0)), browser.DefaultOptions())
-		c := crawler.New(b, crawler.Config{Workers: 24, PerSiteTimeout: 150 * time.Millisecond})
-		var targets []crawler.Target
-		for _, s := range srv.Sites() {
-			targets = append(targets, crawler.Target{Rank: s.Rank, URL: s.URL()})
-		}
-		dsVal = c.Crawl(context.Background(), targets)
-	})
+	dsOnce.Do(func() { dsVal = crawl(t, 1200, 42) })
 	if dsVal == nil {
 		t.Fatal("dataset unavailable")
 	}
 	return dsVal
 }
 
+// crawl crawls a synthetic web of the given size and seed.
+func crawl(tb testing.TB, sites int, seed int64) *store.Dataset {
+	tb.Helper()
+	cfg := synthweb.DefaultConfig()
+	cfg.NumSites = sites
+	cfg.Seed = seed
+	srv := synthweb.NewServer(cfg)
+	srv.StallTime = 300 * time.Millisecond
+	if err := srv.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	defer srv.Close()
+	b := browser.New(browser.NewHTTPFetcher(srv.Client(0)), browser.DefaultOptions())
+	c := crawler.New(b, crawler.Config{Workers: 24, PerSiteTimeout: 150 * time.Millisecond})
+	var targets []crawler.Target
+	for _, s := range srv.Sites() {
+		targets = append(targets, crawler.Target{Rank: s.Rank, URL: s.URL()})
+	}
+	return c.Crawl(context.Background(), targets)
+}
+
 func TestFailureTaxonomyShape(t *testing.T) {
-	a := New(dataset(t))
-	counts := a.FailureTaxonomy()
+	rd := New(dataset(t)).ReportData(10)
+	counts := rd.Failures
 	t.Logf("taxonomy: %v", counts)
 	// ~88% success, like the paper's 817,800/1M ≈ 82% (we do not model
 	// the paper's post-hoc exclusions at the same rate).
-	okShare := pct(counts["ok"], a.TotalRecords())
+	okShare := pct(counts["ok"], rd.TotalRecords)
 	if okShare < 80 || okShare > 95 {
 		t.Errorf("success share %.1f%% out of the expected band", okShare)
 	}
@@ -67,8 +71,8 @@ func TestFailureTaxonomyShape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	a := New(dataset(t))
-	rows, total := a.Table3TopEmbeds(10)
+	rd := New(dataset(t)).ReportData(10)
+	rows, total := rd.Table3, rd.Table3Total
 	if len(rows) < 5 {
 		t.Fatalf("rows: %d", len(rows))
 	}
@@ -90,8 +94,8 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	a := New(dataset(t))
-	rows, total, sum := a.Table4Invocations(10)
+	rd := New(dataset(t)).ReportData(10)
+	rows, total, sum := rd.Table4, rd.Table4Total, rd.Usage
 	if len(rows) == 0 {
 		t.Fatal("no usage rows")
 	}
@@ -127,8 +131,8 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	a := New(dataset(t))
-	rows, _, stats := a.Table5StatusChecks(10)
+	rd := New(dataset(t)).ReportData(10)
+	rows, stats := rd.Table5, rd.Checks
 	if len(rows) == 0 {
 		t.Fatal("no check rows")
 	}
@@ -151,19 +155,18 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestTable6Shape(t *testing.T) {
-	a := New(dataset(t))
-	rows, _, sum := a.Table6Static(10)
+	rd := New(dataset(t)).ReportData(10)
+	rows, sum := rd.Table6, rd.Static
 	if len(rows) == 0 {
 		t.Fatal("no static rows")
 	}
-	share := pct(sum.Websites, a.Websites())
+	share := pct(sum.Websites, rd.Websites)
 	if share < 15 || share > 60 {
 		t.Errorf("static share %.1f%% outside band (paper 30.5%%)", share)
 	}
 	// Shape invariant: string matching misses obfuscated/minified code,
 	// so static detection trails dynamic (paper: 30.5%% vs 40.65%%).
-	_, _, usum := a.Table4Invocations(0)
-	if sum.Websites >= usum.WithAnyInvocation {
+	if usum := rd.Usage; sum.Websites >= usum.WithAnyInvocation {
 		t.Errorf("static websites (%d) must trail dynamic websites (%d)", sum.Websites, usum.WithAnyInvocation)
 	}
 	// Camera and Microphone have identical counts (they share the
@@ -183,8 +186,7 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestHybridHeadline(t *testing.T) {
-	a := New(dataset(t))
-	hy := a.SummaryHybrid()
+	hy := New(dataset(t)).ReportData(10).Hybrid
 	share := pct(hy.AnyActivity, hy.Websites)
 	t.Logf("hybrid: %.2f%% (dynamic-only %d, static-only %d, both %d)",
 		share, hy.DynamicOnly, hy.StaticOnly, hy.Both)
@@ -198,8 +200,8 @@ func TestHybridHeadline(t *testing.T) {
 }
 
 func TestDelegationShape(t *testing.T) {
-	a := New(dataset(t))
-	ds := a.SummaryDelegation()
+	rd := New(dataset(t)).ReportData(10)
+	ds := rd.Delegation
 	share := pct(ds.AnyDelegation, ds.Websites)
 	t.Logf("delegation: any %.2f%%, external %.2f%%", share, pct(ds.ExternalDelegation, ds.Websites))
 	// Paper: 12.07% any, 10.8% external.
@@ -213,7 +215,7 @@ func TestDelegationShape(t *testing.T) {
 		t.Error("third-party ⊆ external")
 	}
 
-	rows, _ := a.Table7DelegatedEmbeds(10)
+	rows := rd.Table7
 	if len(rows) < 5 {
 		t.Fatalf("table 7 rows: %d", len(rows))
 	}
@@ -228,7 +230,7 @@ func TestDelegationShape(t *testing.T) {
 		t.Errorf("livechatinc.com must appear in table 7: %+v", rows)
 	}
 
-	t8, t8Total := a.Table8DelegatedPermissions(10)
+	t8, t8Total := rd.Table8, rd.Table8Total
 	if len(t8) == 0 {
 		t.Fatal("no delegated permissions")
 	}
@@ -241,8 +243,7 @@ func TestDelegationShape(t *testing.T) {
 }
 
 func TestDirectiveSharesShape(t *testing.T) {
-	a := New(dataset(t))
-	s := a.DelegationDirectives()
+	s := New(dataset(t)).ReportData(10).Directives
 	t.Logf("directives: default %.1f%% wildcard %.1f%%", s.DefaultSrc, s.Wildcard)
 	// Paper: 82.12% default, 17.17% wildcard, the rest ≈ 0.7%.
 	if s.DefaultSrc < 55 {
@@ -257,8 +258,7 @@ func TestDirectiveSharesShape(t *testing.T) {
 }
 
 func TestFigure2Shape(t *testing.T) {
-	a := New(dataset(t))
-	s := a.Figure2Adoption()
+	s := New(dataset(t)).ReportData(10).Adoption
 	t.Logf("adoption: PP %.2f%% (top %.2f%%, emb %.2f%%), FP %.2f%%",
 		s.PPDocumentsPct, s.PPTopLevelPct, s.PPEmbeddedPct, s.FPDocumentsPct)
 	// Paper: 7.90% PP vs 0.51% FP; embedded ~3x top-level (12.3% vs 4.5%).
@@ -274,8 +274,8 @@ func TestFigure2Shape(t *testing.T) {
 }
 
 func TestTable9Shape(t *testing.T) {
-	a := New(dataset(t))
-	rows, total, stats := a.Table9HeaderDirectives(10)
+	rd := New(dataset(t)).ReportData(10)
+	rows, total, stats := rd.Table9, rd.Table9Total, rd.HeaderStats
 	if len(rows) == 0 {
 		t.Fatal("no header directive rows")
 	}
@@ -302,8 +302,7 @@ func TestTable9Shape(t *testing.T) {
 }
 
 func TestMisconfigurationsShape(t *testing.T) {
-	a := New(dataset(t))
-	s := a.Misconfigurations()
+	s := New(dataset(t)).ReportData(10).Misconfig
 	t.Logf("misconfig: %d frames with header, %d syntax errors, kinds %v",
 		s.FramesWithHeader, s.SyntaxErrorFrames, s.ByKind)
 	if s.SyntaxErrorFrames == 0 {
@@ -366,8 +365,7 @@ func TestOverPermissionedShape(t *testing.T) {
 }
 
 func TestWildcardRisks(t *testing.T) {
-	a := New(dataset(t))
-	risks := a.WildcardRisks()
+	risks := New(dataset(t)).ReportData(10).Wildcards
 	found := false
 	for _, r := range risks {
 		if r.Site == "livechatinc.com" {
@@ -384,8 +382,7 @@ func TestWildcardRisks(t *testing.T) {
 }
 
 func TestFrameCensus(t *testing.T) {
-	a := New(dataset(t))
-	fs := a.Frames()
+	fs := New(dataset(t)).ReportData(10).Frames
 	t.Logf("census: %+v", fs)
 	if fs.EmbeddedFrames == 0 || fs.LocalEmbedded == 0 || fs.ExternalEmbedded == 0 {
 		t.Fatal("census must include local and external embedded frames")

@@ -1,10 +1,9 @@
 package analysis
 
 import (
-	"sort"
+	"maps"
 
-	"permodyssey/internal/permissions"
-	"permodyssey/internal/policy"
+	"permodyssey/internal/browser"
 	"permodyssey/internal/static"
 )
 
@@ -26,82 +25,6 @@ type NestedDelegationStats struct {
 	ChainsByPermission map[string]int
 }
 
-// NestedDelegations computes the extension statistics.
-func (a *Analysis) NestedDelegations() NestedDelegationStats {
-	s := NestedDelegationStats{ChainsByPermission: map[string]int{}}
-	for _, rec := range a.recs {
-		// Delegations by depth-1 frames, for chain matching.
-		depth1 := map[string]bool{} // permission delegated at hop 1
-		for _, f := range rec.Page.EmbeddedFrames() {
-			if f.Depth == 1 && f.Element.HasAllow {
-				p, _ := policy.ParseAllowAttr(f.Element.Allow)
-				for _, d := range p.Directives {
-					if !d.Allowlist.None() {
-						depth1[d.Feature] = true
-					}
-				}
-			}
-		}
-		siteHasChain := false
-		for _, f := range rec.Page.EmbeddedFrames() {
-			if f.Depth < 2 {
-				continue
-			}
-			s.DeepFrames++
-			if !f.Element.HasAllow {
-				continue
-			}
-			p, _ := policy.ParseAllowAttr(f.Element.Allow)
-			if p.Empty() {
-				continue
-			}
-			s.DeepDelegated++
-			for _, d := range p.Directives {
-				if d.Allowlist.None() || !depth1[d.Feature] {
-					continue
-				}
-				s.ChainsByPermission[d.Feature]++
-				siteHasChain = true
-				if perm, ok := permissions.Lookup(d.Feature); ok && perm.Powerful {
-					s.PowerfulChains++
-				}
-			}
-		}
-		if siteHasChain {
-			s.WebsitesWithChains++
-		}
-	}
-	return s
-}
-
-// PrevalenceTier is one row of the §4.2 prevalence observation ("34
-// distinct sites are present in at least 100 of the most visited
-// websites ... 13 sites in at least 1,000").
-type PrevalenceTier struct {
-	// MinWebsites is the inclusion threshold.
-	MinWebsites int
-	// Sites is the number of distinct embedded sites at or above it.
-	Sites int
-}
-
-// DelegatedEmbedPrevalence computes how many distinct delegated-to
-// embed sites exceed each website-count threshold.
-func (a *Analysis) DelegatedEmbedPrevalence(thresholds []int) []PrevalenceTier {
-	rows, _ := a.Table7DelegatedEmbeds(0)
-	sort.Ints(thresholds)
-	out := make([]PrevalenceTier, 0, len(thresholds))
-	for _, th := range thresholds {
-		n := 0
-		for _, r := range rows {
-			if r.Count >= th {
-				n++
-			}
-		}
-		out = append(out, PrevalenceTier{MinWebsites: th, Sites: n})
-	}
-	return out
-}
-
 // InternalPageGain quantifies the beyond-landing-page blind spot
 // (§6.1): permissions observed on followed internal pages that the
 // landing page never surfaced, statically or dynamically.
@@ -115,89 +38,36 @@ type InternalPageGain struct {
 	PermissionsGained map[string]int
 }
 
-// InternalPages computes the gain from followed internal pages.
-func (a *Analysis) InternalPages() InternalPageGain {
-	g := InternalPageGain{PermissionsGained: map[string]int{}}
-	for _, rec := range a.recs {
-		if len(rec.InternalPages) == 0 {
-			continue
-		}
-		g.SitesWithInternalPages++
-		landing := map[string]bool{}
-		for fi := range rec.Page.Frames {
-			f := &rec.Page.Frames[fi]
-			for _, inv := range f.Invocations {
-				for _, p := range inv.Permissions {
-					landing[p] = true
-				}
-			}
-			for _, p := range static.Permissions(f.StaticFindings) {
-				landing[p] = true
-			}
-		}
-		gained := map[string]bool{}
-		for pi := range rec.InternalPages {
-			page := &rec.InternalPages[pi]
-			for fi := range page.Frames {
-				f := &page.Frames[fi]
-				for _, inv := range f.Invocations {
-					for _, p := range inv.Permissions {
-						if !landing[p] {
-							gained[p] = true
-						}
-					}
-				}
-				for _, p := range static.Permissions(f.StaticFindings) {
-					if !landing[p] {
-						gained[p] = true
-					}
-				}
-			}
-		}
-		if len(gained) > 0 {
-			g.SitesWithNewPermissions++
-			for p := range gained {
-				g.PermissionsGained[p]++
-			}
+// internalPages folds a website's followed internal pages against the
+// activity its landing page showed.
+func (a *Analysis) internalPages(pages []browser.PageResult, landing map[string]bool) {
+	g := &a.internal
+	g.SitesWithInternalPages++
+	seen := map[string]bool{}
+	for pi := range pages {
+		for fi := range pages[pi].Frames {
+			f := &pages[pi].Frames[fi]
+			activity(seen, f, static.Permissions(f.StaticFindings))
 		}
 	}
-	return g
-}
-
-// ReportOnlyStats measures Permissions-Policy-Report-Only adoption —
-// the observe-before-enforce mode the specification inherits from CSP.
-type ReportOnlyStats struct {
-	Documents      int
-	WithReportOnly int
-	// AlsoEnforcing of those serve an enforced header too.
-	AlsoEnforcing int
-	// EndpointsSeen counts distinct report-to endpoint names.
-	EndpointsSeen int
-}
-
-// ReportOnly computes report-only adoption over non-local frames.
-func (a *Analysis) ReportOnly() ReportOnlyStats {
-	s := ReportOnlyStats{}
-	endpoints := map[string]bool{}
-	for _, fr := range a.frames() {
-		f := fr.frame
-		if f.LocalScheme || f.LoadError != "" {
-			continue
-		}
-		s.Documents++
-		if !f.HasReportOnly {
-			continue
-		}
-		s.WithReportOnly++
-		if f.HasPermissionsPolicy {
-			s.AlsoEnforcing++
-		}
-		if _, eps, _, err := policy.ParseReportOnly(f.ReportOnlyRaw); err == nil {
-			for _, name := range eps {
-				endpoints[name] = true
-			}
+	gained := false
+	for p := range seen {
+		if !landing[p] {
+			g.PermissionsGained[p]++
+			gained = true
 		}
 	}
-	s.EndpointsSeen = len(endpoints)
-	return s
+	if gained {
+		g.SitesWithNewPermissions++
+	}
+}
+
+// extensionReport fills the statistics beyond the paper's tables.
+func (a *Analysis) extensionReport(rd *ReportData) {
+	rd.Nested = a.nested
+	rd.Nested.ChainsByPermission = maps.Clone(a.nested.ChainsByPermission)
+	rd.InternalGain = a.internal
+	rd.InternalGain.PermissionsGained = maps.Clone(a.internal.PermissionsGained)
+	rd.Wildcards = a.wildcardRisks()
+	rd.Purposes = a.purposeRows()
 }

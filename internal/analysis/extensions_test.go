@@ -9,8 +9,7 @@ import (
 )
 
 func TestNestedDelegations(t *testing.T) {
-	a := New(dataset(t))
-	s := a.NestedDelegations()
+	s := New(dataset(t)).ReportData(10).Nested
 	t.Logf("nested: %+v", s)
 	if s.DeepFrames == 0 {
 		t.Fatal("the synthetic web nests frames (safeframe creatives)")
@@ -27,27 +26,32 @@ func TestNestedDelegations(t *testing.T) {
 }
 
 func TestDelegatedEmbedPrevalence(t *testing.T) {
-	a := New(dataset(t))
-	tiers := a.DelegatedEmbedPrevalence([]int{1, 5, 25})
-	if len(tiers) != 3 {
+	rd := New(dataset(t)).ReportData(10)
+	tiers := rd.Prevalence
+	if len(tiers) != 4 {
 		t.Fatalf("tiers: %v", tiers)
 	}
 	// Monotone decreasing with threshold — the paper's head/tail shape
 	// (34 sites ≥100 websites, only 13 ≥1,000).
-	if !(tiers[0].Sites >= tiers[1].Sites && tiers[1].Sites >= tiers[2].Sites) {
-		t.Errorf("prevalence must decrease with threshold: %v", tiers)
+	for i := 1; i < len(tiers); i++ {
+		if tiers[i].MinWebsites <= tiers[i-1].MinWebsites || tiers[i].Sites > tiers[i-1].Sites {
+			t.Errorf("prevalence must decrease with threshold: %v", tiers)
+		}
 	}
-	if tiers[0].Sites == 0 || tiers[2].Sites == 0 {
+	if tiers[0].Sites == 0 || tiers[1].Sites == 0 {
 		t.Errorf("tiers empty: %v", tiers)
 	}
-	if tiers[0].Sites == tiers[2].Sites {
+	if tiers[0].Sites == tiers[1].Sites {
 		t.Errorf("long tail missing: %v", tiers)
+	}
+	// The head: some delegated-to site appears on at least 25 websites.
+	if len(rd.Table7) == 0 || rd.Table7[0].Count < 25 {
+		t.Errorf("no delegated embed on ≥25 websites: %v", rd.Table7)
 	}
 }
 
 func TestReportOnlyAdoption(t *testing.T) {
-	a := New(dataset(t))
-	s := a.ReportOnly()
+	s := New(dataset(t)).ReportData(10).ReportOnlyH
 	t.Logf("report-only: %+v", s)
 	if s.WithReportOnly == 0 {
 		t.Fatal("report-only headers must appear in the population")
@@ -128,8 +132,7 @@ func containsStr(haystack, needle string) bool {
 }
 
 func TestEmbeddedHeaders(t *testing.T) {
-	a := New(dataset(t))
-	s := a.EmbeddedHeaders(10)
+	s := New(dataset(t)).ReportData(10).EmbeddedHdr
 	t.Logf("embedded headers: docs=%d disable=%.1f%% self=%.1f%% all=%.1f%% powerful=%.1f%%",
 		s.Documents, s.DisablePct, s.SelfPct, s.AllPct, s.PowerfulDirectivePct)
 	if s.Documents == 0 {
@@ -154,8 +157,6 @@ func TestEmbeddedHeaders(t *testing.T) {
 	}
 	// Powerful directives are a much smaller share embedded than the
 	// top-level header content (paper 26.30%% vs 56.29%%).
-	_, _, topStats := a.Table9HeaderDirectives(0)
-	_ = topStats
 	if s.PowerfulDirectivePct > 50 {
 		t.Errorf("embedded powerful-directive share %.1f%% implausibly high", s.PowerfulDirectivePct)
 	}

@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"maps"
+
+	"permodyssey/internal/browser"
 	"permodyssey/internal/origin"
 	"permodyssey/internal/policy"
 )
@@ -21,42 +24,6 @@ type AdoptionStats struct {
 	FPDocumentsPct float64
 	PPTopLevelPct  float64
 	PPEmbeddedPct  float64
-}
-
-// Figure2Adoption computes header adoption over all non-local frames.
-func (a *Analysis) Figure2Adoption() AdoptionStats {
-	var s AdoptionStats
-	for _, fr := range a.frames() {
-		f := fr.frame
-		if f.LocalScheme || f.LoadError != "" {
-			continue
-		}
-		s.Documents++
-		if f.TopLevel {
-			s.TopLevelDocs++
-		} else {
-			s.EmbeddedDocs++
-		}
-		if f.HasPermissionsPolicy {
-			s.PPDocuments++
-			if f.TopLevel {
-				s.PPTopLevel++
-			} else {
-				s.PPEmbedded++
-			}
-		}
-		if f.HasFeaturePolicy {
-			s.FPDocuments++
-		}
-		if f.HasPermissionsPolicy && f.HasFeaturePolicy {
-			s.BothDocuments++
-		}
-	}
-	s.PPDocumentsPct = pct(s.PPDocuments, s.Documents)
-	s.FPDocumentsPct = pct(s.FPDocuments, s.Documents)
-	s.PPTopLevelPct = pct(s.PPTopLevel, s.TopLevelDocs)
-	s.PPEmbeddedPct = pct(s.PPEmbedded, s.EmbeddedDocs)
-	return s
 }
 
 // DirectiveBreadthRow is one row of Table 9: for one permission, how
@@ -83,82 +50,6 @@ type HeaderContentStats struct {
 	PowerfulDisableOrSelfPct float64
 }
 
-// Table9HeaderDirectives computes, for top-level documents with a valid
-// Permissions-Policy header, the least restrictive directive per
-// feature per website (paper Table 9), plus a Total row and content
-// statistics.
-func (a *Analysis) Table9HeaderDirectives(n int) ([]DirectiveBreadthRow, DirectiveBreadthRow, HeaderContentStats) {
-	perName := map[string]*DirectiveBreadthRow{}
-	total := &DirectiveBreadthRow{Name: "Total (any permission)", Counts: map[policy.Breadth]int{}}
-	stats := HeaderContentStats{SizeHistogram: map[int]int{}}
-	totalDirectives := 0
-	powerfulDirectives, powerfulTight := 0, 0
-	sumPerms := 0
-
-	for _, rec := range a.recs {
-		top := rec.Page.TopFrame()
-		if !top.HasPermissionsPolicy {
-			continue
-		}
-		stats.HeaderWebsites++
-		if !top.HeaderValid {
-			continue
-		}
-		p, _, err := policy.ParsePermissionsPolicy(top.PermissionsPolicyRaw)
-		if err != nil {
-			continue
-		}
-		stats.ParsedWebsites++
-		stats.SizeHistogram[len(p.Directives)]++
-		sumPerms += len(p.Directives)
-		if len(p.Directives) > stats.MaxPermissions {
-			stats.MaxPermissions = len(p.Directives)
-		}
-		self, _ := origin.Parse(top.Origin)
-		for _, d := range p.Directives {
-			breadth := d.Allowlist.BreadthFor(self)
-			row, ok := perName[d.Feature]
-			if !ok {
-				row = &DirectiveBreadthRow{Name: d.Feature, Counts: map[policy.Breadth]int{}}
-				perName[d.Feature] = row
-			}
-			row.Counts[breadth]++
-			row.Websites++
-			total.Counts[breadth]++
-			totalDirectives++
-			if isPowerful(d.Feature) {
-				powerfulDirectives++
-				if breadth <= policy.BreadthSelf {
-					powerfulTight++
-				}
-			}
-		}
-		total.Websites++ // websites with ≥1 parsed directive
-	}
-
-	if stats.ParsedWebsites > 0 {
-		stats.AvgPermissions = float64(sumPerms) / float64(stats.ParsedWebsites)
-	}
-	stats.DisablePct = pct(total.Counts[policy.BreadthDisable], totalDirectives)
-	stats.SelfPct = pct(total.Counts[policy.BreadthSelf], totalDirectives)
-	stats.AllPct = pct(total.Counts[policy.BreadthAll], totalDirectives)
-	stats.PowerfulDisableOrSelfPct = pct(powerfulTight, powerfulDirectives)
-
-	rows := make([]DirectiveBreadthRow, 0, len(perName))
-	for _, row := range perName {
-		rows = append(rows, *row)
-	}
-	rows = rank(rows, func(r DirectiveBreadthRow) (string, int) { return r.Name, r.Websites }, n)
-	return rows, *total, stats
-}
-
-func isPowerful(name string) bool {
-	if p, ok := lookupPermission(name); ok {
-		return p
-	}
-	return false
-}
-
 // EmbeddedHeaderStats reproduces §4.3.2: header content in embedded
 // documents, where the most prevalent directives are User-Agent
 // Client-Hints features granted '*' (which "effectively has no impact
@@ -177,46 +68,6 @@ type EmbeddedHeaderStats struct {
 	// PowerfulDirectivePct is the share of directives naming powerful
 	// permissions (56.29% top-level vs 26.30% embedded in the paper).
 	PowerfulDirectivePct float64
-}
-
-// EmbeddedHeaders computes §4.3.2 over embedded documents.
-func (a *Analysis) EmbeddedHeaders(topN int) EmbeddedHeaderStats {
-	s := EmbeddedHeaderStats{}
-	features := map[string]int{}
-	var disable, self, all, total, powerful int
-	for _, fr := range a.frames() {
-		f := fr.frame
-		if f.TopLevel || f.LocalScheme || !f.HasPermissionsPolicy || !f.HeaderValid {
-			continue
-		}
-		p, _, err := policy.ParsePermissionsPolicy(f.PermissionsPolicyRaw)
-		if err != nil {
-			continue
-		}
-		s.Documents++
-		selfOrigin, _ := origin.Parse(f.Origin)
-		for _, d := range p.Directives {
-			features[d.Feature]++
-			total++
-			if isPowerful(d.Feature) {
-				powerful++
-			}
-			switch d.Allowlist.BreadthFor(selfOrigin) {
-			case policy.BreadthDisable:
-				disable++
-			case policy.BreadthSelf:
-				self++
-			case policy.BreadthAll:
-				all++
-			}
-		}
-	}
-	s.TopFeatures = topCounts(features, topN)
-	s.DisablePct = pct(disable, total)
-	s.SelfPct = pct(self, total)
-	s.AllPct = pct(all, total)
-	s.PowerfulDirectivePct = pct(powerful, total)
-	return s
 }
 
 // MisconfigStats reproduces §4.3.3.
@@ -238,52 +89,216 @@ type MisconfigStats struct {
 	SemanticMisconfigEmbedded int
 }
 
-// Misconfigurations analyzes header defects across all frames.
-func (a *Analysis) Misconfigurations() MisconfigStats {
-	s := MisconfigStats{ByKind: map[policy.IssueKind]int{}}
-	for _, rec := range a.recs {
-		topSemantic, embSemantic := false, false
-		for fi := range rec.Page.Frames {
-			f := &rec.Page.Frames[fi]
-			if f.LocalScheme || !f.HasPermissionsPolicy {
-				continue
-			}
-			s.FramesWithHeader++
-			for _, issue := range f.HeaderIssues {
-				s.ByKind[issue.Kind]++
-			}
-			if !f.HeaderValid {
-				s.SyntaxErrorFrames++
-				if f.TopLevel {
-					s.SyntaxErrorTopLevel++
-				} else {
-					s.SyntaxErrorEmbedded++
-				}
-				continue
-			}
-			semantic := false
-			for _, issue := range f.HeaderIssues {
-				switch issue.Kind {
-				case policy.IssueUnrecognizedToken, policy.IssueUnquotedOrigin,
-					policy.IssueContradictory, policy.IssueOriginsWithoutSelf,
-					policy.IssueInvalidOrigin:
-					semantic = true
-				}
-			}
-			if semantic {
-				if f.TopLevel {
-					topSemantic = true
-				} else {
-					embSemantic = true
-				}
+// ReportOnlyStats measures Permissions-Policy-Report-Only adoption —
+// the observe-before-enforce mode the specification inherits from CSP.
+type ReportOnlyStats struct {
+	Documents      int
+	WithReportOnly int
+	// AlsoEnforcing of those serve an enforced header too.
+	AlsoEnforcing int
+	// EndpointsSeen counts distinct report-to endpoint names.
+	EndpointsSeen int
+}
+
+// LocalSchemeExposure estimates how many measured websites satisfy the
+// §6.2 exploitability preconditions for the local-scheme bypass: a
+// valid top-level header restricting a powerful permission to self
+// (the "second most common" configuration), combined with a CSP that
+// does not govern frames (or no CSP at all) — so an HTML injection
+// could introduce the local-scheme intermediary.
+type LocalSchemeExposure struct {
+	// SelfOnlyPowerful: websites whose header grants some powerful
+	// permission exactly 'self'.
+	SelfOnlyPowerful int
+	// Exposed of those lack a frame-governing CSP directive.
+	Exposed int
+}
+
+// headerFrame folds one frame's headers into Figure 2, report-only
+// adoption, the §4.3.3 misconfigurations and the §4.3.2 embedded
+// header content. Local-scheme documents carry no headers.
+func (a *Analysis) headerFrame(f *browser.FrameResult, r *record) {
+	if f.LocalScheme {
+		return
+	}
+	if f.LoadError == "" {
+		s := &a.adoption
+		s.Documents++
+		if f.TopLevel {
+			s.TopLevelDocs++
+		} else {
+			s.EmbeddedDocs++
+		}
+		if f.HasPermissionsPolicy {
+			s.PPDocuments++
+			if f.TopLevel {
+				s.PPTopLevel++
+			} else {
+				s.PPEmbedded++
 			}
 		}
-		if topSemantic {
-			s.SemanticMisconfigWebsites++
+		if f.HasFeaturePolicy {
+			s.FPDocuments++
 		}
-		if embSemantic {
-			s.SemanticMisconfigEmbedded++
+		if f.HasPermissionsPolicy && f.HasFeaturePolicy {
+			s.BothDocuments++
+		}
+		if f.HasReportOnly {
+			a.reportOnly.WithReportOnly++
+			if f.HasPermissionsPolicy {
+				a.reportOnly.AlsoEnforcing++
+			}
+			if _, eps, _, err := policy.ParseReportOnly(f.ReportOnlyRaw); err == nil {
+				for _, name := range eps {
+					a.endpoints[name] = true
+				}
+			}
 		}
 	}
-	return s
+	if !f.HasPermissionsPolicy {
+		return
+	}
+	m := &a.misconfig
+	m.FramesWithHeader++
+	semantic := false
+	for _, issue := range f.HeaderIssues {
+		m.ByKind[issue.Kind]++
+		switch issue.Kind {
+		case policy.IssueUnrecognizedToken, policy.IssueUnquotedOrigin,
+			policy.IssueContradictory, policy.IssueOriginsWithoutSelf,
+			policy.IssueInvalidOrigin:
+			semantic = true
+		}
+	}
+	if !f.HeaderValid {
+		m.SyntaxErrorFrames++
+		if f.TopLevel {
+			m.SyntaxErrorTopLevel++
+		} else {
+			m.SyntaxErrorEmbedded++
+		}
+		return
+	}
+	switch {
+	case semantic && f.TopLevel:
+		a.semanticTop.add(r.n)
+	case semantic:
+		a.semanticEmb.add(r.n)
+	}
+	if f.TopLevel {
+		return
+	}
+	p, _, err := policy.ParsePermissionsPolicy(f.PermissionsPolicyRaw)
+	if err != nil {
+		return
+	}
+	a.embDocs++
+	self, _ := origin.Parse(f.Origin)
+	for _, d := range p.Directives {
+		a.embFeatures[d.Feature]++
+		a.embDirectives++
+		if isPowerful(d.Feature) {
+			a.embPowerful++
+		}
+		a.embBreadth[d.Allowlist.BreadthFor(self)]++
+	}
+}
+
+// topHeader folds the top-level document's Permissions-Policy header,
+// parsed once, into Table 9, the §4.3.1 content statistics and the
+// §6.2 exposure.
+func (a *Analysis) topHeader(top *browser.FrameResult) {
+	if !top.HasPermissionsPolicy {
+		return
+	}
+	s := &a.header
+	s.HeaderWebsites++
+	if !top.HeaderValid {
+		return
+	}
+	p, _, err := policy.ParsePermissionsPolicy(top.PermissionsPolicyRaw)
+	if err != nil {
+		return
+	}
+	s.ParsedWebsites++
+	s.SizeHistogram[len(p.Directives)]++
+	s.MaxPermissions = max(s.MaxPermissions, len(p.Directives))
+	self, _ := origin.Parse(top.Origin)
+	selfPowerful := false
+	for _, d := range p.Directives {
+		breadth := d.Allowlist.BreadthFor(self)
+		row, ok := a.t9[d.Feature]
+		if !ok {
+			row = &DirectiveBreadthRow{Name: d.Feature, Counts: map[policy.Breadth]int{}}
+			a.t9[d.Feature] = row
+		}
+		row.Counts[breadth]++
+		row.Websites++
+		a.t9Total.Counts[breadth]++
+		a.t9Directives++
+		if isPowerful(d.Feature) {
+			a.powerfulDirectives++
+			if breadth <= policy.BreadthSelf {
+				a.powerfulTight++
+			}
+			selfPowerful = selfPowerful ||
+				d.Allowlist.Self && !d.Allowlist.All && len(d.Allowlist.Origins) == 0
+		}
+	}
+	a.t9Total.Websites++
+	if selfPowerful {
+		a.exposure.SelfOnlyPowerful++
+		// Exposed when the CSP would let an injected data: iframe load
+		// (no governing directive, or one not admitting data:).
+		if browser.ParseCSP(top.CSPRaw).AllowsFrame("data:text/html,x") {
+			a.exposure.Exposed++
+		}
+	}
+}
+
+// headerReport fills Figure 2, Table 9 and the §4.3 header statistics.
+func (a *Analysis) headerReport(rd *ReportData, n int) {
+	rd.Adoption = a.adoption
+	s := &rd.Adoption
+	s.PPDocumentsPct = pct(s.PPDocuments, s.Documents)
+	s.FPDocumentsPct = pct(s.FPDocuments, s.Documents)
+	s.PPTopLevelPct = pct(s.PPTopLevel, s.TopLevelDocs)
+	s.PPEmbeddedPct = pct(s.PPEmbedded, s.EmbeddedDocs)
+
+	rows := make([]DirectiveBreadthRow, 0, len(a.t9))
+	for _, row := range a.t9 {
+		rows = append(rows, DirectiveBreadthRow{Name: row.Name, Counts: maps.Clone(row.Counts), Websites: row.Websites})
+	}
+	rd.Table9 = rank(rows, func(r DirectiveBreadthRow) (string, int) { return r.Name, r.Websites }, n)
+	rd.Table9Total = a.t9Total
+	rd.Table9Total.Counts = maps.Clone(a.t9Total.Counts)
+	rd.HeaderStats = a.header
+	h := &rd.HeaderStats
+	h.SizeHistogram = maps.Clone(a.header.SizeHistogram)
+	if h.ParsedWebsites > 0 {
+		h.AvgPermissions = float64(a.t9Directives) / float64(h.ParsedWebsites)
+	}
+	h.DisablePct = pct(a.t9Total.Counts[policy.BreadthDisable], a.t9Directives)
+	h.SelfPct = pct(a.t9Total.Counts[policy.BreadthSelf], a.t9Directives)
+	h.AllPct = pct(a.t9Total.Counts[policy.BreadthAll], a.t9Directives)
+	h.PowerfulDisableOrSelfPct = pct(a.powerfulTight, a.powerfulDirectives)
+
+	rd.EmbeddedHdr = EmbeddedHeaderStats{
+		Documents:            a.embDocs,
+		TopFeatures:          topCounts(a.embFeatures, func(c int) int { return c }, n),
+		DisablePct:           pct(a.embBreadth[policy.BreadthDisable], a.embDirectives),
+		SelfPct:              pct(a.embBreadth[policy.BreadthSelf], a.embDirectives),
+		AllPct:               pct(a.embBreadth[policy.BreadthAll], a.embDirectives),
+		PowerfulDirectivePct: pct(a.embPowerful, a.embDirectives),
+	}
+
+	rd.Misconfig = a.misconfig
+	rd.Misconfig.ByKind = maps.Clone(a.misconfig.ByKind)
+	rd.Misconfig.SemanticMisconfigWebsites = a.semanticTop.n
+	rd.Misconfig.SemanticMisconfigEmbedded = a.semanticEmb.n
+	rd.IssueKinds = rd.Misconfig.ByKind
+	rd.ReportOnlyH = a.reportOnly
+	rd.ReportOnlyH.Documents = a.adoption.Documents
+	rd.ReportOnlyH.EndpointsSeen = len(a.endpoints)
+	rd.Exposure = a.exposure
 }

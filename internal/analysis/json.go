@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"encoding/json"
+	"maps"
 
 	"permodyssey/internal/policy"
 	"permodyssey/internal/store"
@@ -24,8 +25,8 @@ type ReportData struct {
 	Table5       []CheckRow                 `json:"table5_status_checks"`
 	Table5Total  CheckRow                   `json:"table5_total"`
 	Checks       CheckStats                 `json:"check_stats"`
-	Table6       []StaticRow                `json:"table6_static"`
-	Table6Total  StaticRow                  `json:"table6_total"`
+	Table6       []CheckRow                 `json:"table6_static"`
+	Table6Total  CheckRow                   `json:"table6_total"`
 	Static       StaticSummary              `json:"static_summary"`
 	Hybrid       HybridSummary              `json:"hybrid_summary"`
 	Delegation   DelegationSummary          `json:"delegation_summary"`
@@ -52,38 +53,26 @@ type ReportData struct {
 	InternalGain InternalPageGain           `json:"internal_page_gain"`
 }
 
-// ReportData computes every table into one structure.
+// ReportData ranks, truncates and divides the folded aggregates into
+// every table, keeping topN rows per ranking (all when topN <= 0).
 func (a *Analysis) ReportData(topN int) ReportData {
-	d := ReportData{
-		Websites:     a.Websites(),
-		TotalRecords: a.TotalRecords(),
-		Failures:     a.FailureTaxonomy(),
-		Retries:      a.RetryOutcomes(),
-		Frames:       a.Frames(),
+	rd := ReportData{
+		Websites:     a.websites,
+		TotalRecords: a.total,
+		Failures:     maps.Clone(a.failures),
+		Retries:      a.retryStats(),
+		Frames:       a.census,
 	}
-	d.Table3, d.Table3Total = a.Table3TopEmbeds(topN)
-	d.Table4, d.Table4Total, d.Usage = a.Table4Invocations(topN)
-	d.Table5, d.Table5Total, d.Checks = a.Table5StatusChecks(topN)
-	d.Table6, d.Table6Total, d.Static = a.Table6Static(topN)
-	d.Hybrid = a.SummaryHybrid()
-	d.Delegation = a.SummaryDelegation()
-	d.Table7, d.Table7Total = a.Table7DelegatedEmbeds(topN)
-	d.Table8, d.Table8Total = a.Table8DelegatedPermissions(topN)
-	d.Directives = a.DelegationDirectives()
-	d.Adoption = a.Figure2Adoption()
-	d.Table9, d.Table9Total, d.HeaderStats = a.Table9HeaderDirectives(topN)
-	d.Misconfig = a.Misconfigurations()
-	d.IssueKinds = d.Misconfig.ByKind
-	d.Table10, d.Table10Total = a.OverPermissioned(DefaultOverPermissionConfig(), topN)
-	d.Wildcards = a.WildcardRisks()
-	d.Nested = a.NestedDelegations()
-	d.Prevalence = a.DelegatedEmbedPrevalence([]int{1, 10, 50, 100})
-	d.ReportOnlyH = a.ReportOnly()
-	d.Purposes = a.DelegationsByPurpose()
-	d.Exposure = a.SpecIssueExposure()
-	d.EmbeddedHdr = a.EmbeddedHeaders(topN)
-	d.InternalGain = a.InternalPages()
-	return d
+	rd.Frames.Websites = a.websites
+	if rd.Frames.WebsitesWithFrame > 0 {
+		rd.Frames.AvgIframesPerSite = float64(a.iframes) / float64(rd.Frames.WebsitesWithFrame)
+	}
+	a.usageReport(&rd, topN)
+	a.delegationReport(&rd, topN)
+	a.headerReport(&rd, topN)
+	rd.Table10, rd.Table10Total = a.OverPermissioned(DefaultOverPermissionConfig(), topN)
+	a.extensionReport(&rd)
+	return rd
 }
 
 // JSON renders the report data as indented JSON.

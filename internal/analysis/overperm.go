@@ -2,16 +2,15 @@ package analysis
 
 import (
 	"sort"
-	"strings"
 
+	"permodyssey/internal/browser"
 	"permodyssey/internal/permissions"
 	"permodyssey/internal/policy"
-	"permodyssey/internal/static"
 )
 
-func lookupPermission(name string) (powerful bool, ok bool) {
+func isPowerful(name string) bool {
 	p, ok := permissions.Lookup(name)
-	return p.Powerful, ok
+	return ok && p.Powerful
 }
 
 // OverPermissionRow is one row of Tables 10/13: an embedded document
@@ -41,6 +40,46 @@ func DefaultOverPermissionConfig() OverPermissionConfig {
 	return OverPermissionConfig{Threshold: 0.05, MinInclusions: 3}
 }
 
+// widget is one embedded site's Table 10 evidence.
+type widget struct {
+	inclusions int
+	delegated  map[string]*delegation // by permission
+	used       map[string]bool        // permissions it showed activity for
+}
+
+// delegation counts a widget's iframes delegated one permission. Its
+// websites are kept by record number: Table 10 counts them only for
+// the permissions found unused once every record is in.
+type delegation struct {
+	count    int
+	websites map[int]bool
+}
+
+// widgetFrame folds one external frame of the widget at f.Site, on
+// website record rec: an inclusion, its delegations (opt-outs are not
+// delegations) and any permission activity by the document.
+func (a *Analysis) widgetFrame(f *browser.FrameResult, allow policy.Policy, statics []string, rec int) {
+	w := a.widgets[f.Site]
+	if w == nil {
+		w = &widget{delegated: map[string]*delegation{}, used: map[string]bool{}}
+		a.widgets[f.Site] = w
+	}
+	w.inclusions++
+	for _, d := range allow.Directives {
+		if d.Allowlist.None() {
+			continue
+		}
+		del := w.delegated[d.Feature]
+		if del == nil {
+			del = &delegation{websites: map[int]bool{}}
+			w.delegated[d.Feature] = del
+		}
+		del.count++
+		del.websites[rec] = true
+	}
+	activity(w.used, f, statics)
+}
+
 // OverPermissioned computes Tables 10/13: the upper bound of
 // potentially over-permissive embedded documents. For each embedded
 // site it gathers (a) the permissions delegated in at least
@@ -49,75 +88,19 @@ func DefaultOverPermissionConfig() OverPermissionConfig {
 // static functionality — anywhere in the dataset. Permissions in (a)
 // but not (b) are potentially unused delegations.
 func (a *Analysis) OverPermissioned(cfg OverPermissionConfig, n int) ([]OverPermissionRow, int) {
-	type widgetStats struct {
-		inclusions     int
-		delegatedCount map[string]int
-		usedPerms      map[string]bool
-		// websitesByPerm: websites delegating each permission to it.
-		websitesByPerm map[string]map[int]bool
-	}
-	widgets := map[string]*widgetStats{}
-	get := func(site string) *widgetStats {
-		w, ok := widgets[site]
-		if !ok {
-			w = &widgetStats{
-				delegatedCount: map[string]int{},
-				usedPerms:      map[string]bool{},
-				websitesByPerm: map[string]map[int]bool{},
-			}
-			widgets[site] = w
-		}
-		return w
-	}
-
-	for _, rec := range a.recs {
-		topSite := rec.Page.TopFrame().Site
-		for fi := range rec.Page.EmbeddedFrames() {
-			f := rec.Page.EmbeddedFrames()[fi]
-			if f.LocalScheme || f.Site == "" || f.Site == topSite {
-				continue
-			}
-			w := get(f.Site)
-			w.inclusions++
-			if f.Element.HasAllow {
-				p, _ := policy.ParseAllowAttr(f.Element.Allow)
-				for _, d := range p.Directives {
-					if d.Allowlist.None() {
-						continue // opt-outs are not delegations
-					}
-					w.delegatedCount[d.Feature]++
-					if w.websitesByPerm[d.Feature] == nil {
-						w.websitesByPerm[d.Feature] = map[int]bool{}
-					}
-					w.websitesByPerm[d.Feature][rec.Rank] = true
-				}
-			}
-			// Usage evidence: any permission-related activity by the
-			// embedded document.
-			for _, inv := range f.Invocations {
-				for _, perm := range inv.Permissions {
-					w.usedPerms[perm] = true
-				}
-			}
-			for _, perm := range static.Permissions(f.StaticFindings) {
-				w.usedPerms[perm] = true
-			}
-		}
-	}
-
 	var rows []OverPermissionRow
 	affectedTotal := map[int]bool{}
-	for site, w := range widgets {
+	for site, w := range a.widgets {
 		if w.inclusions < cfg.MinInclusions {
 			continue
 		}
 		var unused []string
 		affected := map[int]bool{}
-		for perm, count := range w.delegatedCount {
-			if float64(count) < cfg.Threshold*float64(w.inclusions) {
+		for perm, del := range w.delegated {
+			if float64(del.count) < cfg.Threshold*float64(w.inclusions) {
 				continue
 			}
-			if w.usedPerms[perm] {
+			if w.used[perm] {
 				continue
 			}
 			// Only real, policy-controlled permissions are risk-relevant.
@@ -125,9 +108,9 @@ func (a *Analysis) OverPermissioned(cfg OverPermissionConfig, n int) ([]OverPerm
 				continue
 			}
 			unused = append(unused, perm)
-			for rank := range w.websitesByPerm[perm] {
-				affected[rank] = true
-				affectedTotal[rank] = true
+			for rec := range del.websites {
+				affected[rec] = true
+				affectedTotal[rec] = true
 			}
 		}
 		if len(unused) == 0 {
@@ -144,56 +127,42 @@ func (a *Analysis) OverPermissioned(cfg OverPermissionConfig, n int) ([]OverPerm
 	return rows, len(affectedTotal)
 }
 
-// WildcardDelegationRisks finds widgets included with wildcard (*)
-// delegations of powerful permissions — the LiveChat hijacking pattern
-// of §5.2: a redirect of the embedded document would carry the
-// permission along.
+// WildcardRisk is a widget included with wildcard (*) delegations of
+// powerful permissions — the LiveChat hijacking pattern of §5.2: a
+// redirect of the embedded document would carry the permission along.
 type WildcardRisk struct {
 	Site        string
 	Permissions []string
 	Websites    int
 }
 
-// WildcardRisks scans for the §5.2 wildcard pattern.
-func (a *Analysis) WildcardRisks() []WildcardRisk {
-	type cell struct {
-		perms    map[string]bool
-		websites map[int]bool
+// wildcard accumulates one widget's WildcardRisk.
+type wildcard struct {
+	perms    map[string]bool
+	websites tally
+}
+
+// wildcard folds one wildcard delegation of a powerful permission.
+func (a *Analysis) wildcard(site, feature string, rec int) {
+	c := a.wildcards[site]
+	if c == nil {
+		c = &wildcard{perms: map[string]bool{}}
+		a.wildcards[site] = c
 	}
-	m := map[string]*cell{}
-	for _, rec := range a.recs {
-		topSite := rec.Page.TopFrame().Site
-		for _, f := range rec.Page.EmbeddedFrames() {
-			if f.LocalScheme || f.Site == "" || f.Site == topSite || !f.Element.HasAllow {
-				continue
-			}
-			for _, raw := range strings.Split(f.Element.Allow, ";") {
-				feature, kind, ok := policy.ClassifyAllowDirective(raw)
-				if !ok || kind != policy.DelegationWildcard {
-					continue
-				}
-				p, known := permissions.Lookup(feature)
-				if !known || !p.Powerful {
-					continue
-				}
-				c, ok := m[f.Site]
-				if !ok {
-					c = &cell{perms: map[string]bool{}, websites: map[int]bool{}}
-					m[f.Site] = c
-				}
-				c.perms[feature] = true
-				c.websites[rec.Rank] = true
-			}
-		}
-	}
+	c.perms[feature] = true
+	c.websites.add(rec)
+}
+
+// wildcardRisks ranks the §5.2 wildcard pattern by websites.
+func (a *Analysis) wildcardRisks() []WildcardRisk {
 	var out []WildcardRisk
-	for site, c := range m {
-		var perms []string
+	for site, c := range a.wildcards {
+		perms := make([]string, 0, len(c.perms))
 		for p := range c.perms {
 			perms = append(perms, p)
 		}
 		sort.Strings(perms)
-		out = append(out, WildcardRisk{Site: site, Permissions: perms, Websites: len(c.websites)})
+		out = append(out, WildcardRisk{Site: site, Permissions: perms, Websites: c.websites.n})
 	}
 	return rank(out, func(r WildcardRisk) (string, int) { return r.Site, r.Websites }, 0)
 }

@@ -1,11 +1,6 @@
 package analysis
 
-import (
-	"strings"
-
-	"permodyssey/internal/browser"
-	"permodyssey/internal/policy"
-)
+import "strings"
 
 // Purpose is the §4.2.1 grouping of embedded documents by the
 // permissions they are delegated: "permission delegations often exhibit
@@ -92,92 +87,29 @@ type PurposeRow struct {
 	Websites int // websites delegating to them
 }
 
-// DelegationsByPurpose groups delegated external embeds by the §4.2.1
-// purpose taxonomy.
-func (a *Analysis) DelegationsByPurpose() []PurposeRow {
-	type cell struct {
-		embeds   map[string]bool
-		websites map[int]bool
+// purposeCell accumulates one PurposeRow.
+type purposeCell struct {
+	embeds   map[string]bool
+	websites tally
+}
+
+// purpose folds one direct external iframe delegated for purpose.
+func (a *Analysis) purpose(p Purpose, site string, rec int) {
+	c := a.purposes[p]
+	if c == nil {
+		c = &purposeCell{embeds: map[string]bool{}}
+		a.purposes[p] = c
 	}
-	byPurpose := map[Purpose]*cell{}
-	for _, rec := range a.recs {
-		topSite := rec.Page.TopFrame().Site
-		for _, f := range rec.Page.EmbeddedFrames() {
-			if f.Depth != 1 || f.LocalScheme || f.Site == "" || f.Site == topSite || !f.Element.HasAllow {
-				continue
-			}
-			p, _ := policy.ParseAllowAttr(f.Element.Allow)
-			var perms []string
-			for _, d := range p.Directives {
-				if !d.Allowlist.None() {
-					perms = append(perms, d.Feature)
-				}
-			}
-			if len(perms) == 0 {
-				continue
-			}
-			purpose := ClassifyPurpose(perms)
-			c, ok := byPurpose[purpose]
-			if !ok {
-				c = &cell{embeds: map[string]bool{}, websites: map[int]bool{}}
-				byPurpose[purpose] = c
-			}
-			c.embeds[f.Site] = true
-			c.websites[rec.Rank] = true
-		}
-	}
-	out := make([]PurposeRow, 0, len(byPurpose))
-	for p, c := range byPurpose {
-		out = append(out, PurposeRow{Purpose: p, Embeds: len(c.embeds), Websites: len(c.websites)})
+	c.embeds[site] = true
+	c.websites.add(rec)
+}
+
+// purposeRows groups delegated external embeds by the §4.2.1 purpose
+// taxonomy.
+func (a *Analysis) purposeRows() []PurposeRow {
+	out := make([]PurposeRow, 0, len(a.purposes))
+	for p, c := range a.purposes {
+		out = append(out, PurposeRow{Purpose: p, Embeds: len(c.embeds), Websites: c.websites.n})
 	}
 	return rank(out, func(r PurposeRow) (string, int) { return string(r.Purpose), r.Websites }, 0)
-}
-
-// LocalSchemeExposure estimates how many measured websites satisfy the
-// §6.2 exploitability preconditions for the local-scheme bypass: a
-// valid top-level header restricting a powerful permission to self
-// (the "second most common" configuration), combined with a CSP that
-// does not govern frames (or no CSP at all) — so an HTML injection
-// could introduce the local-scheme intermediary.
-type LocalSchemeExposure struct {
-	// SelfOnlyPowerful: websites whose header grants some powerful
-	// permission exactly 'self'.
-	SelfOnlyPowerful int
-	// Exposed of those lack a frame-governing CSP directive.
-	Exposed int
-}
-
-// SpecIssueExposure computes the §6.2 exposure estimate.
-func (a *Analysis) SpecIssueExposure() LocalSchemeExposure {
-	var s LocalSchemeExposure
-	for _, rec := range a.recs {
-		top := rec.Page.TopFrame()
-		if !top.HasPermissionsPolicy || !top.HeaderValid {
-			continue
-		}
-		p, _, err := policy.ParsePermissionsPolicy(top.PermissionsPolicyRaw)
-		if err != nil {
-			continue
-		}
-		selfPowerful := false
-		for _, d := range p.Directives {
-			if !isPowerful(d.Feature) {
-				continue
-			}
-			if d.Allowlist.Self && !d.Allowlist.All && len(d.Allowlist.Origins) == 0 {
-				selfPowerful = true
-				break
-			}
-		}
-		if !selfPowerful {
-			continue
-		}
-		s.SelfOnlyPowerful++
-		// Exposed when the CSP would let an injected data: iframe load
-		// (no governing directive, or one not admitting data:).
-		if browser.ParseCSP(top.CSPRaw).AllowsFrame("data:text/html,x") {
-			s.Exposed++
-		}
-	}
-	return s
 }

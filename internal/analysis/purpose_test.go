@@ -34,8 +34,7 @@ func TestClassifyPurpose(t *testing.T) {
 }
 
 func TestDelegationsByPurpose(t *testing.T) {
-	a := New(dataset(t))
-	rows := a.DelegationsByPurpose()
+	rows := New(dataset(t)).ReportData(10).Purposes
 	if len(rows) < 3 {
 		t.Fatalf("purpose rows: %+v", rows)
 	}
@@ -56,8 +55,7 @@ func TestDelegationsByPurpose(t *testing.T) {
 }
 
 func TestSpecIssueExposure(t *testing.T) {
-	a := New(dataset(t))
-	s := a.SpecIssueExposure()
+	s := New(dataset(t)).ReportData(10).Exposure
 	t.Logf("exposure: %+v", s)
 	if s.SelfOnlyPowerful == 0 {
 		t.Fatal("self-only powerful directives exist in the population (geolocation=(self) templates)")

@@ -102,10 +102,10 @@ func (rd ReportData) Blocks() []Block {
 			usum.WithAnyInvocation, f2(pct(usum.WithAnyInvocation, usum.Websites)),
 			f2(pct(usum.WithTopLevelActivity, usum.Websites)), f2(pct(usum.WithEmbeddedActivity, usum.Websites)),
 			usum.DeprecatedAPIWebsites)),
-		table("5", table5(rd.Table5, rd.Table5Total), fmt.Sprintf(
+		table("5", checkTable("Table 5: Top Permission's Status Checked", "% Checked From Embedded", rd.Table5, rd.Table5Total), fmt.Sprintf(
 			"Status-check websites: %d (top %d / embedded %d); mean %.2f specific permissions checked (max %d)\n",
 			cstats.Websites, cstats.AtTopLevel, cstats.InEmbedded, cstats.MeanPerTop, cstats.MaxPerTop)),
-		table("6", table6(rd.Table6, rd.Table6Total), fmt.Sprintf("Static functionality on %d websites (%s)\n",
+		table("6", checkTable("Table 6: Top Statically Detected Permissions", "% Functionality in Embedded", rd.Table6, rd.Table6Total), fmt.Sprintf("Static functionality on %d websites (%s)\n",
 			rd.Static.Websites, f2(pct(rd.Static.Websites, rd.Websites)))),
 		Block{Prose: fmt.Sprintf("Hybrid headline (§4.1.4): %d/%d websites (%s) show any permission-related functionality\n",
 			rd.Hybrid.AnyActivity, rd.Hybrid.Websites, f2(pct(rd.Hybrid.AnyActivity, rd.Hybrid.Websites)))},
@@ -196,24 +196,10 @@ func table4(rows []UsageRow, total UsageRow) Table {
 	return t
 }
 
-// table5 renders the status-check ranking.
-func table5(rows []CheckRow, total CheckRow) Table {
-	t := Table{
-		Title:   "Table 5: Top Permission's Status Checked",
-		Headers: []string{"Permission", "% Checked From Embedded", "# Top-Level Websites"},
-	}
-	for _, r := range withTotal(rows, total) {
-		t.Rows = append(t.Rows, []string{r.Name, f2(r.EmbeddedPct), d(r.Websites)})
-	}
-	return t
-}
-
-// table6 renders the static-detection ranking.
-func table6(rows []StaticRow, total StaticRow) Table {
-	t := Table{
-		Title:   "Table 6: Top Statically Detected Permissions",
-		Headers: []string{"Permission", "% Functionality in Embedded", "# Top-Level Websites"},
-	}
+// checkTable renders the status-check (Table 5) or static-detection
+// (Table 6) ranking.
+func checkTable(title, embedded string, rows []CheckRow, total CheckRow) Table {
+	t := Table{Title: title, Headers: []string{"Permission", embedded, "# Top-Level Websites"}}
 	for _, r := range withTotal(rows, total) {
 		t.Rows = append(t.Rows, []string{r.Name, f2(r.EmbeddedPct), d(r.Websites)})
 	}

@@ -35,36 +35,34 @@ type RetryStats struct {
 	Recovered int `json:"recovered"`
 }
 
-// RetryOutcomes tallies first-attempt failure classes against final
-// outcomes over every record that recorded a retry.
-func (a *Analysis) RetryOutcomes() RetryStats {
-	byClass := map[store.FailureClass]*RetryRow{}
-	var s RetryStats
-	for _, r := range a.ds.Records {
-		if r.Retries == 0 {
-			continue
-		}
-		s.RetriedSites++
-		s.TotalRetries += r.Retries
-		row := byClass[r.FirstAttemptFailure]
-		if row == nil {
-			row = &RetryRow{FirstFailure: r.FirstAttemptFailure}
-			byClass[r.FirstAttemptFailure] = row
-		}
-		row.Sites++
-		row.RetriesSpent += r.Retries
-		if r.OK() {
-			row.Recovered++
-			s.Recovered++
-			if r.Partial {
-				row.RecoveredPartial++
-			}
-		} else {
-			row.Stuck++
-		}
+// addRetry folds a record that recorded a retry into the row of its
+// first-attempt failure class.
+func (a *Analysis) addRetry(rec store.SiteRecord) {
+	row := a.retries[rec.FirstAttemptFailure]
+	if row == nil {
+		row = &RetryRow{FirstFailure: rec.FirstAttemptFailure}
+		a.retries[rec.FirstAttemptFailure] = row
 	}
-	for _, row := range byClass {
+	row.Sites++
+	row.RetriesSpent += rec.Retries
+	if rec.OK() {
+		row.Recovered++
+		if rec.Partial {
+			row.RecoveredPartial++
+		}
+	} else {
+		row.Stuck++
+	}
+}
+
+// retryStats ranks the retry rows and sums them.
+func (a *Analysis) retryStats() RetryStats {
+	var s RetryStats
+	for _, row := range a.retries {
 		s.Rows = append(s.Rows, *row)
+		s.RetriedSites += row.Sites
+		s.TotalRetries += row.RetriesSpent
+		s.Recovered += row.Recovered
 	}
 	s.Rows = rank(s.Rows, func(r RetryRow) (string, int) { return string(r.FirstFailure), r.Sites }, 0)
 	return s

@@ -83,15 +83,17 @@ func TestHandCraftedCounts(t *testing.T) {
 		t.Fatalf("census: %d/%d", a.Websites(), a.TotalRecords())
 	}
 
+	rd := a.ReportData(0)
+
 	// Table 3: youtube.com included by both sites.
-	t3, total := a.Table3TopEmbeds(10)
+	t3, total := rd.Table3, rd.Table3Total
 	if len(t3) != 1 || t3[0].Site != "youtube.com" || t3[0].Count != 2 || total != 2 {
 		t.Errorf("table 3: %+v total=%d", t3, total)
 	}
 
 	// Table 4: battery 1 top-level ctx (100% 3P), geolocation 1 (100%
 	// 1P), autoplay 1 embedded (1P), general 1 top ctx.
-	rows, totalRow, sum := a.Table4Invocations(0)
+	rows, totalRow, sum := rd.Table4, rd.Table4Total, rd.Usage
 	byName := map[string]UsageRow{}
 	for _, r := range rows {
 		byName[r.Name] = r
@@ -121,7 +123,7 @@ func TestHandCraftedCounts(t *testing.T) {
 	}
 
 	// Table 5: one All-Permissions check on one website.
-	t5, _, cstats := a.Table5StatusChecks(0)
+	t5, cstats := rd.Table5, rd.Checks
 	if len(t5) != 1 || t5[0].Name != "All Permissions" || t5[0].Websites != 1 {
 		t.Errorf("table 5: %+v", t5)
 	}
@@ -130,7 +132,7 @@ func TestHandCraftedCounts(t *testing.T) {
 	}
 
 	// Table 6: battery static on 1 website.
-	t6, _, ssum := a.Table6Static(0)
+	t6, ssum := rd.Table6, rd.Static
 	if len(t6) != 1 || t6[0].Name != "Battery" || t6[0].Websites != 1 {
 		t.Errorf("table 6: %+v", t6)
 	}
@@ -139,27 +141,27 @@ func TestHandCraftedCounts(t *testing.T) {
 	}
 
 	// Delegation: only site 1 delegates (site 2's youtube has no allow).
-	dsum := a.SummaryDelegation()
+	dsum := rd.Delegation
 	if dsum.AnyDelegation != 1 || dsum.ExternalDelegation != 1 || dsum.ThirdPartyDelegation != 1 {
 		t.Errorf("delegation summary: %+v", dsum)
 	}
 
 	// Table 8: autoplay and gyroscope, one delegation each.
-	t8, t8Total := a.Table8DelegatedPermissions(0)
+	t8, t8Total := rd.Table8, rd.Table8Total
 	if len(t8) != 2 || t8Total.Delegations != 2 || t8Total.Websites != 1 {
 		t.Errorf("table 8: %+v %+v", t8, t8Total)
 	}
 
 	// Figure 2: 4 non-local documents (2 top + 2 youtube embeds), 2 with
 	// PP at top level, 0 embedded.
-	ad := a.Figure2Adoption()
+	ad := rd.Adoption
 	if ad.Documents != 4 || ad.PPTopLevel != 2 || ad.PPEmbedded != 0 {
 		t.Errorf("adoption: %+v", ad)
 	}
 
 	// Table 9: only site 1's header parses → camera Disable,
 	// geolocation Self.
-	t9, t9Total, hstats := a.Table9HeaderDirectives(0)
+	t9, t9Total, hstats := rd.Table9, rd.Table9Total, rd.HeaderStats
 	if hstats.HeaderWebsites != 2 || hstats.ParsedWebsites != 1 {
 		t.Errorf("header stats: %+v", hstats)
 	}
@@ -168,7 +170,7 @@ func TestHandCraftedCounts(t *testing.T) {
 	}
 
 	// Misconfigurations: one syntax-invalid frame.
-	mis := a.Misconfigurations()
+	mis := rd.Misconfig
 	if mis.FramesWithHeader != 2 || mis.SyntaxErrorFrames != 1 || mis.SyntaxErrorTopLevel != 1 {
 		t.Errorf("misconfig: %+v", mis)
 	}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"permodyssey/internal/browser"
 	"permodyssey/internal/permissions"
 	"permodyssey/internal/static"
 	"permodyssey/internal/webapi"
@@ -31,6 +32,44 @@ type UsageSummary struct {
 	DeprecatedAPIWebsites int // 429,259 websites still on Feature Policy API
 }
 
+// CheckRow is one row of Table 5, a permission whose status was
+// checked, or of Table 6, a statically detected one.
+type CheckRow struct {
+	Name string
+	// EmbeddedPct is the share of its contexts that are embedded.
+	EmbeddedPct float64
+	// Websites is the number of top-level websites where it was seen
+	// (at any level).
+	Websites int
+}
+
+// CheckStats carries the §4.1.2 aggregates.
+type CheckStats struct {
+	Websites   int // any status-check activity (435,185 in the paper)
+	AtTopLevel int // 433,555
+	InEmbedded int // 187,555
+	MeanPerTop float64
+	MaxPerTop  int
+}
+
+// StaticSummary carries §4.1.3's aggregates.
+type StaticSummary struct {
+	Websites      int // any static functionality (30.5% in the paper)
+	TopLevelOnly  int
+	EmbeddedAtAll int
+}
+
+// HybridSummary is the §4.1.4 headline: websites with any
+// permission-related functionality, dynamic or static (48.52% in the
+// paper), with the per-method shares.
+type HybridSummary struct {
+	Websites    int
+	AnyActivity int
+	DynamicOnly int
+	StaticOnly  int
+	Both        int
+}
+
 // t4cell accumulates Table 4 context counts for one row.
 type t4cell struct {
 	top, emb     int
@@ -58,78 +97,107 @@ func (c *t4cell) bump(topLevel, p1, p3 bool) {
 	}
 }
 
-// Table4Invocations builds the dynamic-usage ranking (paper Table 4)
-// plus the Total row and summary shares.
-func (a *Analysis) Table4Invocations(n int) ([]UsageRow, UsageRow, UsageSummary) {
-	perName := map[string]*t4cell{}
-	total := &t4cell{}
-	sum := UsageSummary{Websites: len(a.recs)}
+// ctxCell accumulates one Table 5 or 6 row: contexts by level, and the
+// websites they are on.
+type ctxCell struct {
+	top, emb int
+	websites tally
+}
 
-	for _, rec := range a.recs {
-		anyTop, anyEmb, usedDeprecated := false, false, false
-		for fi := range rec.Page.Frames {
-			f := &rec.Page.Frames[fi]
-			if len(f.Invocations) == 0 {
+func (c *ctxCell) add(topLevel bool, rec int) {
+	if topLevel {
+		c.top++
+	} else {
+		c.emb++
+	}
+	c.websites.add(rec)
+}
+
+// allPermissions is Table 5's row for full-list retrievals.
+const allPermissions = "All Permissions"
+
+// usageFrame folds one frame into Tables 4-6: a context counts each
+// permission once, however many of its invocations or findings name it.
+func (a *Analysis) usageFrame(f *browser.FrameResult, statics []string, r *record) {
+	r.dyn = r.dyn || len(f.Invocations) > 0
+	r.stat = r.stat || len(f.StaticFindings) > 0
+	if len(f.Invocations) > 0 {
+		names := map[string]*[2]bool{} // Table 4 row → [first-party, third-party]
+		checked := map[string]bool{}   // Table 5 rows
+		for _, inv := range f.Invocations {
+			if inv.Deprecated {
+				a.depr.add(r.n)
+			}
+			firstParty := scriptParty(inv.ScriptURL, f.Site)
+			for _, name := range invocationNames(inv) {
+				flags := names[name]
+				if flags == nil {
+					flags = &[2]bool{}
+					names[name] = flags
+				}
+				if firstParty {
+					flags[0] = true
+				} else {
+					flags[1] = true
+				}
+			}
+			if inv.Kind != webapi.KindStatusCheck {
 				continue
 			}
-			// First occurrence per permission per context, with party
-			// flags accumulated across the frame's invocations.
-			names := map[string]*[2]bool{} // name → [1p, 2:3p]
-			for _, inv := range f.Invocations {
-				if inv.Deprecated {
-					usedDeprecated = true
+			checks := inv.Permissions
+			if inv.AllPermissions {
+				checks = []string{allPermissions}
+			}
+			for _, name := range checks {
+				if name != allPermissions && f.TopLevel && cell(a.specific, name).add(r.n) {
+					r.specific++
 				}
-				for _, name := range invocationNames(inv) {
-					flags, ok := names[name]
-					if !ok {
-						flags = &[2]bool{}
-						names[name] = flags
-					}
-					if scriptParty(inv.ScriptURL, f.Site) {
-						flags[0] = true
-					} else {
-						flags[1] = true
-					}
+				if !checked[name] {
+					checked[name] = true
+					cell(a.t5, name).add(f.TopLevel, r.n)
 				}
 			}
-			if len(names) == 0 {
-				continue
-			}
+		}
+		if len(names) > 0 {
+			a.invAny.add(r.n)
 			if f.TopLevel {
-				anyTop = true
+				a.invTop.add(r.n)
 			} else {
-				anyEmb = true
+				a.invEmb.add(r.n)
 			}
 			frame1p, frame3p := false, false
 			for name, flags := range names {
-				c, ok := perName[name]
-				if !ok {
-					c = &t4cell{}
-					perName[name] = c
-				}
-				c.bump(f.TopLevel, flags[0], flags[1])
+				cell(a.t4, name).bump(f.TopLevel, flags[0], flags[1])
 				frame1p = frame1p || flags[0]
 				frame3p = frame3p || flags[1]
 			}
-			total.bump(f.TopLevel, frame1p, frame3p)
+			a.t4Total.bump(f.TopLevel, frame1p, frame3p)
 		}
-		if anyTop || anyEmb {
-			sum.WithAnyInvocation++
-		}
-		if anyTop {
-			sum.WithTopLevelActivity++
-		}
-		if anyEmb {
-			sum.WithEmbeddedActivity++
-		}
-		if usedDeprecated {
-			sum.DeprecatedAPIWebsites++
+		if len(checked) > 0 {
+			a.t5Total.add(f.TopLevel, r.n)
+			if f.TopLevel {
+				a.checkTop.add(r.n)
+			} else {
+				a.checkEmb.add(r.n)
+			}
 		}
 	}
+	if len(statics) > 0 || static.HasGeneralAPI(f.StaticFindings) {
+		a.t6Total.add(f.TopLevel, r.n)
+		if !f.TopLevel {
+			a.staticEmb.add(r.n)
+		}
+		for _, p := range statics {
+			cell(a.t6, p).add(f.TopLevel, r.n)
+		}
+	}
+}
 
-	mkRow := func(name string, c *t4cell) UsageRow {
+// usageReport fills Tables 4-6 and their summaries.
+func (a *Analysis) usageReport(rd *ReportData, n int) {
+	t4row := func(name string, c *t4cell) UsageRow {
 		return UsageRow{
-			Name:          displayName(name),
+			Name:          name,
 			TopContexts:   c.top,
 			Top1PPct:      pct(c.top1p, c.top),
 			Top3PPct:      pct(c.top3p, c.top),
@@ -139,14 +207,53 @@ func (a *Analysis) Table4Invocations(n int) ([]UsageRow, UsageRow, UsageSummary)
 			TotalContexts: c.top + c.emb,
 		}
 	}
-	rows := make([]UsageRow, 0, len(perName))
-	for name, c := range perName {
-		rows = append(rows, mkRow(name, c))
+	rows := make([]UsageRow, 0, len(a.t4))
+	for name, c := range a.t4 {
+		rows = append(rows, t4row(displayName(name), c))
 	}
-	rows = rank(rows, func(r UsageRow) (string, int) { return r.Name, r.TotalContexts }, n)
-	totalRow := mkRow("Total (any permission)", total)
-	totalRow.Name = "Total (any permission)"
-	return rows, totalRow, sum
+	rd.Table4 = rank(rows, func(r UsageRow) (string, int) { return r.Name, r.TotalContexts }, n)
+	rd.Table4Total = t4row(totalName, &a.t4Total)
+	rd.Usage = UsageSummary{
+		Websites:              a.websites,
+		WithAnyInvocation:     a.invAny.n,
+		WithTopLevelActivity:  a.invTop.n,
+		WithEmbeddedActivity:  a.invEmb.n,
+		DeprecatedAPIWebsites: a.depr.n,
+	}
+
+	rd.Table5, rd.Table5Total = ctxRows(a.t5, &a.t5Total, n)
+	rd.Checks = CheckStats{
+		Websites:   a.t5Total.websites.n,
+		AtTopLevel: a.checkTop.n,
+		InEmbedded: a.checkEmb.n,
+		MaxPerTop:  a.specificMax,
+	}
+	if a.specificSites > 0 {
+		rd.Checks.MeanPerTop = float64(a.specificSum) / float64(a.specificSites)
+	}
+
+	rd.Table6, rd.Table6Total = ctxRows(a.t6, &a.t6Total, n)
+	// Top-level-only websites are those with any static functionality
+	// less those with some in an embedded frame.
+	rd.Static = StaticSummary{
+		Websites:      a.t6Total.websites.n,
+		TopLevelOnly:  a.t6Total.websites.n - a.staticEmb.n,
+		EmbeddedAtAll: a.staticEmb.n,
+	}
+	rd.Hybrid = a.hybrid
+	rd.Hybrid.Websites = a.websites
+}
+
+// ctxRows ranks Table 5 or 6 rows by websites and adds the Total row.
+func ctxRows(m map[string]*ctxCell, total *ctxCell, n int) ([]CheckRow, CheckRow) {
+	row := func(name string, c *ctxCell) CheckRow {
+		return CheckRow{Name: name, EmbeddedPct: pct(c.emb, c.top+c.emb), Websites: c.websites.n}
+	}
+	rows := make([]CheckRow, 0, len(m))
+	for name, c := range m {
+		rows = append(rows, row(displayName(name), c))
+	}
+	return rank(rows, func(r CheckRow) (string, int) { return r.Name, r.Websites }, n), row(totalName, total)
 }
 
 func displayName(name string) string {
@@ -157,259 +264,4 @@ func displayName(name string) string {
 		return p.DisplayName
 	}
 	return name
-}
-
-// CheckRow is one row of Table 5: a permission whose status was checked.
-type CheckRow struct {
-	Name string
-	// EmbeddedPct is the share of checking contexts that are embedded.
-	EmbeddedPct float64
-	// Websites is the number of top-level websites where the permission
-	// was checked (at any level).
-	Websites int
-}
-
-// CheckStats carries the §4.1.2 aggregates.
-type CheckStats struct {
-	Websites   int // any status-check activity (435,185 in the paper)
-	AtTopLevel int // 433,555
-	InEmbedded int // 187,555
-	MeanPerTop float64
-	MaxPerTop  int
-}
-
-// Table5StatusChecks builds the status-check ranking (paper Table 5):
-// the synthetic "All Permissions" row counts full-list retrievals.
-func (a *Analysis) Table5StatusChecks(n int) ([]CheckRow, CheckRow, CheckStats) {
-	type cell struct {
-		topCtx, embCtx int
-		websites       map[int]bool
-	}
-	perName := map[string]*cell{}
-	total := &cell{websites: map[int]bool{}}
-	stats := CheckStats{}
-	specificCounts := []int{}
-
-	get := func(name string) *cell {
-		c, ok := perName[name]
-		if !ok {
-			c = &cell{websites: map[int]bool{}}
-			perName[name] = c
-		}
-		return c
-	}
-
-	for _, rec := range a.recs {
-		siteKey := rec.Rank
-		anyTop, anyEmb := false, false
-		topSpecific := map[string]bool{}
-		for fi := range rec.Page.Frames {
-			f := &rec.Page.Frames[fi]
-			seen := map[string]bool{}
-			for _, inv := range f.Invocations {
-				if inv.Kind != webapi.KindStatusCheck {
-					continue
-				}
-				var names []string
-				if inv.AllPermissions {
-					names = []string{"All Permissions"}
-				} else {
-					names = inv.Permissions
-				}
-				for _, name := range names {
-					if name != "All Permissions" && f.TopLevel {
-						topSpecific[name] = true
-					}
-					if seen[name] {
-						continue
-					}
-					seen[name] = true
-					c := get(name)
-					if f.TopLevel {
-						c.topCtx++
-					} else {
-						c.embCtx++
-					}
-					c.websites[siteKey] = true
-				}
-				if len(names) > 0 {
-					if f.TopLevel {
-						anyTop = true
-					} else {
-						anyEmb = true
-					}
-				}
-			}
-			if len(seen) > 0 {
-				if f.TopLevel {
-					total.topCtx++
-				} else {
-					total.embCtx++
-				}
-				total.websites[siteKey] = true
-			}
-		}
-		if anyTop || anyEmb {
-			stats.Websites++
-		}
-		if anyTop {
-			stats.AtTopLevel++
-		}
-		if anyEmb {
-			stats.InEmbedded++
-		}
-		if len(topSpecific) > 0 {
-			specificCounts = append(specificCounts, len(topSpecific))
-		}
-	}
-
-	mkRow := func(name string, c *cell) CheckRow {
-		return CheckRow{
-			Name:        displayName(name),
-			EmbeddedPct: pct(c.embCtx, c.topCtx+c.embCtx),
-			Websites:    len(c.websites),
-		}
-	}
-	rows := make([]CheckRow, 0, len(perName))
-	for name, c := range perName {
-		rows = append(rows, mkRow(name, c))
-	}
-	rows = rank(rows, func(r CheckRow) (string, int) { return r.Name, r.Websites }, n)
-	sumN, maxN := 0, 0
-	for _, k := range specificCounts {
-		sumN += k
-		if k > maxN {
-			maxN = k
-		}
-	}
-	if len(specificCounts) > 0 {
-		stats.MeanPerTop = float64(sumN) / float64(len(specificCounts))
-	}
-	stats.MaxPerTop = maxN
-	totalRow := mkRow("Total (any permission)", total)
-	totalRow.Name = "Total (any permission)"
-	return rows, totalRow, stats
-}
-
-// StaticRow is one row of Table 6.
-type StaticRow struct {
-	Name        string
-	EmbeddedPct float64
-	Websites    int
-}
-
-// StaticSummary carries §4.1.3's aggregates.
-type StaticSummary struct {
-	Websites      int // any static functionality (30.5% in the paper)
-	TopLevelOnly  int
-	EmbeddedAtAll int
-}
-
-// Table6Static builds the static-detection ranking (paper Table 6).
-func (a *Analysis) Table6Static(n int) ([]StaticRow, StaticRow, StaticSummary) {
-	type cell struct {
-		topCtx, embCtx int
-		websites       map[int]bool
-	}
-	perName := map[string]*cell{}
-	total := &cell{websites: map[int]bool{}}
-	sum := StaticSummary{}
-
-	for _, rec := range a.recs {
-		anyTop, anyEmb := false, false
-		for fi := range rec.Page.Frames {
-			f := &rec.Page.Frames[fi]
-			perms := static.Permissions(f.StaticFindings)
-			hasGeneral := static.HasGeneralAPI(f.StaticFindings)
-			if len(perms) == 0 && !hasGeneral {
-				continue
-			}
-			if f.TopLevel {
-				anyTop = true
-				total.topCtx++
-			} else {
-				anyEmb = true
-				total.embCtx++
-			}
-			total.websites[rec.Rank] = true
-			for _, p := range perms {
-				c, ok := perName[p]
-				if !ok {
-					c = &cell{websites: map[int]bool{}}
-					perName[p] = c
-				}
-				if f.TopLevel {
-					c.topCtx++
-				} else {
-					c.embCtx++
-				}
-				c.websites[rec.Rank] = true
-			}
-		}
-		if anyTop || anyEmb {
-			sum.Websites++
-		}
-		if anyTop && !anyEmb {
-			sum.TopLevelOnly++
-		}
-		if anyEmb {
-			sum.EmbeddedAtAll++
-		}
-	}
-
-	mkRow := func(name string, c *cell) StaticRow {
-		return StaticRow{
-			Name:        displayName(name),
-			EmbeddedPct: pct(c.embCtx, c.topCtx+c.embCtx),
-			Websites:    len(c.websites),
-		}
-	}
-	rows := make([]StaticRow, 0, len(perName))
-	for name, c := range perName {
-		rows = append(rows, mkRow(name, c))
-	}
-	rows = rank(rows, func(r StaticRow) (string, int) { return r.Name, r.Websites }, n)
-	totalRow := mkRow("Total (any permission)", total)
-	totalRow.Name = "Total (any permission)"
-	return rows, totalRow, sum
-}
-
-// HybridSummary is the §4.1.4 headline: websites with any
-// permission-related functionality, dynamic or static (48.52% in the
-// paper), with the per-method shares.
-type HybridSummary struct {
-	Websites    int
-	AnyActivity int
-	DynamicOnly int
-	StaticOnly  int
-	Both        int
-}
-
-// SummaryHybrid computes the §4.1.4 headline result.
-func (a *Analysis) SummaryHybrid() HybridSummary {
-	s := HybridSummary{Websites: len(a.recs)}
-	for _, rec := range a.recs {
-		dyn, stat := false, false
-		for fi := range rec.Page.Frames {
-			f := &rec.Page.Frames[fi]
-			if len(f.Invocations) > 0 {
-				dyn = true
-			}
-			if len(f.StaticFindings) > 0 {
-				stat = true
-			}
-		}
-		switch {
-		case dyn && stat:
-			s.AnyActivity++
-			s.Both++
-		case dyn:
-			s.AnyActivity++
-			s.DynamicOnly++
-		case stat:
-			s.AnyActivity++
-			s.StaticOnly++
-		}
-	}
-	return s
 }

@@ -422,6 +422,12 @@ func (b *Bundle) Dataset() (*store.Dataset, error) {
 	return store.LoadFile(filepath.Join(b.Dir, DatasetName))
 }
 
+// Records streams the sealed dataset to fn without holding it; see
+// store.Decode.
+func (b *Bundle) Records(fn func(store.SiteRecord)) error {
+	return store.DecodeFile(filepath.Join(b.Dir, DatasetName), fn)
+}
+
 // Report reads the sealed crawl-time report, byte-exact.
 func (b *Bundle) Report() (string, error) {
 	raw, err := os.ReadFile(filepath.Join(b.Dir, ReportName))

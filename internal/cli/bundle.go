@@ -71,15 +71,15 @@ func diffBundlesCmd(beforePath, afterPath, key string, asJSON bool, stdout, stde
 			return analysis.ReportData{}, "", err
 		}
 		defer b.Close()
-		ds, err := b.Dataset()
-		if err != nil {
+		a := analysis.New(nil)
+		if err := b.Records(a.Add); err != nil {
 			return analysis.ReportData{}, "", err
 		}
 		label := filepath.Base(path)
 		if era := b.Manifest.Config.Era; era != 0 {
 			label = fmt.Sprintf("%s [era %d]", label, era)
 		}
-		return analysis.New(ds).ReportData(0), label, nil
+		return a.ReportData(0), label, nil
 	}
 	before, labelA, err := load(beforePath)
 	if err != nil {

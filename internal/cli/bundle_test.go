@@ -157,3 +157,46 @@ func TestReportEmptyDatasetWarns(t *testing.T) {
 		t.Errorf("empty dataset -json: code=%d, want 1", code)
 	}
 }
+
+// TestReportRefusesBrokenDatasets: a page with no frames, read with -in
+// or from a bundle that verifies, and a dataset whose last line is cut
+// off each exit 1 with nothing on stdout. permreport folds records as
+// it decodes them, so a stream error must never print a partial report.
+func TestReportRefusesBrokenDatasets(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	good := `{"rank":1,"url":"https://a.example/","page":{"URL":"https://a.example/","Frames":[{"URL":"https://a.example/","TopLevel":true,"Site":"a.example"}]}}` + "\n"
+	frameless := write("frameless.jsonl", `{"rank":1,"url":"https://a.example/","page":{"URL":"https://a.example/","Frames":null}}`+"\n")
+	cut := write("cut.jsonl", good+good[:len(good)/2])
+	archive := filepath.Join(dir, "archive")
+	if err := os.MkdirAll(archive, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write("archive/manifest.jsonl", "")
+	bdir := filepath.Join(dir, "frameless.bundle")
+	if _, err := bundle.Seal(bdir, bundle.Spec{DatasetPath: frameless, ArchiveDir: archive, Report: "-\n", Tool: "test", Records: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-in", frameless},
+		{"-in", frameless, "-json"},
+		{"-in", cut},
+		{"-in", cut, "-table", "3"},
+		{"-from-bundle", bdir},
+		{"-diff-bundles", bdir, bdir},
+	} {
+		out, errOut, code := run(t, reportFn, args...)
+		if code != 1 || out != "" {
+			t.Errorf("permreport %v: code=%d, stdout %d bytes; want 1 and none", args, code, len(out))
+		}
+		if args[1] == frameless && !strings.Contains(errOut, "record 0 (rank 1) has a page with no frames") {
+			t.Errorf("permreport %v: stderr %q does not name the frameless record", args, errOut)
+		}
+	}
+}

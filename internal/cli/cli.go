@@ -224,8 +224,10 @@ func Report(args []string, stdout, stderr io.Writer) int {
 		}
 		return diffBundlesCmd(fs.Arg(0), fs.Arg(1), *key, *asJSON, stdout, stderr)
 	}
-	var ds *store.Dataset
-	var src string
+	// Fold each record as it decodes: memory follows the tables, not
+	// the dataset, and a stream error prints no partial report.
+	a := analysis.New(nil)
+	src := *in
 	if *fromBundle != "" {
 		b, err := openVerified(*fromBundle, *key, stderr)
 		if err != nil {
@@ -233,22 +235,15 @@ func Report(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		defer b.Close()
-		ds, err = b.Dataset()
-		if err != nil {
-			fmt.Fprintln(stderr, "permreport:", err)
-			return 1
-		}
 		src = *fromBundle
-	} else {
-		var err error
-		ds, err = store.LoadFile(*in)
-		if err != nil {
+		if err := b.Records(a.Add); err != nil {
 			fmt.Fprintln(stderr, "permreport:", err)
 			return 1
 		}
-		src = *in
+	} else if err := store.DecodeFile(*in, a.Add); err != nil {
+		fmt.Fprintln(stderr, "permreport:", err)
+		return 1
 	}
-	a := analysis.New(ds)
 	// An empty or fully-failed dataset renders clean zero rows, but a
 	// report over nothing is almost never what the caller wanted: warn
 	// (on stderr, keeping stdout byte-comparable) and exit nonzero.

@@ -129,7 +129,7 @@ func TestChaosSoak(t *testing.T) {
 	if recRetries != stats.Crawl.Retries {
 		t.Errorf("record retries %d != crawler retries %d", recRetries, stats.Crawl.Retries)
 	}
-	rt := m.Analysis.RetryOutcomes()
+	rt := m.Analysis.ReportData(0).Retries
 	if rt.TotalRetries != stats.Crawl.Retries {
 		t.Errorf("retry table total %d != crawler retries %d", rt.TotalRetries, stats.Crawl.Retries)
 	}

@@ -40,8 +40,7 @@ func TestFollowInternalLinks(t *testing.T) {
 		t.Fatal("internal pages must be visited")
 	}
 
-	a := analysis.New(ds)
-	gain := a.InternalPages()
+	gain := analysis.New(ds).ReportData(0).InternalGain
 	t.Logf("internal-page gain: %+v", gain)
 	if gain.SitesWithInternalPages == 0 {
 		t.Fatal("no sites with internal pages analyzed")

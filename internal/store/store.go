@@ -117,21 +117,24 @@ func (d *Dataset) Successful() []SiteRecord {
 	return out
 }
 
-// FailureCounts tallies records per failure class, with successful
-// records split into "ok" (clean) and "partial" (degraded-but-usable),
-// so the buckets partition the dataset: every record lands in exactly
-// one.
+// Outcome is the record's bucket in FailureCounts: "ok" (clean),
+// "partial" (degraded-but-usable) or its failure class.
+func (r SiteRecord) Outcome() FailureClass {
+	switch {
+	case r.OK() && r.Partial:
+		return "partial"
+	case r.OK():
+		return "ok"
+	}
+	return r.Failure
+}
+
+// FailureCounts tallies records per Outcome, so the buckets partition
+// the dataset: every record lands in exactly one.
 func (d *Dataset) FailureCounts() map[FailureClass]int {
 	out := map[FailureClass]int{}
 	for _, r := range d.Records {
-		switch {
-		case r.OK() && r.Partial:
-			out["partial"]++
-		case r.OK():
-			out["ok"]++
-		default:
-			out[r.Failure]++
-		}
+		out[r.Outcome()]++
 	}
 	return out
 }
@@ -148,35 +151,53 @@ func (d *Dataset) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadJSONL loads a dataset from JSON lines.
-func ReadJSONL(r io.Reader) (*Dataset, error) {
-	d := &Dataset{}
+// Decode streams JSON lines from r to fn, one record at a time in file
+// order, and holds none of them. It stops at the first line that does
+// not decode, or that holds a page with no frames (every page has its
+// top-level document), and returns an error naming that record.
+func Decode(r io.Reader, fn func(SiteRecord)) error {
 	dec := json.NewDecoder(bufio.NewReader(r))
-	for {
+	for n := 0; ; n++ {
 		var rec SiteRecord
 		if err := dec.Decode(&rec); err == io.EOF {
-			return d, nil
+			return nil
 		} else if err != nil {
-			return nil, fmt.Errorf("store: decoding record %d: %w", len(d.Records), err)
+			return fmt.Errorf("store: decoding record %d: %w", n, err)
 		}
-		d.Add(rec)
+		if rec.Page != nil && len(rec.Page.Frames) == 0 {
+			return fmt.Errorf("store: record %d (rank %d) has a page with no frames", n, rec.Rank)
+		}
+		fn(rec)
 	}
 }
 
-// ReadJSONLPartial loads records until EOF or the first decode error,
-// returning everything decoded so far. An interrupted crawl (process
-// killed mid-write) leaves a truncated final line in its JSONL sink;
-// resume loads the complete prefix and re-crawls the rest.
+// DecodeFile streams the dataset at path to fn; see Decode.
+func DecodeFile(path string, fn func(SiteRecord)) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return Decode(f, fn)
+}
+
+// ReadJSONL loads a dataset from JSON lines.
+func ReadJSONL(r io.Reader) (*Dataset, error) {
+	d := &Dataset{}
+	if err := Decode(r, d.Add); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// ReadJSONLPartial loads records until EOF or the first record Decode
+// refuses, returning everything decoded so far. An interrupted crawl
+// (process killed mid-write) leaves a truncated final line in its JSONL
+// sink; resume loads the complete prefix and re-crawls the rest.
 func ReadJSONLPartial(r io.Reader) *Dataset {
 	d := &Dataset{}
-	dec := json.NewDecoder(bufio.NewReader(r))
-	for {
-		var rec SiteRecord
-		if err := dec.Decode(&rec); err != nil {
-			return d
-		}
-		d.Add(rec)
-	}
+	_ = Decode(r, d.Add) // the prefix before the error is the result
+	return d
 }
 
 // LoadPartialFile reads a possibly-truncated dataset from a file path.
@@ -204,10 +225,9 @@ func (d *Dataset) SaveFile(path string) error {
 
 // LoadFile reads a dataset from a file path.
 func LoadFile(path string) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
+	d := &Dataset{}
+	if err := DecodeFile(path, d.Add); err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadJSONL(f)
+	return d, nil
 }

@@ -101,4 +101,15 @@ func TestReadJSONLBadInput(t *testing.T) {
 	if err != nil || len(d.Records) != 0 {
 		t.Errorf("empty input: %v, %d", err, len(d.Records))
 	}
+
+	// Every page holds its top-level document: a page with no frames is
+	// refused by name, and a partial read keeps the records before it.
+	frameless := `{"rank":1,"url":"https://a.example/","failure":"timeout"}` + "\n" +
+		`{"rank":2,"url":"https://b.example/","page":{"URL":"https://b.example/","Frames":null}}` + "\n"
+	if _, err := ReadJSONL(strings.NewReader(frameless)); err == nil || !strings.Contains(err.Error(), "record 1 (rank 2)") {
+		t.Errorf("frameless page: err = %v, want it refused by name", err)
+	}
+	if d := ReadJSONLPartial(strings.NewReader(frameless)); len(d.Records) != 1 {
+		t.Errorf("partial read before a frameless page kept %d records, want 1", len(d.Records))
+	}
 }

@@ -72,6 +72,7 @@ build:
 	go build ./...
 
 # Go line counts: non-test lines outside crawlbench/, test lines, and
-# non-test lines of internal/script, internal/html and internal/analysis.
+# non-test lines of internal/script, internal/html, internal/analysis
+# and internal/webapi.
 loc:
 	./scripts/loc.sh

@@ -369,8 +369,8 @@ func crawlBench(b *testing.B, cached bool) {
 		var fetcher browser.Fetcher = counter
 		opts := browser.DefaultOptions()
 		if cached {
-			fetcher = browser.NewCachingFetcher(counter, 0, 0)
-			opts.ScriptCache = memo.New[memo.Key, *browser.Script](0, 0)
+			fetcher = browser.NewCachingFetcher(counter, 0)
+			opts.ScriptCache = memo.New[memo.Key, *browser.Script](0)
 		}
 		c := crawler.New(browser.New(fetcher, opts),
 			crawler.Config{Workers: 24, PerSiteTimeout: 10 * time.Second})
@@ -558,7 +558,7 @@ func parseBenchWarm(b *testing.B, docs []string) {
 
 // primedDocMemo returns a document memo already holding every doc.
 func primedDocMemo(b *testing.B, docs []string) *memo.Memo[memo.Key, html.Doc] {
-	c := html.NewDocMemo(0, 0)
+	c := html.NewDocMemo(0)
 	for _, d := range docs {
 		if _, err := html.ExtractShared(context.Background(), c, d); err != nil {
 			b.Fatal(err)

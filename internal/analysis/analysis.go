@@ -23,7 +23,6 @@ import (
 	"permodyssey/internal/policy"
 	"permodyssey/internal/static"
 	"permodyssey/internal/store"
-	"permodyssey/internal/webapi"
 )
 
 // Analysis holds the aggregates of every record folded so far. A
@@ -321,32 +320,4 @@ type FrameStats struct {
 	AvgIframesPerSite float64 // among sites that have iframes
 }
 
-// invocationNames maps a record to its Table 4/5 row names: the
-// specific permissions, or the General-Permission-APIs row.
-func invocationNames(inv webapi.Invocation) []string {
-	if inv.AllPermissions || isGeneralAPI(inv.API) {
-		return []string{generalRow}
-	}
-	return inv.Permissions
-}
-
-const (
-	generalRow = "General Permission APIs"
-	totalName  = "Total (any permission)"
-)
-
-func isGeneralAPI(api string) bool {
-	switch api {
-	case "navigator.permissions.query",
-		"document.featurePolicy.allowedFeatures",
-		"document.featurePolicy.allowsFeature",
-		"document.featurePolicy.features",
-		"document.featurePolicy.getAllowlistForFeature",
-		"document.permissionsPolicy.allowedFeatures",
-		"document.permissionsPolicy.allowsFeature",
-		"document.permissionsPolicy.features",
-		"document.permissionsPolicy.getAllowlistForFeature":
-		return true
-	}
-	return false
-}
+const totalName = "Total (any permission)"

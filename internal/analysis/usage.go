@@ -244,6 +244,15 @@ func (a *Analysis) usageReport(rd *ReportData, n int) {
 	rd.Hybrid.Websites = a.websites
 }
 
+// invocationNames maps a record to its Table 4/5 row names: the
+// specific permissions, or the General-Permission-APIs row.
+func invocationNames(inv webapi.Invocation) []string {
+	if inv.General() {
+		return []string{permissions.GeneralAPIDisplayName}
+	}
+	return inv.Permissions
+}
+
 // ctxRows ranks Table 5 or 6 rows by websites and adds the Total row.
 func ctxRows(m map[string]*ctxCell, total *ctxCell, n int) ([]CheckRow, CheckRow) {
 	row := func(name string, c *ctxCell) CheckRow {
@@ -257,8 +266,8 @@ func ctxRows(m map[string]*ctxCell, total *ctxCell, n int) ([]CheckRow, CheckRow
 }
 
 func displayName(name string) string {
-	if name == generalRow {
-		return generalRow
+	if name == permissions.GeneralAPIDisplayName {
+		return name
 	}
 	if p, ok := permissions.Lookup(name); ok {
 		return p.DisplayName

@@ -61,7 +61,7 @@ func (s *stubArchive) Stats() ArchiveStats {
 
 func TestDiskTierReadThrough(t *testing.T) {
 	inner := &countingFetcher{}
-	c := NewCachingFetcher(inner, 0, 0)
+	c := NewCachingFetcher(inner, 0)
 	disk := newStubArchive()
 	disk.entries["https://cdn.test/lib.js"] = &Response{Status: 200, Body: "archived body"}
 	c.Disk = disk
@@ -87,7 +87,7 @@ func TestDiskTierReadThrough(t *testing.T) {
 
 func TestDiskTierWriteThrough(t *testing.T) {
 	inner := &countingFetcher{}
-	c := NewCachingFetcher(inner, 0, 0)
+	c := NewCachingFetcher(inner, 0)
 	disk := newStubArchive()
 	c.Disk = disk
 
@@ -115,7 +115,7 @@ func TestDiskTierWriteThrough(t *testing.T) {
 // offline replay needs every resource.
 func TestDiskTierServesBypassedURLs(t *testing.T) {
 	inner := &countingFetcher{}
-	c := NewCachingFetcher(inner, 0, 0)
+	c := NewCachingFetcher(inner, 0)
 	c.Cacheable = func(string) bool { return false }
 	disk := newStubArchive()
 	c.Disk = disk
@@ -136,7 +136,7 @@ func TestDiskTierServesBypassedURLs(t *testing.T) {
 
 func TestOfflineMissSurfacesError(t *testing.T) {
 	inner := &countingFetcher{}
-	c := NewCachingFetcher(inner, 0, 0)
+	c := NewCachingFetcher(inner, 0)
 	disk := newStubArchive()
 	disk.offline = true
 	c.Disk = disk
@@ -155,7 +155,7 @@ func TestOfflineMissSurfacesError(t *testing.T) {
 
 func TestOfflineFailureReplaySurfaces(t *testing.T) {
 	inner := &countingFetcher{}
-	c := NewCachingFetcher(inner, 0, 0)
+	c := NewCachingFetcher(inner, 0)
 	disk := newStubArchive()
 	disk.offline = true
 	disk.failures["https://slow.test/"] = &ReplayedFailure{Class: "timeout", Msg: "context deadline exceeded"}

@@ -79,11 +79,11 @@ type CachingFetcher struct {
 	bypassed, errors, networkFetches atomic.Uint64
 }
 
-// NewCachingFetcher wraps inner with a cache holding at most maxEntries
-// URLs and maxBytes of summed body bytes (each <= 0 = unbounded). A
-// single body larger than maxBytes is served but never retained.
-func NewCachingFetcher(inner Fetcher, maxEntries int, maxBytes int64) *CachingFetcher {
-	return &CachingFetcher{Inner: inner, responses: memo.New[string, *Response](maxEntries, maxBytes)}
+// NewCachingFetcher wraps inner with a cache holding at most maxBytes
+// of summed body bytes (<= 0 = unbounded). A single body larger than
+// maxBytes is served but never retained.
+func NewCachingFetcher(inner Fetcher, maxBytes int64) *CachingFetcher {
+	return &CachingFetcher{Inner: inner, responses: memo.New[string, *Response](maxBytes)}
 }
 
 // Fetch implements Fetcher.

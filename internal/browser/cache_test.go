@@ -44,7 +44,7 @@ func (f *countingFetcher) Fetch(ctx context.Context, rawURL string) (*Response, 
 
 func TestCachingFetcherHitMiss(t *testing.T) {
 	inner := &countingFetcher{}
-	c := NewCachingFetcher(inner, 0, 0)
+	c := NewCachingFetcher(inner, 0)
 	ctx := context.Background()
 
 	for i := 0; i < 5; i++ {
@@ -67,7 +67,7 @@ func TestCachingFetcherHitMiss(t *testing.T) {
 
 func TestCachingFetcherBypassPolicy(t *testing.T) {
 	inner := &countingFetcher{}
-	c := NewCachingFetcher(inner, 0, 0)
+	c := NewCachingFetcher(inner, 0)
 	c.Cacheable = func(rawURL string) bool { return !strings.Contains(rawURL, "site") }
 	ctx := context.Background()
 
@@ -87,7 +87,7 @@ func TestCachingFetcherBypassPolicy(t *testing.T) {
 
 func TestCachingFetcherErrorsNotCached(t *testing.T) {
 	inner := &countingFetcher{failures: map[string]int{"https://flaky.example/": 2}}
-	c := NewCachingFetcher(inner, 0, 0)
+	c := NewCachingFetcher(inner, 0)
 	ctx := context.Background()
 
 	for i := 0; i < 2; i++ {
@@ -117,7 +117,7 @@ func TestCachingFetcherErrorsNotCached(t *testing.T) {
 // Run under -race this also proves the cache is concurrency-safe.
 func TestCachingFetcherSingleflight(t *testing.T) {
 	inner := &countingFetcher{delay: 30 * time.Millisecond}
-	c := NewCachingFetcher(inner, 0, 0)
+	c := NewCachingFetcher(inner, 0)
 	const goroutines = 32
 
 	var wg sync.WaitGroup
@@ -156,7 +156,7 @@ func TestCachingFetcherSingleflight(t *testing.T) {
 func TestCachingFetcherLeaderFailureNotShared(t *testing.T) {
 	inner := &countingFetcher{delay: 20 * time.Millisecond,
 		failures: map[string]int{"https://once.example/": 1}}
-	c := NewCachingFetcher(inner, 0, 0)
+	c := NewCachingFetcher(inner, 0)
 
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
@@ -200,7 +200,7 @@ func (f *panicOnceFetcher) Fetch(_ context.Context, rawURL string) (*Response, e
 // crawler recovers it per visit), and the next Fetch of the URL fetches
 // afresh instead of waiting out its whole deadline.
 func TestCachingFetcherPanicDoesNotWedge(t *testing.T) {
-	c := NewCachingFetcher(&panicOnceFetcher{}, 0, 0)
+	c := NewCachingFetcher(&panicOnceFetcher{}, 0)
 	const u = "https://widget.example/w.js"
 	func() {
 		defer func() {

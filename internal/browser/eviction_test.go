@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// TestCachingFetcherEviction: a bounded cache holds at most MaxEntries
-// URLs, evicts least-recently-used, and re-fetches evicted URLs.
+// TestCachingFetcherEviction: a cache bounded to two bodies' bytes
+// holds two URLs, evicts least-recently-used, and re-fetches evicted
+// URLs.
 func TestCachingFetcherEviction(t *testing.T) {
 	inner := &countingFetcher{}
-	c := NewCachingFetcher(inner, 2, 0)
+	c := NewCachingFetcher(inner, 2*int64(len("body of https://a.test/")))
 	ctx := context.Background()
 
 	for _, u := range []string{"https://a.test/", "https://b.test/", "https://c.test/"} {
@@ -47,16 +48,15 @@ func (f sizedBodyFetcher) Fetch(_ context.Context, rawURL string) (*Response, er
 	return &Response{Status: 200, Body: strings.Repeat("x", f.sizes[rawURL]), FinalURL: rawURL}, nil
 }
 
-// TestCachingFetcherByteBudget: the byte bound evicts enough entries to
-// stay under budget even when the entry count is far below its own cap,
-// and accounts the bytes.
+// TestCachingFetcherByteBudget: the byte bound evicts as many entries
+// as it takes to stay under budget, and accounts the bytes.
 func TestCachingFetcherByteBudget(t *testing.T) {
 	inner := sizedBodyFetcher{sizes: map[string]int{
 		"https://a.test/": 400,
 		"https://b.test/": 400,
 		"https://c.test/": 700,
 	}}
-	c := NewCachingFetcher(inner, 100, 1000)
+	c := NewCachingFetcher(inner, 1000)
 	ctx := context.Background()
 
 	for _, u := range []string{"https://a.test/", "https://b.test/", "https://c.test/"} {
@@ -81,7 +81,7 @@ func TestCachingFetcherOversizedBodyNeverCached(t *testing.T) {
 		"https://small.test/": 100,
 		"https://huge.test/":  5000,
 	}}
-	c := NewCachingFetcher(inner, 0, 1000)
+	c := NewCachingFetcher(inner, 1000)
 	ctx := context.Background()
 
 	if _, err := c.Fetch(ctx, "https://small.test/"); err != nil {

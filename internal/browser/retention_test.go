@@ -49,8 +49,8 @@ func TestVisitDoesNotPinBody(t *testing.T) {
 	for _, cached := range []bool{true, false} {
 		opts := DefaultOptions()
 		if cached {
-			opts.DocCache = html.NewDocMemo(0, 0)
-			opts.ScriptCache = memo.New[memo.Key, *Script](0, 0)
+			opts.DocCache = html.NewDocMemo(0)
+			opts.ScriptCache = memo.New[memo.Key, *Script](0)
 		}
 		b := New(paddedPageFetcher{size}, opts)
 		res, err := b.Visit(context.Background(), "https://site.example/")

@@ -12,10 +12,10 @@ import (
 )
 
 // scriptBrowser returns a browser over fetcher with a script cache of
-// at most maxEntries bodies (0 = unbounded).
-func scriptBrowser(fetcher Fetcher, maxEntries int) *Browser {
+// at most maxBytes of script source (0 = unbounded).
+func scriptBrowser(fetcher Fetcher, maxBytes int64) *Browser {
 	opts := DefaultOptions()
-	opts.ScriptCache = memo.New[memo.Key, *Script](maxEntries, 0)
+	opts.ScriptCache = memo.New[memo.Key, *Script](maxBytes)
 	return New(fetcher, opts)
 }
 
@@ -120,11 +120,12 @@ func TestScriptCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestScriptCacheEviction: a bounded cache drops the least recently
-// used body, which compiles again on its next sight.
+// TestScriptCacheEviction: a cache bounded to two bodies' bytes drops
+// the least recently used body, which compiles again on its next
+// sight.
 func TestScriptCacheEviction(t *testing.T) {
-	b := scriptBrowser(MapFetcher{}, 2)
 	src := func(i int) string { return fmt.Sprintf("var x%d = %d;", i, i+10) }
+	b := scriptBrowser(MapFetcher{}, 2*int64(len(src(0))))
 	first := mustScript(t, b, src(0))
 	mustScript(t, b, src(1))
 	mustScript(t, b, src(2))
@@ -158,11 +159,14 @@ func TestScriptCacheRescanAfterEviction(t *testing.T) {
 	fetcher := MapFetcher{}
 	lib := func(i int) string { return fmt.Sprintf("https://cdn.test/lib%d.js", i) }
 	site := func(i int) string { return fmt.Sprintf("https://site%d.example/", i) }
+	body := func(i int) string {
+		return fmt.Sprintf("var v%d = %d; navigator.geolocation.getCurrentPosition(cb);", i, i)
+	}
 	for i := 0; i < 3; i++ {
 		fetcher[site(i)] = page(fmt.Sprintf(`<script src="%s"></script>`, lib(i)), nil)
-		fetcher[lib(i)] = &Response{Status: 200, Body: fmt.Sprintf("var v%d = %d; navigator.geolocation.getCurrentPosition(cb);", i, i)}
+		fetcher[lib(i)] = &Response{Status: 200, Body: body(i)}
 	}
-	b := scriptBrowser(fetcher, 2)
+	b := scriptBrowser(fetcher, 2*int64(len(body(0))))
 	visit := func(i int) {
 		t.Helper()
 		res, err := b.Visit(context.Background(), site(i))

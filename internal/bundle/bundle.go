@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"io/fs"
 	"os"
@@ -417,15 +418,61 @@ func (b *Bundle) Verify(key string) error {
 	return nil
 }
 
-// Dataset loads the sealed dataset.
+// Dataset loads the sealed dataset through the check of Records.
 func (b *Bundle) Dataset() (*store.Dataset, error) {
-	return store.LoadFile(filepath.Join(b.Dir, DatasetName))
+	ds := &store.Dataset{}
+	if err := b.Records(ds.Add); err != nil {
+		return nil, err
+	}
+	return ds, nil
 }
 
-// Records streams the sealed dataset to fn without holding it; see
-// store.Decode.
+// Records streams the sealed dataset to fn without holding it (see
+// store.Decode), hashing and counting the bytes it decodes. When the
+// stream ends it fails with ErrVerify unless they match the manifest's
+// dataset entry, so a dataset replaced after Verify is refused rather
+// than reported. fn sees each record before that check: publish
+// nothing folded from them until Records returns nil.
 func (b *Bundle) Records(fn func(store.SiteRecord)) error {
-	return store.DecodeFile(filepath.Join(b.Dir, DatasetName), fn)
+	var want *FileEntry
+	for i, f := range b.Manifest.Files {
+		if f.Path == DatasetName {
+			want = &b.Manifest.Files[i]
+		}
+	}
+	if want == nil {
+		return fmt.Errorf("%w: sealed file %s is missing", ErrVerify, DatasetName)
+	}
+	f, err := os.Open(filepath.Join(b.Dir, DatasetName))
+	if err != nil {
+		return fmt.Errorf("bundle: %w", err)
+	}
+	defer f.Close()
+	hr := &hashingReader{r: f, h: sha256.New()}
+	if err := store.Decode(hr, fn); err != nil {
+		return err
+	}
+	if _, err := io.Copy(io.Discard, hr); err != nil {
+		return fmt.Errorf("bundle: %w", err)
+	}
+	if hex.EncodeToString(hr.h.Sum(nil)) != want.SHA256 || hr.n != want.Size {
+		return fmt.Errorf("%w: digest mismatch on %s (content altered since sealing)", ErrVerify, DatasetName)
+	}
+	return nil
+}
+
+// hashingReader hashes and counts what is read through it.
+type hashingReader struct {
+	r io.Reader
+	h hash.Hash
+	n int64
+}
+
+func (hr *hashingReader) Read(p []byte) (int, error) {
+	n, err := hr.r.Read(p)
+	hr.h.Write(p[:n])
+	hr.n += int64(n)
+	return n, err
 }
 
 // Report reads the sealed crawl-time report, byte-exact.

@@ -229,6 +229,39 @@ func TestTamperDetected(t *testing.T) {
 	}
 }
 
+// TestRecordsRefuseReplacedDataset: a directory bundle is read in
+// place, so its dataset can change between Verify and the read that
+// feeds the analysis. Records must refuse well-formed records that are
+// not the sealed ones, and so must Dataset, which reads through it.
+func TestRecordsRefuseReplacedDataset(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "b")
+	seal(t, dir, fixture(t))
+	b, err := bundle.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Verify(""); err != nil {
+		t.Fatal(err)
+	}
+	forged := &store.Dataset{Records: []store.SiteRecord{
+		{Rank: 0, URL: "https://site-0.test/"},
+		{Rank: 1, URL: "https://site-9.test/", Failure: store.FailureUnreachable, Error: "no route"},
+	}}
+	if err := forged.SaveFile(filepath.Join(dir, bundle.DatasetName)); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if err := b.Records(func(store.SiteRecord) { n++ }); !errors.Is(err, bundle.ErrVerify) {
+		t.Errorf("Records over a replaced dataset = %v, want ErrVerify", err)
+	}
+	if n != 2 {
+		t.Errorf("Records decoded %d records, want the 2 it then refused", n)
+	}
+	if ds, err := b.Dataset(); !errors.Is(err, bundle.ErrVerify) {
+		t.Errorf("Dataset over a replaced dataset = %v, %v; want ErrVerify", ds, err)
+	}
+}
+
 // flipDigest flips the first hex digit so the forged digest stays
 // well-formed but wrong.
 func flipDigest(d string) string {

@@ -110,17 +110,12 @@ func Gen(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "policygen: unknown mode %q\n", *mode)
 		return 2
 	}
-	switch strings.ToLower(*browserName) {
-	case "chromium", "chrome":
-		in.Browser = permissions.Chromium
-	case "firefox":
-		in.Browser = permissions.Firefox
-	case "safari":
-		in.Browser = permissions.Safari
-	default:
+	browser, ok := parseBrowser(*browserName)
+	if !ok {
 		fmt.Fprintf(stderr, "policygen: unknown browser %q\n", *browserName)
 		return 2
 	}
+	in.Browser = browser
 	for _, pair := range splitList(*delegate) {
 		perm, org, ok := strings.Cut(pair, "=")
 		if !ok {

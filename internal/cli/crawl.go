@@ -38,7 +38,6 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	backoff := fs.Duration("retry-backoff", crawler.DefaultRetryBackoff, "base delay before the first retry (doubles per attempt)")
 	deferBreaker := fs.Bool("defer-breaker-open", true, "defer visits to breaker-open hosts until the half-open probe time instead of recording breaker-open failures")
 	noCache := fs.Bool("no-cache", false, "disable the three shared caches: fetch responses, parsed documents (DOM) and script artifacts (compiled program plus static findings)")
-	cacheEntries := fs.Int("cache-entries", 0, "cap each of the fetch, DOM and script caches at N entries, evicted LRU (0 = unbounded)")
 	cacheBytes := fs.Int64("cache-bytes", core.DefaultCacheBytes, "cap each of the fetch, DOM and script caches at N bytes of what its entries keep alive (fetched bodies, extracted strings, script sources), evicted LRU (0 = unbounded)")
 	resume := fs.Bool("resume", false, "load an existing -out dataset, skip its completed ranks, and append the rest")
 	chaos := fs.Bool("chaos", false, "inject deterministic faults into the synthetic web (resets, slow-loris, malformed headers, redirect loops, flapping hosts, oversized bodies)")
@@ -89,7 +88,6 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	opts.Crawl.RetryBackoff = *backoff
 	opts.Crawl.DeferBreakerOpen = *deferBreaker
 	opts.DisableCache = *noCache
-	opts.CacheEntries = *cacheEntries
 	opts.CacheBytes = *cacheBytes
 	opts.StallTime = 2 * *timeout
 	if *chaos {
@@ -129,17 +127,10 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// (tolerating a truncated final line) and append only new records.
 	if *resume {
 		if prior, err := store.LoadPartialFile(*out); err == nil && len(prior.Records) > 0 {
-			// Canceled records are artifacts of the interruption, not site
-			// outcomes: drop them here too, or the rewritten prefix would
-			// keep the stale record alongside the re-crawled one.
-			kept, dropped := prior.Records[:0], 0
-			for _, r := range prior.Records {
-				if r.Failure == store.FailureCanceled {
-					dropped++
-					continue
-				}
-				kept = append(kept, r)
-			}
+			// Keep what the crawl keeps, or the rewritten prefix would hold
+			// a dropped record alongside its re-crawl.
+			kept := crawler.Resumable(prior.Records)
+			dropped := len(prior.Records) - len(kept)
 			prior.Records = kept
 			opts.Crawl.Resume = prior
 			// Rewrite the complete prefix: an interrupted crawl may have

@@ -44,7 +44,6 @@ func chaosSoakOptions(sites int) MeasurementOptions {
 	// would burn those retries as breaker-open records.)
 	opts.Breaker = crawler.BreakerConfig{Threshold: 2, Cooldown: 500 * time.Millisecond}
 	opts.MaxBodyBytes = 128 << 10
-	opts.CacheEntries = 512
 	return opts
 }
 

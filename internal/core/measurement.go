@@ -45,11 +45,8 @@ type MeasurementOptions struct {
 	// Caching is observationally transparent
 	// (TestCrawlDOMCacheEquivalence).
 	DisableCache bool
-	// CacheEntries caps each of the three caches at this many entries,
-	// evicted LRU. 0 = unbounded.
-	CacheEntries int
 	// CacheBytes caps each of the three caches, independently, at this
-	// many bytes of summed charge, evicted LRU alongside the entry cap.
+	// many bytes of summed charge, evicted LRU.
 	// Each value is charged the bytes it keeps alive: a fetched body's
 	// length, an extraction's one string buffer (html.Extract copies
 	// out of the source), a script's source length. A single value
@@ -219,7 +216,7 @@ func newCrawlStack(srv *synthweb.Server, opts MeasurementOptions) (*crawlStack, 
 		siteHosts[host] = true
 	}
 	if !opts.DisableCache {
-		st.cache = browser.NewCachingFetcher(fetcher, opts.CacheEntries, opts.CacheBytes)
+		st.cache = browser.NewCachingFetcher(fetcher, opts.CacheBytes)
 		// Per-site documents (landing and internal pages) are fetched
 		// once each — bypass them so cache memory stays bounded by the
 		// shared widget/CDN population.
@@ -247,8 +244,8 @@ func newCrawlStack(srv *synthweb.Server, opts MeasurementOptions) (*crawlStack, 
 		fetcher = st.cache
 		// One extraction and one compiled, scanned script per distinct
 		// body, shared by every frame that embeds it.
-		st.docs = html.NewDocMemo(opts.CacheEntries, opts.CacheBytes)
-		st.scripts = memo.New[memo.Key, *browser.Script](opts.CacheEntries, opts.CacheBytes)
+		st.docs = html.NewDocMemo(opts.CacheBytes)
+		st.scripts = memo.New[memo.Key, *browser.Script](opts.CacheBytes)
 		opts.BrowserOpts.DocCache, opts.BrowserOpts.ScriptCache = st.docs, st.scripts
 	}
 	b := browser.New(fetcher, opts.BrowserOpts)

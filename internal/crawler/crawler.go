@@ -73,9 +73,9 @@ type Config struct {
 	// Breaker.
 	DeferBreakerOpen bool
 	// Resume, when non-nil, is a partial dataset from an interrupted
-	// crawl: its records are carried over verbatim and their ranks are
-	// skipped, so interrupt-then-resume converges to the same dataset
-	// as one uninterrupted run.
+	// crawl: its Resumable records are carried over verbatim and their
+	// ranks are skipped, so interrupt-then-resume converges to the same
+	// dataset as one uninterrupted run.
 	Resume *store.Dataset
 	// FollowInternalLinks, when positive, visits up to that many
 	// same-site pages linked from the landing page — lifting the
@@ -175,6 +175,20 @@ func (c *Crawler) Stats() Stats {
 	}
 }
 
+// Resumable returns the records of an interrupted crawl that resuming
+// it keeps: all but the canceled ones. A canceled visit is an artifact
+// of the interruption, not a site outcome, so its rank is crawled
+// again.
+func Resumable(prior []store.SiteRecord) []store.SiteRecord {
+	kept := make([]store.SiteRecord, 0, len(prior))
+	for _, r := range prior {
+		if r.Failure != store.FailureCanceled {
+			kept = append(kept, r)
+		}
+	}
+	return kept
+}
+
 // Crawl visits every target and returns the dataset, ordered by rank.
 // With Config.Resume set, targets whose rank already has a record are
 // skipped and the prior records are carried into the result.
@@ -189,16 +203,10 @@ func (c *Crawler) Crawl(ctx context.Context, targets []Target) *store.Dataset {
 	pending := targets
 	done := 0
 	if c.Config.Resume != nil {
-		completed := make(map[int]bool, len(c.Config.Resume.Records))
-		for _, r := range c.Config.Resume.Records {
-			if r.Failure == store.FailureCanceled {
-				// A cancelled visit is an artifact of the interrupted
-				// run, not a site outcome: drop the record and re-crawl
-				// its rank.
-				continue
-			}
+		ds.Records = append(ds.Records, Resumable(c.Config.Resume.Records)...)
+		completed := make(map[int]bool, len(ds.Records))
+		for _, r := range ds.Records {
 			completed[r.Rank] = true
-			ds.Records = append(ds.Records, r)
 		}
 		pending = make([]Target, 0, len(targets))
 		for _, t := range targets {

@@ -145,8 +145,8 @@ func TestCrawlDeterminism(t *testing.T) {
 		var fetcher browser.Fetcher = browser.NewHTTPFetcher(srv.Client(0))
 		opts := browser.DefaultOptions()
 		if cached {
-			fetcher = browser.NewCachingFetcher(fetcher, 0, 0)
-			opts.ScriptCache = memo.New[memo.Key, *browser.Script](0, 0)
+			fetcher = browser.NewCachingFetcher(fetcher, 0)
+			opts.ScriptCache = memo.New[memo.Key, *browser.Script](0)
 		}
 		b := browser.New(fetcher, opts)
 		c := New(b, Config{Workers: 8, PerSiteTimeout: 5 * time.Second})
@@ -190,7 +190,7 @@ func TestCrawlCompileEquivalence(t *testing.T) {
 	}
 	defer srv.Close()
 	opts := browser.DefaultOptions()
-	opts.ScriptCache = memo.New[memo.Key, *browser.Script](0, 0)
+	opts.ScriptCache = memo.New[memo.Key, *browser.Script](0)
 	b := browser.New(browser.NewHTTPFetcher(srv.Client(0)), opts)
 	c := New(b, Config{Workers: 8, PerSiteTimeout: 5 * time.Second})
 	var targets []Target

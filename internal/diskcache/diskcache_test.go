@@ -745,7 +745,7 @@ func TestTwoCrawlStacksOneArchive(t *testing.T) {
 
 	first := browser.NewCachingFetcher(fetcherFunc(func(_ context.Context, u string) (*browser.Response, error) {
 		return resp("body of " + u), nil
-	}), 0, 0)
+	}), 0)
 	first.Disk = a
 	for _, u := range urls {
 		if _, err := first.Fetch(context.Background(), u); err != nil {
@@ -756,7 +756,7 @@ func TestTwoCrawlStacksOneArchive(t *testing.T) {
 	second := browser.NewCachingFetcher(fetcherFunc(func(_ context.Context, u string) (*browser.Response, error) {
 		t.Errorf("second stack hit the network for %s", u)
 		return nil, errors.New("network")
-	}), 0, 0)
+	}), 0)
 	second.Disk = a
 	for _, u := range urls {
 		got, err := second.Fetch(context.Background(), u)

@@ -17,7 +17,7 @@ func TestHotPathAllocs(t *testing.T) {
 
 	// Warm document-memo hit: no alloc (memo.Sum hashes through a
 	// pooled buffer).
-	c := NewDocMemo(0, 0)
+	c := NewDocMemo(0)
 	ctx := context.Background()
 	docGet(t, c, src)
 	if got := testing.AllocsPerRun(500, func() {

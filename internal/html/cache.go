@@ -7,12 +7,12 @@ import (
 )
 
 // NewDocMemo returns a document memo keyed by content digest, holding
-// at most maxEntries documents and maxBytes of summed charge (each
-// <= 0 = unbounded). Each Doc is charged the length of its one string
-// buffer: Extract copies its strings out of the source, so that buffer,
-// not the source, is what a retained Doc keeps alive.
-func NewDocMemo(maxEntries int, maxBytes int64) *memo.Memo[memo.Key, Doc] {
-	return memo.New[memo.Key, Doc](maxEntries, maxBytes)
+// at most maxBytes of summed charge (<= 0 = unbounded). Each Doc is
+// charged the length of its one string buffer: Extract copies its
+// strings out of the source, so that buffer, not the source, is what a
+// retained Doc keeps alive.
+func NewDocMemo(maxBytes int64) *memo.Memo[memo.Key, Doc] {
+	return memo.New[memo.Key, Doc](maxBytes)
 }
 
 // ExtractShared returns Extract(src) through docs, extracting on first

@@ -28,7 +28,7 @@ func sameDoc(a, b Doc) bool {
 }
 
 func TestParseCacheHitMiss(t *testing.T) {
-	c := NewDocMemo(0, 0)
+	c := NewDocMemo(0)
 	srcA, srcB := `<iframe src="/a"></iframe>`, `<iframe src="/b"></iframe>`
 	a, b, other := docGet(t, c, srcA), docGet(t, c, srcA), docGet(t, c, srcB)
 	if !sameDoc(a, b) {
@@ -49,7 +49,7 @@ func TestParseCacheHitMiss(t *testing.T) {
 }
 
 func TestParseCacheSingleflight(t *testing.T) {
-	c := NewDocMemo(0, 0)
+	c := NewDocMemo(0)
 	const goroutines = 16
 	src := `<div><iframe src="/shared" allow="camera"></iframe><script>w()</script></div>`
 	docs := make([]Doc, goroutines)
@@ -83,7 +83,7 @@ func TestParseCacheSingleflight(t *testing.T) {
 }
 
 func TestParseCacheByteBound(t *testing.T) {
-	c := NewDocMemo(0, 64)
+	c := NewDocMemo(64)
 	docGet(t, c, `<p>tiny</p>`)
 	// An entry alone larger than the budget is served but never retained.
 	// The charge is the extraction, so the document is oversized by its
@@ -102,10 +102,11 @@ func TestParseCacheByteBound(t *testing.T) {
 }
 
 // TestParseCacheConcurrentChurn hammers the cache with overlapping
-// bodies, a tiny entry bound, and concurrent readers — the -race run
+// bodies, a tiny byte bound, and concurrent readers — the -race run
 // proves the eviction accounting has no windows.
 func TestParseCacheConcurrentChurn(t *testing.T) {
-	c := NewDocMemo(4, 0)
+	const bound = 64
+	c := NewDocMemo(bound)
 	bodies := make([]string, 12)
 	for i := range bodies {
 		bodies[i] = fmt.Sprintf(`<div><iframe src="/w%d" allow="camera"></iframe><a href="/l%d">x</a></div>`, i, i)
@@ -131,8 +132,8 @@ func TestParseCacheConcurrentChurn(t *testing.T) {
 	}
 	wg.Wait()
 	s := c.Stats()
-	if s.Entries > 4 {
-		t.Errorf("entry bound violated: %d", s.Entries)
+	if s.CachedBytes > bound {
+		t.Errorf("byte bound violated: %d cached", s.CachedBytes)
 	}
 	if s.Misses == 0 || s.Evictions == 0 {
 		t.Errorf("churn stats implausible: %+v", s)

@@ -58,7 +58,7 @@ type Stats struct {
 	// Coalesced are lookups that waited on a concurrent build of the
 	// same key and shared its value.
 	Coalesced uint64
-	// Evictions are values dropped to restore the bounds; BytesEvicted
+	// Evictions are values dropped to restore the bound; BytesEvicted
 	// is their summed charge.
 	Evictions    uint64
 	BytesEvicted uint64
@@ -96,15 +96,13 @@ type entry[K comparable, V any] struct {
 //     to the builder's caller.
 //   - A waiter gives up with its own context's error.
 //   - The build reports each value's byte charge. Built values are
-//     evicted least-recently-used to keep the entry count and the summed
-//     charge within their bounds; a value alone over the byte bound is
-//     served but never retained.
+//     evicted least-recently-used to keep the summed charge within its
+//     bound; a value alone over the bound is served but never retained.
 //
 // Values are shared by every caller that gets them and must be treated
 // as read-only; an evicted value stays valid for whoever still has it.
 type Memo[K comparable, V any] struct {
-	maxEntries int
-	maxBytes   int64
+	maxBytes int64
 
 	mu    sync.Mutex
 	items map[K]*entry[K, V] // built and in-flight entries
@@ -115,10 +113,10 @@ type Memo[K comparable, V any] struct {
 	hits, misses, coalesced, evictions, bytesEvicted atomic.Uint64
 }
 
-// New returns an empty memo holding at most maxEntries values and
-// maxBytes of summed charge (each <= 0 = unbounded).
-func New[K comparable, V any](maxEntries int, maxBytes int64) *Memo[K, V] {
-	m := &Memo[K, V]{maxEntries: maxEntries, maxBytes: maxBytes, items: map[K]*entry[K, V]{}}
+// New returns an empty memo holding at most maxBytes of summed charge
+// (<= 0 = unbounded).
+func New[K comparable, V any](maxBytes int64) *Memo[K, V] {
+	m := &Memo[K, V]{maxBytes: maxBytes, items: map[K]*entry[K, V]{}}
 	m.lru.prev, m.lru.next = &m.lru, &m.lru
 	return m
 }
@@ -174,7 +172,7 @@ func (m *Memo[K, V]) build(e *entry[K, V], build func() (V, int64, error)) (V, e
 }
 
 // publish ends e's build. A built value joins the recency list and
-// evicts least-recently-used values until both bounds hold again; a
+// evicts least-recently-used values until the bound holds again; a
 // failed entry leaves the map so the next Get rebuilds.
 func (m *Memo[K, V]) publish(e *entry[K, V]) {
 	m.mu.Lock()
@@ -185,7 +183,7 @@ func (m *Memo[K, V]) publish(e *entry[K, V]) {
 		m.pushFront(e)
 		m.n++
 		m.bytes += e.size
-		for (m.maxEntries > 0 && m.n > m.maxEntries) || (m.maxBytes > 0 && m.bytes > m.maxBytes) {
+		for m.maxBytes > 0 && m.bytes > m.maxBytes {
 			old := m.lru.prev
 			unlink(old)
 			delete(m.items, old.key)

@@ -48,7 +48,7 @@ func within[T any](t *testing.T, ch <-chan T, what string) T {
 }
 
 func TestHitMiss(t *testing.T) {
-	m := New[string, string](0, 0)
+	m := New[string, string](0)
 	if got := mustGet(t, m, "a", 1); got != "value of a" {
 		t.Fatalf("Get(a) = %q", got)
 	}
@@ -69,7 +69,7 @@ func TestHitMiss(t *testing.T) {
 // TestSingleflight drives many goroutines at one slow key: exactly one
 // builds, and every other either coalesces onto that build or hits.
 func TestSingleflight(t *testing.T) {
-	m := New[string, string](0, 0)
+	m := New[string, string](0)
 	const goroutines = 32
 	var builds atomic.Int32
 	var wg sync.WaitGroup
@@ -97,14 +97,14 @@ func TestSingleflight(t *testing.T) {
 	}
 }
 
-// TestEvictionOrder: the entry bound evicts the least recently used
+// TestEvictionOrder: the byte bound evicts the least recently used
 // key, and a hit counts as a use.
 func TestEvictionOrder(t *testing.T) {
-	m := New[string, string](2, 0)
-	mustGet(t, m, "a", 0)
-	mustGet(t, m, "b", 0)
-	mustGet(t, m, "a", 0) // b is now the least recently used
-	mustGet(t, m, "c", 0)
+	m := New[string, string](20)
+	mustGet(t, m, "a", 10)
+	mustGet(t, m, "b", 10)
+	mustGet(t, m, "a", 10) // b is now the least recently used
+	mustGet(t, m, "c", 10)
 	if cached(m, "b") || !cached(m, "a") || !cached(m, "c") {
 		t.Fatal("want b evicted, a and c retained")
 	}
@@ -120,7 +120,7 @@ func TestEvictionOrder(t *testing.T) {
 // TestByteBudgetEviction: the byte bound evicts least recently used
 // values until the budget holds again, and accounts their charge.
 func TestByteBudgetEviction(t *testing.T) {
-	m := New[string, string](100, 100)
+	m := New[string, string](100)
 	mustGet(t, m, "a", 40)
 	mustGet(t, m, "b", 40)
 	// 70 more bytes must push out both a and b: 150 over budget, still
@@ -132,26 +132,10 @@ func TestByteBudgetEviction(t *testing.T) {
 	}
 }
 
-// TestByteBudgetWithEntryBound: both bounds apply together, whichever
-// trips first evicts.
-func TestByteBudgetWithEntryBound(t *testing.T) {
-	m := New[string, string](2, 100)
-	mustGet(t, m, "a", 10)
-	mustGet(t, m, "b", 10)
-	mustGet(t, m, "c", 10)
-	if cached(m, "a") {
-		t.Fatal("entry bound: a not evicted")
-	}
-	mustGet(t, m, "d", 95)
-	if cached(m, "b") || cached(m, "c") || !cached(m, "d") {
-		t.Fatal("byte bound: want b and c evicted, d retained")
-	}
-}
-
 // TestByteBudgetOversizedEntry: a value alone larger than the budget is
 // served but never retained: it evicts everything, then itself.
 func TestByteBudgetOversizedEntry(t *testing.T) {
-	m := New[string, string](0, 100)
+	m := New[string, string](100)
 	mustGet(t, m, "small", 30)
 	if got := mustGet(t, m, "huge", 500); got != "value of huge" {
 		t.Fatalf("oversized value not served: %q", got)
@@ -169,7 +153,7 @@ func TestByteBudgetOversizedEntry(t *testing.T) {
 // TestChargeAtPublish: a value is charged what its build reports, once
 // the build is done; an in-flight build holds no charge and no entry.
 func TestChargeAtPublish(t *testing.T) {
-	m := New[string, string](0, 100)
+	m := New[string, string](100)
 	mustGet(t, m, "a", 60)
 	started, finish := make(chan struct{}), make(chan struct{})
 	done := make(chan struct{})
@@ -197,7 +181,7 @@ func TestChargeAtPublish(t *testing.T) {
 // TestErrorNotCached: a failed build is returned to its caller and
 // never cached; the next Get builds again, and a success is cached.
 func TestErrorNotCached(t *testing.T) {
-	m := New[string, string](0, 0)
+	m := New[string, string](0)
 	boom := errors.New("boom")
 	for i := 0; i < 2; i++ {
 		if _, err := m.Get(context.Background(), "k", func() (string, int64, error) { return "", 0, boom }); !errors.Is(err, boom) {
@@ -214,7 +198,7 @@ func TestErrorNotCached(t *testing.T) {
 // TestLeaderFailureNotShared: a waiter must not inherit its builder's
 // failure (which may stem from the builder's own deadline); it retries.
 func TestLeaderFailureNotShared(t *testing.T) {
-	m := New[string, string](0, 0)
+	m := New[string, string](0)
 	var builds atomic.Int32
 	errs := make([]error, 8)
 	var wg sync.WaitGroup
@@ -249,7 +233,7 @@ func TestLeaderFailureNotShared(t *testing.T) {
 // TestWaiterContextCancel: a waiter gives up with its own context's
 // error while the build goes on, and the build's value is still cached.
 func TestWaiterContextCancel(t *testing.T) {
-	m := New[string, string](0, 0)
+	m := New[string, string](0)
 	started, finish := make(chan struct{}), make(chan struct{})
 	built := make(chan error, 1)
 	go func() {
@@ -287,7 +271,7 @@ func TestWaiterContextCancel(t *testing.T) {
 // recency list and counters have no windows.
 func TestConcurrentChurn(t *testing.T) {
 	var built atomic.Uint64
-	m := New[int, int](4, 0)
+	m := New[int, int](4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -336,7 +320,7 @@ func (c *waitProbe) Done() <-chan struct{} {
 // reaches the builder's caller, a waiter blocked on that build rebuilds
 // and gets its own value, and a later Get is a hit.
 func TestBuildPanic(t *testing.T) {
-	m := New[string, string](0, 0)
+	m := New[string, string](0)
 	started, finish := make(chan struct{}), make(chan struct{})
 	recovered := make(chan any, 1)
 	go func() {

@@ -17,8 +17,9 @@ type GeneralAPI struct {
 	StatusCheck bool
 }
 
-// GeneralAPIs is the instrumented general-purpose API list of
-// Appendix A.4.
+// GeneralAPIs are the general-purpose APIs of Appendix A.4 as the
+// static analyzer matches them. Which recorded calls count as General
+// Permission APIs is webapi's decision (webapi.Invocation.General).
 var GeneralAPIs = []GeneralAPI{
 	{Expr: "navigator.permissions.query", Spec: "Permissions", StatusCheck: true},
 	{Expr: "navigator.permissions", Spec: "Permissions"},
@@ -30,17 +31,6 @@ var GeneralAPIs = []GeneralAPI{
 	{Expr: "document.featurePolicy.allowsFeature", Spec: "Feature Policy", Deprecated: true, StatusCheck: true},
 	{Expr: "document.featurePolicy.features", Spec: "Feature Policy", Deprecated: true, StatusCheck: true},
 	{Expr: "document.featurePolicy", Spec: "Feature Policy", Deprecated: true},
-}
-
-// IsGeneralAPI reports whether expr is one of the general permission
-// APIs, and returns its record.
-func IsGeneralAPI(expr string) (GeneralAPI, bool) {
-	for _, g := range GeneralAPIs {
-		if g.Expr == expr {
-			return g, true
-		}
-	}
-	return GeneralAPI{}, false
 }
 
 // GeneralAPIDisplayName is the row label the paper's Table 4 uses.

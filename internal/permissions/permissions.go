@@ -9,9 +9,10 @@
 //     specifications;
 //   - whether it is a powerful feature (requires explicit user consent,
 //     usually via a prompt);
-//   - the Web-API surface associated with it, used both by the static
-//     analyzer (string matching, §3.1.1) and the dynamic instrumentation
-//     (§3.1.1, Figure 1);
+//   - the Web-API expressions associated with it: the static analyzer's
+//     string patterns (§3.1.1). The dynamic instrumentation (Figure 1)
+//     is package webapi's own list of declarations, whose recorded names
+//     often differ from these patterns;
 //   - a coarse purpose category matching the grouping of §4.2.1.
 //
 // The registry covers the complete instrumented list of Appendix A.4 plus
@@ -102,9 +103,12 @@ type Permission struct {
 	Powerful bool
 	// Category is the purpose grouping of §4.2.1.
 	Category Category
-	// APIs are the Web-API expressions associated with this permission.
-	// They double as the static-analysis string patterns and as the
-	// dynamic instrumentation points.
+	// APIs are the Web-API expressions associated with this permission,
+	// as the static analyzer matches them. They are not the dynamic
+	// instrumentation points: webapi declares those, and records calls
+	// under its own names (autoplay's pattern "autoplay" against the
+	// recorded element.play, "requestFullscreen" against
+	// element.requestFullscreen).
 	APIs []string
 	// QueryName, when non-empty, is the name accepted by
 	// navigator.permissions.query({name: ...}) for this permission.

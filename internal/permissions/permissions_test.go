@@ -212,15 +212,17 @@ func TestFingerprintSurfaceDistinguishesVersions(t *testing.T) {
 }
 
 func TestGeneralAPIs(t *testing.T) {
-	g, ok := IsGeneralAPI("navigator.permissions.query")
-	if !ok || !g.StatusCheck {
+	byExpr := map[string]GeneralAPI{}
+	for _, g := range GeneralAPIs {
+		byExpr[g.Expr] = g
+	}
+	if g, ok := byExpr["navigator.permissions.query"]; !ok || !g.StatusCheck {
 		t.Error("navigator.permissions.query is a status-checking general API")
 	}
-	g, ok = IsGeneralAPI("document.featurePolicy.allowedFeatures")
-	if !ok || !g.Deprecated {
+	if g, ok := byExpr["document.featurePolicy.allowedFeatures"]; !ok || !g.Deprecated {
 		t.Error("featurePolicy API is deprecated Feature Policy")
 	}
-	if _, ok := IsGeneralAPI("navigator.getBattery"); ok {
+	if _, ok := byExpr["navigator.getBattery"]; ok {
 		t.Error("battery API is permission-specific, not general")
 	}
 	// Both deprecated and current names present (§6.2).

@@ -2,6 +2,7 @@ package webapi
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"permodyssey/internal/permissions"
@@ -130,6 +131,14 @@ func (r *Realm) gatedPromise(api string, perms []string, v script.Value) script.
 	return script.ResolvedPromise(v)
 }
 
+// topLevelOnly records a call of a permission no policy controls
+// (notifications, push): it is blocked outside top-level documents.
+func (r *Realm) topLevelOnly(api, perm string) (blocked bool) {
+	blocked = !r.Doc.IsTopLevel()
+	r.record(api, KindInvocation, []string{perm}, false, blocked, false)
+	return blocked
+}
+
 func rejectedDOMException(name, msg string) script.Value {
 	e := script.NewObject()
 	e.Class = "DOMException"
@@ -149,24 +158,11 @@ func nat(name string, fn func(in *script.Interp, this script.Value, args []scrip
 // from the interpreter, not from captured variables.
 func hostRealm(in *script.Interp) *Realm { return in.Host.(*Realm) }
 
-// rnat is shorthand for a realm-aware native function value.
-func rnat(name string, fn func(r *Realm, in *script.Interp, this script.Value, args []script.Value) (script.Value, error)) script.Value {
-	return script.NativeValue(name, func(in *script.Interp, this script.Value, args []script.Value) (script.Value, error) {
-		return fn(hostRealm(in), in, this, args)
-	})
-}
-
-// rnativeOf is rnat for constructor Call slots.
-func rnativeOf(name string, fn func(r *Realm, in *script.Interp, this script.Value, args []script.Value) (script.Value, error)) *script.Native {
-	return &script.Native{Name: name, Fn: func(in *script.Interp, this script.Value, args []script.Value) (script.Value, error) {
-		return fn(hostRealm(in), in, this, args)
-	}}
-}
-
 // addEventListenerV is the shared handler-registration native; it
 // appends into the calling realm's handlers map.
-var addEventListenerV = rnat("addEventListener", func(r *Realm, _ *script.Interp, _ script.Value, args []script.Value) (script.Value, error) {
+var addEventListenerV = nat("addEventListener", func(in *script.Interp, _ script.Value, args []script.Value) (script.Value, error) {
 	if len(args) >= 2 && args[0].Kind() == script.KindString && args[1].IsCallable() {
+		r := hostRealm(in)
 		name := args[0].Str()
 		if r.handlers == nil {
 			r.handlers = map[string][]script.Value{}
@@ -215,6 +211,149 @@ func (r *Realm) patchRealmState() {
 	}
 }
 
+// Each instrumented entry point is one declaration below, in one of a
+// few shapes: a policy-gated promise, a recorded call, a status check
+// or a recording constructor; the rest have hand-written bodies. The
+// declaration's API name, navigator.getBattery say, is its only
+// spelling: the recorded Invocation.API, the native's name in stack
+// traces, and, after its last dot, the property it is installed under.
+// These declarations are the dynamic-analysis list of Appendix A.4.
+
+// holder is where a declaration installs its entry point: a surface
+// object, the global scope, or members every instance of a host
+// object receives.
+type holder interface {
+	Set(key string, v script.Value)
+}
+
+// globals installs window-level functions, which are global bindings
+// rather than properties of window.
+type globals struct{ *script.Env }
+
+func (g globals) Set(key string, v script.Value) { g.Define(key, v) }
+
+// members are the properties each instance of a host object receives,
+// in order.
+type members []member
+
+type member struct {
+	key string
+	v   script.Value
+}
+
+func (ms *members) Set(key string, v script.Value) { *ms = append(*ms, member{key, v}) }
+
+// set gives o the members, after the properties it already has.
+func (ms members) set(o *script.Object) *script.Object {
+	for _, m := range ms {
+		o.Set(m.key, m.v)
+	}
+	return o
+}
+
+// body is an entry point's behaviour in the realm it is called in; api
+// is the name its declaration gave it.
+type body func(r *Realm, api string, in *script.Interp, args []script.Value) (script.Value, error)
+
+// key is the property an entry point is installed under.
+func key(api string) string { return api[strings.LastIndexByte(api, '.')+1:] }
+
+// entry declares an entry point with a hand-written body.
+func entry(h holder, api string, fn body) {
+	h.Set(key(api), script.NativeValue(api, func(in *script.Interp, _ script.Value, args []script.Value) (script.Value, error) {
+		return fn(hostRealm(in), api, in, args)
+	}))
+}
+
+// promise declares a policy-gated promise: a call records perm, then
+// resolves with a fresh result, or rejects with NotAllowedError when
+// the document's policy disallows perm.
+func promise(h holder, api, perm string, result func() script.Value) {
+	entry(h, api, func(r *Realm, api string, _ *script.Interp, _ []script.Value) (script.Value, error) {
+		return r.gatedPromise(api, []string{perm}, result()), nil
+	})
+}
+
+// call declares a recorded call: a call records perm under kind,
+// blocked when the document's policy disallows it, and returns what
+// ret makes of the policy's answer.
+func call(h holder, api string, kind Kind, perm string, ret func(allowed bool) script.Value) {
+	entry(h, api, func(r *Realm, api string, _ *script.Interp, _ []script.Value) (script.Value, error) {
+		allowed := r.allowed(perm)
+		r.record(api, kind, []string{perm}, false, !allowed, false)
+		return ret(allowed), nil
+	})
+}
+
+// check declares a status check that no policy blocks: a call records
+// perm and resolves with what ok says of the realm.
+func check(h holder, api, perm string, ok func(r *Realm) bool) {
+	entry(h, api, func(r *Realm, api string, _ *script.Interp, _ []script.Value) (script.Value, error) {
+		r.record(api, KindStatusCheck, []string{perm}, false, false, false)
+		return script.ResolvedPromise(script.Bool(ok(r))), nil
+	})
+}
+
+// construct makes the Call slot of the host constructor name: the
+// native is named name, and its body records as "new name".
+func construct(name string, fn body) *script.Native {
+	api := "new " + name
+	return &script.Native{Name: name, Fn: func(in *script.Interp, _ script.Value, args []script.Value) (script.Value, error) {
+		return fn(hostRealm(in), api, in, args)
+	}}
+}
+
+// constructor declares a recording constructor: `new name` records
+// perm, blocked when the document's policy disallows it. A refusing
+// constructor then throws a SecurityError; otherwise each call returns
+// a fresh object of class name holding ms.
+func constructor(g *script.Env, name, perm string, refuse bool, ms members) *script.Object {
+	ctor := script.NewObject()
+	ctor.Call = construct(name, func(r *Realm, api string, _ *script.Interp, _ []script.Value) (script.Value, error) {
+		blocked := !r.allowed(perm)
+		r.record(api, KindInvocation, []string{perm}, false, blocked, false)
+		if blocked && refuse {
+			return script.Undefined(), &script.RuntimeError{Msg: "SecurityError: " + perm + " disallowed by permissions policy"}
+		}
+		return script.ObjectValue(ms.set(object(name).Obj())), nil
+	})
+	g.Define(name, script.ObjectValue(ctor))
+	return ctor
+}
+
+// namespace installs a fresh object of the class under key on o.
+func namespace(o *script.Object, key, class string) *script.Object {
+	ns := object(class)
+	o.Set(key, ns)
+	return ns.Obj()
+}
+
+// object makes a fresh host object of the class.
+func object(class string) script.Value {
+	o := script.NewObject()
+	o.Class = class
+	return script.ObjectValue(o)
+}
+
+// instance makes a promise result: a fresh object of the class per call.
+func instance(class string) func() script.Value {
+	return func() script.Value { return object(class) }
+}
+
+func emptyArray() script.Value { return script.ArrayValue() }
+
+// permissionsQuery is the Permissions API's status query. With the
+// methods of the policy objects it makes up the General Permission APIs
+// of §4.1.1 (Invocation.General).
+const permissionsQuery = "navigator.permissions.query"
+
+// policyObjects are document.permissionsPolicy and the deprecated
+// Feature Policy twin that Chromium still exposes (§6.2).
+var policyObjects = [...]struct {
+	api        string
+	deprecated bool
+}{{"document.featurePolicy", true}, {"document.permissionsPolicy", false}}
+
 // installSurface wires the full API surface into a template
 // interpreter's global scope. Everything installed here must be
 // realm-independent: natives reach their realm via hostRealm, and
@@ -227,18 +366,12 @@ func installSurface(in *script.Interp) {
 	nav.Class = "Navigator"
 	doc := script.NewObject()
 	doc.Class = "Document"
-	// Define the globals before wiring members: installConstructors
-	// attaches navigator.serviceWorker by global lookup.
 	g.Define("navigator", script.ObjectValue(nav))
 	g.Define("document", script.ObjectValue(doc))
 
-	installPermissionsAPI(nav)
-	installMedia(nav)
-	installGeolocation(nav)
-	installSimpleNavigatorAPIs(nav)
-	installDocumentAPIs(doc)
-	installPolicyAPIs(doc)
-	installConstructors(g)
+	installNavigator(nav)
+	installDocument(doc)
+	installConstructors(g, nav)
 
 	// navigator identity (the crawler disabled navigator.webdriver, C8).
 	// userAgent is per-realm (Version-dependent); patched per realm.
@@ -284,338 +417,211 @@ func installSurface(in *script.Interp) {
 	}))
 }
 
-// installPermissionsAPI wires navigator.permissions.query — the most
-// invoked general API in the study.
-func installPermissionsAPI(nav *script.Object) {
-	perms := script.NewObject()
-	perms.Class = "Permissions"
-	perms.Set("query", rnat("navigator.permissions.query", func(r *Realm, in *script.Interp, _ script.Value, args []script.Value) (script.Value, error) {
-		var names []string
-		if len(args) > 0 {
-			if p, ok := permissionFromQueryArg(args[0]); ok {
-				names = []string{p}
-			}
-		}
-		if len(names) == 0 {
-			// TypeError in a real browser; record the probe anyway.
-			r.record("navigator.permissions.query", KindStatusCheck, nil, false, false, false)
-			return script.Undefined(), &script.RuntimeError{Msg: "query requires a PermissionDescriptor"}
-		}
-		perm := names[0]
-		blocked := false
-		if p, known := permissions.Lookup(perm); known && p.PolicyControlled() {
-			blocked = !r.allowed(perm)
-		}
-		r.record("navigator.permissions.query", KindStatusCheck, names, false, blocked, false)
-		status := script.NewObject()
-		status.Class = "PermissionStatus"
-		status.Set("name", script.String(perm))
-		state := "prompt"
-		if blocked {
-			state = "denied"
-		}
-		status.Set("state", script.String(state))
-		status.Set("addEventListener", addEventListenerV)
-		status.Set("onchange", script.Null())
-		return script.ResolvedPromise(script.ObjectValue(status)), nil
-	}))
-	nav.Set("permissions", script.ObjectValue(perms))
-}
+// installNavigator declares the navigator.* entry points.
+func installNavigator(nav *script.Object) {
+	entry(namespace(nav, "permissions", "Permissions"), permissionsQuery, queryPermission)
 
-// installMedia wires getUserMedia / getDisplayMedia / encrypted media.
-func installMedia(nav *script.Object) {
-	md := script.NewObject()
-	md.Class = "MediaDevices"
-	md.Set("getUserMedia", rnat("navigator.mediaDevices.getUserMedia", func(r *Realm, _ *script.Interp, _ script.Value, args []script.Value) (script.Value, error) {
-		var perms []string
-		if len(args) > 0 && args[0].Kind() == script.KindObject {
-			if v, ok := args[0].Obj().Get("audio"); ok && v.Truthy() {
-				perms = append(perms, "microphone")
-			}
-			if v, ok := args[0].Obj().Get("video"); ok && v.Truthy() {
-				perms = append(perms, "camera")
-			}
-		}
-		if len(perms) == 0 {
-			return script.Undefined(), &script.RuntimeError{Msg: "getUserMedia requires audio or video"}
-		}
-		stream := script.NewObject()
-		stream.Class = "MediaStream"
-		stream.Set("active", script.Bool(true))
-		return r.gatedPromise("navigator.mediaDevices.getUserMedia", perms, script.ObjectValue(stream)), nil
-	}))
-	md.Set("getDisplayMedia", rnat("navigator.mediaDevices.getDisplayMedia", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		stream := script.NewObject()
-		stream.Class = "MediaStream"
-		return r.gatedPromise("navigator.mediaDevices.getDisplayMedia", []string{"display-capture"}, script.ObjectValue(stream)), nil
-	}))
-	md.Set("selectAudioOutput", rnat("navigator.mediaDevices.selectAudioOutput", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		dev := script.NewObject()
-		dev.Class = "MediaDeviceInfo"
-		return r.gatedPromise("navigator.mediaDevices.selectAudioOutput", []string{"speaker-selection"}, script.ObjectValue(dev)), nil
-	}))
-	nav.Set("mediaDevices", script.ObjectValue(md))
+	md := namespace(nav, "mediaDevices", "MediaDevices")
+	entry(md, "navigator.mediaDevices.getUserMedia", getUserMedia)
+	promise(md, "navigator.mediaDevices.getDisplayMedia", "display-capture", instance("MediaStream"))
+	promise(md, "navigator.mediaDevices.selectAudioOutput", "speaker-selection", instance("MediaDeviceInfo"))
+	promise(nav, "navigator.requestMediaKeySystemAccess", "encrypted-media", instance("MediaKeySystemAccess"))
 
-	nav.Set("requestMediaKeySystemAccess", rnat("navigator.requestMediaKeySystemAccess", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		access := script.NewObject()
-		access.Class = "MediaKeySystemAccess"
-		return r.gatedPromise("navigator.requestMediaKeySystemAccess", []string{"encrypted-media"}, script.ObjectValue(access)), nil
-	}))
-}
-
-func installGeolocation(nav *script.Object) {
-	geo := script.NewObject()
-	geo.Class = "Geolocation"
-	positionCall := func(api string) script.Value {
-		return rnat(api, func(r *Realm, in *script.Interp, _ script.Value, args []script.Value) (script.Value, error) {
-			blocked := !r.allowed("geolocation")
-			r.record(api, KindInvocation, []string{"geolocation"}, false, blocked, false)
-			if blocked {
-				if len(args) > 1 && args[1].IsCallable() {
-					e := script.NewObject()
-					e.Set("code", script.Number(1)) // PERMISSION_DENIED
-					e.Set("message", script.String("permissions policy"))
-					if _, err := in.CallFunction(args[1], script.Undefined(), []script.Value{script.ObjectValue(e)}); err != nil {
-						return script.Undefined(), err
-					}
-				}
-				return script.Undefined(), nil
-			}
-			if len(args) > 0 && args[0].IsCallable() {
-				pos := script.NewObject()
-				coords := script.NewObject()
-				coords.Set("latitude", script.Number(52.52))
-				coords.Set("longitude", script.Number(13.405))
-				pos.Set("coords", script.ObjectValue(coords))
-				if _, err := in.CallFunction(args[0], script.Undefined(), []script.Value{script.ObjectValue(pos)}); err != nil {
-					return script.Undefined(), err
-				}
-			}
-			return script.Number(1), nil
-		})
-	}
-	geo.Set("getCurrentPosition", positionCall("navigator.geolocation.getCurrentPosition"))
-	geo.Set("watchPosition", positionCall("navigator.geolocation.watchPosition"))
+	geo := namespace(nav, "geolocation", "Geolocation")
+	entry(geo, "navigator.geolocation.getCurrentPosition", position)
+	entry(geo, "navigator.geolocation.watchPosition", position)
 	geo.Set("clearWatch", nat("clearWatch", func(_ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
 		return script.Undefined(), nil
 	}))
-	nav.Set("geolocation", script.ObjectValue(geo))
-}
 
-// installSimpleNavigatorAPIs wires the long tail of navigator.* calls.
-func installSimpleNavigatorAPIs(nav *script.Object) {
 	// battery (tracking-associated, Table 4 rank 2).
-	nav.Set("getBattery", rnat("navigator.getBattery", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		bm := script.NewObject()
-		bm.Class = "BatteryManager"
-		bm.Set("level", script.Number(0.87))
-		bm.Set("charging", script.Bool(true))
-		bm.Set("addEventListener", addEventListenerV)
-		return r.gatedPromise("navigator.getBattery", []string{"battery"}, script.ObjectValue(bm)), nil
-	}))
-
-	// clipboard.
-	cb := script.NewObject()
-	cb.Class = "Clipboard"
-	cb.Set("readText", rnat("navigator.clipboard.readText", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		return r.gatedPromise("navigator.clipboard.readText", []string{"clipboard-read"}, script.String("")), nil
-	}))
-	cb.Set("read", rnat("navigator.clipboard.read", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		return r.gatedPromise("navigator.clipboard.read", []string{"clipboard-read"}, script.ArrayValue()), nil
-	}))
-	cb.Set("writeText", rnat("navigator.clipboard.writeText", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		return r.gatedPromise("navigator.clipboard.writeText", []string{"clipboard-write"}, script.Undefined()), nil
-	}))
-	cb.Set("write", rnat("navigator.clipboard.write", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		return r.gatedPromise("navigator.clipboard.write", []string{"clipboard-write"}, script.Undefined()), nil
-	}))
-	nav.Set("clipboard", script.ObjectValue(cb))
-
-	// web share.
-	nav.Set("share", rnat("navigator.share", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		return r.gatedPromise("navigator.share", []string{"web-share"}, script.Undefined()), nil
-	}))
-	nav.Set("canShare", rnat("navigator.canShare", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		r.record("navigator.canShare", KindStatusCheck, []string{"web-share"}, false, !r.allowed("web-share"), false)
-		return script.Bool(r.allowed("web-share")), nil
-	}))
-
-	// credentials.
-	creds := script.NewObject()
-	creds.Class = "CredentialsContainer"
-	creds.Set("get", rnat("navigator.credentials.get", func(r *Realm, _ *script.Interp, _ script.Value, args []script.Value) (script.Value, error) {
-		perm := "publickey-credentials-get"
-		if len(args) > 0 && args[0].Kind() == script.KindObject {
-			if _, ok := args[0].Obj().Get("identity"); ok {
-				perm = "identity-credentials-get"
-			} else if _, ok := args[0].Obj().Get("otp"); ok {
-				perm = "otp-credentials"
-			}
-		}
-		cred := script.NewObject()
-		cred.Class = "Credential"
-		return r.gatedPromise("navigator.credentials.get", []string{perm}, script.ObjectValue(cred)), nil
-	}))
-	creds.Set("create", rnat("navigator.credentials.create", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		cred := script.NewObject()
-		cred.Class = "Credential"
-		return r.gatedPromise("navigator.credentials.create", []string{"publickey-credentials-create"}, script.ObjectValue(cred)), nil
-	}))
-	nav.Set("credentials", script.ObjectValue(creds))
-
-	// keyboard.
-	kb := script.NewObject()
-	kb.Class = "Keyboard"
-	kb.Set("getLayoutMap", rnat("navigator.keyboard.getLayoutMap", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		m := script.NewObject()
-		m.Class = "KeyboardLayoutMap"
-		return r.gatedPromise("navigator.keyboard.getLayoutMap", []string{"keyboard-map"}, script.ObjectValue(m)), nil
-	}))
-	kb.Set("lock", rnat("navigator.keyboard.lock", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		return r.gatedPromise("navigator.keyboard.lock", []string{"keyboard-lock"}, script.Undefined()), nil
-	}))
-	nav.Set("keyboard", script.ObjectValue(kb))
-
-	// gamepad.
-	nav.Set("getGamepads", rnat("navigator.getGamepads", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		blocked := !r.allowed("gamepad")
-		r.record("navigator.getGamepads", KindInvocation, []string{"gamepad"}, false, blocked, false)
-		return script.ArrayValue(), nil
-	}))
-
-	// midi.
-	nav.Set("requestMIDIAccess", rnat("navigator.requestMIDIAccess", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		access := script.NewObject()
-		access.Class = "MIDIAccess"
-		return r.gatedPromise("navigator.requestMIDIAccess", []string{"midi"}, script.ObjectValue(access)), nil
-	}))
-
-	// device APIs: usb / serial / hid / bluetooth.
-	deviceAPI := func(ns, method, perm, class string) {
-		o := script.NewObject()
-		api := "navigator." + ns + "." + method
-		o.Set(method, rnat(api, func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-			dev := script.NewObject()
-			dev.Class = class
-			return r.gatedPromise(api, []string{perm}, script.ObjectValue(dev)), nil
-		}))
-		nav.Set(ns, script.ObjectValue(o))
-	}
-	deviceAPI("usb", "requestDevice", "usb", "USBDevice")
-	deviceAPI("serial", "requestPort", "serial", "SerialPort")
-	deviceAPI("hid", "requestDevice", "hid", "HIDDevice")
-	deviceAPI("bluetooth", "requestDevice", "bluetooth", "BluetoothDevice")
-
-	// wake lock.
-	wl := script.NewObject()
-	wl.Set("request", rnat("navigator.wakeLock.request", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		sentinel := script.NewObject()
-		sentinel.Class = "WakeLockSentinel"
-		return r.gatedPromise("navigator.wakeLock.request", []string{"screen-wake-lock"}, script.ObjectValue(sentinel)), nil
-	}))
-	nav.Set("wakeLock", script.ObjectValue(wl))
-
-	// WebXR.
-	xr := script.NewObject()
-	xr.Set("requestSession", rnat("navigator.xr.requestSession", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		sess := script.NewObject()
-		sess.Class = "XRSession"
-		return r.gatedPromise("navigator.xr.requestSession", []string{"xr-spatial-tracking"}, script.ObjectValue(sess)), nil
-	}))
-	xr.Set("isSessionSupported", rnat("navigator.xr.isSessionSupported", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		r.record("navigator.xr.isSessionSupported", KindStatusCheck, []string{"xr-spatial-tracking"}, false, false, false)
-		return script.ResolvedPromise(script.Bool(false)), nil
-	}))
-	nav.Set("xr", script.ObjectValue(xr))
-
+	promise(nav, "navigator.getBattery", "battery", func() script.Value {
+		bm := object("BatteryManager")
+		bm.Obj().Set("level", script.Number(0.87))
+		bm.Obj().Set("charging", script.Bool(true))
+		bm.Obj().Set("addEventListener", addEventListenerV)
+		return bm
+	})
+	cb := namespace(nav, "clipboard", "Clipboard")
+	promise(cb, "navigator.clipboard.readText", "clipboard-read", func() script.Value { return script.String("") })
+	promise(cb, "navigator.clipboard.read", "clipboard-read", emptyArray)
+	promise(cb, "navigator.clipboard.writeText", "clipboard-write", script.Undefined)
+	promise(cb, "navigator.clipboard.write", "clipboard-write", script.Undefined)
+	promise(nav, "navigator.share", "web-share", script.Undefined)
+	call(nav, "navigator.canShare", KindStatusCheck, "web-share", script.Bool)
+	creds := namespace(nav, "credentials", "CredentialsContainer")
+	entry(creds, "navigator.credentials.get", getCredential)
+	promise(creds, "navigator.credentials.create", "publickey-credentials-create", instance("Credential"))
+	kb := namespace(nav, "keyboard", "Keyboard")
+	promise(kb, "navigator.keyboard.getLayoutMap", "keyboard-map", instance("KeyboardLayoutMap"))
+	promise(kb, "navigator.keyboard.lock", "keyboard-lock", script.Undefined)
+	call(nav, "navigator.getGamepads", KindInvocation, "gamepad", func(bool) script.Value { return script.ArrayValue() })
+	promise(nav, "navigator.requestMIDIAccess", "midi", instance("MIDIAccess"))
+	promise(namespace(nav, "usb", ""), "navigator.usb.requestDevice", "usb", instance("USBDevice"))
+	promise(namespace(nav, "serial", ""), "navigator.serial.requestPort", "serial", instance("SerialPort"))
+	promise(namespace(nav, "hid", ""), "navigator.hid.requestDevice", "hid", instance("HIDDevice"))
+	promise(namespace(nav, "bluetooth", ""), "navigator.bluetooth.requestDevice", "bluetooth", instance("BluetoothDevice"))
+	promise(namespace(nav, "wakeLock", ""), "navigator.wakeLock.request", "screen-wake-lock", instance("WakeLockSentinel"))
+	xr := namespace(nav, "xr", "")
+	promise(xr, "navigator.xr.requestSession", "xr-spatial-tracking", instance("XRSession"))
+	check(xr, "navigator.xr.isSessionSupported", "xr-spatial-tracking", func(*Realm) bool { return false })
 	// Privacy Sandbox ad APIs.
-	nav.Set("runAdAuction", rnat("navigator.runAdAuction", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		return r.gatedPromise("navigator.runAdAuction", []string{"run-ad-auction"}, script.String("urn:uuid:auction-result")), nil
-	}))
-	nav.Set("joinAdInterestGroup", rnat("navigator.joinAdInterestGroup", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		return r.gatedPromise("navigator.joinAdInterestGroup", []string{"join-ad-interest-group"}, script.Undefined()), nil
-	}))
-
+	promise(nav, "navigator.runAdAuction", "run-ad-auction", func() script.Value { return script.String("urn:uuid:auction-result") })
+	promise(nav, "navigator.joinAdInterestGroup", "join-ad-interest-group", script.Undefined)
 	// UA client hints.
-	uad := script.NewObject()
-	uad.Class = "NavigatorUAData"
+	uad := namespace(nav, "userAgentData", "NavigatorUAData")
 	uad.Set("mobile", script.Bool(false))
-	uad.Set("getHighEntropyValues", rnat("navigator.userAgentData.getHighEntropyValues", func(r *Realm, _ *script.Interp, _ script.Value, args []script.Value) (script.Value, error) {
-		var perms []string
-		if len(args) > 0 && args[0].Kind() == script.KindArray {
-			for _, h := range args[0].Arr().Elems {
-				hint := "ch-ua-" + h.ToString()
-				if permissions.Known(hint) {
-					perms = append(perms, hint)
-				}
-			}
-		}
-		if len(perms) == 0 {
-			perms = []string{"ch-ua"}
-		}
-		r.record("navigator.userAgentData.getHighEntropyValues", KindInvocation, perms, false, false, false)
-		return script.ResolvedPromise(script.ObjectValue(script.NewObject())), nil
-	}))
-	nav.Set("userAgentData", script.ObjectValue(uad))
+	entry(uad, "navigator.userAgentData.getHighEntropyValues", highEntropyValues)
 }
 
-// mkElement builds a host element supporting the element-level
-// permission surface (fullscreen, picture-in-picture, pointer lock,
-// autoplay). Elements are created fresh per call; their methods are
-// shared realm-aware natives.
-func mkElement(tag string) script.Value {
-	el := script.NewObject()
-	el.Class = "HTMLElement"
-	el.Set("tagName", script.String(tag))
+// queryPermission is navigator.permissions.query — the most invoked
+// General Permission API in the study. The permission comes from the
+// descriptor; only policy-controlled ones can be denied by the policy.
+func queryPermission(r *Realm, api string, _ *script.Interp, args []script.Value) (script.Value, error) {
+	var names []string
+	if len(args) > 0 {
+		if p, ok := permissionFromQueryArg(args[0]); ok {
+			names = []string{p}
+		}
+	}
+	if len(names) == 0 {
+		// TypeError in a real browser; record the probe anyway.
+		r.record(api, KindStatusCheck, nil, false, false, false)
+		return script.Undefined(), &script.RuntimeError{Msg: "query requires a PermissionDescriptor"}
+	}
+	perm := names[0]
+	blocked := false
+	if p, known := permissions.Lookup(perm); known && p.PolicyControlled() {
+		blocked = !r.allowed(perm)
+	}
+	r.record(api, KindStatusCheck, names, false, blocked, false)
+	status := object("PermissionStatus").Obj()
+	status.Set("name", script.String(perm))
+	state := "prompt"
+	if blocked {
+		state = "denied"
+	}
+	status.Set("state", script.String(state))
+	status.Set("addEventListener", addEventListenerV)
+	status.Set("onchange", script.Null())
+	return script.ResolvedPromise(script.ObjectValue(status)), nil
+}
+
+// getUserMedia gates on the permissions its constraints ask for.
+func getUserMedia(r *Realm, api string, _ *script.Interp, args []script.Value) (script.Value, error) {
+	var perms []string
+	if len(args) > 0 && args[0].Kind() == script.KindObject {
+		if v, ok := args[0].Obj().Get("audio"); ok && v.Truthy() {
+			perms = append(perms, "microphone")
+		}
+		if v, ok := args[0].Obj().Get("video"); ok && v.Truthy() {
+			perms = append(perms, "camera")
+		}
+	}
+	if len(perms) == 0 {
+		return script.Undefined(), &script.RuntimeError{Msg: "getUserMedia requires audio or video"}
+	}
+	stream := object("MediaStream")
+	stream.Obj().Set("active", script.Bool(true))
+	return r.gatedPromise(api, perms, stream), nil
+}
+
+// position is getCurrentPosition and watchPosition: a blocked call
+// reports PERMISSION_DENIED to its error callback, an allowed one hands
+// a fixed position to its success callback.
+func position(r *Realm, api string, in *script.Interp, args []script.Value) (script.Value, error) {
+	blocked := !r.allowed("geolocation")
+	r.record(api, KindInvocation, []string{"geolocation"}, false, blocked, false)
+	if blocked {
+		if len(args) > 1 && args[1].IsCallable() {
+			e := script.NewObject()
+			e.Set("code", script.Number(1)) // PERMISSION_DENIED
+			e.Set("message", script.String("permissions policy"))
+			if _, err := in.CallFunction(args[1], script.Undefined(), []script.Value{script.ObjectValue(e)}); err != nil {
+				return script.Undefined(), err
+			}
+		}
+		return script.Undefined(), nil
+	}
+	if len(args) > 0 && args[0].IsCallable() {
+		pos := script.NewObject()
+		coords := script.NewObject()
+		coords.Set("latitude", script.Number(52.52))
+		coords.Set("longitude", script.Number(13.405))
+		pos.Set("coords", script.ObjectValue(coords))
+		if _, err := in.CallFunction(args[0], script.Undefined(), []script.Value{script.ObjectValue(pos)}); err != nil {
+			return script.Undefined(), err
+		}
+	}
+	return script.Number(1), nil
+}
+
+// getCredential gates on the credential type its options ask for.
+func getCredential(r *Realm, api string, _ *script.Interp, args []script.Value) (script.Value, error) {
+	perm := "publickey-credentials-get"
+	if len(args) > 0 && args[0].Kind() == script.KindObject {
+		if _, ok := args[0].Obj().Get("identity"); ok {
+			perm = "identity-credentials-get"
+		} else if _, ok := args[0].Obj().Get("otp"); ok {
+			perm = "otp-credentials"
+		}
+	}
+	return r.gatedPromise(api, []string{perm}, object("Credential")), nil
+}
+
+// highEntropyValues records the client hints it is asked for, or
+// ch-ua when none is known; no policy blocks it.
+func highEntropyValues(r *Realm, api string, _ *script.Interp, args []script.Value) (script.Value, error) {
+	var perms []string
+	if len(args) > 0 && args[0].Kind() == script.KindArray {
+		for _, h := range args[0].Arr().Elems {
+			hint := "ch-ua-" + h.ToString()
+			if permissions.Known(hint) {
+				perms = append(perms, hint)
+			}
+		}
+	}
+	if len(perms) == 0 {
+		perms = []string{"ch-ua"}
+	}
+	r.record(api, KindInvocation, perms, false, false, false)
+	return script.ResolvedPromise(script.ObjectValue(script.NewObject())), nil
+}
+
+// element holds what every host element shares, the entry points of
+// the element-level permissions (fullscreen, pointer lock,
+// picture-in-picture, autoplay) among them.
+var element = func() (el members) {
 	el.Set("addEventListener", addEventListenerV)
 	el.Set("setAttribute", noopV)
 	el.Set("click", noopV)
-	el.Set("requestFullscreen", requestFullscreenV)
-	el.Set("requestPointerLock", requestPointerLockV)
-	el.Set("requestPictureInPicture", requestPictureInPictureV)
-	el.Set("play", playV)
-	return script.ObjectValue(el)
+	promise(&el, "element.requestFullscreen", "fullscreen", script.Undefined)
+	call(&el, "element.requestPointerLock", KindInvocation, "pointer-lock", func(bool) script.Value { return script.Undefined() })
+	promise(&el, "element.requestPictureInPicture", "picture-in-picture", instance("PictureInPictureWindow"))
+	promise(&el, "element.play", "autoplay", script.Undefined)
+	return el
+}()
+
+// mkElement builds a fresh host element.
+func mkElement(tag string) script.Value {
+	el := object("HTMLElement")
+	el.Obj().Set("tagName", script.String(tag))
+	element.set(el.Obj())
+	return el
 }
 
-var (
-	requestFullscreenV = rnat("element.requestFullscreen", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		return r.gatedPromise("element.requestFullscreen", []string{"fullscreen"}, script.Undefined()), nil
-	})
-	requestPointerLockV = rnat("element.requestPointerLock", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		blocked := !r.allowed("pointer-lock")
-		r.record("element.requestPointerLock", KindInvocation, []string{"pointer-lock"}, false, blocked, false)
-		return script.Undefined(), nil
-	})
-	requestPictureInPictureV = rnat("element.requestPictureInPicture", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		w := script.NewObject()
-		w.Class = "PictureInPictureWindow"
-		return r.gatedPromise("element.requestPictureInPicture", []string{"picture-in-picture"}, script.ObjectValue(w)), nil
-	})
-	playV = rnat("element.play", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		return r.gatedPromise("element.play", []string{"autoplay"}, script.Undefined()), nil
-	})
-)
-
-// installDocumentAPIs wires document-level permission calls.
-func installDocumentAPIs(doc *script.Object) {
-	doc.Set("browsingTopics", rnat("document.browsingTopics", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
+// installDocument declares the document-level entry points and the
+// policy objects.
+func installDocument(doc *script.Object) {
+	promise(doc, "document.browsingTopics", "browsing-topics", func() script.Value {
 		topic := script.NewObject()
 		topic.Set("topic", script.Number(42))
-		return r.gatedPromise("document.browsingTopics", []string{"browsing-topics"}, script.ArrayValue(script.ObjectValue(topic))), nil
-	}))
-	doc.Set("interestCohort", rnat("document.interestCohort", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		return r.gatedPromise("document.interestCohort", []string{"interest-cohort"}, script.ObjectValue(script.NewObject())), nil
-	}))
-	doc.Set("requestStorageAccess", rnat("document.requestStorageAccess", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		return r.gatedPromise("document.requestStorageAccess", []string{"storage-access"}, script.Undefined()), nil
-	}))
-	doc.Set("hasStorageAccess", rnat("document.hasStorageAccess", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		r.record("document.hasStorageAccess", KindStatusCheck, []string{"storage-access"}, false, false, false)
-		return script.ResolvedPromise(script.Bool(r.Doc.IsTopLevel())), nil
-	}))
-	doc.Set("requestStorageAccessFor", rnat("document.requestStorageAccessFor", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		return r.gatedPromise("document.requestStorageAccessFor", []string{"top-level-storage-access"}, script.Undefined()), nil
-	}))
+		return script.ArrayValue(script.ObjectValue(topic))
+	})
+	promise(doc, "document.interestCohort", "interest-cohort", instance(""))
+	promise(doc, "document.requestStorageAccess", "storage-access", script.Undefined)
+	check(doc, "document.hasStorageAccess", "storage-access", func(r *Realm) bool { return r.Doc.IsTopLevel() })
+	promise(doc, "document.requestStorageAccessFor", "top-level-storage-access", script.Undefined)
 
 	doc.Set("createElement", nat("document.createElement", func(_ *script.Interp, _ script.Value, args []script.Value) (script.Value, error) {
 		tag := "div"
@@ -631,39 +637,37 @@ func installDocumentAPIs(doc *script.Object) {
 		return mkElement("div"), nil
 	}))
 	doc.Set("body", mkElement("body"))
+
+	for _, p := range policyObjects {
+		installPolicyObject(doc, p.api, p.deprecated)
+	}
 }
 
-// installPolicyAPIs wires the General Permission APIs of the Permissions
-// Policy spec and the deprecated Feature Policy spec.
-func installPolicyAPIs(doc *script.Object) {
-	mk := func(prefix string, deprecated bool) script.Value {
-		o := script.NewObject()
-		o.Class = "FeaturePolicy"
-		o.Set("allowedFeatures", rnat(prefix+".allowedFeatures", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-			r.record(prefix+".allowedFeatures", KindStatusCheck, nil, true, false, deprecated)
-			return script.StringsValue(r.supportedAllowed()), nil
-		}))
-		o.Set("features", rnat(prefix+".features", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-			r.record(prefix+".features", KindStatusCheck, nil, true, false, deprecated)
-			return script.StringsValue(permissions.SupportedPermissions(r.Browser, r.Version)), nil
-		}))
-		o.Set("allowsFeature", rnat(prefix+".allowsFeature", func(r *Realm, _ *script.Interp, _ script.Value, args []script.Value) (script.Value, error) {
-			if len(args) == 0 {
-				return script.Bool(false), nil
-			}
-			name := args[0].ToString()
-			allowed := r.allowed(name)
-			r.record(prefix+".allowsFeature", KindStatusCheck, []string{name}, false, !allowed, deprecated)
-			return script.Bool(allowed), nil
-		}))
-		o.Set("getAllowlistForFeature", rnat(prefix+".getAllowlistForFeature", func(r *Realm, _ *script.Interp, _ script.Value, args []script.Value) (script.Value, error) {
-			r.record(prefix+".getAllowlistForFeature", KindStatusCheck, nil, false, false, deprecated)
-			return script.ArrayValue(), nil
-		}))
-		return script.ObjectValue(o)
-	}
-	doc.Set("featurePolicy", mk("document.featurePolicy", true))
-	doc.Set("permissionsPolicy", mk("document.permissionsPolicy", false))
+// installPolicyObject declares one policy object's four status checks;
+// those of the Feature Policy twin record as deprecated.
+func installPolicyObject(doc *script.Object, api string, deprecated bool) {
+	o := namespace(doc, key(api), "FeaturePolicy")
+	entry(o, api+".allowedFeatures", func(r *Realm, api string, _ *script.Interp, _ []script.Value) (script.Value, error) {
+		r.record(api, KindStatusCheck, nil, true, false, deprecated)
+		return script.StringsValue(r.supportedAllowed()), nil
+	})
+	entry(o, api+".features", func(r *Realm, api string, _ *script.Interp, _ []script.Value) (script.Value, error) {
+		r.record(api, KindStatusCheck, nil, true, false, deprecated)
+		return script.StringsValue(permissions.SupportedPermissions(r.Browser, r.Version)), nil
+	})
+	entry(o, api+".allowsFeature", func(r *Realm, api string, _ *script.Interp, args []script.Value) (script.Value, error) {
+		if len(args) == 0 {
+			return script.Bool(false), nil
+		}
+		name := args[0].ToString()
+		allowed := r.allowed(name)
+		r.record(api, KindStatusCheck, []string{name}, false, !allowed, deprecated)
+		return script.Bool(allowed), nil
+	})
+	entry(o, api+".getAllowlistForFeature", func(r *Realm, api string, _ *script.Interp, _ []script.Value) (script.Value, error) {
+		r.record(api, KindStatusCheck, nil, false, false, deprecated)
+		return script.ArrayValue(), nil
+	})
 }
 
 // supportedAllowed intersects the document's allowed features with the
@@ -679,170 +683,82 @@ func (r *Realm) supportedAllowed() []string {
 	return out
 }
 
-// pushSubscribeV backs pushManager.subscribe on every registration.
-var pushSubscribeV = rnat("pushManager.subscribe", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-	blocked := !r.Doc.IsTopLevel()
-	r.record("pushManager.subscribe", KindInvocation, []string{"push"}, false, blocked, false)
-	sub := script.NewObject()
-	sub.Class = "PushSubscription"
-	if blocked {
-		return rejectedDOMException("NotAllowedError", "push requires a top-level context"), nil
-	}
-	return script.ResolvedPromise(script.ObjectValue(sub)), nil
-})
+// pushManager holds what every registration's push manager shares.
+var pushManager = func() (pm members) {
+	entry(&pm, "pushManager.subscribe", func(r *Realm, api string, _ *script.Interp, _ []script.Value) (script.Value, error) {
+		if r.topLevelOnly(api, "push") {
+			return rejectedDOMException("NotAllowedError", "push requires a top-level context"), nil
+		}
+		return script.ResolvedPromise(object("PushSubscription")), nil
+	})
+	return pm
+}()
 
 // newSWRegistration builds a fresh service-worker registration. Each
 // register() call gets its own — a native-captured singleton would be
 // one object shared, and written, by every realm.
 func newSWRegistration() script.Value {
 	swReg := script.NewObject()
-	pushMgr := script.NewObject()
-	pushMgr.Class = "PushManager"
-	pushMgr.Set("subscribe", pushSubscribeV)
-	swReg.Set("pushManager", script.ObjectValue(pushMgr))
+	swReg.Set("pushManager", script.ObjectValue(pushManager.set(object("PushManager").Obj())))
 	return script.ObjectValue(swReg)
 }
 
-// installConstructors wires `new`-style APIs: Notification, sensors,
-// PaymentRequest, IdleDetector, PressureObserver, direct sockets.
-func installConstructors(g *script.Env) {
+// installConstructors declares the `new`-style APIs — Notification,
+// sensors, PaymentRequest, IdleDetector, PressureObserver, direct
+// sockets — with push and the window-level functions.
+func installConstructors(g *script.Env, nav *script.Object) {
 	// Notification: not policy-controlled; available only top-level.
 	notif := script.NewObject()
 	notif.Class = "NotificationConstructor"
-	notif.Call = rnativeOf("Notification", func(r *Realm, _ *script.Interp, _ script.Value, args []script.Value) (script.Value, error) {
-		blocked := !r.Doc.IsTopLevel()
-		r.record("new Notification", KindInvocation, []string{"notifications"}, false, blocked, false)
-		n := script.NewObject()
-		n.Class = "Notification"
+	notif.Call = construct("Notification", func(r *Realm, api string, _ *script.Interp, args []script.Value) (script.Value, error) {
+		r.topLevelOnly(api, "notifications")
+		n := object("Notification")
 		if len(args) > 0 {
-			n.Set("title", args[0])
+			n.Obj().Set("title", args[0])
 		}
-		return script.ObjectValue(n), nil
+		return n, nil
 	})
 	notif.Set("permission", script.String("default"))
-	notif.Set("requestPermission", rnat("Notification.requestPermission", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		blocked := !r.Doc.IsTopLevel()
-		r.record("Notification.requestPermission", KindInvocation, []string{"notifications"}, false, blocked, false)
+	entry(notif, "Notification.requestPermission", func(r *Realm, api string, _ *script.Interp, _ []script.Value) (script.Value, error) {
 		state := "default"
-		if blocked {
+		if r.topLevelOnly(api, "notifications") {
 			state = "denied"
 		}
 		return script.ResolvedPromise(script.String(state)), nil
-	}))
+	})
 	g.Define("Notification", script.ObjectValue(notif))
 
 	// Push (via a minimal service-worker registration surface).
-	sw := script.NewObject()
+	sw := namespace(nav, "serviceWorker", "")
 	sw.Set("register", nat("serviceWorker.register", func(_ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
 		return script.ResolvedPromise(newSWRegistration()), nil
 	}))
 	sw.Set("ready", script.ResolvedPromise(newSWRegistration()))
-	if nav, ok := g.Get("navigator"); ok && nav.Kind() == script.KindObject {
-		nav.Obj().Set("serviceWorker", script.ObjectValue(sw))
-	}
 
-	// Sensor constructors.
-	sensorCtor := func(name, perm string) {
-		ctor := script.NewObject()
-		ctor.Call = rnativeOf(name, func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-			blocked := !r.allowed(perm)
-			r.record("new "+name, KindInvocation, []string{perm}, false, blocked, false)
-			if blocked {
-				return script.Undefined(), &script.RuntimeError{Msg: "SecurityError: " + perm + " disallowed by permissions policy"}
-			}
-			s := script.NewObject()
-			s.Class = name
-			s.Set("start", noopV)
-			s.Set("stop", noopV)
-			s.Set("addEventListener", addEventListenerV)
-			return script.ObjectValue(s), nil
-		})
-		g.Define(name, script.ObjectValue(ctor))
-	}
-	sensorCtor("Accelerometer", "accelerometer")
-	sensorCtor("Gyroscope", "gyroscope")
-	sensorCtor("Magnetometer", "magnetometer")
-	sensorCtor("AmbientLightSensor", "ambient-light-sensor")
+	sensor := members{{"start", noopV}, {"stop", noopV}, {"addEventListener", addEventListenerV}}
+	constructor(g, "Accelerometer", "accelerometer", true, sensor)
+	constructor(g, "Gyroscope", "gyroscope", true, sensor)
+	constructor(g, "Magnetometer", "magnetometer", true, sensor)
+	constructor(g, "AmbientLightSensor", "ambient-light-sensor", true, sensor)
 
-	// PaymentRequest.
-	pr := script.NewObject()
-	pr.Call = rnativeOf("PaymentRequest", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		blocked := !r.allowed("payment")
-		r.record("new PaymentRequest", KindInvocation, []string{"payment"}, false, blocked, false)
-		if blocked {
-			return script.Undefined(), &script.RuntimeError{Msg: "SecurityError: payment disallowed by permissions policy"}
-		}
-		req := script.NewObject()
-		req.Class = "PaymentRequest"
-		req.Set("show", rnat("PaymentRequest.show", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-			resp := script.NewObject()
-			resp.Class = "PaymentResponse"
-			return r.gatedPromise("PaymentRequest.show", []string{"payment"}, script.ObjectValue(resp)), nil
-		}))
-		req.Set("canMakePayment", rnat("PaymentRequest.canMakePayment", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-			r.record("PaymentRequest.canMakePayment", KindStatusCheck, []string{"payment"}, false, false, false)
-			return script.ResolvedPromise(script.Bool(true)), nil
-		}))
-		return script.ObjectValue(req), nil
-	})
-	g.Define("PaymentRequest", script.ObjectValue(pr))
+	var payment members
+	promise(&payment, "PaymentRequest.show", "payment", instance("PaymentResponse"))
+	check(&payment, "PaymentRequest.canMakePayment", "payment", func(*Realm) bool { return true })
+	constructor(g, "PaymentRequest", "payment", true, payment)
 
-	// IdleDetector with static requestPermission.
-	idle := script.NewObject()
-	idle.Call = rnativeOf("IdleDetector", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		blocked := !r.allowed("idle-detection")
-		r.record("new IdleDetector", KindInvocation, []string{"idle-detection"}, false, blocked, false)
-		d := script.NewObject()
-		d.Class = "IdleDetector"
-		d.Set("start", nat("start", func(_ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
+	resolved := func(name string) script.Value {
+		return nat(name, func(_ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
 			return script.ResolvedPromise(script.Undefined()), nil
-		}))
-		d.Set("addEventListener", addEventListenerV)
-		return script.ObjectValue(d), nil
-	})
-	idle.Set("requestPermission", rnat("IdleDetector.requestPermission", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		blocked := !r.allowed("idle-detection")
-		r.record("IdleDetector.requestPermission", KindInvocation, []string{"idle-detection"}, false, blocked, false)
-		return script.ResolvedPromise(script.String("granted")), nil
-	}))
-	g.Define("IdleDetector", script.ObjectValue(idle))
-
-	// PressureObserver (compute-pressure).
-	po := script.NewObject()
-	po.Call = rnativeOf("PressureObserver", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		blocked := !r.allowed("compute-pressure")
-		r.record("new PressureObserver", KindInvocation, []string{"compute-pressure"}, false, blocked, false)
-		o := script.NewObject()
-		o.Class = "PressureObserver"
-		o.Set("observe", nat("observe", func(_ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-			return script.ResolvedPromise(script.Undefined()), nil
-		}))
-		return script.ObjectValue(o), nil
-	})
-	g.Define("PressureObserver", script.ObjectValue(po))
-
-	// Direct sockets.
-	sockCtor := func(name string) {
-		c := script.NewObject()
-		c.Call = rnativeOf(name, func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-			blocked := !r.allowed("direct-sockets")
-			r.record("new "+name, KindInvocation, []string{"direct-sockets"}, false, blocked, false)
-			s := script.NewObject()
-			s.Class = name
-			return script.ObjectValue(s), nil
 		})
-		g.Define(name, script.ObjectValue(c))
 	}
-	sockCtor("TCPSocket")
-	sockCtor("UDPSocket")
+	idle := constructor(g, "IdleDetector", "idle-detection", false, members{{"start", resolved("start")}, {"addEventListener", addEventListenerV}})
+	call(idle, "IdleDetector.requestPermission", KindInvocation, "idle-detection", func(bool) script.Value {
+		return script.ResolvedPromise(script.String("granted"))
+	})
+	constructor(g, "PressureObserver", "compute-pressure", false, members{{"observe", resolved("observe")}})
+	constructor(g, "TCPSocket", "direct-sockets", false, nil)
+	constructor(g, "UDPSocket", "direct-sockets", false, nil)
 
-	// queryLocalFonts / getScreenDetails are window-level functions.
-	g.Define("queryLocalFonts", rnat("queryLocalFonts", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		return r.gatedPromise("queryLocalFonts", []string{"local-fonts"}, script.ArrayValue()), nil
-	}))
-	g.Define("getScreenDetails", rnat("getScreenDetails", func(r *Realm, _ *script.Interp, _ script.Value, _ []script.Value) (script.Value, error) {
-		details := script.NewObject()
-		details.Class = "ScreenDetails"
-		return r.gatedPromise("getScreenDetails", []string{"window-management"}, script.ObjectValue(details)), nil
-	}))
+	promise(globals{g}, "queryLocalFonts", "local-fonts", emptyArray)
+	promise(globals{g}, "getScreenDetails", "window-management", instance("ScreenDetails"))
 }

@@ -4,14 +4,19 @@
 // Privacy-Sandbox calls, sensors, payment, credentials and more — every
 // permission of Appendix A.4 plus the General Permission APIs.
 //
-// Every call is recorded before the "original" behaviour executes, with
-// the stack trace and the invoking script's URL, exactly like the
-// paper's Figure 1 wrapper. The host behaviour itself consults the
-// policy engine, so blocked features reject the way a browser rejects
-// them, and status checks observe the frame's real allowlist.
+// Each entry point is declared once (realm.go), and its declaration is
+// the one wrapper of the paper's Figure 1: a call is recorded with the
+// stack trace and the invoking script's URL before the "original"
+// behaviour executes. These declarations, not the registry's static
+// patterns (permissions.Permission.APIs), are the dynamic-analysis
+// list. The host behaviour itself consults the policy engine, so
+// blocked features reject the way a browser rejects them, and status
+// checks observe the frame's real allowlist.
 package webapi
 
 import (
+	"strings"
+
 	"permodyssey/internal/permissions"
 	"permodyssey/internal/script"
 )
@@ -25,20 +30,13 @@ const (
 	KindInvocation Kind = iota
 	// KindStatusCheck: the status of permissions was queried (Table 5).
 	KindStatusCheck
-	// KindGeneral: a General Permission API was used (specification-level
-	// functions; also counted into Table 4's first row).
-	KindGeneral
 )
 
 func (k Kind) String() string {
-	switch k {
-	case KindInvocation:
-		return "invocation"
-	case KindStatusCheck:
+	if k == KindStatusCheck {
 		return "status-check"
-	default:
-		return "general"
 	}
+	return "invocation"
 }
 
 // Invocation is one recorded API use.
@@ -65,6 +63,25 @@ type Invocation struct {
 	// Deprecated marks uses of the old Feature Policy API names (§6.2:
 	// 429,259 websites still rely on them).
 	Deprecated bool
+}
+
+// General reports whether the call is one of the General Permission
+// APIs of §4.1.1 — the Permissions API's query or a method of a policy
+// object — or otherwise retrieved every permission at once. Tables 4
+// and 5 count such a call in their General Permission APIs row, not
+// under the permissions it names.
+func (inv Invocation) General() bool {
+	if inv.AllPermissions || inv.API == permissionsQuery {
+		return true
+	}
+	if i := strings.LastIndexByte(inv.API, '.'); i >= 0 {
+		for _, p := range policyObjects {
+			if inv.API[:i] == p.api {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Recorder accumulates invocations for one document/execution context.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Line counts of the Go sources: non-test lines outside the crawl
 # benchmark module (crawlbench/) and its build directory (.bench_build/),
-# test lines over the same files, and non-test lines of the three
+# test lines over the same files, and non-test lines of the four
 # packages whose size the roadmap tracks.
 #
 # Usage: scripts/loc.sh
@@ -16,6 +16,6 @@ count() {
 
 echo "non-test Go lines: $(count ! -name '*_test.go')"
 echo "test Go lines: $(count -name '*_test.go')"
-for pkg in internal/script internal/html internal/analysis; do
+for pkg in internal/script internal/html internal/analysis internal/webapi; do
     echo "$pkg non-test lines: $(count -path "./$pkg/*" ! -name '*_test.go')"
 done

@@ -684,6 +684,31 @@ func BenchmarkCrawlChaosScheduler(b *testing.B) {
 		cfg.NumSites, retries, requeued))
 }
 
+// ---- Synthetic-web generation ----
+
+// BenchmarkSynthwebPopulation builds a 20,000-site chaos population as
+// a crawl's set-up does (synthweb.NewServer generates every site) and
+// renders each healthy site's landing page as the server does per
+// request: the cost of seeding a generator for every stream.
+func BenchmarkSynthwebPopulation(b *testing.B) {
+	cfg := synthweb.DefaultConfig()
+	cfg.NumSites = 20000
+	cfg.Seed = benchSeed
+	cfg.Chaos = synthweb.DefaultChaosConfig()
+	b.ReportAllocs()
+	pageBytes := 0
+	for i := 0; i < b.N; i++ {
+		srv := synthweb.NewServer(cfg)
+		pageBytes = 0
+		for _, s := range srv.Sites() {
+			if s.Kind == synthweb.KindOK {
+				pageBytes += len(cfg.RenderHTML(s))
+			}
+		}
+	}
+	b.ReportMetric(float64(pageBytes), "page-bytes/op")
+}
+
 // BenchmarkFullPipeline measures a complete small measurement
 // (generate → serve → crawl → analyze), the end-to-end cost unit.
 func BenchmarkFullPipeline(b *testing.B) {

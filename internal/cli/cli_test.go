@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"permodyssey/internal/core"
+	"permodyssey/internal/synthweb"
 )
 
 func run(t *testing.T, fn func([]string, *bytes.Buffer, *bytes.Buffer) int, args ...string) (string, string, int) {
@@ -183,6 +185,24 @@ func TestCrawlCommand(t *testing.T) {
 	// Bad flag → usage exit.
 	if c := Crawl(context.Background(), []string{"-bogus"}, &out, &errOut); c != 2 {
 		t.Errorf("bad flag: code=%d", c)
+	}
+}
+
+// TestChaosFaultsHelpParses: the fault names -chaos-faults lists as
+// its default are the names it accepts, and they name every kind.
+func TestChaosFaultsHelpParses(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := Crawl(context.Background(), []string{"-h"}, &out, &errOut); code != 2 {
+		t.Fatalf("-h: code=%d", code)
+	}
+	_, help, ok := strings.Cut(errOut.String(), "(default all: ")
+	list, _, closed := strings.Cut(help, ")")
+	if !ok || !closed {
+		t.Fatalf("no default fault list in the usage text:\n%s", errOut.String())
+	}
+	kinds, err := synthweb.ParseFaultList(list)
+	if err != nil || !slices.Equal(kinds, synthweb.AllFaults) {
+		t.Errorf("ParseFaultList(%q) = %v, %v; want %v", list, kinds, err, synthweb.AllFaults)
 	}
 }
 

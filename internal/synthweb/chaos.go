@@ -2,7 +2,7 @@ package synthweb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -53,7 +53,7 @@ func (f Fault) String() string {
 	case FaultReset:
 		return "reset"
 	case FaultSlowLoris:
-		return "slowloris"
+		return "slow-loris"
 	case FaultMalformedHeader:
 		return "malformed-header"
 	case FaultOversizedHeader:
@@ -157,14 +157,16 @@ func (cc ChaosConfig) withDefaults(populationSeed int64) ChaosConfig {
 	return cc
 }
 
-// kinds returns the enabled site-fault kinds, sorted for determinism.
+// kinds returns the enabled site-fault kinds, sorted and without
+// repeats, so a kind's share of faulted sites does not depend on how
+// often or where the list names it.
 func (cc ChaosConfig) kinds() []Fault {
 	if len(cc.Kinds) == 0 {
 		return AllFaults
 	}
-	out := append([]Fault(nil), cc.Kinds...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := slices.Clone(cc.Kinds)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // hostFraction hashes a host into [0, 1) under the chaos seed —

@@ -113,6 +113,31 @@ func TestFaultParsing(t *testing.T) {
 	if err != nil || len(kinds) != 2 || kinds[0] != FaultReset || kinds[1] != FaultFlap {
 		t.Errorf("ParseFaultList = %v, %v", kinds, err)
 	}
+	// The documented name, hyphenated like the other two-word faults.
+	if f, err := ParseFault("slow-loris"); err != nil || f != FaultSlowLoris {
+		t.Errorf(`ParseFault("slow-loris") = %v, %v`, f, err)
+	}
+}
+
+// TestChaosRepeatedKinds: naming a fault kind twice, or in another
+// order, deals every rank the same fault as naming it once.
+func TestChaosRepeatedKinds(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Chaos = DefaultChaosConfig()
+	cfg.Chaos.Kinds = []Fault{FaultReset, FaultFlap}
+	repeated := cfg
+	repeated.Chaos.Kinds = []Fault{FaultFlap, FaultReset, FaultReset, FaultFlap}
+	counts := map[Fault]int{}
+	for rank := 1; rank <= 20000; rank++ {
+		want, got := cfg.Generate(rank).Fault, repeated.Generate(rank).Fault
+		if got != want {
+			t.Fatalf("rank %d: %v with repeated kinds, %v without", rank, got, want)
+		}
+		counts[want]++
+	}
+	if counts[FaultReset] == 0 || counts[FaultFlap] == 0 {
+		t.Errorf("fault counts %v: both kinds must be dealt", counts)
+	}
 }
 
 // getFull performs a GET and reads the whole body, returning the first

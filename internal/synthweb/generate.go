@@ -180,13 +180,15 @@ func siteSeed(seed int64, rank int, stream uint64) int64 {
 }
 
 // rngPool recycles the generators Generate and RenderHTML draw from.
-// Reseeding one in place gives exactly the stream of
-// rand.New(rand.NewSource(seed)) without allocating a fresh ~5 KB
-// source per call, and the server generates a site on every request.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// Each wraps a lazySource: reseeding it gives exactly the stream of
+// rand.New(rand.NewSource(seed)) but fills only the registers the
+// stream reads, about 120 of the 607 for a descriptor and 4 for a
+// landing page. NewServer generates every site before a crawl starts,
+// and the server renders a landing page on every request.
+var rngPool = sync.Pool{New: func() any { return rand.New(newLazySource(0)) }}
 
 // Generate deterministically computes the descriptor for one site rank
-// (1-based).
+// (1-based), reseeding a pooled generator for each stream it reads.
 func (c Config) Generate(rank int) Site {
 	rng := rngPool.Get().(*rand.Rand)
 	defer rngPool.Put(rng)

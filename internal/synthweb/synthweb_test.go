@@ -45,14 +45,15 @@ func TestGenerateDeterminism(t *testing.T) {
 }
 
 // TestPooledRandMatchesFresh: Generate and RenderHTML reseed pooled
-// generators in place; every site and landing page must equal the one
-// drawn from a fresh rand.New(rand.NewSource(seed)) per stream, with
-// the chaos stream on and under an era calibration.
+// lazily seeded generators in place; every site and landing page must
+// equal the one drawn from a fresh rand.New(rand.NewSource(seed)) per
+// stream, under the default calibration, with the chaos stream on and
+// under an era calibration.
 func TestPooledRandMatchesFresh(t *testing.T) {
 	fresh := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 	chaos := DefaultConfig()
 	chaos.Chaos = DefaultChaosConfig()
-	for name, cfg := range map[string]Config{"chaos": chaos, "era 2022": EraConfig(2022)} {
+	for name, cfg := range map[string]Config{"default": DefaultConfig(), "chaos": chaos, "era 2022": EraConfig(2022)} {
 		for rank := 1; rank <= 2000; rank++ {
 			got, want := cfg.Generate(rank), cfg.generate(rank, fresh)
 			if !reflect.DeepEqual(got, want) {

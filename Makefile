@@ -47,9 +47,9 @@ bench-sched:
 bench-interp:
 	./scripts/bench_interp.sh
 
-# DOM parse throughput gate: cold extractions vs cache-served repeats
-# over a Zipf corpus; fails unless warm is >= 2x cold and a warm hit
-# stays under the allocation ceiling.
+# DOM extraction benchmarks: cold html.Extract over small, large and
+# Zipf corpora plus the one-pass vs three-walk pair, written as a
+# BENCH_PARSE_*.json artifact for benchcmp.
 bench-parse:
 	./scripts/bench_parse.sh
 

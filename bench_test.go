@@ -485,7 +485,7 @@ func BenchmarkInterpretSmallCompiled(b *testing.B)  { interpBench(b, interpSmall
 func BenchmarkInterpretLoopCompiled(b *testing.B)   { interpBench(b, interpLoop) }
 func BenchmarkInterpretWidgetCompiled(b *testing.B) { interpBench(b, interpWidget) }
 
-// ---- DOM: parse throughput, cache warm-up, extraction walks ----
+// ---- DOM: extraction throughput and walks ----
 
 // genPage builds a deterministic synthetic document of roughly `blocks`
 // content blocks, shaped like the synthetic web's pages: text runs,
@@ -526,7 +526,7 @@ func parseCorpus(n, blocks int, seed int64) []string {
 }
 
 // parseBenchCold extracts every document from scratch each iteration —
-// the pre-cache cost of a fetch.
+// what the crawl pays for every fetched document.
 func parseBenchCold(b *testing.B, docs []string) {
 	var bytes int64
 	for _, d := range docs {
@@ -540,39 +540,10 @@ func parseBenchCold(b *testing.B, docs []string) {
 	}
 }
 
-// parseBenchWarm serves every document from a primed document memo —
-// the cost of re-encountering a shared widget document mid-crawl.
-func parseBenchWarm(b *testing.B, docs []string) {
-	c := primedDocMemo(b, docs)
-	var bytes int64
-	for _, d := range docs {
-		bytes += int64(len(d))
-	}
-	b.SetBytes(bytes / int64(len(docs)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = html.ExtractShared(context.Background(), c, docs[i%len(docs)])
-	}
-}
-
-// primedDocMemo returns a document memo already holding every doc.
-func primedDocMemo(b *testing.B, docs []string) *memo.Memo[memo.Key, html.Doc] {
-	c := html.NewDocMemo(0)
-	for _, d := range docs {
-		if _, err := html.ExtractShared(context.Background(), c, d); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return c
-}
-
 func BenchmarkParseHTMLSmallCold(b *testing.B) { parseBenchCold(b, parseCorpus(16, 12, benchSeed)) }
-func BenchmarkParseHTMLSmallWarm(b *testing.B) { parseBenchWarm(b, parseCorpus(16, 12, benchSeed)) }
 func BenchmarkParseHTMLLargeCold(b *testing.B) { parseBenchCold(b, parseCorpus(4, 800, benchSeed)) }
-func BenchmarkParseHTMLLargeWarm(b *testing.B) { parseBenchWarm(b, parseCorpus(4, 800, benchSeed)) }
 
-// zipfDocs draws a Zipf-distributed access sequence over a corpus of 64
+// zipfSequence draws a Zipf-distributed access sequence over a corpus of 64
 // distinct documents — the crawl's real body-popularity shape, where a
 // few shared widget documents dominate fetches.
 func zipfSequence(n int) ([]string, []int) {
@@ -586,25 +557,14 @@ func zipfSequence(n int) ([]string, []int) {
 	return docs, seq
 }
 
-// BenchmarkParseHTMLZipfCold re-extracts every access; ZipfWarm serves
-// repeats from the document memo. The bench-parse CI gate holds their ratio
-// above the floor: if the cache stops delivering, the gate fails.
+// BenchmarkParseHTMLZipfCold extracts every access of a Zipf sequence,
+// as the crawl extracts every frame's document.
 func BenchmarkParseHTMLZipfCold(b *testing.B) {
 	docs, seq := zipfSequence(4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = html.Extract(docs[seq[i%len(seq)]])
-	}
-}
-
-func BenchmarkParseHTMLZipfWarm(b *testing.B) {
-	docs, seq := zipfSequence(4096)
-	c := primedDocMemo(b, docs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = html.ExtractShared(context.Background(), c, docs[seq[i%len(seq)]])
 	}
 }
 

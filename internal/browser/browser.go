@@ -33,11 +33,6 @@ type Options struct {
 	// Interact fires load/click handlers after the no-interaction pass
 	// (the Appendix A.3 manual-testing mode).
 	Interact bool
-	// DocCache, when non-nil, memoizes html.Extract by document content
-	// (html.NewDocMemo): a body fetched for N frames across the crawl is
-	// tokenized once, and every frame shares its iframes, scripts and
-	// links. When nil, each document is extracted for its frame alone.
-	DocCache *memo.Memo[memo.Key, html.Doc]
 	// ScriptCache, when non-nil, memoizes each script body's Script —
 	// compiled program and static findings — across every frame this
 	// browser loads, so a shared third-party script is compiled and
@@ -232,15 +227,7 @@ func (b *Browser) declaredPolicy(fr *FrameResult) policy.Policy {
 // child frames. slot is the index of this frame in result.Frames.
 func (b *Browser) processDocument(ctx context.Context, result *PageResult, slot int,
 	fr *FrameResult, doc *policy.Document, body string) {
-	// One extraction per document content: the memo shares it across
-	// every frame (and every site) embedding the same body, so its lists
-	// must never be mutated.
-	page, err := html.ExtractShared(ctx, b.Opts.DocCache, body)
-	if err != nil {
-		fr.LoadError = err.Error()
-		result.Frames[slot] = *fr
-		return
-	}
+	page := html.Extract(body)
 	if fr.TopLevel {
 		for _, href := range page.Links {
 			if resolved := resolveURL(fr.FinalURL, href); resolved != "" {

@@ -25,9 +25,9 @@ type CacheStats struct {
 	// Errors are fetches that failed; failures are never cached in
 	// memory.
 	Errors uint64 `json:"errors"`
-	// Evictions are entries dropped to keep the cache under its entry
-	// or byte bound; BytesEvicted is the summed body bytes they were
-	// charged for.
+	// Evictions are entries dropped to keep the cache under its byte
+	// bound; BytesEvicted is the summed body bytes they were charged
+	// for.
 	Evictions    uint64 `json:"evictions"`
 	BytesEvicted uint64 `json:"bytes_evicted"`
 	// CachedBytes is the summed body length of the Entries cached URLs.
@@ -55,7 +55,7 @@ type CacheStats struct {
 // share a single fetch; failures are never cached and never shared, so
 // a waiter whose leader failed (for example to the leader's own
 // per-site deadline) re-fetches under its own context; entries are
-// evicted least-recently-used by count and by body bytes.
+// evicted least-recently-used to stay under the byte bound.
 //
 // Cached *Response values are shared between callers and must be
 // treated as read-only, like MapFetcher entries.

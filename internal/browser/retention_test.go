@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"permodyssey/internal/html"
 	"permodyssey/internal/memo"
 )
 
@@ -39,17 +38,15 @@ func liveHeap() uint64 {
 }
 
 // TestVisitDoesNotPinBody is the flat-memory guarantee: once a visit
-// returns, neither its record nor the document and script memos keep
-// the fetched body reachable. A crawl holds every record until it
-// ends, so a record that pinned its page would hold every page crawled.
-// The memos are checked set, then nil, so the record is also checked
-// alone.
+// returns, neither its record nor the script memo keeps the fetched
+// body reachable. A crawl holds every record until it ends, so a record
+// that pinned its page would hold every page crawled. The memo is
+// checked set, then nil, so the record is also checked alone.
 func TestVisitDoesNotPinBody(t *testing.T) {
 	const size, bound = 32 << 20, 8 << 20
 	for _, cached := range []bool{true, false} {
 		opts := DefaultOptions()
 		if cached {
-			opts.DocCache = html.NewDocMemo(0)
 			opts.ScriptCache = memo.New[memo.Key, *Script](0)
 		}
 		b := New(paddedPageFetcher{size}, opts)
@@ -63,7 +60,6 @@ func TestVisitDoesNotPinBody(t *testing.T) {
 		}
 		live := liveHeap()
 		runtime.KeepAlive(res)
-		runtime.KeepAlive(opts.DocCache)
 		runtime.KeepAlive(opts.ScriptCache)
 		t.Logf("cached %v: %.1f MiB live", cached, float64(live)/(1<<20))
 		if live >= bound {

@@ -288,6 +288,26 @@ func TestCrawlOfflineReplay(t *testing.T) {
 	if stats.Fetch.Disk.Hits == 0 {
 		t.Error("offline replay recorded no archive hits")
 	}
+	// The -stats-json schema that scripts and crawlbench read by key:
+	// exactly these blocks, in both runs.
+	for _, path := range []string{warmStats, replayStats} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var blocks map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &blocks); err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for k := range blocks {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		if !slices.Equal(keys, []string{"Breaker", "Crawl", "Fetch", "Script"}) {
+			t.Errorf("%s blocks = %v, want Breaker, Crawl, Fetch, Script", filepath.Base(path), keys)
+		}
+	}
 
 	// The incompatible flag combinations exit with usage errors.
 	var stdout, stderr bytes.Buffer

@@ -37,8 +37,8 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	retries := fs.Int("retries", 1, "retry transient failures (timeout, ephemeral) up to N extra attempts with exponential backoff")
 	backoff := fs.Duration("retry-backoff", crawler.DefaultRetryBackoff, "base delay before the first retry (doubles per attempt)")
 	deferBreaker := fs.Bool("defer-breaker-open", true, "defer visits to breaker-open hosts until the half-open probe time instead of recording breaker-open failures")
-	noCache := fs.Bool("no-cache", false, "disable the three shared caches: fetch responses, parsed documents (DOM) and script artifacts (compiled program plus static findings)")
-	cacheBytes := fs.Int64("cache-bytes", core.DefaultCacheBytes, "cap each of the fetch, DOM and script caches at N bytes of what its entries keep alive (fetched bodies, extracted strings, script sources), evicted LRU (0 = unbounded)")
+	noCache := fs.Bool("no-cache", false, "disable the two shared caches: fetch responses and script artifacts (compiled program plus static findings)")
+	cacheBytes := fs.Int64("cache-bytes", core.DefaultCacheBytes, "cap each of the fetch and script caches at N bytes of what its entries keep alive (fetched bodies, script sources), evicted LRU (0 = unbounded)")
 	resume := fs.Bool("resume", false, "load an existing -out dataset, skip its completed ranks, and append the rest")
 	chaos := fs.Bool("chaos", false, "inject deterministic faults into the synthetic web (resets, slow-loris, malformed headers, redirect loops, flapping hosts, oversized bodies)")
 	chaosSeed := fs.Int64("chaos-seed", 0, "fault-assignment seed (0 = population seed)")

@@ -18,7 +18,6 @@ import (
 	"permodyssey/internal/browser"
 	"permodyssey/internal/crawler"
 	"permodyssey/internal/diskcache"
-	"permodyssey/internal/html"
 	"permodyssey/internal/memo"
 	"permodyssey/internal/store"
 	"permodyssey/internal/synthweb"
@@ -35,23 +34,21 @@ type MeasurementOptions struct {
 	// StallTime is how long timeout-class sites hang (must exceed the
 	// crawl deadline to be classified as timeouts).
 	StallTime time.Duration
-	// DisableCache turns off the three shared caches: fetch responses,
-	// parsed documents (DOM) and script artifacts. They are on by
-	// default: per-site documents bypass the fetch cache (each site is
-	// visited once), while cross-origin widget documents and CDN scripts
-	// — fetched for thousands of sites — are served from it, each
-	// distinct document is extracted once per crawl, and each distinct
-	// script body is compiled and pattern-scanned once per crawl.
-	// Caching is observationally transparent
-	// (TestCrawlDOMCacheEquivalence).
+	// DisableCache turns off the two shared caches: fetch responses and
+	// script artifacts. They are on by default: per-site documents
+	// bypass the fetch cache (each site is visited once), while
+	// cross-origin widget documents and CDN scripts — fetched for
+	// thousands of sites — are served from it, and each distinct script
+	// body is compiled and pattern-scanned once per crawl. Every
+	// document is extracted for its own frame. Caching is
+	// observationally transparent (TestCrawlCacheEquivalence).
 	DisableCache bool
-	// CacheBytes caps each of the three caches, independently, at this
+	// CacheBytes caps each of the two caches, independently, at this
 	// many bytes of summed charge, evicted LRU.
 	// Each value is charged the bytes it keeps alive: a fetched body's
-	// length, an extraction's one string buffer (html.Extract copies
-	// out of the source), a script's source length. A single value
-	// larger than the budget is served but never retained. The default
-	// is DefaultCacheBytes; 0 = unbounded.
+	// length, a script's source length. A single value larger than the
+	// budget is served but never retained. The default is
+	// DefaultCacheBytes; 0 = unbounded.
 	CacheBytes int64
 	// Breaker enables the per-host circuit breaker between the fetch
 	// cache and the network when Threshold > 0: a host that fails
@@ -80,21 +77,19 @@ type MeasurementOptions struct {
 }
 
 // CrawlStats aggregates the observability counters of one run: what the
-// fetch, DOM and script caches saved, and what the crawler
-// retried or resumed.
+// fetch and script caches saved, and what the crawler retried or
+// resumed.
 type CrawlStats struct {
 	Fetch   browser.CacheStats
-	DOM     memo.Stats
 	Script  memo.Stats
 	Crawl   crawler.Stats
 	Breaker crawler.BreakerStats
 }
 
 // DefaultCacheBytes is the default byte bound of each crawl cache. The
-// caches hold what many sites share — widget documents, CDN scripts,
-// their extractions and compiled programs — which fits well within it,
-// while a long crawl's one-off documents are evicted instead of
-// accumulating.
+// caches hold what many sites share — widget documents, CDN scripts
+// and their compiled programs — which fits well within it, while a
+// long crawl's one-off values are evicted instead of accumulating.
 const DefaultCacheBytes = 64 << 20
 
 // DefaultMeasurementOptions mirrors the paper's setup, scaled down.
@@ -166,7 +161,6 @@ type crawlStack struct {
 
 	cache   *browser.CachingFetcher
 	breaker *crawler.BreakerFetcher
-	docs    *memo.Memo[memo.Key, html.Doc]
 	scripts *memo.Memo[memo.Key, *browser.Script]
 	archive *diskcache.Archive
 }
@@ -242,11 +236,10 @@ func newCrawlStack(srv *synthweb.Server, opts MeasurementOptions) (*crawlStack, 
 			st.cache.Disk = ar
 		}
 		fetcher = st.cache
-		// One extraction and one compiled, scanned script per distinct
-		// body, shared by every frame that embeds it.
-		st.docs = html.NewDocMemo(opts.CacheBytes)
+		// One compiled, scanned script per distinct body, shared by
+		// every frame that embeds it.
 		st.scripts = memo.New[memo.Key, *browser.Script](opts.CacheBytes)
-		opts.BrowserOpts.DocCache, opts.BrowserOpts.ScriptCache = st.docs, st.scripts
+		opts.BrowserOpts.ScriptCache = st.scripts
 	}
 	b := browser.New(fetcher, opts.BrowserOpts)
 	st.crawler = crawler.New(b, opts.Crawl)
@@ -266,7 +259,6 @@ func (st *crawlStack) stats() CrawlStats {
 	s := CrawlStats{Crawl: st.crawler.Stats()}
 	if st.cache != nil {
 		s.Fetch = st.cache.Stats()
-		s.DOM = st.docs.Stats()
 		s.Script = st.scripts.Stats()
 	}
 	if st.breaker != nil {
@@ -285,7 +277,7 @@ func (s CrawlStats) Summary() string {
 	line += memoSummary("fetch", memo.Stats{Hits: f.Hits, Misses: f.Misses, Coalesced: f.Coalesced,
 		Evictions: f.Evictions, BytesEvicted: f.BytesEvicted, Entries: f.Entries, CachedBytes: f.CachedBytes})
 	line += fmt.Sprintf(", %d bypassed, %d errors", f.Bypassed, f.Errors)
-	line += memoSummary("dom", s.DOM) + memoSummary("script", s.Script)
+	line += memoSummary("script", s.Script)
 	if s.Breaker != (crawler.BreakerStats{}) {
 		line += fmt.Sprintf("; breaker: %d trips, %d half-open probes, %d closes, %d reopens, %d short-circuits, %d open hosts",
 			s.Breaker.Trips, s.Breaker.HalfOpenProbes, s.Breaker.Closes, s.Breaker.Reopens,

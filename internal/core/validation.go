@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -178,7 +177,6 @@ func RenderValidation(rows []ValidationRow) string {
 	b.WriteString("Table 12: Manual Testing of Average Permission Detection Across Experiments\n")
 	fmt.Fprintf(&b, "%-14s %5s  %10s %10s %11s  %10s %10s\n",
 		"Experiment", "Sites", "Static", "Dynamic", "Activated", "by Static", "by S∪D")
-	sort.SliceStable(rows, func(i, j int) bool { return false }) // keep order
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-14s %5d  %10.2f %10.2f %11.2f  %9.2f%% %9.2f%%\n",
 			r.Experiment, r.Sites, r.AvgStatic, r.AvgDynamic, r.AvgActivated,

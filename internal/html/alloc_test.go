@@ -1,9 +1,6 @@
 package html
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 // Allocation pins for the hot paths. These are ceilings, not exact
 // counts — a small regression margin is built in so innocent compiler
@@ -14,17 +11,6 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Skip("alloc pins need a quiet heap")
 	}
 	src := `<div class="row"><iframe src="/f" allow="camera"></iframe><script src="/s.js"></script><a href="/l">x</a><p>text &amp; more</p></div>`
-
-	// Warm document-memo hit: no alloc (memo.Sum hashes through a
-	// pooled buffer).
-	c := NewDocMemo(0)
-	ctx := context.Background()
-	docGet(t, c, src)
-	if got := testing.AllocsPerRun(500, func() {
-		_, _ = ExtractShared(ctx, c, src)
-	}); got > 3 {
-		t.Errorf("warm ExtractShared: %.1f allocs/op, want <= 3", got)
-	}
 
 	// Cold extraction of a ~140-byte document: the tokenizer, its
 	// attribute scratch, the open-element stack, the three result

@@ -7,9 +7,8 @@ import "strings"
 // and the anchor targets for internal-page crawling (§6.1), each in
 // document order. A Doc owns its strings: Extract copies them into one
 // buffer per document, so neither the Doc nor anything holding one of
-// its strings (a crawl record, a compiled inline script, a memo entry)
-// keeps the fetched source alive. A Doc is never mutated after Extract
-// returns and may be shared freely.
+// its strings (a crawl record, a compiled inline script) keeps the
+// fetched source alive.
 type Doc struct {
 	Iframes []Iframe
 	Scripts []Script
@@ -32,54 +31,6 @@ type openElem struct {
 // it is open, which is the text its subtree would hold. The strings are
 // copied out of src into one buffer owned by the Doc.
 func Extract(src string) Doc {
-	d := extractAliased(src)
-	d.own()
-	return d
-}
-
-// own copies every string of d into one buffer and re-points the
-// fields at it, returning the buffer's length: the bytes d keeps alive,
-// and its charge in the document memo. One allocation per document,
-// not one per field, keeps a cold extraction at a handful of
-// allocations.
-func (d *Doc) own() int {
-	n := 0
-	d.eachString(func(s *string) { n += len(*s) })
-	if n == 0 {
-		return 0
-	}
-	// After Grow(n) the n bytes are written without reallocating, so
-	// every String() is a prefix of the one buffer.
-	var b strings.Builder
-	b.Grow(n)
-	d.eachString(func(s *string) {
-		off := b.Len()
-		b.WriteString(*s)
-		*s = b.String()[off:]
-	})
-	return n
-}
-
-// eachString calls fn on every string field of d, in a fixed order.
-func (d *Doc) eachString(fn func(*string)) {
-	for i := range d.Iframes {
-		f := &d.Iframes[i]
-		for _, s := range [...]*string{&f.Src, &f.Allow, &f.Sandbox, &f.Srcdoc, &f.Loading, &f.ID, &f.Name, &f.Class} {
-			fn(s)
-		}
-	}
-	for i := range d.Scripts {
-		fn(&d.Scripts[i].Src)
-		fn(&d.Scripts[i].Body)
-	}
-	for i := range d.Links {
-		fn(&d.Links[i])
-	}
-}
-
-// extractAliased is the tokenizer pass behind Extract. Its strings are
-// substrings of src wherever no entity needed decoding.
-func extractAliased(src string) Doc {
 	var d Doc
 	var open []openElem
 	var texts []string // text tokens seen while an inline script is open
@@ -105,6 +56,9 @@ func extractAliased(src string) Doc {
 		switch tok.Type {
 		case EOFToken:
 			closeTo(0)
+			// Until here the strings alias src wherever no entity
+			// needed decoding.
+			d.own()
 			return d
 		case TextToken:
 			if inline > 0 && strings.TrimSpace(tok.Text) != "" {
@@ -140,5 +94,42 @@ func extractAliased(src string) Doc {
 				}
 			}
 		}
+	}
+}
+
+// own copies every string of d into one buffer and re-points the
+// fields at it. One allocation per document, not one per field, keeps
+// an extraction at a handful of allocations.
+func (d *Doc) own() {
+	n := 0
+	d.eachString(func(s *string) { n += len(*s) })
+	if n == 0 {
+		return
+	}
+	// After Grow(n) the n bytes are written without reallocating, so
+	// every String() is a prefix of the one buffer.
+	var b strings.Builder
+	b.Grow(n)
+	d.eachString(func(s *string) {
+		off := b.Len()
+		b.WriteString(*s)
+		*s = b.String()[off:]
+	})
+}
+
+// eachString calls fn on every string field of d, in a fixed order.
+func (d *Doc) eachString(fn func(*string)) {
+	for i := range d.Iframes {
+		f := &d.Iframes[i]
+		for _, s := range [...]*string{&f.Src, &f.Allow, &f.Sandbox, &f.Srcdoc, &f.Loading, &f.ID, &f.Name, &f.Class} {
+			fn(s)
+		}
+	}
+	for i := range d.Scripts {
+		fn(&d.Scripts[i].Src)
+		fn(&d.Scripts[i].Body)
+	}
+	for i := range d.Links {
+		fn(&d.Links[i])
 	}
 }

@@ -1,9 +1,9 @@
 // Package memo is the one cache type the crawl memoizes through: the
-// fetch tier keyed by URL, and the extracted documents and script
-// artifacts keyed by content digest. A crawl meets the same few
-// third-party widget documents and scripts on thousands of sites, so
-// each layer builds a value once per key and shares it; a
-// multi-million-site crawl also needs every such cache bounded.
+// fetch responses keyed by URL, and the script artifacts keyed by
+// content digest. A crawl meets the same few third-party widget
+// documents and scripts on thousands of sites, so each layer builds a
+// value once per key and shares it; a multi-million-site crawl also
+// needs every such cache bounded.
 package memo
 
 import (

@@ -40,12 +40,18 @@ type Options struct {
 	ScriptCache *memo.Memo[memo.Key, *Script]
 }
 
+// The frame limits DefaultOptions sets and New fills when unset.
+const (
+	defaultMaxFrameDepth    = 3
+	defaultMaxFramesPerPage = 64
+)
+
 // DefaultOptions mirror the paper's crawler configuration.
 func DefaultOptions() Options {
 	return Options{
 		Mode:              policy.SpecActual,
-		MaxFrameDepth:     3,
-		MaxFramesPerPage:  64,
+		MaxFrameDepth:     defaultMaxFrameDepth,
+		MaxFramesPerPage:  defaultMaxFramesPerPage,
 		ScrollLazyIframes: true,
 	}
 }
@@ -60,10 +66,10 @@ type Browser struct {
 // New creates a Browser.
 func New(f Fetcher, opts Options) *Browser {
 	if opts.MaxFrameDepth <= 0 {
-		opts.MaxFrameDepth = 3
+		opts.MaxFrameDepth = defaultMaxFrameDepth
 	}
 	if opts.MaxFramesPerPage <= 0 {
-		opts.MaxFramesPerPage = 64
+		opts.MaxFramesPerPage = defaultMaxFramesPerPage
 	}
 	return &Browser{Fetcher: f, Opts: opts, static: static.NewAnalyzer()}
 }

@@ -46,6 +46,10 @@ type HTTPFetcher struct {
 	UserAgent string
 }
 
+// defaultMaxBodyBytes is the body cap NewHTTPFetcher sets and Fetch
+// applies when MaxBodyBytes is unset.
+const defaultMaxBodyBytes = 4 << 20
+
 // NewHTTPFetcher builds a fetcher with sane crawl defaults.
 func NewHTTPFetcher(client *http.Client) *HTTPFetcher {
 	if client == nil {
@@ -53,7 +57,7 @@ func NewHTTPFetcher(client *http.Client) *HTTPFetcher {
 	}
 	return &HTTPFetcher{
 		Client:       client,
-		MaxBodyBytes: 4 << 20,
+		MaxBodyBytes: defaultMaxBodyBytes,
 		UserAgent:    "Mozilla/5.0 (X11; Linux x86_64) Chrome/127.0.0.0 permodyssey-crawler",
 	}
 }
@@ -72,7 +76,7 @@ func (f *HTTPFetcher) Fetch(ctx context.Context, rawURL string) (*Response, erro
 	defer resp.Body.Close()
 	limit := f.MaxBodyBytes
 	if limit <= 0 {
-		limit = 4 << 20
+		limit = defaultMaxBodyBytes
 	}
 	body, truncated, err := readBody(resp.Body, limit)
 	if err != nil {

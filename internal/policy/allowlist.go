@@ -198,14 +198,5 @@ func (p Policy) Get(feature string) (Allowlist, bool) {
 	return Allowlist{}, false
 }
 
-// Features returns the declared feature names in order.
-func (p Policy) Features() []string {
-	out := make([]string, len(p.Directives))
-	for i, d := range p.Directives {
-		out[i] = d.Feature
-	}
-	return out
-}
-
 // Empty reports whether the policy declares nothing.
 func (p Policy) Empty() bool { return len(p.Directives) == 0 }

@@ -84,12 +84,11 @@ type TryStmt struct {
 	Finally  *BlockStmt // may be nil
 }
 
-// FuncDecl is a named function declaration.
+// FuncDecl is a named function declaration: a function literal with a
+// block body, bound to Name in the scope that declares it.
 type FuncDecl struct {
-	Name   string
-	Params []string
-	Body   *BlockStmt
-	Line   int
+	Name string
+	FuncLit
 }
 
 // ---- Expressions ----
@@ -175,13 +174,17 @@ type ObjectLit struct {
 // ArrayLit is [v, ...].
 type ArrayLit struct{ Elems []Node }
 
-// FuncLit is a function expression or arrow function.
+// FuncLit is a function expression, shorthand method or arrow function.
 type FuncLit struct {
 	Params []string
 	Body   *BlockStmt
 	// ExprBody is set for `(x) => expr` arrows.
 	ExprBody Node
 	Line     int
+	// UsesArguments reports whether the body names `arguments`, in a
+	// nested function or a template interpolation too. The parser sets
+	// it; the compiler lays out an arguments slot only then.
+	UsesArguments bool
 }
 
 // SpreadExpr is ...x in call arguments.

@@ -20,16 +20,15 @@ type evalFn func(in *Interp, env *Env) (Value, error)
 // Compiled is a program lowered to directly-executable closures.
 type Compiled struct {
 	top     []execFn
-	hoisted []*hoistedDecl
+	hoisted []*declaredFunc
 }
 
-// hoistedDecl is a function declaration hoisted to its scope's entry.
-// slot is the frame slot to define it in, or -1 for dynamic Define
-// (top-level declarations land in the map-mode global scope).
-type hoistedDecl struct {
-	name string
-	slot int
+// declaredFunc is a compiled function declaration and the binder of the
+// scope it declares in. A hoisted one binds at its scope's entry; one
+// in executed position (a switch case, an if branch) when it runs.
+type declaredFunc struct {
 	cf   *compiledFunc
+	bind func(env *Env, v Value)
 }
 
 // compiledFunc is the compiled form of a function body. One activation
@@ -41,7 +40,7 @@ type compiledFunc struct {
 	paramSlots []int
 	layout     *frameLayout
 	argSlot    int // -1 when the body never mentions `arguments`
-	hoisted    []*hoistedDecl
+	hoisted    []*declaredFunc
 	body       []execFn
 	expr       evalFn // expression-bodied arrows
 	line       int
@@ -50,7 +49,7 @@ type compiledFunc struct {
 // Compile lowers a parsed program. It never mutates prog, and the
 // result may be shared across goroutines and interpreters.
 func Compile(prog *Program) (*Compiled, error) {
-	hoisted, top, err := (&compiler{}).compileScope(prog.Body, nil)
+	hoisted, top, err := (&compiler{}).compileScope(prog.Body)
 	if err != nil {
 		return nil, err
 	}
@@ -126,18 +125,18 @@ func (in *Interp) callCompiled(c *Closure, this Value, args []Value) (Value, err
 	return ret, nil
 }
 
-func defineHoisted(in *Interp, env *Env, hoisted []*hoistedDecl) {
-	for _, h := range hoisted {
-		v := FuncValue(&Closure{
-			Name: h.name, compiled: h.cf,
-			Env: env, ScriptURL: in.CurrentScriptURL(), Line: h.cf.line,
-		})
-		if h.slot >= 0 {
-			env.slots[h.slot] = v
-		} else {
-			env.Define(h.name, v)
-		}
+func defineHoisted(in *Interp, env *Env, hoisted []*declaredFunc) {
+	for _, d := range hoisted {
+		d.bind(env, d.cf.closure(in, env))
 	}
+}
+
+// closure makes the function value of cf over env.
+func (cf *compiledFunc) closure(in *Interp, env *Env) Value {
+	return FuncValue(&Closure{
+		Name: cf.name, compiled: cf,
+		Env: env, ScriptURL: in.CurrentScriptURL(), Line: cf.line,
+	})
 }
 
 // ---- compiler ----
@@ -210,117 +209,34 @@ func declNames(stmts []Node) []string {
 	return out
 }
 
-// findNode reports whether pred holds for any node in the subtree.
-func findNode(n Node, pred func(Node) bool) bool {
-	if n == nil {
-		return false
+// binder returns the one way a declaration binds its name, for var and
+// for hoisted and executed function declarations alike: into the
+// name's slot when the innermost frame laid it out (a var nested under
+// if/while belongs to the enclosing block, whose layout includes it),
+// otherwise by Define in the scope it runs in, the global map or an
+// enclosing frame's spill.
+func (c *compiler) binder(name string) func(env *Env, v Value) {
+	if len(c.scopes) > 0 {
+		if slot, ok := c.scopes[len(c.scopes)-1].slotOf[name]; ok {
+			return func(env *Env, v Value) { env.slots[slot] = v }
+		}
 	}
-	if pred(n) {
-		return true
-	}
-	find := func(m Node) bool { return findNode(m, pred) }
-	findAll := func(ms []Node) bool {
-		for _, m := range ms {
-			if findNode(m, pred) {
-				return true
-			}
-		}
-		return false
-	}
-	switch s := n.(type) {
-	case *Program:
-		return findAll(s.Body)
-	case *BlockStmt:
-		return findAll(s.Body)
-	case *SeqStmt:
-		return findAll(s.Body)
-	case *VarDecl:
-		return find(s.Init)
-	case *ExprStmt:
-		return find(s.X)
-	case *IfStmt:
-		return find(s.Cond) || find(s.Then) || find(s.Else)
-	case *WhileStmt:
-		return find(s.Cond) || find(s.Body)
-	case *DoWhileStmt:
-		return find(s.Body) || find(s.Cond)
-	case *ForStmt:
-		return find(s.Init) || find(s.Cond) || find(s.Post) || find(s.Body)
-	case *SwitchStmt:
-		if find(s.Tag) {
-			return true
-		}
-		for _, cs := range s.Cases {
-			if find(cs.Test) || findAll(cs.Body) {
-				return true
-			}
-		}
-		return false
-	case *ReturnStmt:
-		return find(s.X)
-	case *ThrowStmt:
-		return find(s.X)
-	case *TryStmt:
-		if s.Body != nil && findAll(s.Body.Body) {
-			return true
-		}
-		if s.Catch != nil && findAll(s.Catch.Body) {
-			return true
-		}
-		return s.Finally != nil && findAll(s.Finally.Body)
-	case *FuncDecl:
-		if s.Body != nil {
-			return findAll(s.Body.Body)
-		}
-		return false
-	case *FuncLit:
-		if s.Body != nil && findAll(s.Body.Body) {
-			return true
-		}
-		return find(s.ExprBody)
-	case *Member:
-		return find(s.Obj) || find(s.Index)
-	case *Call:
-		return find(s.Fn) || findAll(s.Args)
-	case *Unary:
-		return find(s.X)
-	case *Binary:
-		return find(s.X) || find(s.Y)
-	case *Logical:
-		return find(s.X) || find(s.Y)
-	case *Cond:
-		return find(s.Test) || find(s.Then) || find(s.Else)
-	case *Assign:
-		return find(s.Target) || find(s.Val)
-	case *Update:
-		return find(s.Target)
-	case *ObjectLit:
-		return findAll(s.Vals)
-	case *ArrayLit:
-		return findAll(s.Elems)
-	case *SpreadExpr:
-		return find(s.X)
-	}
-	return false
+	return func(env *Env, v Value) { env.Define(name, v) }
 }
 
-func identUsed(name string, stmts []Node) bool {
-	pred := func(n Node) bool {
-		id, ok := n.(*Ident)
-		return ok && id.Name == name
+// compileDecl compiles a function declaration with its binder.
+func (c *compiler) compileDecl(fd *FuncDecl) (*declaredFunc, error) {
+	cf, err := c.compileFunc(fd.Name, &fd.FuncLit)
+	if err != nil {
+		return nil, err
 	}
-	for _, s := range stmts {
-		if findNode(s, pred) {
-			return true
-		}
-	}
-	return false
+	return &declaredFunc{cf: cf, bind: c.binder(fd.Name)}, nil
 }
 
 // compileFunc compiles a function body into a compiledFunc whose merged
 // activation layout is slot 0 = this, then params, then an arguments
-// slot if used, then body-level declarations.
-func (c *compiler) compileFunc(name string, params []string, body *BlockStmt, exprBody Node, line int) (*compiledFunc, error) {
+// slot if the body uses it, then body-level declarations.
+func (c *compiler) compileFunc(name string, fn *FuncLit) (*compiledFunc, error) {
 	fl := &frameLayout{slotOf: map[string]int{}}
 	add := func(n string) int {
 		if i, ok := fl.slotOf[n]; ok {
@@ -332,65 +248,53 @@ func (c *compiler) compileFunc(name string, params []string, body *BlockStmt, ex
 		return i
 	}
 	add("this")
-	paramSlots := make([]int, len(params))
-	for i, p := range params {
+	paramSlots := make([]int, len(fn.Params))
+	for i, p := range fn.Params {
 		paramSlots[i] = add(p)
 	}
-	var scan []Node
-	if exprBody != nil {
-		scan = []Node{exprBody}
-	} else if body != nil {
-		scan = body.Body
-	}
 	argSlot := -1
-	if identUsed("arguments", scan) {
+	if fn.UsesArguments {
 		argSlot = add("arguments")
 	}
-	if exprBody == nil {
-		for _, n := range declNames(scan) {
-			add(n)
-		}
+	var body []Node
+	if fn.Body != nil {
+		body = fn.Body.Body
+	}
+	for _, n := range declNames(body) {
+		add(n)
 	}
 
 	cf := &compiledFunc{
 		name: name, paramSlots: paramSlots,
-		layout: fl, argSlot: argSlot, line: line,
+		layout: fl, argSlot: argSlot, line: fn.Line,
 	}
 	c.push(fl)
 	defer c.pop()
-	if exprBody != nil {
-		x, err := c.compileExpr(exprBody)
-		if err != nil {
-			return nil, err
-		}
-		cf.expr = x
-		return cf, nil
-	}
 	var err error
-	if cf.hoisted, cf.body, err = c.compileScope(scan, fl.slotOf); err != nil {
+	if fn.ExprBody != nil {
+		cf.expr, err = c.compileExpr(fn.ExprBody)
+	} else {
+		cf.hoisted, cf.body, err = c.compileScope(body)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return cf, nil
 }
 
-// compileScope compiles the statements of a scope whose frame lays out
-// slotOf (nil for the global scope): function declarations hoist to
-// scope entry, defined in their slot or, without one, by dynamic
-// Define; every other statement compiles in order.
-func (c *compiler) compileScope(stmts []Node, slotOf map[string]int) ([]*hoistedDecl, []execFn, error) {
-	var hoisted []*hoistedDecl
+// compileScope compiles the statements of the scope whose frame is the
+// innermost layout (none for the global scope): function declarations
+// hoist to scope entry, every other statement compiles in order.
+func (c *compiler) compileScope(stmts []Node) ([]*declaredFunc, []execFn, error) {
+	var hoisted []*declaredFunc
 	var fns []execFn
 	for _, stmt := range stmts {
 		if fd, ok := stmt.(*FuncDecl); ok {
-			cf, err := c.compileFunc(fd.Name, fd.Params, fd.Body, nil, fd.Line)
+			d, err := c.compileDecl(fd)
 			if err != nil {
 				return nil, nil, err
 			}
-			slot, laidOut := slotOf[fd.Name]
-			if !laidOut {
-				slot = -1
-			}
-			hoisted = append(hoisted, &hoistedDecl{name: fd.Name, slot: slot, cf: cf})
+			hoisted = append(hoisted, d)
 			continue
 		}
 		fn, err := c.compileStmt(stmt)

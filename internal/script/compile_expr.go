@@ -202,17 +202,11 @@ func (c *compiler) compileExpr(n Node) (evalFn, error) {
 			return ArrayValue(out...), nil
 		}, nil
 	case *FuncLit:
-		cf, err := c.compileFunc("", e.Params, e.Body, e.ExprBody, e.Line)
+		cf, err := c.compileFunc("", e)
 		if err != nil {
 			return nil, err
 		}
-		line := e.Line
-		return func(in *Interp, env *Env) (Value, error) {
-			return FuncValue(&Closure{
-				compiled: cf, Env: env,
-				ScriptURL: in.CurrentScriptURL(), Line: line,
-			}), nil
-		}, nil
+		return func(in *Interp, env *Env) (Value, error) { return cf.closure(in, env), nil }, nil
 	case *SpreadExpr:
 		return c.compileExpr(e.X)
 	}
@@ -276,155 +270,143 @@ func (c *compiler) compileIdentWrite(name string) func(env *Env, v Value) {
 	return func(env *Env, v Value) { env.Assign(name, v) }
 }
 
-func (c *compiler) compileAssign(e *Assign) (evalFn, error) {
-	valX, err := c.compileExpr(e.Val)
-	if err != nil {
-		return nil, err
-	}
-	op, line := e.Op, e.Line
-	compound := op != "="
-	binOp := strings.TrimSuffix(op, "=")
-	switch t := e.Target.(type) {
+// target is an assignment or update target, lowered once for `=`,
+// every `op=`, `++` and `--`: a name, or a member whose base and key
+// ref evaluates once per execution. A member read fails at the
+// member's line, a write at the line its caller passes.
+type target struct {
+	get      evalFn                  // a name's read
+	set      func(env *Env, v Value) // a name's write
+	obj, idx evalFn                  // a member's base and computed key
+	key      string                  // a member's dot key
+	line     int                     // a member's line
+}
+
+func (c *compiler) compileTarget(n Node) (*target, error) {
+	switch t := n.(type) {
 	case *Ident:
-		readX := c.compileIdent(t.Name, t.Line)
-		write := c.compileIdentWrite(t.Name)
-		return func(in *Interp, env *Env) (Value, error) {
-			var cur Value
-			if compound {
-				var err error
-				if cur, err = readX(in, env); err != nil {
-					return Undefined(), err
-				}
-			}
-			val, err := valX(in, env)
-			if err != nil {
-				return Undefined(), err
-			}
-			if compound {
-				if val, err = applyBinary(binOp, cur, val, line); err != nil {
-					return Undefined(), err
-				}
-			}
-			write(env, val)
-			return val, nil
-		}, nil
+		return &target{get: c.compileIdent(t.Name, t.Line), set: c.compileIdentWrite(t.Name)}, nil
 	case *Member:
-		objX, err := c.compileExpr(t.Obj)
+		obj, err := c.compileExpr(t.Obj)
 		if err != nil {
 			return nil, err
 		}
-		var idxX evalFn
-		hasIdx := t.Index != nil
-		if hasIdx {
-			if idxX, err = c.compileExpr(t.Index); err != nil {
+		var idx evalFn
+		if t.Index != nil {
+			if idx, err = c.compileExpr(t.Index); err != nil {
 				return nil, err
 			}
 		}
-		name, tline := t.Name, t.Line
-		return func(in *Interp, env *Env) (Value, error) {
-			// Base and index evaluate exactly once, shared by the
-			// compound-op read and the final write.
-			base, err := objX(in, env)
-			if err != nil {
-				return Undefined(), err
-			}
-			ref := memberRef{base: base, name: name}
-			if hasIdx {
-				idx, err := idxX(in, env)
-				if err != nil {
-					return Undefined(), err
-				}
-				ref.idx, ref.hasIdx = idx, true
-			}
-			var cur Value
-			if compound {
-				if cur, err = in.readRef(ref, tline); err != nil {
-					return Undefined(), err
-				}
-			}
-			val, err := valX(in, env)
-			if err != nil {
-				return Undefined(), err
-			}
-			if compound {
-				if val, err = applyBinary(binOp, cur, val, line); err != nil {
-					return Undefined(), err
-				}
-			}
-			if err := in.writeRef(ref, val, line); err != nil {
-				return Undefined(), err
-			}
-			return val, nil
-		}, nil
+		return &target{obj: obj, idx: idx, key: t.Name, line: t.Line}, nil
 	}
 	return nil, errUncompilable
 }
 
+// ref evaluates a member target's base and key into r; a name has
+// none.
+func (t *target) ref(in *Interp, env *Env, r *memberRef) (err error) {
+	if t.obj == nil {
+		return nil
+	}
+	if r.base, err = t.obj(in, env); err != nil {
+		return err
+	}
+	r.name = t.key
+	if t.idx != nil {
+		r.idx, err = t.idx(in, env)
+		r.hasIdx = true
+	}
+	return err
+}
+
+func (t *target) read(in *Interp, env *Env, r *memberRef) (Value, error) {
+	if t.obj == nil {
+		return t.get(in, env)
+	}
+	return in.readRef(*r, t.line)
+}
+
+func (t *target) write(in *Interp, env *Env, r *memberRef, v Value, line int) error {
+	if t.obj == nil {
+		t.set(env, v)
+		return nil
+	}
+	return in.writeRef(*r, v, line)
+}
+
+// compileAssign lowers `=` and `op=`: the target's reference, its read
+// for `op=`, the value, then the write, which fails at the assignment's
+// line.
+func (c *compiler) compileAssign(e *Assign) (evalFn, error) {
+	t, err := c.compileTarget(e.Target)
+	if err != nil {
+		return nil, err
+	}
+	valX, err := c.compileExpr(e.Val)
+	if err != nil {
+		return nil, err
+	}
+	line, compound := e.Line, e.Op != "="
+	binOp := strings.TrimSuffix(e.Op, "=")
+	return func(in *Interp, env *Env) (Value, error) {
+		var r memberRef
+		err := t.ref(in, env, &r)
+		if err != nil {
+			return Undefined(), err
+		}
+		var cur Value
+		if compound {
+			if cur, err = t.read(in, env, &r); err != nil {
+				return Undefined(), err
+			}
+		}
+		val, err := valX(in, env)
+		if err != nil {
+			return Undefined(), err
+		}
+		if compound {
+			if val, err = applyBinary(binOp, cur, val, line); err != nil {
+				return Undefined(), err
+			}
+		}
+		if err := t.write(in, env, &r, val, line); err != nil {
+			return Undefined(), err
+		}
+		return val, nil
+	}, nil
+}
+
+// compileUpdate lowers `++` and `--`, whose write fails at the target's
+// line.
 func (c *compiler) compileUpdate(e *Update) (evalFn, error) {
+	t, err := c.compileTarget(e.Target)
+	if err != nil {
+		return nil, err
+	}
 	delta := 1.0
 	if e.Op == "--" {
 		delta = -1
 	}
 	prefix := e.Prefix
-	switch t := e.Target.(type) {
-	case *Member:
-		objX, err := c.compileExpr(t.Obj)
+	return func(in *Interp, env *Env) (Value, error) {
+		var r memberRef
+		if err := t.ref(in, env, &r); err != nil {
+			return Undefined(), err
+		}
+		cur, err := t.read(in, env, &r)
 		if err != nil {
-			return nil, err
+			return Undefined(), err
 		}
-		var idxX evalFn
-		hasIdx := t.Index != nil
-		if hasIdx {
-			if idxX, err = c.compileExpr(t.Index); err != nil {
-				return nil, err
-			}
+		old := cur.ToNumber()
+		nv := Number(old + delta)
+		if err := t.write(in, env, &r, nv, t.line); err != nil {
+			return Undefined(), err
 		}
-		name, line := t.Name, t.Line
-		return func(in *Interp, env *Env) (Value, error) {
-			base, err := objX(in, env)
-			if err != nil {
-				return Undefined(), err
-			}
-			ref := memberRef{base: base, name: name}
-			if hasIdx {
-				idx, err := idxX(in, env)
-				if err != nil {
-					return Undefined(), err
-				}
-				ref.idx, ref.hasIdx = idx, true
-			}
-			cur, err := in.readRef(ref, line)
-			if err != nil {
-				return Undefined(), err
-			}
-			old := cur.ToNumber()
-			nv := Number(old + delta)
-			if err := in.writeRef(ref, nv, line); err != nil {
-				return Undefined(), err
-			}
-			if prefix {
-				return nv, nil
-			}
-			return Number(old), nil
-		}, nil
-	case *Ident:
-		readX := c.compileIdent(t.Name, t.Line)
-		write := c.compileIdentWrite(t.Name)
-		return func(in *Interp, env *Env) (Value, error) {
-			cur, err := readX(in, env)
-			if err != nil {
-				return Undefined(), err
-			}
-			old := cur.ToNumber()
-			nv := Number(old + delta)
-			write(env, nv)
-			if prefix {
-				return nv, nil
-			}
-			return Number(old), nil
-		}, nil
-	}
-	return nil, errUncompilable
+		if prefix {
+			return nv, nil
+		}
+		return Number(old), nil
+	}, nil
 }
 
 func (c *compiler) compileCall(e *Call) (evalFn, error) {

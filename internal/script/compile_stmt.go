@@ -41,27 +41,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 				return nil, err
 			}
 		}
-		name := s.Name
-		// The declaring scope is the innermost frame, when one exists and
-		// laid the name out (a var nested under if/while belongs to an
-		// enclosing block whose layout includes it). A var whose block
-		// pushed no frame binds through dynamic Define in the scope it
-		// runs in: the global map or an enclosing frame's spill.
-		if len(c.scopes) > 0 {
-			if slot, ok := c.scopes[len(c.scopes)-1].slotOf[name]; ok {
-				return func(in *Interp, env *Env) error {
-					if err := in.step(); err != nil {
-						return err
-					}
-					v, err := initX(in, env)
-					if err != nil {
-						return err
-					}
-					env.slots[slot] = v
-					return nil
-				}, nil
-			}
-		}
+		bind := c.binder(s.Name)
 		return func(in *Interp, env *Env) error {
 			if err := in.step(); err != nil {
 				return err
@@ -70,7 +50,7 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 			if err != nil {
 				return err
 			}
-			env.Define(name, v)
+			bind(env, v)
 			return nil
 		}, nil
 	case *ExprStmt:
@@ -230,30 +210,15 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 	case *FuncDecl:
 		// A declaration in executed position (switch cases, if branches):
 		// the binding appears when the statement runs, not at scope entry.
-		cf, err := c.compileFunc(s.Name, s.Params, s.Body, nil, s.Line)
+		d, err := c.compileDecl(s)
 		if err != nil {
 			return nil, err
-		}
-		name := s.Name
-		slot := -1
-		if len(c.scopes) > 0 {
-			if i, ok := c.scopes[len(c.scopes)-1].slotOf[name]; ok {
-				slot = i
-			}
 		}
 		return func(in *Interp, env *Env) error {
 			if err := in.step(); err != nil {
 				return err
 			}
-			v := FuncValue(&Closure{
-				Name: name, compiled: cf,
-				Env: env, ScriptURL: in.CurrentScriptURL(), Line: cf.line,
-			})
-			if slot >= 0 {
-				env.slots[slot] = v
-			} else {
-				env.Define(name, v)
-			}
+			d.bind(env, d.cf.closure(in, env))
 			return nil
 		}, nil
 	default:
@@ -308,7 +273,7 @@ func (c *compiler) compileBlock(b *BlockStmt) (execFn, error) {
 	}
 	fl := newLayout(decls)
 	c.push(fl)
-	hoisted, fns, err := c.compileScope(b.Body, fl.slotOf)
+	hoisted, fns, err := c.compileScope(b.Body)
 	c.pop()
 	if err != nil {
 		return nil, err

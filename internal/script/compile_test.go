@@ -242,3 +242,39 @@ func TestUpdateValues(t *testing.T) {
 		}
 	}
 }
+
+// TestJavaScriptAgreement pins, with the values JavaScript gives, what
+// this engine computes for `arguments`, for assignment and update
+// targets and for a property of null; the error lines are this
+// engine's: a read fails at the member's line, an `=` or `op=` write at
+// the assignment's. Where the engine differs from JavaScript (an
+// arrow's own `arguments`, a parameter named `arguments`), only
+// FuzzArgumentsFlag holds it.
+func TestJavaScriptAgreement(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want []string
+	}{
+		{"function f() { return arguments.length; } probe(f(1, 2, 3));", []string{"number:3"}},
+		{"function f() { return `${arguments[0]}-${arguments.length}`; } probe(f('a', 'b'));", []string{"string:a-2"}},
+		{"function f() { var o = {arguments}; return o.arguments[1]; } probe(f(1, 2));", []string{"number:2"}},
+		{"var o = { m() { return arguments.length; } }; probe(o.m(1, 2, 3, 4));", []string{"number:4"}},
+		{"function f() { var g = function () { return arguments.length; }; return g(1, 2, 3, 4, 5) + arguments.length; } probe(f(1));",
+			[]string{"number:6"}},
+		{"probe(typeof arguments);", []string{"string:undefined"}},
+		{"var x = { a: 1 }; x.a += 2; x['b'] = 5; x.b++; probe(x.a, x.b, (x.a--) + (++x.a), x.a);",
+			[]string{"number:3|number:6|number:6|number:3"}},
+		{"var a = []; var i = 0; a[i++] = 7; probe(a[0], i, a.length);", []string{"number:7|number:1|number:1"}},
+		{"var s = 'x'; s += 1; probe(s); s++; probe(s);", []string{"string:x1", "number:NaN"}},
+		{"probe(1);\nzz += 1;", []string{"number:1", "ERR script runtime error at line 2: zz is not defined"}},
+		{"undef.x++;", []string{"ERR script runtime error at line 1: undef is not defined"}},
+		{"var n = null;\nn.p;", []string{`ERR script runtime error at line 2: cannot read properties of null (reading "p")`}},
+		{"var n = null;\nn.p\n+= 1;", []string{`ERR script runtime error at line 2: cannot read properties of null (reading "p")`}},
+		{"var n = null;\nn.p\n= 1;", []string{`ERR script runtime error at line 3: cannot set property "p" of null`}},
+		{"var n = null;\nn['p']\n++;", []string{`ERR script runtime error at line 2: cannot read properties of null (reading "p")`}},
+	} {
+		if got := runObserved(t, tc.src); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s\ngot  %q\nwant %q", tc.src, got, tc.want)
+		}
+	}
+}

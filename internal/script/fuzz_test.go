@@ -85,3 +85,153 @@ func FuzzRun(f *testing.F) {
 		}
 	})
 }
+
+// FuzzArgumentsFlag: the UsesArguments the parser sets on every
+// function declaration and literal equals a walk of that function's
+// body for an `arguments` identifier, nested functions and template
+// interpolations included and discarded default parameters left out.
+func FuzzArgumentsFlag(f *testing.F) {
+	addFuzzSeeds(f)
+	for _, src := range []string{
+		"function f() { var g = () => () => arguments.length; return g()(); }",
+		"function f() { return `${arguments[0]}`; }",
+		"function f() { return {arguments}; }",
+		"var o = { m() { return arguments.length; } };",
+		"function f() { function g(a = arguments) {} return g; }",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := Parse(src)
+		if err != nil {
+			return
+		}
+		findNode(prog, func(n Node) bool {
+			var fn *FuncLit
+			switch s := n.(type) {
+			case *FuncDecl:
+				fn = &s.FuncLit
+			case *FuncLit:
+				fn = s
+			default:
+				return false
+			}
+			body := []Node{fn.ExprBody}
+			if fn.ExprBody == nil {
+				body = fn.Body.Body
+			}
+			if want := identUsed("arguments", body); fn.UsesArguments != want {
+				t.Fatalf("function at line %d: UsesArguments = %v, a walk of its body says %v", fn.Line, fn.UsesArguments, want)
+			}
+			return false
+		})
+	})
+}
+
+// findNode reports whether pred holds for any node in the subtree.
+func findNode(n Node, pred func(Node) bool) bool {
+	if n == nil {
+		return false
+	}
+	if pred(n) {
+		return true
+	}
+	find := func(m Node) bool { return findNode(m, pred) }
+	findAll := func(ms []Node) bool {
+		for _, m := range ms {
+			if findNode(m, pred) {
+				return true
+			}
+		}
+		return false
+	}
+	switch s := n.(type) {
+	case *Program:
+		return findAll(s.Body)
+	case *BlockStmt:
+		return findAll(s.Body)
+	case *SeqStmt:
+		return findAll(s.Body)
+	case *VarDecl:
+		return find(s.Init)
+	case *ExprStmt:
+		return find(s.X)
+	case *IfStmt:
+		return find(s.Cond) || find(s.Then) || find(s.Else)
+	case *WhileStmt:
+		return find(s.Cond) || find(s.Body)
+	case *DoWhileStmt:
+		return find(s.Body) || find(s.Cond)
+	case *ForStmt:
+		return find(s.Init) || find(s.Cond) || find(s.Post) || find(s.Body)
+	case *SwitchStmt:
+		if find(s.Tag) {
+			return true
+		}
+		for _, cs := range s.Cases {
+			if find(cs.Test) || findAll(cs.Body) {
+				return true
+			}
+		}
+		return false
+	case *ReturnStmt:
+		return find(s.X)
+	case *ThrowStmt:
+		return find(s.X)
+	case *TryStmt:
+		if s.Body != nil && findAll(s.Body.Body) {
+			return true
+		}
+		if s.Catch != nil && findAll(s.Catch.Body) {
+			return true
+		}
+		return s.Finally != nil && findAll(s.Finally.Body)
+	case *FuncDecl:
+		if s.Body != nil {
+			return findAll(s.Body.Body)
+		}
+		return false
+	case *FuncLit:
+		if s.Body != nil && findAll(s.Body.Body) {
+			return true
+		}
+		return find(s.ExprBody)
+	case *Member:
+		return find(s.Obj) || find(s.Index)
+	case *Call:
+		return find(s.Fn) || findAll(s.Args)
+	case *Unary:
+		return find(s.X)
+	case *Binary:
+		return find(s.X) || find(s.Y)
+	case *Logical:
+		return find(s.X) || find(s.Y)
+	case *Cond:
+		return find(s.Test) || find(s.Then) || find(s.Else)
+	case *Assign:
+		return find(s.Target) || find(s.Val)
+	case *Update:
+		return find(s.Target)
+	case *ObjectLit:
+		return findAll(s.Vals)
+	case *ArrayLit:
+		return findAll(s.Elems)
+	case *SpreadExpr:
+		return find(s.X)
+	}
+	return false
+}
+
+// identUsed reports whether any of stmts holds an identifier name.
+func identUsed(name string, stmts []Node) bool {
+	pred := func(n Node) bool {
+		id, ok := n.(*Ident)
+		return ok && id.Name == name
+	}
+	for _, s := range stmts {
+		if findNode(s, pred) {
+			return true
+		}
+	}
+	return false
+}

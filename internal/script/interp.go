@@ -433,6 +433,8 @@ func (in *Interp) setMember(obj Value, name string, val Value, line int) error {
 		}
 		obj.arr.Props[name] = val
 		return nil
+	case KindNull:
+		return in.rterr(line, "cannot set property %q of null", name)
 	}
 	return in.rterr(line, "cannot set property %q of %s", name, obj.TypeOf())
 }

@@ -10,7 +10,7 @@ import (
 func (in *Interp) getMember(v Value, name string, line int) (Value, error) {
 	switch v.kind {
 	case KindUndefined, KindNull:
-		return Undefined(), in.rterr(line, "cannot read properties of %s (reading %q)", v.TypeOf(), name)
+		return Undefined(), in.rterr(line, "cannot read properties of %s (reading %q)", v.ToString(), name)
 	case KindObject:
 		if p, ok := v.obj.Get(name); ok {
 			return p, nil

@@ -8,15 +8,24 @@ import (
 type parser struct {
 	toks []Tok
 	pos  int
+	// args counts the `arguments` identifiers parsed so far; a function
+	// whose body moved it uses `arguments`.
+	args int
 }
 
 // Parse lexes and parses a program.
 func Parse(src string) (*Program, error) {
+	return (&parser{}).parse(src)
+}
+
+// parse lexes and parses src as a program, adding its `arguments`
+// identifiers to p's count.
+func (p *parser) parse(src string) (*Program, error) {
 	toks, err := Lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p.toks = toks
 	prog := &Program{}
 	for !p.atEOF() {
 		stmt, err := p.statement()
@@ -186,15 +195,25 @@ func (p *parser) funcDecl() (Node, error) {
 		return nil, p.errf("expected function name")
 	}
 	p.advance()
+	fn, err := p.function(line)
+	if err != nil {
+		return nil, err
+	}
+	return &FuncDecl{Name: t.Text, FuncLit: *fn}, nil
+}
+
+// function parses a parameter list and a block body into a FuncLit.
+func (p *parser) function(line int) (*FuncLit, error) {
 	params, err := p.paramList()
 	if err != nil {
 		return nil, err
 	}
+	args := p.args
 	body, err := p.block()
 	if err != nil {
 		return nil, err
 	}
-	return &FuncDecl{Name: t.Text, Params: params, Body: body, Line: line}, nil
+	return &FuncLit{Params: params, Body: body, Line: line, UsesArguments: p.args != args}, nil
 }
 
 func (p *parser) paramList() ([]string, error) {
@@ -211,9 +230,13 @@ func (p *parser) paramList() ([]string, error) {
 		p.advance()
 		params = append(params, t.Text)
 		// Default parameter values: parse and discard the default
-		// expression (probe scripts rarely rely on them).
+		// expression (probe scripts rarely rely on them). No body holds
+		// it, so its `arguments` count for no function.
 		if p.eatPunct("=") {
-			if _, err := p.assignExpr(); err != nil {
+			args := p.args
+			_, err := p.assignExpr()
+			p.args = args
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -563,6 +586,7 @@ func (p *parser) tryArrow() (Node, bool, error) {
 	}
 	p.advance() // =>
 	fn := &FuncLit{Params: params, Line: line}
+	args := p.args
 	if p.isPunct("{") {
 		body, err := p.block()
 		if err != nil {
@@ -576,6 +600,7 @@ func (p *parser) tryArrow() (Node, bool, error) {
 		}
 		fn.ExprBody = x
 	}
+	fn.UsesArguments = p.args != args
 	return fn, true, nil
 }
 
@@ -860,10 +885,10 @@ func (p *parser) primary() (Node, error) {
 		return &Lit{Val: String(t.Text)}, nil
 	case TokTemplate:
 		p.advance()
-		return expandTemplate(t.Text, t.Line)
+		return p.template(t.Text, t.Line)
 	case TokIdent:
 		p.advance()
-		return &Ident{Name: t.Text, Line: t.Line}, nil
+		return p.ident(t.Text, t.Line), nil
 	case TokKeyword:
 		switch t.Text {
 		case "true":
@@ -911,10 +936,20 @@ func (p *parser) primary() (Node, error) {
 	return nil, p.errf("unexpected token %q", t.Text)
 }
 
-// expandTemplate turns a template literal with ${...} interpolations
-// into a string-concatenation expression. Nested braces inside the
-// interpolation (object literals, blocks) are balanced.
-func expandTemplate(raw string, line int) (Node, error) {
+// ident makes an identifier node, counting it if it names `arguments`.
+func (p *parser) ident(name string, line int) *Ident {
+	if name == "arguments" {
+		p.args++
+	}
+	return &Ident{Name: name, Line: line}
+}
+
+// template turns a template literal with ${...} interpolations into a
+// string-concatenation expression. Nested braces inside the
+// interpolation (object literals, blocks) are balanced. Each
+// interpolation is parsed as a program of its own whose `arguments`
+// add to p's count.
+func (p *parser) template(raw string, line int) (Node, error) {
 	var result Node = &Lit{Val: String("")}
 	appendPart := func(n Node) {
 		result = &Binary{Op: "+", X: result, Y: n, Line: line}
@@ -943,15 +978,16 @@ func expandTemplate(raw string, line int) (Node, error) {
 		if depth != 0 {
 			return nil, &SyntaxError{Line: line, Msg: "unterminated ${ in template literal"}
 		}
-		exprSrc := raw[i : j-1]
-		sub, err := Parse(exprSrc)
+		sub := &parser{args: p.args}
+		prog, err := sub.parse(raw[i : j-1])
 		if err != nil {
 			return nil, &SyntaxError{Line: line, Msg: "invalid template interpolation: " + err.Error()}
 		}
-		if len(sub.Body) != 1 {
+		p.args = sub.args
+		if len(prog.Body) != 1 {
 			return nil, &SyntaxError{Line: line, Msg: "template interpolation must be a single expression"}
 		}
-		es, ok := sub.Body[0].(*ExprStmt)
+		es, ok := prog.Body[0].(*ExprStmt)
 		if !ok {
 			return nil, &SyntaxError{Line: line, Msg: "template interpolation must be an expression"}
 		}
@@ -969,15 +1005,11 @@ func (p *parser) funcLit() (Node, error) {
 	if p.cur().Kind == TokIdent {
 		p.advance()
 	}
-	params, err := p.paramList()
+	fn, err := p.function(line)
 	if err != nil {
 		return nil, err
 	}
-	body, err := p.block()
-	if err != nil {
-		return nil, err
-	}
-	return &FuncLit{Params: params, Body: body, Line: line}, nil
+	return fn, nil
 }
 
 func (p *parser) objectLit() (Node, error) {
@@ -1005,18 +1037,14 @@ func (p *parser) objectLit() (Node, error) {
 			val = v
 		} else if p.isPunct("(") {
 			// Shorthand method: key(params) { ... }
-			params, err := p.paramList()
+			fn, err := p.function(t.Line)
 			if err != nil {
 				return nil, err
 			}
-			body, err := p.block()
-			if err != nil {
-				return nil, err
-			}
-			val = &FuncLit{Params: params, Body: body, Line: t.Line}
+			val = fn
 		} else {
 			// Shorthand property {x} === {x: x}.
-			val = &Ident{Name: key, Line: t.Line}
+			val = p.ident(key, t.Line)
 		}
 		lit.Keys = append(lit.Keys, key)
 		lit.Vals = append(lit.Vals, val)

@@ -148,9 +148,6 @@ func (v Value) Str() string { return v.s }
 // Num returns the numeric payload.
 func (v Value) Num() float64 { return v.n }
 
-// BoolVal returns the bool payload.
-func (v Value) BoolVal() bool { return v.b }
-
 // Obj returns the object payload, or nil.
 func (v Value) Obj() *Object { return v.obj }
 

@@ -126,6 +126,13 @@ type ChaosConfig struct {
 	OversizeBytes int
 }
 
+// The tuning defaults DefaultChaosConfig sets and withDefaults fills.
+const (
+	defaultFlapFailures  = 2
+	defaultDripDelay     = 40 * time.Millisecond
+	defaultOversizeBytes = 6 << 20
+)
+
 // DefaultChaosConfig returns a chaos layer calibrated so every fault
 // kind appears in a few-hundred-site population without drowning the
 // healthy measurement.
@@ -134,9 +141,9 @@ func DefaultChaosConfig() ChaosConfig {
 		Enabled:         true,
 		SiteRate:        0.08,
 		SubresourceRate: 0.10,
-		FlapFailures:    2,
-		DripDelay:       40 * time.Millisecond,
-		OversizeBytes:   6 << 20,
+		FlapFailures:    defaultFlapFailures,
+		DripDelay:       defaultDripDelay,
+		OversizeBytes:   defaultOversizeBytes,
 	}
 }
 
@@ -146,13 +153,13 @@ func (cc ChaosConfig) withDefaults(populationSeed int64) ChaosConfig {
 		cc.Seed = populationSeed
 	}
 	if cc.FlapFailures <= 0 {
-		cc.FlapFailures = 2
+		cc.FlapFailures = defaultFlapFailures
 	}
 	if cc.DripDelay <= 0 {
-		cc.DripDelay = 40 * time.Millisecond
+		cc.DripDelay = defaultDripDelay
 	}
 	if cc.OversizeBytes <= 0 {
-		cc.OversizeBytes = 6 << 20
+		cc.OversizeBytes = defaultOversizeBytes
 	}
 	return cc
 }
